@@ -157,7 +157,7 @@ def _allocate(mf: MachineFunction, desc: tgt.TargetDesc, reserve_scratch: bool
 def _rewrite(mf: MachineFunction, desc: tgt.TargetDesc,
              assign: dict[int, int], spilled: dict[int, int]
              ) -> MachineFunction:
-    out = MachineFunction(mf.name, frame_size=0, is_leaf=mf.is_leaf)
+    out = MachineFunction(mf.name)
     nslots = len(spilled)
     if nslots:
         out.frame_size = (nslots * 4 + 15) & ~15
@@ -201,13 +201,21 @@ def _rewrite(mf: MachineFunction, desc: tgt.TargetDesc,
     return out
 
 
+# the largest 16-byte aligned frame whose sp adjustments -n and +n both fit
+# in an addi imm12
+MAX_FRAME = 2032
+
+
 def insert_prologue_epilogue(mf: MachineFunction) -> MachineFunction:
     """Leaf functions with no frame get nothing; otherwise a 16-byte aligned
     sp adjustment pair brackets the body."""
     if mf.frame_size == 0:
         return mf
     n = (mf.frame_size + 15) & ~15
-    out = MachineFunction(mf.name, frame_size=n, is_leaf=mf.is_leaf)
+    if n > MAX_FRAME:
+        raise CodegenError(f"@{mf.name}: stack frame of {n} bytes exceeds "
+                           f"{MAX_FRAME}, the most one addi can adjust sp by")
+    out = MachineFunction(mf.name, frame_size=n)
     out.instrs.append(MachineInstr("ADDI", [MOp.preg(SP), MOp.preg(SP),
                                             MOp.imm(-n)]))
     for mi in mf.instrs:
@@ -325,7 +333,7 @@ def parse_asm_line(line: str, desc: tgt.TargetDesc) -> MachineInstr | None:
         return MachineInstr("XORI", [_parse_operand_token(toks[0]),
                                      _parse_operand_token(toks[1]), MOp.imm(-1)])
 
-    d = desc.by_asm(mn)
+    d = desc.by_asm.get(mn)
     if d is None:
         raise AsmError(f"unknown mnemonic {mn!r}")
     mem_style = (d.may_load or d.may_store or d.mnemonic == "JALR") \
@@ -369,24 +377,23 @@ def emit_words(mf: MachineFunction, desc: tgt.TargetDesc,
     split. Raises on symbols missing from the map."""
     words = []
     for mi in mf.instrs:
-        mi2, _ = _resolve_instr(mi, symbol_base_map)
-        words.append(tgt.encode(mi2, desc).word)
+        mi = _resolve_instr(mi, symbol_base_map)
+        words.append(tgt.encode(mi, desc).word)
     return words
 
 
-def _resolve_instr(mi: MachineInstr, symbols: dict[str, int]):
+def _resolve_instr(mi: MachineInstr, symbols: dict[str, int]
+                   ) -> MachineInstr:
     ops = []
-    had_sym = False
     for op in mi.ops:
         if op.kind == "sym":
-            had_sym = True
             if op.val not in symbols:
                 raise CodegenError(f"unresolved symbol {op.val!r}")
             hi, lo = tgt.split_hi_lo(symbols[op.val])
             ops.append(MOp.imm(hi if op.reloc == "hi20" else lo))
         else:
             ops.append(op)
-    return MachineInstr(mi.mnemonic, ops, mi.is_ret), had_sym
+    return MachineInstr(mi.mnemonic, ops, mi.is_ret)
 
 
 def obj_text(mf: MachineFunction, desc: tgt.TargetDesc) -> str:

@@ -45,13 +45,13 @@ def compile_function(fn: ir.Function, mod: ir.Module, desc: tgt.TargetDesc,
     dag = isel.build_dag(fn, mod)
     if want_dots:
         dots["built"] = isel.emit_dot(dag, "built")
-    isel.combine(dag, "pre-legalize")
+    isel.combine(dag)
     if want_dots:
         dots["combined1"] = isel.emit_dot(dag, "combined1")
     isel.legalize(dag, ext)
     if want_dots:
         dots["legalized"] = isel.emit_dot(dag, "legalized")
-    isel.combine(dag, "post-legalize")
+    isel.combine(dag)
     if want_dots:
         dots["combined2"] = isel.emit_dot(dag, "combined2")
     dag, debug_lines = isel.select(dag, desc, ext, zba_threshold=zba_threshold)
@@ -223,7 +223,7 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
     stdout.write(f"a0 = {a0}\n")
     if mod is not None:
         for g in mod.globals:
-            addr = sim.assign_global_addrs(mod)[g.name]
+            addr = cm.global_addrs[g.name]
             stdout.write(f"@{g.name} = {sim.mem_read32(final_mem, addr)}\n")
     return 0
 
@@ -352,6 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     """Execute one subcommand in-process; returns (status, stdout, stderr)."""
+    return _run(argv, io.StringIO(stdin_text))
+
+
+def _run(argv: list[str], stdin) -> tuple[int, str, str]:
+    """run_command over a stdin stream, read only by the subcommands that
+    take their input from it."""
     out, err = io.StringIO(), io.StringIO()
     parser = _build_parser()
     try:
@@ -366,7 +372,7 @@ def run_command(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
         parser.print_usage(err)
         return 2, out.getvalue(), err.getvalue()
     try:
-        code = args.fn(args, io.StringIO(stdin_text), out, err)
+        code = args.fn(args, stdin, out, err)
     except (ir.IrError, tgt.TargetError, midend.PassError, isel.IselError,
             codegen.CodegenError, codegen.AsmError, sim.InterpError,
             DriverError) as e:
@@ -377,8 +383,7 @@ def run_command(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    stdin_text = "" if sys.stdin.isatty() else sys.stdin.read()
-    code, out, err = run_command(argv, stdin_text)
+    code, out, err = _run(argv, sys.stdin)
     sys.stdout.write(out)
     sys.stderr.write(err)
     return code

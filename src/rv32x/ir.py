@@ -145,14 +145,6 @@ class Module:
 # Parser
 # --------------------------------------------------------------------------
 
-# Known inert attribute tags; anything else on the define line is kept as
-# free-form passthrough.
-KNOWN_ATTRS = {
-    "mustprogress", "norecurse", "nofree", "nosync", "nounwind", "willreturn",
-    "local_unnamed_addr", "dso_local", "noinline", "optnone", "uwtable",
-    "memory(argmem: readwrite)",
-}
-
 _NAME = r"[-A-Za-z$._0-9]+"
 _RE_GLOBAL = re.compile(
     rf"@({_NAME})\s*=\s*(?:[\w]+\s+)*global\s+(\w+)\s+(-?\d+|zeroinitializer)")

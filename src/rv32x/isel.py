@@ -229,7 +229,7 @@ def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
 # Combine
 # --------------------------------------------------------------------------
 
-def combine(dag: SelDag, stage: str = "pre-legalize") -> SelDag:
+def combine(dag: SelDag) -> SelDag:
     """Merge identical Constant/GlobalAddress nodes, drop unreachable nodes.
     Often a no-op post-legalize."""
     canon: dict = {}
@@ -320,22 +320,6 @@ def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
 # --------------------------------------------------------------------------
 # Selection
 # --------------------------------------------------------------------------
-
-@dataclass
-class Hook:
-    root_kind: str
-    fn: object  # callable(ctx, node) -> DagNode | None
-
-
-class HookRegistry:
-    """Imperative matchers consulted before declarative patterns."""
-
-    def __init__(self, hooks=()):
-        self.hooks = list(hooks)
-
-    def for_kind(self, kind: str):
-        return [h for h in self.hooks if h.root_kind == kind]
-
 
 class SelectCtx:
     def __init__(self, dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
@@ -435,7 +419,8 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     return lxr
 
 
-DEFAULT_HOOKS = HookRegistry([Hook("xor", hook_xor_dependent_loads)])
+# imperative matchers by root node kind, consulted before declarative patterns
+HOOKS = {"xor": hook_xor_dependent_loads}
 
 
 def _chain_order(nodes: list[DagNode]) -> list[DagNode]:
@@ -636,12 +621,10 @@ def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
 
 
 def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
-           hooks: HookRegistry | None = None, zba_threshold: int = 2
-           ) -> tuple[SelDag, list[str]]:
+           zba_threshold: int = 2) -> tuple[SelDag, list[str]]:
     """Cover every generic node with machine nodes. Hooks first, then
     declarative patterns by priority, then fallbacks."""
     ctx = SelectCtx(dag, desc, ext, zba_threshold)
-    hooks = hooks if hooks is not None else DEFAULT_HOOKS
 
     root = dag.root
     root.is_ret = True
@@ -682,13 +665,11 @@ def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
             continue
         if node.kind in ("Constant", "GlobalAddress"):
             continue  # consumed by users; materialized on demand
-        matched = None
-        for hook in hooks.for_kind(node.kind):
-            matched = hook.fn(ctx, node)
-            if matched is not None:
-                dag.replace_value_uses(node, val(matched))
-                break
-        if matched is None:
+        hook = HOOKS.get(node.kind)
+        matched = hook(ctx, node) if hook is not None else None
+        if matched is not None:
+            dag.replace_value_uses(node, val(matched))
+        else:
             _select_node(ctx, node)
 
     # ret value may be a bare constant: materialize it now

@@ -64,12 +64,6 @@ class PassStats:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PassPipeline:
-    passes: tuple[str, ...] = DEFAULT_PIPELINE
-    stats_enabled: bool = False
-
-
 # --------------------------------------------------------------------------
 # Rename maps and the alias lattice
 # --------------------------------------------------------------------------
@@ -352,7 +346,7 @@ def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]
                 changed = True
                 continue
 
-        # funnel-shift recognition: or(shl(x,c1), lshr(y,c2)), c1+c2 == 32
+        # rotate recognition: or(shl(x,c1), lshr(x,c2)), c1+c2 == 32
         if inst.opcode == "or":
             new = _combine_funnel(inst, defs, _use_counts(body))
             if new is not None:
@@ -404,8 +398,11 @@ def _combine_funnel(inst: Inst, defs, uses) -> Inst | None:
     c1, c2 = shl.operands[1].const, lshr.operands[1].const
     if not (0 < c1 < 32 and 0 < c2 < 32 and c1 + c2 == 32):
         return None
-    x, y = shl.operands[0], lshr.operands[0]
-    return Inst("fshr", inst.result, (x, y, const(c2)), ir.I32)
+    # only the rotate form: no enabled extension has a two-input funnel shift
+    x = shl.operands[0]
+    if x != lshr.operands[0]:
+        return None
+    return Inst("fshr", inst.result, (x, x, const(c2)), ir.I32)
 
 
 def pass_inst_combine(fn: ir.Function, stats: PassStats,
@@ -550,13 +547,10 @@ PASSES = {
 }
 
 
-def run_pipeline(mod: ir.Module, pipeline: PassPipeline | tuple = ()
+def run_pipeline(mod: ir.Module, pipeline: tuple = ()
                  ) -> tuple[ir.Module, PassStats]:
     """Apply the pass list to every function. The output always verifies."""
-    if isinstance(pipeline, PassPipeline):
-        names = pipeline.passes
-    else:
-        names = tuple(pipeline)
+    names = tuple(pipeline)
     stats = PassStats()
     for name in names:
         if name not in PASSES:

@@ -80,9 +80,5 @@ class MachineFunction:
     name: str
     instrs: list[MachineInstr] = field(default_factory=list)
     frame_size: int = 0
-    is_leaf: bool = True
     ret_vreg: int | None = None  # pre-RA: vreg that must land in a0
     num_vregs: int = 0
-
-    def has_virtual(self) -> bool:
-        return any(op.kind == "vreg" for mi in self.instrs for op in mi.ops)

@@ -82,9 +82,6 @@ class TraceStep:
     text: str
 
 
-ExecTrace = list  # list[TraceStep], bounded by the fuel limit
-
-
 def _exec_alu(state: SimState, mn: str, mi) -> None:
     r = state.read
     ops = mi.ops
@@ -176,7 +173,8 @@ def run_function(program: list[int], args: list[int],
                  mem_init: dict[int, int] | None = None,
                  fuel: int = DEFAULT_FUEL,
                  desc: tgt.TargetDesc | None = None,
-                 base: int = PROGRAM_BASE) -> tuple[int, dict[int, int], ExecTrace]:
+                 base: int = PROGRAM_BASE
+                 ) -> tuple[int, dict[int, int], list[TraceStep]]:
     """Load encoded words at `base`, seed a0.. with args and x1 with the halt
     sentinel, run to halt. Returns (a0, final memory, trace). The program
     region and the stack region below sp are excluded from the returned
@@ -192,7 +190,7 @@ def run_function(program: list[int], args: list[int],
     state.regs[2] = STACK_TOP
     for i, a in enumerate(args):
         state.regs[10 + i] = u32(a)
-    trace: ExecTrace = []
+    trace: list[TraceStep] = []
     for _ in range(fuel):
         if state.halted:
             break

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .mir import MOp, MachineInstr, X0
+from .mir import MOp, MachineInstr
 
 ALL_EXTENSIONS = ("I", "M", "Zba", "Zbb", "Xcrypt")
 
@@ -128,18 +128,13 @@ class SelPattern:
 class TargetDesc:
     instrs: dict[str, InstrDef] = field(default_factory=dict)
     patterns: list[SelPattern] = field(default_factory=list)
+    by_asm: dict[str, InstrDef] = field(default_factory=dict)  # printed name
 
     def instr(self, mnemonic: str) -> InstrDef:
         try:
             return self.instrs[mnemonic]
         except KeyError:
             raise TargetError(f"unknown instruction {mnemonic!r}") from None
-
-    def by_asm(self, name: str) -> InstrDef | None:
-        for d in self.instrs.values():
-            if d.asm == name:
-                return d
-        return None
 
     def enabled(self, ext: frozenset[str]):
         return [d for d in self.instrs.values() if d.ext in ext]
@@ -249,6 +244,7 @@ def load_target_desc(text: str) -> TargetDesc:
             if d.mnemonic in desc.instrs:
                 raise TargetError(f"{where}: duplicate mnemonic {d.mnemonic}")
             desc.instrs[d.mnemonic] = d
+            desc.by_asm.setdefault(d.asm, d)
             continue
         if line.startswith("pattern "):
             m = re.match(r"pattern\s+(.*)=>(.*)$", line)
@@ -536,17 +532,3 @@ def materialize_imm(value: int, ext: frozenset[str] = frozenset({"I"}),
                     res = tmp
                 break
     return res
-
-
-def expand_mat_seq(seq, rd: int) -> list[MachineInstr]:
-    """Turn a materialization sequence into machine instructions for rd."""
-    out = []
-    for i, (mn, imm) in enumerate(seq):
-        if mn == "LUI":
-            out.append(MachineInstr("LUI", [MOp.preg(rd), MOp.imm(imm)]))
-        elif mn == "ADDI":
-            src = MOp.preg(X0) if i == 0 else MOp.preg(rd)
-            out.append(MachineInstr("ADDI", [MOp.preg(rd), src, MOp.imm(imm)]))
-        else:  # SH1ADD/SH2ADD/SH3ADD rd, rd, rd
-            out.append(MachineInstr(mn, [MOp.preg(rd), MOp.preg(rd), MOp.preg(rd)]))
-    return out

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from rv32x import codegen, ir, isel, midend, sim
+from rv32x import codegen, driver, ir, midend, sim
 from rv32x import target as tgt
 
 # ---------------------------------------------------------------------------
@@ -77,30 +77,20 @@ def optimized(name: str) -> ir.Module:
     return mod
 
 
-def compile_fn(fn, mod, desc, mattr=None, opt=False, zba_threshold=2):
-    ext = tgt.parse_mattr(mattr)
-    if opt:
-        mod, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
-        fn = mod.function(fn.name)
-    dag = isel.build_dag(fn, mod)
-    isel.combine(dag, "pre-legalize")
-    isel.legalize(dag, ext)
-    isel.combine(dag, "post-legalize")
-    dag, debug = isel.select(dag, desc, ext, zba_threshold=zba_threshold)
-    mf = isel.schedule(dag)
-    mf = codegen.allocate_registers(mf, desc)
-    mf = codegen.insert_prologue_epilogue(mf)
-    return mf, debug
+def compile_fn(fn, mod, desc, mattr=None):
+    cf = driver.compile_function(fn, mod, desc, tgt.parse_mattr(mattr))
+    return cf.mf, cf.debug_lines
 
 
-def compile_corpus(name: str, desc, mattr=None, fname=None, opt=True,
-                   zba_threshold=2):
-    """Returns (module, function name, MachineFunction, asm text)."""
+def compile_corpus(name: str, desc, mattr=None, fname=None):
+    """Returns (module, function name, MachineFunction, asm text). The
+    module is as parsed; the function is compiled at -O2."""
     mod = corpus_module(name)
     fname = fname or mod.functions[0].name
-    mf, _ = compile_fn(mod.function(fname), mod, desc, mattr, opt,
-                       zba_threshold)
-    return mod, fname, mf, codegen.print_asm(mf, desc)
+    opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
+    cf = driver.compile_function(opt.function(fname), opt, desc,
+                                 tgt.parse_mattr(mattr))
+    return mod, fname, cf.mf, cf.asm
 
 
 def histogram(asm: str) -> dict[str, int]:
@@ -140,6 +130,18 @@ def synth_args(rng: random.Random, n_ptrs: int, n_ints: int):
     return args, mem
 
 
+def assert_runs_like_ir(fn, mf, desc, inputs, gaddrs=None):
+    """Simulate the compiled `mf` on each (args, mem) input and compare with
+    the IR interpreter on `fn`: the return value unless void, and memory."""
+    words = codegen.emit_words(mf, desc, gaddrs or {})
+    for args, mem in inputs:
+        want, want_mem = sim.ir_interpret(fn, args, dict(mem), gaddrs)
+        got, got_mem, _ = sim.run_function(words, args, dict(mem))
+        if fn.return_type != "void":
+            assert got == want, f"@{fn.name}{args}: ret {got} != {want}"
+        assert got_mem == want_mem, f"@{fn.name}{args}: memory diverged"
+
+
 def differential_run(name: str, desc, mattr, trials: int, seed: int = 7
                      ) -> int:
     """Compare ir_interpret against the simulator on the compiled function.
@@ -147,17 +149,11 @@ def differential_run(name: str, desc, mattr, trials: int, seed: int = 7
     divergence."""
     fname, n_ptrs, n_ints = CORPUS_SHAPES[name]
     mod0 = corpus_module(name)
-    fn0 = mod0.function(fname)
     gaddrs = sim.assign_global_addrs(mod0)
     _, _, mf, _ = compile_corpus(name, desc, mattr, fname)
-    words = codegen.emit_words(mf, desc, gaddrs)
     rng = random.Random(seed)
-    for t in range(trials):
-        args, mem = synth_args(rng, n_ptrs, n_ints)
+    inputs = [synth_args(rng, n_ptrs, n_ints) for _ in range(trials)]
+    for _, mem in inputs:
         mem.update(sim.seed_globals(mod0, gaddrs))
-        r1, m1 = sim.ir_interpret(fn0, args, dict(mem), gaddrs)
-        r2, m2, _ = sim.run_function(words, args, dict(mem))
-        if fn0.return_type != "void":
-            assert r1 == r2, f"{name} {mattr} trial {t}: ret {r1} != {r2}"
-        assert m1 == m2, f"{name} {mattr} trial {t}: memory diverged"
+    assert_runs_like_ir(mod0.function(fname), mf, desc, inputs, gaddrs)
     return trials

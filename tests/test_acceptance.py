@@ -17,8 +17,8 @@ from rv32x import target as tgt
 from rv32x.driver import run_command
 
 from conftest import (ALL_MATTRS, CORPUS_SHAPES, LIT_TESTS, compile_corpus,
-                      corpus_module, differential_run, histogram)
-from test_target import bfs_shortest, mat_value
+                      compile_fn, corpus_module, differential_run, histogram)
+from test_target import assert_roundtrips, bfs_shortest, mat_value
 
 
 # --------------------------------------------------------------------------
@@ -136,15 +136,8 @@ def test_criterion_6_sh1add_one_use(desc):
 # --------------------------------------------------------------------------
 
 def _isel_debug(name, desc):
-    from rv32x import isel
     mod = corpus_module(name)
-    ext = tgt.parse_mattr("+xcrypt")
-    dag = isel.build_dag(mod.functions[0], mod)
-    isel.combine(dag)
-    isel.legalize(dag, ext)
-    isel.combine(dag, "post-legalize")
-    dag, debug = isel.select(dag, desc, ext)
-    mf = isel.schedule(dag)
+    mf, debug = compile_fn(mod.functions[0], mod, desc, "+xcrypt")
     return mf, "\n".join(debug)
 
 
@@ -213,19 +206,7 @@ define i32 @f(i32 %a, i32 %b) {
 # --------------------------------------------------------------------------
 
 def test_criterion_10_encode_decode(desc):
-    from test_target import _random_operands
-    from rv32x.mir import MachineInstr
-    rng = random.Random(103)
-    defs = sorted(desc.instrs.values(), key=lambda d: d.mnemonic)
-    ext = frozenset(tgt.ALL_EXTENSIONS)
-    for _ in range(10_000):
-        d = rng.choice(defs)
-        mi = MachineInstr(d.mnemonic, _random_operands(rng, d))
-        w = tgt.encode(mi, desc)
-        back = tgt.decode(w.word, desc, ext)
-        assert back is not None and back.mnemonic == d.mnemonic
-        assert [(o.kind, o.val) for o in back.ops] == \
-            [(o.kind, o.val) for o in mi.ops]
+    assert_roundtrips(desc, 103, 10_000)
     all_defs = list(desc.instrs.values())
     for i, a in enumerate(all_defs):
         for b in all_defs[i + 1:]:

@@ -6,7 +6,8 @@ from rv32x import codegen, ir, sim
 from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr, MachineFunction, REG_INDEX
 
-from conftest import compile_corpus, compile_fn, corpus_module
+from conftest import (assert_runs_like_ir, compile_corpus, compile_fn,
+                      corpus_module, make_ptr_args)
 
 
 def used_regs(asm: str) -> set[str]:
@@ -72,16 +73,9 @@ def test_spilling_preserves_semantics(desc):
     assert mf.frame_size > 0  # 40 simultaneously-live values must spill
     asm = codegen.print_asm(mf, desc)
     assert "addi\tsp, sp, -" in asm
-    words = codegen.emit_words(mf, desc, {})
     rng = random.Random(55)
-    for _ in range(32):
-        mem = {}
-        base = 0x4000
-        for i in range(40):
-            sim.mem_write32(mem, base + 4 * i, rng.getrandbits(32))
-        want, _ = sim.ir_interpret(fn, [base], mem)
-        got, _, _ = sim.run_function(words, [base], mem)
-        assert got == want
+    inputs = [make_ptr_args(rng, 1, 40) for _ in range(32)]
+    assert_runs_like_ir(fn, mf, desc, inputs)
 
 
 def test_random_synthetic_blocks_survive_allocation(desc):
@@ -92,13 +86,7 @@ def test_random_synthetic_blocks_survive_allocation(desc):
         mod = _many_live_values_fn(n)
         fn = mod.functions[0]
         mf, _ = compile_fn(fn, mod, desc, None)
-        words = codegen.emit_words(mf, desc, {})
-        mem = {}
-        for i in range(n):
-            sim.mem_write32(mem, 0x4000 + 4 * i, rng.getrandbits(32))
-        want, _ = sim.ir_interpret(fn, [0x4000], mem)
-        got, _, _ = sim.run_function(words, [0x4000], mem)
-        assert got == want, trial
+        assert_runs_like_ir(fn, mf, desc, [make_ptr_args(rng, 1, n)])
 
 
 def test_x0_never_written_meaningfully(desc):
@@ -122,6 +110,18 @@ def test_prologue_epilogue_rules(desc):
     asm = codegen.print_asm(out, desc)
     assert "addi\tsp, sp, -16" in asm and "addi\tsp, sp, 16" in asm
     assert asm.index("-16") < asm.index("sp, 16")
+
+
+def test_prologue_rejects_frames_beyond_imm12(desc):
+    ret = MachineInstr("JALR", [MOp.preg(0), MOp.preg(1), MOp.imm(0)],
+                       is_ret=True)
+    # 2032 is the largest aligned frame whose -n and +n both fit in imm12
+    out = codegen.insert_prologue_epilogue(
+        MachineFunction("f", [ret], frame_size=2032))
+    assert len(codegen.emit_words(out, desc, {})) == 3
+    with pytest.raises(codegen.CodegenError, match="2400"):
+        codegen.insert_prologue_epilogue(
+            MachineFunction("f", [ret], frame_size=2400))
 
 
 def test_global_store_uses_lo_relocation(desc):

@@ -1,5 +1,9 @@
 
-from rv32x.driver import run_command
+import sys
+
+import pytest
+
+from rv32x.driver import main, run_command
 
 from conftest import CORPUS, LIT_TESTS
 
@@ -230,3 +234,16 @@ def test_help_documents_every_flag():
         text = out + err
         for flag in flags:
             assert flag in text, (sub, flag)
+
+
+def test_main_leaves_stdin_unread_for_a_file_input(monkeypatch, capsys):
+    class OpenPipe:
+        def isatty(self):
+            return False
+
+        def read(self, *_):
+            pytest.fail("stdin read for a file input")
+
+    monkeypatch.setattr(sys, "stdin", OpenPipe())
+    assert main(["run", "-O0", path("rori.ll"), "--args=1"]) == 0
+    assert capsys.readouterr().out == "a0 = 1073741824\n"

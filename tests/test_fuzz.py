@@ -4,13 +4,15 @@ interactions the hand-written corpus cannot: patterns nested inside each
 other, canonicalization flips feeding the matchers, materialized constants as
 pattern operands."""
 
+import itertools
 import random
 
 import pytest
 
-from rv32x import codegen, ir, midend, sim
+from rv32x import driver, ir, midend
+from rv32x import target as tgt
 
-from conftest import ALL_MATTRS, compile_fn
+from conftest import ALL_MATTRS, assert_runs_like_ir, compile_fn, make_ptr_args
 
 BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
 CONST_POOL = [-1, 0, 1, 2, 3, 6, 10, 16, 30, 31, 127, 2047, -2048,
@@ -62,6 +64,42 @@ def gen_memory_fn(rng: random.Random, idx: int) -> str:
     return "\n".join(lines)
 
 
+def gen_shift_pair_fn(rng: random.Random, idx: int) -> str:
+    """or(shl a, c), (lshr b, 32-c) with a and b drawn independently: the
+    rotate form when they coincide, a two-input funnel shift otherwise."""
+    nargs = rng.randrange(1, 4)
+    params = ", ".join(f"i32 %a{i}" for i in range(nargs))
+    vals = [f"%a{i}" for i in range(nargs)]
+    lines = [f"define i32 @fp{idx}({params}) {{"]
+    for n in range(rng.randrange(1, 4)):
+        c = rng.randrange(1, 32)
+        lines.append(f"  %s{n} = shl i32 {rng.choice(vals)}, {c}")
+        lines.append(f"  %r{n} = lshr i32 {rng.choice(vals)}, {32 - c}")
+        lines.append(f"  %o{n} = or i32 %s{n}, %r{n}")
+        vals.append(f"%o{n}")
+    lines.append(f"  ret i32 {vals[-1]}")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def int_inputs(rng: random.Random, fn, n: int):
+    return [([rng.getrandbits(32) for _ in fn.params], {}) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fuzz_O0_and_O2_agree_on_shift_pairs(seed, desc):
+    # -O0 compiles every one of these, so -O2 must compile it too
+    rng = random.Random(3000 + seed)
+    for idx in range(6):
+        text = gen_shift_pair_fn(rng, idx)
+        fn0 = ir.parse_ir(text).functions[0]
+        inputs = int_inputs(rng, fn0, 4)
+        for mattr, level in itertools.product(ALL_MATTRS, ("O0", "O2")):
+            cm = driver.compile_ir_text(text, fn0.name, desc,
+                                        tgt.parse_mattr(mattr), level)
+            assert_runs_like_ir(fn0, cm.functions[fn0.name].mf, desc, inputs)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzz_arith_functions(seed, desc):
     rng = random.Random(1000 + seed)
@@ -69,17 +107,10 @@ def test_fuzz_arith_functions(seed, desc):
         text = gen_arith_fn(rng, idx)
         mod = ir.parse_ir(text, f"fuzz{seed}_{idx}")
         opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
-        fn0 = mod.functions[0]
-        nargs = len(fn0.params)
-        inputs = [[rng.getrandbits(32) for _ in range(nargs)]
-                  for _ in range(8)]
+        inputs = int_inputs(rng, mod.functions[0], 8)
         for mattr in ALL_MATTRS:
             mf, _ = compile_fn(opt.functions[0], opt, desc, mattr)
-            words = codegen.emit_words(mf, desc, {})
-            for args in inputs:
-                want, _ = sim.ir_interpret(fn0, args)
-                got, _, _ = sim.run_function(words, args, {})
-                assert got == want, (text, mattr, args)
+            assert_runs_like_ir(mod.functions[0], mf, desc, inputs)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -89,14 +120,7 @@ def test_fuzz_memory_functions(seed, desc):
         text = gen_memory_fn(rng, idx)
         mod = ir.parse_ir(text, f"fuzzm{seed}_{idx}")
         opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
-        fn0 = mod.functions[0]
         for mattr in (None, "+zba,+zbb,+xcrypt"):
             mf, _ = compile_fn(opt.functions[0], opt, desc, mattr)
-            words = codegen.emit_words(mf, desc, {})
-            for _ in range(6):
-                mem = {}
-                for i in range(8):
-                    sim.mem_write32(mem, 0x4000 + 4 * i, rng.getrandbits(32))
-                _, m1 = sim.ir_interpret(fn0, [0x4000], dict(mem))
-                _, m2, _ = sim.run_function(words, [0x4000], dict(mem))
-                assert m1 == m2, (text, mattr)
+            inputs = [make_ptr_args(rng, 1, 8) for _ in range(6)]
+            assert_runs_like_ir(mod.functions[0], mf, desc, inputs)

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from rv32x import codegen, ir, isel, sim
+from rv32x import codegen, driver, ir, isel, sim
 from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
-from conftest import (ALL_MATTRS, CORPUS_SHAPES, compile_corpus, compile_fn,
-                      corpus_module, histogram)
+from conftest import (ALL_MATTRS, CORPUS_SHAPES, assert_runs_like_ir,
+                      compile_corpus, compile_fn, corpus_module, histogram)
 
 
 def build(name, fname=None, opt=False):
@@ -117,10 +117,10 @@ def test_combine_merges_duplicate_constants():
 
 def test_combine_post_legalize_is_noop_on_minimal_dag(desc):
     dag, _ = build("shlxor.ll")
-    isel.combine(dag, "pre-legalize")
+    isel.combine(dag)
     isel.legalize(dag, tgt.parse_mattr("+xcrypt"))
     before = [(n.uid, n.kind) for n in dag.live_nodes()]
-    isel.combine(dag, "post-legalize")
+    isel.combine(dag)
     assert [(n.uid, n.kind) for n in dag.live_nodes()] == before
 
 
@@ -140,20 +140,14 @@ def test_global_address_becomes_add_lo_hi():
 
 
 def test_rotr_kept_legal_under_zbb():
-    mod = corpus_module("rori.ll")
-    from rv32x import midend
-    mod, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
-    dag = isel.build_dag(mod.functions[0], mod)
+    dag, _ = build("rori.ll", opt=True)
     isel.combine(dag)
     isel.legalize(dag, tgt.parse_mattr("+zbb"))
     assert any(n.kind == "rotr" for n in dag.live_nodes())
 
 
 def test_rotr_expands_without_rotate_support(desc):
-    mod = corpus_module("rori.ll")
-    from rv32x import midend
-    mod, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
-    dag = isel.build_dag(mod.functions[0], mod)
+    dag, _ = build("rori.ll", opt=True)
     isel.combine(dag)
     isel.legalize(dag, tgt.parse_mattr(None))
     kinds = [n.kind for n in dag.live_nodes()]
@@ -353,12 +347,10 @@ define i32 @f(ptr %p, ptr %q, i32 %v) {
     h = histogram(codegen.print_asm(mf, desc))
     assert "lxr" not in h
     # semantics check under aliasing p == q
-    words = codegen.emit_words(mf, desc, {})
     mem = {}
     sim.mem_write32(mem, 0x4000, 0xAAAA5555)
-    got, _, _ = sim.run_function(words, [0x4000, 0x4000, 0x1234], mem)
-    r, _ = sim.ir_interpret(mod.functions[0], [0x4000, 0x4000, 0x1234], mem)
-    assert got == r
+    assert_runs_like_ir(mod.functions[0], mf, desc,
+                        [([0x4000, 0x4000, 0x1234], mem)])
 
 
 # --------------------------------------------------------------------------
@@ -367,14 +359,7 @@ define i32 @f(ptr %p, ptr %q, i32 %v) {
 
 def _debug_compile(name, mattr, desc):
     mod = corpus_module(name)
-    fn = mod.functions[0]
-    ext = tgt.parse_mattr(mattr)
-    dag = isel.build_dag(fn, mod)
-    isel.combine(dag)
-    isel.legalize(dag, ext)
-    isel.combine(dag, "post-legalize")
-    dag, debug = isel.select(dag, desc, ext)
-    return isel.schedule(dag), debug
+    return compile_fn(mod.functions[0], mod, desc, mattr)
 
 
 def test_hook_fires_on_offset_16(desc):
@@ -588,8 +573,7 @@ def test_selection_covers_all_corpus_inputs(desc):
 
 
 def test_dot_export(desc):
-    mod = corpus_module("madd.ll")
-    dag = isel.build_dag(mod.functions[0], mod)
+    dag, _ = build("madd.ll")
     dot = isel.emit_dot(dag, "built")
     assert dot.startswith("digraph")
     assert '"mul' in dot or 'label="mul' in dot
@@ -606,14 +590,9 @@ def test_dot_empty_function():
 
 def test_post_select_sbox_dot_has_five_naxors(desc):
     mod = corpus_module("sbox.ll")
-    fn = mod.functions[0]
-    ext = tgt.parse_mattr("+xcrypt")
-    dag = isel.build_dag(fn, mod)
-    isel.combine(dag)
-    isel.legalize(dag, ext)
-    dag, _ = isel.select(dag, desc, ext)
-    dot = isel.emit_dot(dag, "selected")
-    assert dot.count('label="NAXOR') == 5
+    cf = driver.compile_function(mod.functions[0], mod, desc,
+                                 tgt.parse_mattr("+xcrypt"), want_dots=True)
+    assert cf.dots["selected"].count('label="NAXOR') == 5
 
 
 desc_cache = tgt.load_default_desc()

@@ -8,6 +8,7 @@ from rv32x.mir import MOp, MachineInstr
 
 from conftest import ALL_MATTRS, CORPUS_SHAPES, compile_corpus, \
     corpus_module, differential_run
+from test_target import _random_operands
 
 
 def exec_one(desc, mnemonic, ops, regs=None, mem=None):
@@ -92,16 +93,7 @@ def test_x0_stays_zero_under_fuzzed_instructions(desc):
         d = rng.choice(defs)
         if d.mnemonic == "JALR":
             continue
-        ops = []
-        for role in d.ops:
-            if role in ("rd", "rs1", "rs2", "rs3"):
-                ops.append(MOp.preg(rng.randrange(32)))
-            elif role == "imm12":
-                ops.append(MOp.imm(rng.randrange(-2048, 2048)))
-            elif role == "uimm5":
-                ops.append(MOp.imm(rng.randrange(32)))
-            else:
-                ops.append(MOp.imm(rng.randrange(1 << 20)))
+        ops = _random_operands(rng, d)
         state = sim.SimState()
         for r in range(1, 32):
             state.regs[r] = rng.getrandbits(32)

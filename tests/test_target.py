@@ -156,11 +156,12 @@ def _random_operands(rng, d):
     return ops
 
 
-def test_encode_decode_roundtrip_randomized(desc):
-    rng = random.Random(99)
+def assert_roundtrips(desc, seed: int, n: int):
+    """decode(encode(mi)) == mi for n random instructions of the catalog."""
+    rng = random.Random(seed)
     defs = sorted(desc.instrs.values(), key=lambda d: d.mnemonic)
     ext = frozenset(tgt.ALL_EXTENSIONS)
-    for _ in range(2000):
+    for _ in range(n):
         d = rng.choice(defs)
         mi = MachineInstr(d.mnemonic, _random_operands(rng, d))
         w = tgt.encode(mi, desc)
@@ -168,6 +169,10 @@ def test_encode_decode_roundtrip_randomized(desc):
         assert back is not None and back.mnemonic == d.mnemonic
         assert [(o.kind, o.val) for o in back.ops] == \
             [(o.kind, o.val) for o in mi.ops]
+
+
+def test_encode_decode_roundtrip_randomized(desc):
+    assert_roundtrips(desc, 99, 2000)
 
 
 def test_decode_unknown_word_is_none(desc):
