@@ -78,13 +78,48 @@ def val(node: DagNode) -> DagValue:
     return DagValue(node, "val")
 
 
+# edge slots, as reported by SelDag.uses(): ("op", i), CHAIN or RET
+CHAIN = ("chain",)
+RET = ("ret",)
+
+
+def _edges(n: DagNode):
+    """(slot, DagValue) for every operand edge of `n`."""
+    for i, op in enumerate(n.ops):
+        if isinstance(op, DagValue):
+            yield ("op", i), op
+    if n.chain is not None:
+        yield CHAIN, n.chain
+    if n.ret_value is not None:
+        yield RET, n.ret_value
+
+
+def _edge(n: DagNode, slot):
+    if slot[0] == "op":
+        return n.ops[slot[1]]
+    return n.chain if slot[0] == "chain" else n.ret_value
+
+
 class SelDag:
+    """Nodes in creation order, and the root they are reachable from.
+
+    A node is live when it is the root or has a live user. The DAG keeps the
+    use list of every live node: the (user, slot) edges of its live users. A
+    node whose last use goes away dies and drops its own operand edges, and
+    a dead node that gains a live user comes back with its edges. Node edges
+    are therefore changed only through `set_edge`, the `replace_*` helpers
+    and `root`; a node fresh from `new` is dead, so its fields may be filled
+    in directly until it gains a user. The lists live here rather than on
+    the nodes so that nodes hold no references back to their users.
+    """
+
     def __init__(self, name: str):
         self.name = name
         self.nodes: list[DagNode] = []
         self._uid = 0
+        self._root: DagNode | None = None
+        self._uses: dict[DagNode, dict] = {}  # node -> {(user, slot): None}
         self.entry = self.new("EntryToken", vt="none")
-        self.root: DagNode | None = None
 
     def new(self, kind, ops=(), chain=None, vt="i32", value=None,
             is_machine=False) -> DagNode:
@@ -93,66 +128,112 @@ class SelDag:
         self.nodes.append(n)
         return n
 
+    @property
+    def root(self) -> DagNode | None:
+        return self._root
+
+    @root.setter
+    def root(self, n: DagNode | None):
+        old, self._root = self._root, n
+        if n is not None and n is not old and n not in self._uses:
+            self._revive(n)
+        if old is not None and old is not n and old not in self._uses:
+            self._kill(old)
+
+    def live(self, n: DagNode) -> bool:
+        return n is self._root or n in self._uses
+
+    def use_list(self, n: DagNode) -> list[tuple[DagNode, tuple]]:
+        """The (user, slot) edges of `n`'s live users."""
+        return list(self._uses.get(n, ()))
+
+    def _link(self, user: DagNode, slot, op: DagNode) -> bool:
+        """Record an edge from live `user`; True if it revived `op`."""
+        uses = self._uses.get(op)
+        if uses is not None:
+            uses[(user, slot)] = None
+            return False
+        self._uses[op] = {(user, slot): None}
+        return op is not self._root
+
+    def _unlink(self, user: DagNode, slot, op: DagNode) -> bool:
+        """Drop an edge from `user`; True if it killed `op`."""
+        uses = self._uses[op]
+        del uses[(user, slot)]
+        if uses:
+            return False
+        del self._uses[op]
+        return op is not self._root
+
+    def _revive(self, n: DagNode):
+        """`n` just became live: record its operand edges, transitively."""
+        stack = [n]
+        while stack:
+            user = stack.pop()
+            for slot, v in _edges(user):
+                if self._link(user, slot, v.node):
+                    stack.append(v.node)
+
+    def _kill(self, n: DagNode):
+        """`n` just died: drop its operand edges, transitively."""
+        stack = [n]
+        while stack:
+            user = stack.pop()
+            for slot, v in _edges(user):
+                if self._unlink(user, slot, v.node):
+                    stack.append(v.node)
+
+    def set_edge(self, user: DagNode, slot, v: DagValue | None):
+        """Point `user`'s operand `slot` at `v`."""
+        old = _edge(user, slot)
+        if slot[0] == "op":
+            user.ops[slot[1]] = v
+        elif slot[0] == "chain":
+            user.chain = v
+        else:
+            user.ret_value = v
+        if not self.live(user) or (old is not None and v is not None
+                                   and old.node is v.node):
+            return
+        # link the new operand first, so that operands it shares stay live
+        if v is not None and self._link(user, slot, v.node):
+            self._revive(v.node)
+        if old is not None and self._unlink(user, slot, old.node):
+            self._kill(old.node)
+
     def live_nodes(self) -> list[DagNode]:
         """Nodes reachable from the root, in creation order."""
-        if self.root is None:
+        if self._root is None:
             return list(self.nodes)
-        seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            if id(n) in seen:
-                continue
-            seen.add(id(n))
-            for op in n.ops:
-                if isinstance(op, DagValue):
-                    stack.append(op.node)
-            if n.chain is not None:
-                stack.append(n.chain.node)
-            if n.ret_value is not None:
-                stack.append(n.ret_value.node)
-        return [n for n in self.nodes if id(n) in seen]
+        return [n for n in self.nodes if self.live(n)]
 
     def uses(self) -> dict[int, list[tuple[DagNode, object]]]:
         """Map id(node) -> [(user, slot)] over value, chain and ret edges."""
         out: dict[int, list] = {}
         for n in self.live_nodes():
-            for i, op in enumerate(n.ops):
-                if isinstance(op, DagValue):
-                    out.setdefault(id(op.node), []).append((n, ("op", i)))
-            if n.chain is not None:
-                out.setdefault(id(n.chain.node), []).append((n, ("chain",)))
-            if n.ret_value is not None:
-                out.setdefault(id(n.ret_value.node), []).append((n, ("ret",)))
+            for slot, v in _edges(n):
+                out.setdefault(id(v.node), []).append((n, slot))
         return out
 
     def value_use_count(self, node: DagNode) -> int:
-        cnt = 0
-        for n in self.live_nodes():
-            for op in n.ops:
-                if isinstance(op, DagValue) and op.node is node and op.res == "val":
-                    cnt += 1
-            if n.ret_value is not None and n.ret_value.node is node:
-                cnt += 1
-        return cnt
+        """Value edges from live users, the return's included."""
+        return sum(1 for user, slot in self._uses.get(node, ())
+                   if slot[0] == "ret"
+                   or slot[0] == "op" and user.ops[slot[1]].res == "val")
+
+    def _replace_uses(self, old: DagNode, new: DagValue, res: str):
+        for user, slot in self.use_list(old):
+            if _edge(user, slot).res == res:
+                self.set_edge(user, slot, new)
 
     def replace_value_uses(self, old: DagNode, new: DagValue):
-        for n in self.nodes:
-            n.ops = [new if isinstance(op, DagValue) and op.node is old
-                     and op.res == "val" else op for op in n.ops]
-            if n.ret_value is not None and n.ret_value.node is old:
-                n.ret_value = new
+        self._replace_uses(old, new, "val")
 
     def replace_chain_uses(self, old: DagNode, new: DagValue):
-        for n in self.nodes:
-            if n.chain is not None and n.chain.node is old:
-                n.chain = new
-            n.ops = [new if isinstance(op, DagValue) and op.node is old
-                     and op.res == "ch" else op for op in n.ops]
+        self._replace_uses(old, new, "ch")
 
     def prune(self):
-        live = {id(n) for n in self.live_nodes()}
-        self.nodes = [n for n in self.nodes if id(n) in live]
+        self.nodes = self.live_nodes()
 
 
 # --------------------------------------------------------------------------
@@ -302,17 +383,14 @@ def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
 
     for n in list(dag.live_nodes()):
         if n.kind == "GlobalAddress":
-            users = [(u, slot) for u, slot in dag.uses().get(id(n), ())
+            users = [(u, slot) for u, slot in dag.use_list(n)
                      if u.kind not in ("HI", "ADD_LO")]
             if not users:
                 continue
             hi = dag.new("HI", [val(n)], vt="ptr")
             addlo = dag.new("ADD_LO", [val(hi), val(n)], vt="ptr")
             for u, slot in users:
-                if slot[0] == "op":
-                    u.ops[slot[1]] = val(addlo)
-                elif slot[0] == "ret":
-                    u.ret_value = val(addlo)
+                dag.set_edge(u, slot, val(addlo))
     dag.prune()
     return dag
 
@@ -330,6 +408,12 @@ class SelectCtx:
         self.zba_threshold = zba_threshold
         self.debug_lines: list[str] = []
         self._materialized: dict[int, DagNode] = {}
+        # enabled patterns by root node kind, highest priority first
+        self.patterns: dict[str, list[tgt.SelPattern]] = {}
+        for p in sorted((p for p in desc.patterns if p.ext in ext),
+                        key=lambda p: (-p.priority, p.order)):
+            kind = "Load" if p.source.kind == "load" else p.source.kind
+            self.patterns.setdefault(kind, []).append(p)
 
     def debug(self, msg: str):
         self.debug_lines.append(msg)
@@ -438,7 +522,7 @@ def _chain_adjacent(dag: SelDag, mems: list[DagNode]) -> bool:
 
 def _splice_chains(dag: SelDag, mems: list[DagNode], machine: DagNode):
     mems = _chain_order(mems)
-    machine.chain = mems[0].chain
+    dag.set_edge(machine, CHAIN, mems[0].chain)
     dag.replace_chain_uses(mems[-1], ch(machine))
 
 
@@ -511,10 +595,7 @@ def _emit_target(ctx: SelectCtx, pat: tgt.PatNode, binds: dict,
 
 
 def _try_patterns(ctx: SelectCtx, node: DagNode) -> DagNode | None:
-    for pat in ctx.desc.enabled_patterns(ctx.ext):
-        root_kind = "Load" if pat.source.kind == "load" else pat.source.kind
-        if root_kind != node.kind:
-            continue
+    for pat in ctx.patterns.get(node.kind, ()):
         binds: dict = {}
         covered: list[DagNode] = []
         if node.kind == "Load":
@@ -629,38 +710,34 @@ def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
     root = dag.root
     root.is_ret = True
 
-    # consumers before producers: reverse postorder from the root
+    # consumers before producers: reverse postorder from the root, with an
+    # explicit stack, as dependency chains can outgrow the recursion limit
     order: list[DagNode] = []
-    seen: set[int] = set()
+    seen = {id(root)}
+    stack = [(root, _edges(root))]
+    while stack:
+        n, edges = stack[-1]
+        for _, v in edges:
+            if id(v.node) not in seen:
+                seen.add(id(v.node))
+                stack.append((v.node, _edges(v.node)))
+                break
+        else:
+            stack.pop()
+            order.append(n)
 
-    def visit(n: DagNode):
-        if id(n) in seen:
-            return
-        seen.add(id(n))
-        for op in n.ops:
-            if isinstance(op, DagValue):
-                visit(op.node)
-        if n.chain is not None:
-            visit(n.chain.node)
-        if n.ret_value is not None:
-            visit(n.ret_value.node)
-        order.append(n)
-
-    visit(root)
     for node in reversed(order):
         if node.is_machine or node.kind in NON_INSTR_KINDS:
             continue
-        live = {id(n) for n in dag.live_nodes()}
-        if id(node) not in live:
+        if not dag.live(node):
             continue
         if node.kind == "ret":
             jalr = ctx.make_machine("JALR", [("preg", X0), ("preg", RA),
                                              ("imm", 0)])
             jalr.vt = "none"  # rd is pinned to x0, no result to allocate
-            jalr.chain = node.chain
             jalr.is_ret = True
-            if node.ret_value is not None:
-                jalr.ret_value = node.ret_value
+            dag.set_edge(jalr, CHAIN, node.chain)
+            dag.set_edge(jalr, RET, node.ret_value)
             dag.root = jalr
             continue
         if node.kind in ("Constant", "GlobalAddress"):
@@ -674,7 +751,7 @@ def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
 
     # ret value may be a bare constant: materialize it now
     if dag.root.ret_value is not None:
-        dag.root.ret_value = ctx.reg_operand(dag.root.ret_value)
+        dag.set_edge(dag.root, RET, ctx.reg_operand(dag.root.ret_value))
     dag.prune()
     for n in dag.live_nodes():
         if not n.is_machine and n.kind not in NON_INSTR_KINDS:

@@ -258,13 +258,13 @@ def _dce(body, stats: PassStats):
     return body
 
 
-def _forward_load(idx: int, body, defs) -> Value | None:
-    """Nearest prior same-address store value or load result, scanning past
-    provably different stores; a may-alias store blocks."""
-    addr = body[idx].operands[0]
-    want_ty = body[idx].ty
-    for j in range(idx - 1, -1, -1):
-        prior = body[j]
+def _forward_load(load: Inst, prior_insts: list[Inst], defs) -> Value | None:
+    """Nearest prior same-address store value or load result, scanning
+    `prior_insts` backwards past provably different stores; a may-alias
+    store blocks."""
+    addr = load.operands[0]
+    want_ty = load.ty
+    for prior in reversed(prior_insts):
         if prior.opcode == "store":
             if _same_addr(prior.operands[1], addr, defs):
                 v = prior.operands[0]
@@ -280,6 +280,7 @@ def _forward_load(idx: int, body, defs) -> Value | None:
 def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]:
     changed = False
     defs = _def_map(body)
+    uses = _use_counts(body)
     renames = _Renames()
     out: list[Inst] = []
 
@@ -293,8 +294,7 @@ def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]
 
         # store-to-load forwarding and load CSE over the fine alias lattice
         if inst.opcode == "load":
-            probe = out + [inst]
-            fwd = _forward_load(len(probe) - 1, probe, defs)
+            fwd = _forward_load(inst, out, defs)
             if fwd is not None:
                 renames.add(inst.result, renames.value(fwd))
                 stats.bump("instcombine.insts-combined")
@@ -348,7 +348,7 @@ def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]
 
         # rotate recognition: or(shl(x,c1), lshr(x,c2)), c1+c2 == 32
         if inst.opcode == "or":
-            new = _combine_funnel(inst, defs, _use_counts(body))
+            new = _combine_funnel(inst, defs, uses)
             if new is not None:
                 inst = new
                 stats.bump("instcombine.insts-combined")

@@ -139,10 +139,6 @@ class TargetDesc:
     def enabled(self, ext: frozenset[str]):
         return [d for d in self.instrs.values() if d.ext in ext]
 
-    def enabled_patterns(self, ext: frozenset[str]) -> list[SelPattern]:
-        pats = [p for p in self.patterns if p.ext in ext]
-        return sorted(pats, key=lambda p: (-p.priority, p.order))
-
 
 def parse_mattr(text: str | None, base=("I", "M")) -> frozenset[str]:
     """Parse "+zba,+xcrypt,-m" style feature strings; I is always on."""

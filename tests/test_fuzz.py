@@ -17,6 +17,7 @@ from conftest import ALL_MATTRS, assert_runs_like_ir, compile_fn, make_ptr_args
 BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
 CONST_POOL = [-1, 0, 1, 2, 3, 6, 10, 16, 30, 31, 127, 2047, -2048,
               4097, 12291, 0x7FFFFFFF, -0x80000000]
+LARGE_CELLS = 8  # words gen_large_fn reaches through %p
 
 
 def gen_arith_fn(rng: random.Random, idx: int) -> str:
@@ -82,6 +83,45 @@ def gen_shift_pair_fn(rng: random.Random, idx: int) -> str:
     return "\n".join(lines)
 
 
+def gen_large_fn(rng: random.Random, idx: int, size: int) -> str:
+    """About `size` instructions of loads and stores through %p and binops
+    over them, every value xor-folded into the return: all stay live to the
+    end, so the register allocator has to spill."""
+    lines = [f"define i32 @fl{idx}(ptr %p, i32 %x, i32 %y) {{"]
+    addrs = ["%p"]
+    for c in range(1, LARGE_CELLS):
+        lines.append(f"  %g{c} = getelementptr i8, ptr %p, i32 {4 * c}")
+        addrs.append(f"%g{c}")
+    vals = ["%x", "%y"]
+    # body + one fold per value after the first + ret come to `size`
+    while len(lines) + len(vals) < size:
+        r = rng.random()
+        if r < 0.1:
+            lines.append(f"  store i32 {rng.choice(vals)}, "
+                         f"ptr {rng.choice(addrs)}")
+            continue
+        res = f"%v{len(vals)}"
+        if r < 0.25:
+            lines.append(f"  {res} = load i32, ptr {rng.choice(addrs)}")
+        else:
+            op = rng.choice(BINOPS)
+            if op in ("shl", "lshr", "ashr"):
+                b = str(rng.randrange(1, 32))
+            elif rng.random() < 0.25:
+                b = str(rng.choice(CONST_POOL))
+            else:
+                b = rng.choice(vals)
+            lines.append(f"  {res} = {op} i32 {rng.choice(vals)}, {b}")
+        vals.append(res)
+    acc = vals[-1]
+    for i, v in enumerate(reversed(vals[:-1])):
+        lines.append(f"  %f{i} = xor i32 {acc}, {v}")
+        acc = f"%f{i}"
+    lines.append(f"  ret i32 {acc}")
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def int_inputs(rng: random.Random, fn, n: int):
     return [([rng.getrandbits(32) for _ in fn.params], {}) for _ in range(n)]
 
@@ -124,3 +164,20 @@ def test_fuzz_memory_functions(seed, desc):
             mf, _ = compile_fn(opt.functions[0], opt, desc, mattr)
             inputs = [make_ptr_args(rng, 1, 8) for _ in range(6)]
             assert_runs_like_ir(mod.functions[0], mf, desc, inputs)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fuzz_large_functions_spill_and_run_like_ir(seed, desc):
+    rng = random.Random(4000 + seed)
+    text = gen_large_fn(rng, seed, rng.randrange(200, 401))
+    fn0 = ir.parse_ir(text).functions[0]
+    inputs = []
+    for _ in range(3):
+        args, mem = make_ptr_args(rng, 1, LARGE_CELLS)
+        inputs.append((args + [rng.getrandbits(32), rng.getrandbits(32)], mem))
+    for mattr, level in itertools.product(ALL_MATTRS, ("O0", "O2")):
+        cm = driver.compile_ir_text(text, fn0.name, desc,
+                                    tgt.parse_mattr(mattr), level)
+        mf = cm.functions[fn0.name].mf
+        assert mf.frame_size > 0, (mattr, level)  # every value live: spills
+        assert_runs_like_ir(fn0, mf, desc, inputs)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -7,7 +9,10 @@ from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
 from conftest import (ALL_MATTRS, CORPUS_SHAPES, assert_runs_like_ir,
-                      compile_corpus, compile_fn, corpus_module, histogram)
+                      compile_corpus, compile_fn, corpus_module, corpus_text,
+                      histogram)
+from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
+                       gen_shift_pair_fn)
 
 
 def build(name, fname=None, opt=False):
@@ -593,6 +598,103 @@ def test_post_select_sbox_dot_has_five_naxors(desc):
     cf = driver.compile_function(mod.functions[0], mod, desc,
                                  tgt.parse_mattr("+xcrypt"), want_dots=True)
     assert cf.dots["selected"].count('label="NAXOR') == 5
+
+
+# --------------------------------------------------------------------------
+# use lists
+# --------------------------------------------------------------------------
+
+def assert_use_lists_exact(dag):
+    """Live flags equal reachability from the root, and each node's use
+    list equals its (user, slot) edges recomputed from the live nodes."""
+    reach, stack = set(), [dag.root]
+    while stack:
+        n = stack.pop()
+        if id(n) not in reach:
+            reach.add(id(n))
+            stack += [op.node for op in n.ops if isinstance(op, isel.DagValue)]
+            stack += [v.node for v in (n.chain, n.ret_value) if v is not None]
+    want = dag.uses()
+    for n in dag.nodes:
+        assert dag.live(n) == (id(n) in reach), n
+        assert set(dag.use_list(n)) == set(want.get(id(n), ())), n
+
+
+ISEL_STAGES = ["build_dag", "combine", "legalize", "combine", "select"]
+
+
+def test_use_lists_stay_exact_through_selection(monkeypatch, desc):
+    seen = []
+    for name in set(ISEL_STAGES):
+        def checked(*args, stage=getattr(isel, name), name=name, **kwargs):
+            out = stage(*args, **kwargs)
+            assert_use_lists_exact(out[0] if name == "select" else out)
+            seen.append(name)
+            return out
+        monkeypatch.setattr(isel, name, checked)
+
+    rng = random.Random(5000)
+    generated = [gen(rng, i) for i in range(6)
+                 for gen in (gen_arith_fn, gen_memory_fn, gen_shift_pair_fn)]
+    cases = [(corpus_text(name), "O2") for name in sorted(CORPUS_SHAPES)]
+    cases += [(text, level) for text in generated for level in ("O0", "O2")]
+    for (text, level), mattr in itertools.product(cases, ALL_MATTRS):
+        seen.clear()
+        cm = driver.compile_ir_text(text, "t", desc, tgt.parse_mattr(mattr),
+                                    level)
+        assert seen == ISEL_STAGES * len(cm.functions)
+
+
+def test_select_walks_the_dag_a_fixed_number_of_times(monkeypatch, desc):
+    # a full walk per selected node made select quadratic in function size
+    walks = 0
+    in_select = False
+    real_live_nodes, real_select = isel.SelDag.live_nodes, isel.select
+
+    class CountedNodes(list):
+        def __iter__(self):
+            nonlocal walks
+            walks += in_select
+            return super().__iter__()
+
+    def live_nodes(dag):
+        nonlocal walks
+        walks += in_select
+        return real_live_nodes(dag)
+
+    def select(dag, *args, **kwargs):
+        nonlocal in_select
+        dag.nodes = CountedNodes(dag.nodes)
+        in_select = True
+        try:
+            return real_select(dag, *args, **kwargs)
+        finally:
+            in_select = False
+
+    monkeypatch.setattr(isel.SelDag, "live_nodes", live_nodes)
+    monkeypatch.setattr(isel, "select", select)
+
+    def select_walks(size, mattr):
+        nonlocal walks
+        walks = 0
+        text = gen_large_fn(random.Random(size), size, size)
+        driver.compile_ir_text(text, "t", desc, tgt.parse_mattr(mattr))
+        return walks
+
+    for mattr in (None, "+zba,+zbb,+xcrypt"):
+        assert 0 < select_walks(100, mattr) == select_walks(400, mattr)
+
+
+def test_select_takes_chains_deeper_than_the_recursion_limit(desc):
+    depth = sys.getrecursionlimit() + 200
+    body = [f"  %v{i} = add i32 {f'%v{i - 1}' if i else '%x'}, {i}"
+            for i in range(depth)]
+    text = "\n".join(["define i32 @chain(i32 %x) {", *body,
+                      f"  ret i32 %v{depth - 1}", "}"])
+    fn = ir.parse_ir(text).functions[0]
+    cm = driver.compile_ir_text(text, "chain", desc, tgt.parse_mattr(None),
+                                "O0")
+    assert_runs_like_ir(fn, cm.functions["chain"].mf, desc, [([7], {})])
 
 
 desc_cache = tgt.load_default_desc()
