@@ -214,12 +214,14 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
                                    cm.global_addrs)
     try:
         a0, final_mem, trace = sim.run_function(words, run_args, mem,
-                                                fuel=args.fuel, desc=desc)
+                                                fuel=args.fuel, desc=desc,
+                                                ext=ext)
     except sim.SimTrap as e:
         raise DriverError(f"trap: {e}") from None
     if args.trace:
         for stepi in trace:
-            stdout.write(f"0x{stepi.pc:08x}: {stepi.text}\n")
+            text = codegen.format_instr(stepi.mi, desc, aliases=False)
+            stdout.write(f"0x{stepi.pc:08x}: {text}\n")
     stdout.write(f"a0 = {a0}\n")
     if mod is not None:
         for g in mod.globals:

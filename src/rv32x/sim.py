@@ -1,11 +1,12 @@
 """RV32 simulator and IR-level interpreter, the semantic oracles.
 
 The machine simulator executes encoded words against an architectural state
-(32 registers, pc, sparse little-endian byte memory). Functions follow the
-halt protocol: x1 starts at a sentinel return address and a `jalr` to the
-sentinel stops execution. The IR interpreter is the midend's twin: it
-evaluates a verified function directly with two's-complement wrapping, so any
-pass or lowering can be differentially checked against it.
+(32 registers, pc, sparse little-endian byte memory), each as its `sem=` in
+the target description says; JALR, the one jump, is implemented here.
+Functions follow the halt protocol: x1 starts at a sentinel return address
+and a `jalr` to the sentinel stops execution. The IR interpreter is the
+midend's twin: it evaluates a verified function directly with two's-complement
+wrapping, so any pass or lowering can be differentially checked against it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import ir
 from . import target as tgt
-from .mir import reg_name
+from .mir import MachineInstr
 
 MASK32 = 0xFFFFFFFF
 HALT_SENTINEL = 0xDEAD0000
@@ -75,53 +76,30 @@ class SimState:
         if r != 0:
             self.regs[r] = u32(v)
 
+    def load(self, addr: int) -> int:
+        return mem_read32(self.mem, u32(addr))
+
+    def store(self, addr: int, value: int):
+        mem_write32(self.mem, u32(addr), value)
+
 
 @dataclass
 class TraceStep:
     pc: int
-    text: str
+    mi: MachineInstr
 
 
-def _exec_alu(state: SimState, mn: str, mi) -> None:
-    r = state.read
-    ops = mi.ops
-    if mn in ("ADDI", "XORI", "ORI", "ANDI"):
-        rd, rs1, imm = ops[0].val, ops[1].val, ops[2].val
-        a = r(rs1)
-        res = {"ADDI": a + imm, "XORI": a ^ u32(imm),
-               "ORI": a | u32(imm), "ANDI": a & u32(imm)}[mn]
-        state.write(rd, res)
-    elif mn in ("SLLI", "SRLI", "SRAI", "RORI", "ROTI"):
-        rd, rs1, sh = ops[0].val, ops[1].val, ops[2].val
-        a = r(rs1)
-        if mn == "SLLI":
-            state.write(rd, a << sh)
-        elif mn == "SRLI":
-            state.write(rd, a >> sh)
-        elif mn == "SRAI":
-            state.write(rd, s32(a) >> sh)
-        else:
-            state.write(rd, rotr32(a, sh))
-    elif mn == "LUI":
-        state.write(ops[0].val, ops[1].val << 12)
-    elif mn in ("ADD", "SUB", "SLL", "SRL", "SRA", "XOR", "OR", "AND", "MUL",
-                "ROR", "SH1ADD", "SH2ADD", "SH3ADD", "SHLXOR"):
-        rd, a, b = ops[0].val, r(ops[1].val), r(ops[2].val)
-        res = {
-            "ADD": a + b, "SUB": a - b, "SLL": a << (b & 31),
-            "SRL": a >> (b & 31), "SRA": s32(a) >> (b & 31),
-            "XOR": a ^ b, "OR": a | b, "AND": a & b, "MUL": a * b,
-            "ROR": rotr32(a, b), "SH1ADD": (a << 1) + b,
-            "SH2ADD": (a << 2) + b, "SH3ADD": (a << 3) + b,
-            "SHLXOR": u32(a << 1) ^ b,
-        }[mn]
-        state.write(rd, res)
-    elif mn in ("MLA", "NAXOR"):
-        rd = ops[0].val
-        a, b, c = r(ops[1].val), r(ops[2].val), r(ops[3].val)
-        state.write(rd, a * b + c if mn == "MLA" else ((~a) & b) ^ c)
-    else:
-        raise SimTrap(f"no semantics for {mn}", state.pc)
+def _eval_sem(node: tgt.PatNode, env: dict[str, int], state: SimState) -> int:
+    """Value of a sem tree; `env` maps operand roles to register contents
+    and immediates."""
+    kids = node.children
+    if not kids:
+        return node.value if node.kind == "const" else env[node.name]
+    op = tgt.SEM_OPS[node.kind]
+    if len(kids) == 1:
+        return op(state, _eval_sem(kids[0], env, state))
+    return op(state, _eval_sem(kids[0], env, state),
+              _eval_sem(kids[1], env, state))
 
 
 def step(state: SimState, desc: tgt.TargetDesc,
@@ -134,51 +112,39 @@ def step(state: SimState, desc: tgt.TargetDesc,
     mi = tgt.decode(word, desc, ext)
     if mi is None:
         raise SimTrap(f"undecodable word 0x{word:08x}", state.pc)
-    mn = mi.mnemonic
-    trace = TraceStep(state.pc, _disasm_text(mi))
-    if mn == "LW":
-        rd, rs1, imm = mi.ops[0].val, mi.ops[1].val, mi.ops[2].val
-        state.write(rd, mem_read32(state.mem, u32(state.read(rs1) + imm)))
-    elif mn == "SW":
-        rs2, rs1, imm = mi.ops[0].val, mi.ops[1].val, mi.ops[2].val
-        mem_write32(state.mem, u32(state.read(rs1) + imm), state.read(rs2))
-    elif mn == "LXR":
-        rd, rs1, rs2 = (op.val for op in mi.ops)
-        a = mem_read32(state.mem, state.read(rs1))
-        b = mem_read32(state.mem, state.read(rs2))
-        state.write(rd, a ^ b)
-    elif mn == "JALR":
-        rd, rs1, imm = mi.ops[0].val, mi.ops[1].val, mi.ops[2].val
+    d = desc.instrs[mi.mnemonic]
+    trace = TraceStep(state.pc, mi)
+    env = {role: state.read(op.val) if op.kind == "preg" else op.val
+           for role, op in zip(d.ops, mi.ops)}
+    if mi.mnemonic == "JALR":
         link = u32(state.pc + 4)
-        dest = u32(state.read(rs1) + imm) & ~1
-        state.write(rd, link)
+        dest = u32(env["rs1"] + env["imm12"]) & ~1
+        state.write(mi.ops[0].val, link)
         if dest == HALT_SENTINEL:
             state.halted = True
         state.pc = dest
         return trace
-    else:
-        _exec_alu(state, mn, mi)
+    if d.sem is None:
+        raise SimTrap(f"no semantics for {mi.mnemonic}", state.pc)
+    value = _eval_sem(d.sem, env, state)
+    if d.ops[0] == "rd":
+        state.write(mi.ops[0].val, value)
     state.pc = u32(state.pc + 4)
     return trace
-
-
-def _disasm_text(mi) -> str:
-    parts = []
-    for op in mi.ops:
-        parts.append(reg_name(op.val) if op.kind == "preg" else str(op.val))
-    return f"{mi.mnemonic.lower()} " + ", ".join(parts)
 
 
 def run_function(program: list[int], args: list[int],
                  mem_init: dict[int, int] | None = None,
                  fuel: int = DEFAULT_FUEL,
                  desc: tgt.TargetDesc | None = None,
-                 base: int = PROGRAM_BASE
+                 base: int = PROGRAM_BASE,
+                 ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)
                  ) -> tuple[int, dict[int, int], list[TraceStep]]:
     """Load encoded words at `base`, seed a0.. with args and x1 with the halt
-    sentinel, run to halt. Returns (a0, final memory, trace). The program
-    region and the stack region below sp are excluded from the returned
-    memory so callers can compare against an IR-level interpretation."""
+    sentinel, run to halt with the instructions of `ext`. Returns (a0, final
+    memory, trace). The program region and the stack region below sp are
+    excluded from the returned memory so callers can compare against an
+    IR-level interpretation."""
     if len(args) > 8:
         raise SimTrap("at most 8 register arguments supported")
     desc = desc or tgt.load_default_desc()
@@ -194,7 +160,7 @@ def run_function(program: list[int], args: list[int],
     for _ in range(fuel):
         if state.halted:
             break
-        trace.append(step(state, desc))
+        trace.append(step(state, desc, ext))
     else:
         raise SimTrap(f"fuel exhausted after {fuel} steps", state.pc)
     prog_end = base + 4 * len(program)

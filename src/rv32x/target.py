@@ -1,10 +1,14 @@
-"""Data-driven target description: formats, encodings, patterns, extensions.
+"""Data-driven target description: formats, encodings, semantics, patterns,
+extensions.
 
 The catalog is loaded from a structured text file (see targets/rv32_xcrypt.desc)
 with one record per instruction and one per selection pattern, a line-for-line
-analog of a .td extension file. Encoding and decoding are bit-exact over the
-standard RV32 formats R/R4/I/S/U; shift-immediate instructions are I-format
-records that carry a funct7 region above the 5-bit shift amount.
+analog of a .td extension file. An instruction's `sem=` expression is its one
+definition of meaning: the simulator evaluates it through SEM_OPS, and a
+`pattern <MNEMONIC>` record selects the instruction wherever the DAG has that
+shape. Encoding and decoding are bit-exact over the standard RV32 formats
+R/R4/I/S/U; shift-immediate instructions are I-format records that carry a
+funct7 region above the 5-bit shift amount.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .mir import MOp, MachineInstr
 
 ALL_EXTENSIONS = ("I", "M", "Zba", "Zbb", "Xcrypt")
 
-# Field layouts, msb/lsb inclusive. Every format covers bits 31..0 disjointly.
+# Field layouts, msb/lsb inclusive, from which encode packs a word. Every
+# format covers bits 31..0 disjointly.
 FORMATS = {
     "R": (("funct7", 31, 25), ("rs2", 24, 20), ("rs1", 19, 15),
           ("funct3", 14, 12), ("rd", 11, 7), ("opcode", 6, 0)),
@@ -33,21 +39,6 @@ FORMATS = {
 
 class TargetError(Exception):
     pass
-
-
-def _validate_formats():
-    for name, fields in FORMATS.items():
-        seen: set[int] = set()
-        for _, hi, lo in fields:
-            bits = set(range(lo, hi + 1))
-            if bits & seen:
-                raise TargetError(f"format {name}: overlapping fields")
-            seen |= bits
-        if seen != set(range(32)):
-            raise TargetError(f"format {name}: fields do not cover bits 31..0")
-
-
-_validate_formats()
 
 
 def _bits(word: int, hi: int, lo: int) -> int:
@@ -81,10 +72,11 @@ class InstrDef:
     flags: frozenset[str] = frozenset()
     ext: str = "I"
     sched: tuple[str, ...] = ()  # parsed and stored, never used for ordering
-
-    @property
-    def is_shift_imm(self) -> bool:
-        return self.fmt == "I" and "uimm5" in self.ops
+    sem: PatNode | None = None  # meaning over the source operand roles
+    # the bits every encoding fixes, and their values: a word is this
+    # instruction when word & mask == match
+    mask: int = 0
+    match: int = 0
 
     @property
     def may_load(self) -> bool:
@@ -95,9 +87,10 @@ class InstrDef:
         return "mayStore" in self.flags
 
 
-@dataclass(frozen=True)
-class PatNode:
-    """A node in a selection-pattern tree.
+class PatNode(NamedTuple):
+    """A node in a pattern or sem tree. It is a named tuple because the
+    description loader builds many, and a frozen dataclass takes about
+    three times as long to construct.
 
     kind is an operation name ("add", "load", ...), or one of the leaf kinds
     "capture" ($x), "const" (a specific constant), "uimm5" (any 0..31 constant,
@@ -110,9 +103,11 @@ class PatNode:
     value: int = 0
     oneuse: bool = False
 
-    def count(self) -> int:
+    def size(self) -> int:
         n = 2 if self.kind in ("const", "uimm5") else 1
-        return n + sum(c.count() for c in self.children)
+        for c in self.children:
+            n += c.size()
+        return n
 
 
 @dataclass(frozen=True)
@@ -129,15 +124,14 @@ class TargetDesc:
     instrs: dict[str, InstrDef] = field(default_factory=dict)
     patterns: list[SelPattern] = field(default_factory=list)
     by_asm: dict[str, InstrDef] = field(default_factory=dict)  # printed name
+    # defs by (opcode, funct3); U-format defs sit in all eight funct3 slots
+    by_opcode: dict[tuple, list[InstrDef]] = field(default_factory=dict)
 
     def instr(self, mnemonic: str) -> InstrDef:
         try:
             return self.instrs[mnemonic]
         except KeyError:
             raise TargetError(f"unknown instruction {mnemonic!r}") from None
-
-    def enabled(self, ext: frozenset[str]):
-        return [d for d in self.instrs.values() if d.ext in ext]
 
 
 def parse_mattr(text: str | None, base=("I", "M")) -> frozenset[str]:
@@ -168,60 +162,81 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 
 def _parse_sexpr(text: str, where: str) -> PatNode:
-    toks = _TOKEN.findall(text)
-    pos = 0
-
-    def node() -> PatNode:
-        nonlocal pos
-        if pos >= len(toks):
-            raise TargetError(f"{where}: truncated pattern")
-        tok = toks[pos]
-        pos += 1
+    """Parse one s-expression. Lists are closed bottom-up on a stack; a bare
+    token is a capture ($x), except the payload of const and uimm5."""
+    stack: list[list] = [[]]
+    for tok in _TOKEN.findall(text):
         if tok == "(":
-            if pos >= len(toks):
-                raise TargetError(f"{where}: truncated pattern")
-            head = toks[pos]
-            pos += 1
-            children = []
-            while pos < len(toks) and toks[pos] != ")":
-                children.append(node())
-            if pos >= len(toks):
-                raise TargetError(f"{where}: missing ')'")
-            pos += 1
-            oneuse = head.endswith("_oneuse")
-            if oneuse:
-                head = head[: -len("_oneuse")]
-            if head == "const":
-                if len(children) != 1 or children[0].kind != "capture":
-                    raise TargetError(f"{where}: const takes one literal")
-                return PatNode("const", value=int(children[0].name))
-            if head == "uimm5":
-                if len(children) != 1 or children[0].kind != "capture":
-                    raise TargetError(f"{where}: uimm5 takes one capture")
-                return PatNode("uimm5", name=children[0].name)
-            if head == "not":
-                if len(children) != 1:
-                    raise TargetError(f"{where}: not takes one operand")
-                return PatNode("xor", (children[0], PatNode("const", value=-1)),
-                               oneuse=oneuse)
-            return PatNode(head, tuple(children), oneuse=oneuse)
-        if tok.startswith("$"):
-            return PatNode("capture", name=tok[1:])
-        return PatNode("capture", name=tok)  # bare literal (const payload)
+            stack.append([])
+        elif tok == ")":
+            if len(stack) == 1:
+                raise TargetError(f"{where}: unbalanced ')'")
+            node = _list_node(stack.pop(), where)
+            stack[-1].append(node)
+        else:
+            stack[-1].append(tok)
+    if len(stack) > 1 or len(stack[0]) != 1:
+        raise TargetError(f"{where}: expected one balanced expression")
+    top = stack[0][0]
+    return _capture(top) if isinstance(top, str) else top
 
-    result = node()
-    if pos != len(toks):
-        raise TargetError(f"{where}: trailing tokens in pattern")
-    return result
+
+def _capture(tok: str) -> PatNode:
+    return PatNode("capture", name=tok.removeprefix("$"))
+
+
+def _list_node(items: list, where: str) -> PatNode:
+    if not items or not isinstance(items[0], str):
+        raise TargetError(f"{where}: expression without an operator")
+    head, args = items[0], items[1:]
+    oneuse = head.endswith("_oneuse")
+    if oneuse:
+        head = head[: -len("_oneuse")]
+    if head in ("const", "uimm5"):
+        if len(args) != 1 or not isinstance(args[0], str):
+            raise TargetError(f"{where}: {head} takes one literal")
+        if head == "const":
+            return PatNode("const", value=int(args[0]))
+        return PatNode("uimm5", name=args[0].removeprefix("$"))
+    children = tuple([_capture(a) if isinstance(a, str) else a for a in args])
+    if head == "not":
+        if len(children) != 1:
+            raise TargetError(f"{where}: not takes one operand")
+        return PatNode("xor", (children[0], PatNode("const", value=-1)),
+                       oneuse=oneuse)
+    return PatNode(head, children, oneuse=oneuse)
 
 
 _VALID_ROLES = {"rd", "rs1", "rs2", "rs3", "imm12", "imm20", "uimm5"}
-_VALID_FLAGS = {"commutable", "mayLoad", "mayStore", "hasSideEffects"}
+# flag tokens and the names InstrDef.flags stores them under
+_FLAGS = {"commutable": "isCommutable", "mayLoad": "mayLoad",
+          "mayStore": "mayStore", "hasSideEffects": "hasSideEffects"}
+
+# What each `sem=` node kind computes. Operands are register values (unsigned
+# 32-bit) and immediates (signed); only the low 32 bits of a result are
+# defined, so kinds that read the upper bits mask first. `m` is the machine
+# state: load(addr) reads and store(addr, value) writes a memory word.
+SEM_OPS = {
+    "add": lambda m, a, b: a + b,
+    "sub": lambda m, a, b: a - b,
+    "mul": lambda m, a, b: a * b,
+    "and": lambda m, a, b: a & b,
+    "or": lambda m, a, b: a | b,
+    "xor": lambda m, a, b: a ^ b,
+    "shl": lambda m, a, b: a << (b & 31),
+    "srl": lambda m, a, b: (a & 0xFFFFFFFF) >> (b & 31),
+    "sra": lambda m, a, b: sext(a, 32) >> (b & 31),
+    "rotr": lambda m, a, b: ((a & 0xFFFFFFFF) >> (b & 31)
+                             | a << (32 - (b & 31))) & 0xFFFFFFFF,
+    "load": lambda m, a: m.load(a),
+    "store": lambda m, v, a: m.store(a, v),
+}
 
 
 def load_target_desc(text: str) -> TargetDesc:
     """Parse a target description. Raises TargetError on duplicate mnemonics,
-    encoding collisions among any co-enablable defs, or malformed patterns."""
+    encoding collisions among any co-enablable defs, or malformed sems and
+    patterns."""
     desc = TargetDesc()
     ext = "I"
     order = 0
@@ -243,56 +258,120 @@ def load_target_desc(text: str) -> TargetDesc:
             desc.by_asm.setdefault(d.asm, d)
             continue
         if line.startswith("pattern "):
-            m = re.match(r"pattern\s+(.*)=>(.*)$", line)
-            if not m:
-                raise TargetError(f"{where}: malformed pattern record")
-            src = _parse_sexpr(m.group(1), where)
-            tgt = _parse_sexpr(m.group(2), where)
-            _check_pattern(src, tgt, desc, where)
-            desc.patterns.append(SelPattern(src, tgt, ext, src.count(), order))
+            body = line[len("pattern "):]
+            if "=>" in body:
+                src_text, _, tgt_text = body.partition("=>")
+                src = _parse_sexpr(src_text, where)
+                tgt = _parse_sexpr(tgt_text, where)
+                _check_pattern(src, tgt, desc, where)
+            else:
+                src, tgt = _sem_pattern(body.strip(), desc, where)
+            desc.patterns.append(SelPattern(src, tgt, ext, src.size(), order))
             order += 1
             continue
         raise TargetError(f"{where}: unrecognized record {line!r}")
-    _check_collisions(desc)
+    _index_encodings(desc)
     return desc
 
 
 def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
+    line, _, sem_text = line.partition(" sem=")  # sem= comes last
     toks = line.split()
     mnemonic = toks[1]
     kw = {}
     flags = set()
     for tok in toks[2:]:
-        if "=" in tok:
-            k, v = tok.split("=", 1)
-            kw[k] = v
-        elif tok in _VALID_FLAGS:
-            flags.add(tok)
+        key, eq, value = tok.partition("=")
+        if eq:
+            kw[key] = value
+        elif tok in _FLAGS:
+            flags.add(_FLAGS[tok])
         else:
             raise TargetError(f"{where}: unknown token {tok!r}")
     fmt = kw.get("fmt")
     if fmt not in FORMATS:
         raise TargetError(f"{where}: bad format {fmt!r}")
-    ops = tuple(kw.get("ops", "").split(",")) if kw.get("ops") else ()
-    if any(o not in _VALID_ROLES for o in ops):
+    ops = tuple(kw["ops"].split(",")) if kw.get("ops") else ()
+    if not _VALID_ROLES.issuperset(ops):
         raise TargetError(f"{where}: bad operand roles {ops}")
-
-    def num(key):
-        return int(kw[key], 0) if key in kw else None
-
+    sem = None
+    if sem_text:
+        sem = _parse_sexpr(sem_text, where)
+        _check_sem(sem, [r for r in ops if r != "rd"], where)
+    opcode = int(kw["opcode"], 0)
+    funct3, funct7, funct2 = (int(kw[k], 0) if k in kw else None
+                              for k in ("funct3", "funct7", "funct2"))
+    # fixed bits: opcode, funct3, and the funct7 region of R and shift
+    # immediates or the funct2 region of R4
+    mask, match = 0x7F, opcode
+    if fmt != "U":
+        mask, match = mask | 0x7 << 12, match | (funct3 or 0) << 12
+    if fmt == "R" or fmt == "I" and "uimm5" in ops:
+        mask, match = mask | 0x7F << 25, match | (funct7 or 0) << 25
+    elif fmt == "R4":
+        mask, match = mask | 0x3 << 25, match | (funct2 or 0) << 25
+    if match & ~mask:
+        raise TargetError(f"{where}: opcode or funct value too wide")
     return InstrDef(
         mnemonic=mnemonic,
         asm=kw.get("asm", mnemonic.lower()),
         fmt=fmt,
-        opcode=int(kw["opcode"], 0),
-        funct3=num("funct3"),
-        funct7=num("funct7"),
-        funct2=num("funct2"),
+        opcode=opcode,
+        funct3=funct3,
+        funct7=funct7,
+        funct2=funct2,
         ops=ops,
-        flags=frozenset({"commutable": "isCommutable"}.get(f, f) for f in flags),
+        flags=frozenset(flags),
         ext=ext,
-        sched=tuple(kw.get("sched", "").split(",")) if kw.get("sched") else (),
+        sched=tuple(kw["sched"].split(",")) if kw.get("sched") else (),
+        sem=sem,
+        mask=mask,
+        match=match,
     )
+
+
+def _check_sem(node: PatNode, roles: list[str], where: str):
+    """A sem is built from SEM_OPS kinds, constants and source operands."""
+    if node.kind == "capture":
+        if node.name not in roles:
+            raise TargetError(f"{where}: sem operand ${node.name} is not a "
+                              f"source operand ({', '.join(roles)})")
+        return
+    if node.kind == "const":
+        return
+    if node.kind not in SEM_OPS or node.oneuse:
+        raise TargetError(f"{where}: unknown sem node kind {node.kind!r}")
+    if len(node.children) != (1 if node.kind == "load" else 2):
+        raise TargetError(f"{where}: wrong operand count for {node.kind!r}")
+    for c in node.children:
+        _check_sem(c, roles, where)
+
+
+def _sem_pattern(mnemonic: str, desc: TargetDesc, where: str):
+    """`pattern MNEMONIC`: the instruction's sem is the source, and the
+    target takes the source operands in record order."""
+    d = desc.instrs.get(mnemonic)
+    if d is None or d.sem is None:
+        raise TargetError(f"{where}: pattern {mnemonic}: no instruction "
+                          f"{mnemonic} with a sem")
+    if "imm12" in d.ops or "imm20" in d.ops:
+        raise TargetError(f"{where}: pattern {mnemonic}: only uimm5 "
+                          "immediates can be matched")
+    roles = [r for r in d.ops if r != "rd"]
+    target = PatNode(d.mnemonic, tuple(PatNode("capture", name=r)
+                                       for r in roles))
+    src = _uimm5_matcher(d.sem) if "uimm5" in roles else d.sem
+    return src, target
+
+
+def _uimm5_matcher(node: PatNode) -> PatNode:
+    """The sem with its $uimm5 operand matching a 0..31 constant."""
+    if node.kind == "capture" and node.name == "uimm5":
+        return PatNode("uimm5", name="uimm5")
+    if not node.children:
+        return node
+    return PatNode(node.kind, tuple(_uimm5_matcher(c) for c in node.children),
+                   oneuse=node.oneuse)
 
 
 def _captures(node: PatNode, out: set[str]):
@@ -323,42 +402,22 @@ def _check_pattern(src: PatNode, tgt: PatNode, desc: TargetDesc, where: str):
     check_tgt(tgt)
 
 
-def _funct_region(d: InstrDef):
-    """Normalized (kind, value) of the bits-31..25 discriminator."""
-    if d.fmt == "R":
-        return ("f7", d.funct7 or 0)
-    if d.fmt == "R4":
-        return ("f2", d.funct2 or 0)
-    if d.fmt == "I" and d.is_shift_imm:
-        return ("f7", d.funct7 or 0)
-    return ("any", 0)  # full-immediate I, S, U: imm occupies the region
-
-
 def _collide(a: InstrDef, b: InstrDef) -> bool:
-    if a.opcode != b.opcode:
-        return False
-    if a.fmt == "U" or b.fmt == "U":
-        return True  # same opcode, no funct fields to separate
-    if a.funct3 != b.funct3:
-        return False
-    ka, va = _funct_region(a)
-    kb, vb = _funct_region(b)
-    if ka == "any" or kb == "any":
-        return True
-    if ka == kb:
-        return va == vb
-    # R vs R4: funct2 occupies the low 2 bits of the funct7 region
-    f7, f2 = (va, vb) if ka == "f7" else (vb, va)
-    return (f7 & 0b11) == f2
+    """Some word is both: they agree on every bit that both fix."""
+    return not (a.match ^ b.match) & a.mask & b.mask
 
 
-def _check_collisions(desc: TargetDesc):
-    defs = list(desc.instrs.values())
-    for i, a in enumerate(defs):
-        for b in defs[i + 1:]:
-            if _collide(a, b):
-                raise TargetError(
-                    f"encoding collision between {a.mnemonic} and {b.mnemonic}")
+def _index_encodings(desc: TargetDesc):
+    """Fill desc.by_opcode. Defs can only collide within one (opcode, funct3)
+    slot, so each def is checked against the defs of its own slots."""
+    for d in desc.instrs.values():
+        for funct3 in range(8) if d.fmt == "U" else (d.funct3,):
+            slot = desc.by_opcode.setdefault((d.opcode, funct3), [])
+            for other in slot:
+                if _collide(other, d):
+                    raise TargetError(f"encoding collision between "
+                                      f"{other.mnemonic} and {d.mnemonic}")
+            slot.append(d)
 
 
 def load_default_desc() -> TargetDesc:
@@ -415,72 +474,42 @@ def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
             v = 0
         vals[role] = v
 
-    word = _place(d.opcode, 6, 0)
-    if d.fmt in ("R", "R4", "I", "S"):
-        word |= _place(d.funct3, 14, 12)
-    if d.fmt == "R":
-        word |= _place(d.funct7, 31, 25)
-        word |= _place(vals["rd"], 11, 7) | _place(vals["rs1"], 19, 15)
-        word |= _place(vals["rs2"], 24, 20)
-    elif d.fmt == "R4":
-        word |= _place(d.funct2, 26, 25) | _place(vals["rs3"], 31, 27)
-        word |= _place(vals["rd"], 11, 7) | _place(vals["rs1"], 19, 15)
-        word |= _place(vals["rs2"], 24, 20)
-    elif d.fmt == "I":
-        imm = (d.funct7 << 5) | vals["uimm5"] if d.is_shift_imm \
-            else vals["imm12"] & 0xFFF
-        word |= _place(imm, 31, 20)
-        word |= _place(vals["rd"], 11, 7) | _place(vals["rs1"], 19, 15)
-    elif d.fmt == "S":
+    if "uimm5" in vals:  # I-format shift: the amount is imm12's low bits
+        vals["imm12"] = vals["uimm5"]
+    elif "imm12" in vals:
         imm = vals["imm12"] & 0xFFF
-        word |= _place(imm >> 5, 31, 25) | _place(imm & 0x1F, 11, 7)
-        word |= _place(vals["rs1"], 19, 15) | _place(vals["rs2"], 24, 20)
-    elif d.fmt == "U":
-        word |= _place(vals["imm20"], 31, 12) | _place(vals["rd"], 11, 7)
+        vals.update(imm12=imm, imm_hi=imm >> 5, imm_lo=imm & 0x1F)
+    word = d.match  # the opcode and funct fields
+    for name, hi, lo in FORMATS[d.fmt]:
+        if name in vals:
+            word |= _place(vals[name], hi, lo)
     return EncodedWord(word, reloc)
+
+
+# lowest bit of each register operand's field
+_REG_LSB = {"rd": 7, "rs1": 15, "rs2": 20, "rs3": 27}
 
 
 def decode(word: int, desc: TargetDesc, ext: frozenset[str]) -> MachineInstr | None:
     """Inverse of encode over the enabled catalog; None for unknown words."""
-    opcode = _bits(word, 6, 0)
-    funct3 = _bits(word, 14, 12)
-    candidates = []
-    for d in desc.enabled(ext):
-        if d.opcode != opcode:
-            continue
-        if d.fmt != "U" and d.funct3 != funct3:
-            continue
-        if d.fmt == "R" and d.funct7 != _bits(word, 31, 25):
-            continue
-        if d.fmt == "R4" and d.funct2 != _bits(word, 26, 25):
-            continue
-        if d.is_shift_imm and d.funct7 != _bits(word, 31, 25):
-            continue
-        candidates.append(d)
-    if not candidates:
+    for d in desc.by_opcode.get((word & 0x7F, _bits(word, 14, 12)), ()):
+        if word & d.mask == d.match and d.ext in ext:
+            break  # disjointness guarantees a single candidate
+    else:
         return None
-    # disjointness guarantees a single candidate
-    d = candidates[0]
     ops = []
     for role in d.ops:
-        if role == "rd":
-            ops.append(MOp.preg(_bits(word, 11, 7)))
-        elif role == "rs1":
-            ops.append(MOp.preg(_bits(word, 19, 15)))
-        elif role == "rs2":
-            ops.append(MOp.preg(_bits(word, 24, 20)))
-        elif role == "rs3":
-            ops.append(MOp.preg(_bits(word, 31, 27)))
+        if role in _REG_LSB:
+            ops.append(MOp.preg((word >> _REG_LSB[role]) & 31))
         elif role == "uimm5":
             ops.append(MOp.imm(_bits(word, 24, 20)))
         elif role == "imm20":
             ops.append(MOp.imm(_bits(word, 31, 12)))
-        elif role == "imm12":
-            if d.fmt == "S":
-                imm = (_bits(word, 31, 25) << 5) | _bits(word, 11, 7)
-            else:
-                imm = _bits(word, 31, 20)
+        elif d.fmt == "S":  # imm12, split around rs1/rs2
+            imm = _bits(word, 31, 25) << 5 | _bits(word, 11, 7)
             ops.append(MOp.imm(sext(imm, 12)))
+        else:
+            ops.append(MOp.imm(sext(_bits(word, 31, 20), 12)))
     return MachineInstr(d.mnemonic, ops)
 
 

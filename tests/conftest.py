@@ -136,7 +136,7 @@ def assert_runs_like_ir(fn, mf, desc, inputs, gaddrs=None):
     words = codegen.emit_words(mf, desc, gaddrs or {})
     for args, mem in inputs:
         want, want_mem = sim.ir_interpret(fn, args, dict(mem), gaddrs)
-        got, got_mem, _ = sim.run_function(words, args, dict(mem))
+        got, got_mem, _ = sim.run_function(words, args, dict(mem), desc=desc)
         if fn.return_type != "void":
             assert got == want, f"@{fn.name}{args}: ret {got} != {want}"
         assert got_mem == want_mem, f"@{fn.name}{args}: memory diverged"

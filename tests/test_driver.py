@@ -1,11 +1,15 @@
 
+import random
 import sys
 
 import pytest
 
+from rv32x import codegen, driver, sim
+from rv32x import target as tgt
 from rv32x.driver import main, run_command
 
-from conftest import CORPUS, LIT_TESTS
+from conftest import CORPUS, CORPUS_SHAPES, LIT_TESTS, corpus_text, \
+    synth_args
 
 
 def path(name):
@@ -186,9 +190,49 @@ def test_llc_obj_feeds_disassembler():
 def test_run_accepts_object_words():
     _, obj, _ = run_command(["llc", path("rori.ll"), "--mattr=+zbb",
                              "--emit=obj"])
-    code, out, _ = run_command(["run", "-", "--args=15"], stdin_text=obj)
+    code, out, _ = run_command(["run", "-", "--mattr=+zbb", "--args=15"],
+                               stdin_text=obj)
     assert code == 0
     assert "a0 = 3221225475" in out
+
+
+def test_run_decodes_only_the_mattr_extensions():
+    _, obj, _ = run_command(["llc", path("shlxor.ll"), "--mattr=+xcrypt",
+                             "--emit=obj"])
+    code, out, err = run_command(["run", "-"], stdin_text=obj)
+    assert code == 1 and out == ""
+    assert err.startswith("rv32x: error: trap: ")
+    assert "undecodable word 0x30b57533" in err
+    code, out, _ = run_command(["run", "-", "--mattr=+xcrypt",
+                                "--args=1,2"], stdin_text=obj)
+    assert code == 0 and "a0 = 0" in out  # (1 << 1) ^ 2
+
+
+@pytest.mark.parametrize("mattr", [None, "+zba,+zbb,+xcrypt"])
+def test_run_trace_lines_reassemble_to_the_executed_words(mattr, desc):
+    """Each `run --trace` line is assembler syntax for the word it ran."""
+    ext = tgt.parse_mattr(mattr)
+    flags = [f"--mattr={mattr}"] if mattr else []
+    rng = random.Random(5)
+    seen = set()
+    for name, (fname, n_ptrs, n_ints) in sorted(CORPUS_SHAPES.items()):
+        args, _ = synth_args(rng, n_ptrs, n_ints)
+        cm = driver.compile_ir_text(corpus_text(name), name, desc, ext)
+        words = codegen.emit_words(cm.functions[fname].mf, desc,
+                                   cm.global_addrs)
+        code, out, err = run_command(
+            ["run", path(name), f"--entry={fname}", "--trace",
+             "--args=" + ",".join(map(str, args))] + flags)
+        assert code == 0, err
+        trace = [l for l in out.splitlines() if l.startswith("0x")]
+        assert len(trace) == len(words)
+        for line in trace:
+            pc, text = line.split(": ", 1)
+            mi = codegen.parse_asm_line(text, desc)
+            word = words[(int(pc, 16) - sim.PROGRAM_BASE) // 4]
+            assert tgt.encode(mi, desc).word == word, line
+            seen.add(mi.mnemonic)
+    assert {"LW", "SW", "JALR"} <= seen
 
 
 def test_run_object_with_relocations_is_an_error():

@@ -8,7 +8,7 @@ from rv32x import codegen, driver, ir, isel, sim
 from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
-from conftest import (ALL_MATTRS, CORPUS_SHAPES, assert_runs_like_ir,
+from conftest import (ALL_MATTRS, CORPUS_SHAPES, PKG_ROOT, assert_runs_like_ir,
                       compile_corpus, compile_fn, corpus_module, corpus_text,
                       histogram)
 from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
@@ -367,23 +367,6 @@ def _debug_compile(name, mattr, desc):
     return compile_fn(mod.functions[0], mod, desc, mattr)
 
 
-def test_hook_fires_on_offset_16(desc):
-    mf, debug = _debug_compile("lxr_dep16.ll", "+xcrypt", desc)
-    text = "\n".join(debug)
-    assert "[5] constant equals 16: yes" in text
-    assert "emitting ADDI + LXR" in text
-    assert not any("pattern xor -> LXR" in l for l in debug)
-    mnemonics = [mi.mnemonic for mi in mf.instrs]
-    assert "ADDI" in mnemonics and "LXR" in mnemonics
-
-
-def test_hook_falls_through_on_offset_8(desc):
-    _, debug = _debug_compile("lxr_dep8.ll", "+xcrypt", desc)
-    text = "\n".join(debug)
-    assert "[5] constant equals 16: no" in text
-    assert any("pattern xor -> LXR" in l for l in debug)
-
-
 def test_hook_no_match_on_independent_pointers(desc):
     _, debug = _debug_compile("lxr.ll", "+xcrypt", desc)
     text = "\n".join(debug)
@@ -565,6 +548,43 @@ def test_every_pattern_agrees_with_simulator(desc):
             want = _eval_pattern(pat.source, src_env, mem)
             got = _run_target_tree(pat.target, env, mem, desc)
             assert got == want, (pat.source.kind, pat.target.kind, trial)
+
+
+# Zbkb's andn (funct7 0b0100000, funct3 0b111), added as text only
+ANDN_DESC = """
+instr ANDN fmt=R opcode=0b0110011 funct3=0b111 funct7=0b0100000 ops=rd,rs1,rs2 asm=andn sem=(and $rs1 (not $rs2))
+pattern ANDN
+"""
+
+ANDN_IR = """
+define i32 @andn(i32 %a, i32 %b) {
+  %nb = xor i32 %b, -1
+  %r = and i32 %a, %nb
+  ret i32 %r
+}
+"""
+
+
+def test_new_instruction_is_one_desc_edit():
+    """An instruction added to the description text alone is selected,
+    printed, encoded and simulated like the IR says."""
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    desc = tgt.load_target_desc(text + ANDN_DESC)  # under extension Xcrypt
+    assert desc.instrs["ANDN"].ext == "Xcrypt"
+    ext = tgt.parse_mattr("+xcrypt")
+    cm = driver.compile_ir_text(ANDN_IR, "andn.ll", desc, ext)
+    cf = cm.functions["andn"]
+    assert [mi.mnemonic for mi in cf.mf.instrs] == ["ANDN", "JALR"]
+    assert "andn\ta0, a0, a1" in cf.asm
+    fn = ir.parse_ir(ANDN_IR).functions[0]
+    rng = random.Random(3)
+    inputs = [([rng.getrandbits(32), rng.getrandbits(32)], {})
+              for _ in range(64)]
+    assert_runs_like_ir(fn, cf.mf, desc, inputs)
+    # without the extension the base sequence is selected
+    base = driver.compile_ir_text(ANDN_IR, "andn.ll", desc,
+                                  tgt.parse_mattr(None))
+    assert "ANDN" not in [mi.mnemonic for mi in base.functions["andn"].mf.instrs]
 
 
 # --------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_run_function_identity(desc):
     words = codegen.emit_words(mf, desc, {})
     got, _, trace = sim.run_function(words, [7], {})
     assert got == 7
-    assert len(trace) == 1 and trace[0].text.startswith("jalr")
+    assert len(trace) == 1 and trace[0].mi.mnemonic == "JALR"
 
 
 def test_run_function_too_many_args(desc):
@@ -157,7 +157,7 @@ def test_trace_is_bounded_and_descriptive(desc):
     words = codegen.emit_words(mf, desc, g)
     _, _, trace = sim.run_function(words, [], sim.seed_globals(mod, g))
     assert len(trace) == len(words)
-    assert any("mla" in s.text for s in trace)
+    assert any(s.mi.mnemonic == "MLA" for s in trace)
 
 
 def test_ir_interpret_identity():

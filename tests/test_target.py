@@ -106,6 +106,59 @@ pattern (add $a $b) => (FOO $a $c)
         tgt.load_target_desc(text)
 
 
+_FOO = ("instr FOO fmt=R opcode=0b0110011 funct3=0b000 funct7=0b0000000 "
+        "ops=rd,rs1,rs2")
+_ADDI_FOO = ("instr FOO fmt=I opcode=0b0010011 funct3=0b000 ops=rd,rs1,imm12 "
+             "sem=(add $rs1 $imm12)")
+_BAD_RECORDS = {
+    "unknown-kind": (_FOO + " sem=(nand $rs1 $rs2)",
+                     "unknown sem node kind 'nand'"),
+    "oneuse": (_FOO + " sem=(add_oneuse $rs1 $rs2)",
+               "unknown sem node kind 'add'"),
+    "uimm5-matcher": (_FOO + " sem=(uimm5 $rs1)",
+                      "unknown sem node kind 'uimm5'"),
+    "undeclared-operand": (_FOO + " sem=(add $rs1 $rs3)",
+                           r"\$rs3 is not a source operand"),
+    "destination-operand": (_FOO + " sem=(add $rd $rs2)",
+                            r"\$rd is not a source operand"),
+    "arity": (_FOO + " sem=(load $rs1 $rs2)",
+              "wrong operand count for 'load'"),
+    "pattern-without-sem": (_FOO + "\npattern FOO",
+                            "no instruction FOO with a sem"),
+    "pattern-unknown-instruction": (_FOO + " sem=(add $rs1 $rs2)\npattern BAR",
+                                    "no instruction BAR"),
+    "pattern-imm12": (_ADDI_FOO + "\npattern FOO", "only uimm5 immediates"),
+    "funct3-too-wide": (_FOO.replace("funct3=0b000", "funct3=0b1000"),
+                        "opcode or funct value too wide"),
+    "funct7-too-wide": (_FOO.replace("funct7=0b0000000", "funct7=0b10000000"),
+                        "opcode or funct value too wide"),
+}
+
+
+@pytest.mark.parametrize("text, message", list(_BAD_RECORDS.values()),
+                         ids=list(_BAD_RECORDS))
+def test_bad_record_rejected(text, message):
+    with pytest.raises(tgt.TargetError, match=message):
+        tgt.load_target_desc("extension I\n" + text + "\n")
+
+
+def test_every_instruction_but_jalr_has_a_sem(desc):
+    assert [d.mnemonic for d in desc.instrs.values() if d.sem is None] == \
+        ["JALR"]
+
+
+def test_sem_pattern_takes_the_sem_as_its_source(desc):
+    rori = next(p for p in desc.patterns if p.target.kind == "RORI")
+    # the shift amount of the sem becomes a 5-bit constant match
+    assert rori.source == tgt.PatNode("rotr", (
+        tgt.PatNode("capture", name="rs1"), tgt.PatNode("uimm5", name="uimm5")))
+    assert rori.target == tgt.PatNode("RORI", (
+        tgt.PatNode("capture", name="rs1"), tgt.PatNode("capture", name="uimm5")))
+    mla = next(p for p in desc.patterns if p.target.kind == "MLA")
+    assert mla.source is desc.instrs["MLA"].sem
+    assert [c.name for c in mla.target.children] == ["rs1", "rs2", "rs3"]
+
+
 def test_add_x0_encodes_to_0x33(desc):
     w = tgt.encode(MachineInstr("ADD", [MOp.preg(0)] * 3), desc)
     assert w.word == 0x00000033
