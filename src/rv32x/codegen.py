@@ -202,8 +202,8 @@ def _rewrite(mf: MachineFunction, desc: tgt.TargetDesc,
 
 
 # the largest 16-byte aligned frame whose sp adjustments -n and +n both fit
-# in an addi imm12
-MAX_FRAME = 2032
+# in an addi imm12: 2032
+MAX_FRAME = tgt.IMM_RANGES["imm12"][1] & ~15
 
 
 def insert_prologue_epilogue(mf: MachineFunction) -> MachineFunction:
@@ -240,6 +240,13 @@ def _fmt_operand(op: MOp) -> str:
     return f"v{op.val}"
 
 
+def _memory_spelling(d: tgt.InstrDef) -> bool:
+    """Loads, stores and JALR are written `op reg, imm(base)`; LXR, which
+    loads through two registers and has no offset, is not."""
+    return (d.may_load or d.may_store or d.mnemonic == "JALR") \
+        and "imm12" in d.ops
+
+
 def format_instr(mi: MachineInstr, desc: tgt.TargetDesc,
                  aliases: bool = True) -> str:
     d = desc.instr(mi.mnemonic)
@@ -254,14 +261,10 @@ def format_instr(mi: MachineInstr, desc: tgt.TargetDesc,
                 return f"mv\t{_fmt_operand(ops[0])}, {_fmt_operand(ops[1])}"
         if mi.mnemonic == "XORI" and ops[2].kind == "imm" and ops[2].val == -1:
             return f"not\t{_fmt_operand(ops[0])}, {_fmt_operand(ops[1])}"
-    if d.may_load or d.may_store or mi.mnemonic == "JALR":
-        if d.mnemonic == "LXR":
-            pass  # register-register form, falls through
-        else:
-            # memory-style spelling: op rd/rs2, imm(rs1)
-            head, base, off = ops[0], ops[1], ops[2]
-            return (f"{d.asm}\t{_fmt_operand(head)}, "
-                    f"{_fmt_operand(off)}({_fmt_operand(base)})")
+    if _memory_spelling(d):
+        head, base, off = ops  # rd or rs2, rs1, imm12
+        return (f"{d.asm}\t{_fmt_operand(head)}, "
+                f"{_fmt_operand(off)}({_fmt_operand(base)})")
     return f"{d.asm}\t" + ", ".join(_fmt_operand(op) for op in ops)
 
 
@@ -336,10 +339,8 @@ def parse_asm_line(line: str, desc: tgt.TargetDesc) -> MachineInstr | None:
     d = desc.by_asm.get(mn)
     if d is None:
         raise AsmError(f"unknown mnemonic {mn!r}")
-    mem_style = (d.may_load or d.may_store or d.mnemonic == "JALR") \
-        and d.mnemonic != "LXR"
     ops: list[MOp] = []
-    if mem_style:
+    if _memory_spelling(d):
         if len(toks) != 2:
             raise AsmError(f"{mn}: expected 'reg, imm(base)'")
         m = _MEM_RE.match(toks[1].replace(" ", ""))

@@ -5,8 +5,10 @@ threaded on a linear chain from EntryToken), is legalized for the enabled
 extensions (global addresses become ADD_LO(HI(g), g), rotates are kept legal
 or expanded into shifts), then covered by machine nodes. Selection consults
 imperative hooks at their root node kinds first, then declarative patterns
-from the target description by descending priority, then per-kind fallbacks.
-Scheduling is a deterministic Kahn linearization ordered by node creation.
+from the target description by descending priority, which select every ALU
+instruction. Fallbacks cover only loads and stores, with their addressing
+modes, and the HI/ADD_LO halves of a global address. Scheduling is a
+deterministic Kahn linearization ordered by node creation.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import target as tgt
 from .mir import MOp, MachineInstr, MachineFunction, X0, RA
 
 COMM_KINDS = {"add", "mul", "and", "or", "xor"}
-GENERIC_BINOPS = {"add", "sub", "mul", "and", "or", "xor", "shl", "srl", "sra"}
 _IR_TO_DAG = {"lshr": "srl", "ashr": "sra"}
 
 # generic kinds that legally remain after selection (they emit no instruction)
@@ -412,8 +413,7 @@ class SelectCtx:
         self.patterns: dict[str, list[tgt.SelPattern]] = {}
         for p in sorted((p for p in desc.patterns if p.ext in ext),
                         key=lambda p: (-p.priority, p.order)):
-            kind = "Load" if p.source.kind == "load" else p.source.kind
-            self.patterns.setdefault(kind, []).append(p)
+            self.patterns.setdefault(_root_kind(p), []).append(p)
 
     def debug(self, msg: str):
         self.debug_lines.append(msg)
@@ -436,7 +436,6 @@ class SelectCtx:
         if node is None:
             seq = tgt.materialize_imm(v.node.value, self.ext,
                                       self.zba_threshold)
-            node = None
             for i, (mn, imm) in enumerate(seq):
                 if mn == "LUI":
                     node = self.make_machine("LUI", [("imm", imm)])
@@ -450,6 +449,11 @@ class SelectCtx:
                     node = self.make_machine(mn, [val(node), val(node)])
             self._materialized[id(v.node)] = node
         return val(node)
+
+
+def _root_kind(p: tgt.SelPattern) -> str:
+    """The DAG node kind a pattern's source is rooted at."""
+    return "Load" if p.source.kind == "load" else p.source.kind
 
 
 def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
@@ -526,55 +530,59 @@ def _splice_chains(dag: SelDag, mems: list[DagNode], machine: DagNode):
     dag.replace_chain_uses(mems[-1], ch(machine))
 
 
-def _match(ctx: SelectCtx, pat: tgt.PatNode, v, binds: dict, covered: list,
-           is_root: bool) -> bool:
-    if not isinstance(v, DagValue):
+def _match(ctx: SelectCtx, pat: tgt.PatNode, node: DagNode, binds: dict,
+           covered: list, is_root: bool) -> bool:
+    """Match the operation `pat` at `node`, adding its captures to `binds`
+    and the loads it covers to `covered`. A failed match may leave partial
+    additions; the caller discards them, or restores both before a
+    commutative retry."""
+    kind = pat.kind
+    if node.kind != ("Load" if kind == "load" else kind) or node.is_machine:
         return False
-    node = v.node
-    if pat.kind == "capture":
-        if pat.name in binds:
-            return binds[pat.name] == v
-        binds[pat.name] = v
-        return True
-    if pat.kind == "const":
-        return node.kind == "Constant" and \
-            tgt.sext(node.value, 32) == pat.value
-    if pat.kind == "uimm5":
-        if node.kind == "Constant" and 0 <= node.value <= 31:
-            binds[pat.name] = ("imm", node.value)
-            return True
+    children, ops = pat.children, node.ops
+    if len(ops) != len(children):
         return False
-    want = "Load" if pat.kind == "load" else pat.kind
-    if node.kind != want or node.is_machine:
-        return False
-    if len(node.ops) != len(pat.children):
-        return False
-    if not is_root:
-        if node.kind == "Load" or pat.oneuse:
-            if ctx.dag.value_use_count(node) != 1:
-                return False
-    if node.kind == "Load":
+    if not is_root and (kind == "load" or pat.oneuse):
+        if ctx.dag.value_use_count(node) != 1:
+            return False
+    if kind == "load":
         covered.append(node)
-
-    orders = [tuple(range(len(pat.children)))]
-    if node.kind in COMM_KINDS and len(pat.children) == 2:
-        orders.append((1, 0))
-    for order in orders:
-        trial = dict(binds)
-        cov = list(covered)
-        ok = True
-        for pi, oi in enumerate(order):
-            if not _match(ctx, pat.children[pi], node.ops[oi], trial, cov, False):
-                ok = False
-                break
-        if ok:
-            binds.clear()
-            binds.update(trial)
-            covered[:] = cov
+    if kind in COMM_KINDS and len(children) == 2:
+        saved, n_covered = binds.copy(), len(covered)
+        if _match_ops(ctx, children, ops, binds, covered):
             return True
-    if node.kind == "Load":
-        covered.pop()
-    return False
+        binds.clear()
+        binds.update(saved)
+        del covered[n_covered:]
+        ops = ops[::-1]
+    return _match_ops(ctx, children, ops, binds, covered)
+
+
+def _match_ops(ctx: SelectCtx, children, ops, binds: dict,
+               covered: list) -> bool:
+    """Match each pattern child at the operand in the same place. Leaves
+    are matched here; operations recurse into _match."""
+    for pat, v in zip(children, ops):
+        kind = pat.kind
+        node = v.node
+        if kind == "capture":
+            bound = binds.setdefault(pat.name, v)
+            if bound is not v and bound != v:
+                return False
+        elif kind == "const":
+            if node.kind != "Constant" or \
+                    tgt.sext(node.value, 32) != pat.value:
+                return False
+        elif kind in tgt.IMM_RANGES:
+            if node.kind != "Constant":
+                return False
+            imm = tgt.sext(node.value, 32)
+            if not tgt.fits(kind, imm):
+                return False
+            binds[pat.name] = ("imm", imm)
+        elif not _match(ctx, pat, node, binds, covered, False):
+            return False
+    return True
 
 
 def _emit_target(ctx: SelectCtx, pat: tgt.PatNode, binds: dict,
@@ -598,9 +606,7 @@ def _try_patterns(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     for pat in ctx.patterns.get(node.kind, ()):
         binds: dict = {}
         covered: list[DagNode] = []
-        if node.kind == "Load":
-            covered.append(node)
-        if not _match(ctx, pat.source, val(node), binds, covered, True):
+        if not _match(ctx, pat.source, node, binds, covered, True):
             continue
         chain_in = None
         if covered:
@@ -629,36 +635,13 @@ def _fold_addr(ctx: SelectCtx, addr: DagValue):
         base, off = node.ops
         if off.node.kind == "Constant":
             imm = tgt.sext(off.node.value, 32)
-            if -2048 <= imm <= 2047 and base.node.kind != "Constant":
+            if tgt.fits("imm12", imm) and base.node.kind != "Constant":
                 return ctx.reg_operand(base), ("imm", imm)
     return ctx.reg_operand(addr), ("imm", 0)
 
 
-_BIN_FALLBACK = {
-    "add": ("ADD", "ADDI"), "and": ("AND", "ANDI"), "or": ("OR", "ORI"),
-    "xor": ("XOR", "XORI"), "sub": ("SUB", None), "mul": ("MUL", None),
-    "shl": ("SLL", "SLLI"), "srl": ("SRL", "SRLI"), "sra": ("SRA", "SRAI"),
-}
-_SHIFTS = {"shl", "srl", "sra"}
-
-
 def _select_fallback(ctx: SelectCtx, node: DagNode) -> DagNode:
     kind = node.kind
-    if kind in GENERIC_BINOPS:
-        rr, ri = _BIN_FALLBACK[kind]
-        a, b = node.ops
-        if ri is not None and b.node.kind == "Constant":
-            imm = tgt.sext(b.node.value, 32)
-            if kind in _SHIFTS:
-                if 0 <= imm <= 31:
-                    return ctx.make_machine(ri, [ctx.reg_operand(a), ("imm", imm)])
-            elif -2048 <= imm <= 2047:
-                return ctx.make_machine(ri, [ctx.reg_operand(a), ("imm", imm)])
-        if ri is not None and a.node.kind == "Constant" and kind in COMM_KINDS:
-            imm = tgt.sext(a.node.value, 32)
-            if -2048 <= imm <= 2047:
-                return ctx.make_machine(ri, [ctx.reg_operand(b), ("imm", imm)])
-        return ctx.make_machine(rr, [ctx.reg_operand(a), ctx.reg_operand(b)])
     if kind == "Load":
         base, off = _fold_addr(ctx, node.ops[0])
         lw = ctx.make_machine("LW", [base, off], chain=node.chain)
@@ -679,15 +662,12 @@ def _select_fallback(ctx: SelectCtx, node: DagNode) -> DagNode:
         hi, g = node.ops
         return ctx.make_machine("ADDI", [ctx.reg_operand(hi),
                                          ("sym", g.node.value, "lo12")])
-    if kind == "rotr":
-        amt = node.ops[1].node
-        if amt.kind == "Constant" and "Zbb" not in ctx.ext:
-            raise IselError("rotr has no immediate form in the enabled "
-                            "extensions")
-        raise IselError(f"uncovered node kind 'rotr' "
-                        f"(variable rotate requires Zbb)")
-    raise IselError(f"uncovered node kind {node.kind!r}")
-
+    # name the disabled instructions that would have covered the node
+    needs = {f"{p.target.kind} requires extension {p.ext}": None
+             for p in ctx.desc.patterns
+             if p.ext not in ctx.ext and _root_kind(p) == kind}
+    why = f" ({', '.join(needs)})" if needs else ""
+    raise IselError(f"uncovered node kind {kind!r}{why}")
 
 
 def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
@@ -768,7 +748,6 @@ def schedule(dag: SelDag) -> MachineFunction:
     node creation index), then one MachineInstr per machine node over fresh
     virtual registers."""
     nodes = dag.live_nodes()
-    index = {id(n): n for n in nodes}
     indeg = {id(n): 0 for n in nodes}
     succs: dict[int, list[DagNode]] = {id(n): [] for n in nodes}
 

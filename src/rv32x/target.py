@@ -22,6 +22,16 @@ from .mir import MOp, MachineInstr
 
 ALL_EXTENSIONS = ("I", "M", "Zba", "Zbb", "Xcrypt")
 
+# The values each immediate operand role can hold, inclusive. The encoder,
+# the pattern matcher and immediate materialization all read these bounds.
+IMM_RANGES = {"imm12": (-2048, 2047), "uimm5": (0, 31), "imm20": (0, 0xFFFFF)}
+
+
+def fits(role: str, value: int) -> bool:
+    lo, hi = IMM_RANGES[role]
+    return lo <= value <= hi
+
+
 # Field layouts, msb/lsb inclusive, from which encode packs a word. Every
 # format covers bits 31..0 disjointly.
 FORMATS = {
@@ -93,8 +103,9 @@ class PatNode(NamedTuple):
     three times as long to construct.
 
     kind is an operation name ("add", "load", ...), or one of the leaf kinds
-    "capture" ($x), "const" (a specific constant), "uimm5" (any 0..31 constant,
-    captured). `oneuse` restricts the matched DAG node to a single consumer.
+    "capture" ($x), "const" (a specific constant), or an immediate role of
+    IMM_RANGES (any constant in that role's range, captured). `oneuse`
+    restricts the matched DAG node to a single consumer.
     """
 
     kind: str
@@ -104,14 +115,16 @@ class PatNode(NamedTuple):
     oneuse: bool = False
 
     def size(self) -> int:
-        n = 2 if self.kind in ("const", "uimm5") else 1
+        n = 2 if self.kind == "const" or self.kind in IMM_RANGES else 1
         for c in self.children:
             n += c.size()
         return n
 
 
-@dataclass(frozen=True)
-class SelPattern:
+class SelPattern(NamedTuple):
+    """One selection pattern; a named tuple for the loader's speed, as
+    PatNode is."""
+
     source: PatNode
     target: PatNode  # kind = instruction mnemonic, children are leaves
     ext: str
@@ -182,7 +195,8 @@ def _parse_sexpr(text: str, where: str) -> PatNode:
 
 
 def _capture(tok: str) -> PatNode:
-    return PatNode("capture", name=tok.removeprefix("$"))
+    name = tok.removeprefix("$")
+    return _ROLE_CAPTURES.get(name) or PatNode("capture", name=name)
 
 
 def _list_node(items: list, where: str) -> PatNode:
@@ -207,7 +221,9 @@ def _list_node(items: list, where: str) -> PatNode:
     return PatNode(head, children, oneuse=oneuse)
 
 
-_VALID_ROLES = {"rd", "rs1", "rs2", "rs3", "imm12", "imm20", "uimm5"}
+_VALID_ROLES = {"rd", "rs1", "rs2", "rs3", *IMM_RANGES}
+# one capture leaf per operand role, shared by every tree that names it
+_ROLE_CAPTURES = {r: PatNode("capture", name=r) for r in _VALID_ROLES}
 # flag tokens and the names InstrDef.flags stores them under
 _FLAGS = {"commutable": "isCommutable", "mayLoad": "mayLoad",
           "mayStore": "mayStore", "hasSideEffects": "hasSideEffects"}
@@ -354,28 +370,27 @@ def _sem_pattern(mnemonic: str, desc: TargetDesc, where: str):
     if d is None or d.sem is None:
         raise TargetError(f"{where}: pattern {mnemonic}: no instruction "
                           f"{mnemonic} with a sem")
-    if "imm12" in d.ops or "imm20" in d.ops:
-        raise TargetError(f"{where}: pattern {mnemonic}: only uimm5 "
-                          "immediates can be matched")
+    if "imm20" in d.ops:
+        raise TargetError(f"{where}: pattern {mnemonic}: only imm12 and "
+                          "uimm5 immediates can be matched")
     roles = [r for r in d.ops if r != "rd"]
-    target = PatNode(d.mnemonic, tuple(PatNode("capture", name=r)
-                                       for r in roles))
-    src = _uimm5_matcher(d.sem) if "uimm5" in roles else d.sem
+    target = PatNode(d.mnemonic, tuple([_ROLE_CAPTURES[r] for r in roles]))
+    src = _imm_matcher(d.sem) if IMM_RANGES.keys() & roles else d.sem
     return src, target
 
 
-def _uimm5_matcher(node: PatNode) -> PatNode:
-    """The sem with its $uimm5 operand matching a 0..31 constant."""
-    if node.kind == "capture" and node.name == "uimm5":
-        return PatNode("uimm5", name="uimm5")
+def _imm_matcher(node: PatNode) -> PatNode:
+    """The sem with each immediate operand matching a constant in range."""
+    if node.kind == "capture" and node.name in IMM_RANGES:
+        return PatNode(node.name, name=node.name)
     if not node.children:
         return node
-    return PatNode(node.kind, tuple(_uimm5_matcher(c) for c in node.children),
+    return PatNode(node.kind, tuple([_imm_matcher(c) for c in node.children]),
                    oneuse=node.oneuse)
 
 
 def _captures(node: PatNode, out: set[str]):
-    if node.kind in ("capture", "uimm5"):
+    if node.kind == "capture" or node.kind in IMM_RANGES:
         out.add(node.name)
     for c in node.children:
         _captures(c, out)
@@ -450,14 +465,10 @@ def _op_value(op: MOp, role: str, d: InstrDef):
         return None  # relocation, field stays zero
     if op.kind != "imm":
         raise TargetError(f"{d.mnemonic}: {role} must be an immediate")
-    v = op.val
-    if role == "imm12" and not (-2048 <= v <= 2047):
-        raise TargetError(f"{d.mnemonic}: immediate {v} out of imm12 range")
-    if role == "uimm5" and not (0 <= v <= 31):
-        raise TargetError(f"{d.mnemonic}: shift amount {v} out of range")
-    if role == "imm20" and not (0 <= v <= 0xFFFFF):
-        raise TargetError(f"{d.mnemonic}: immediate {v} out of imm20 range")
-    return v
+    if not fits(role, op.val):
+        what = "shift amount" if role == "uimm5" else "immediate"
+        raise TargetError(f"{d.mnemonic}: {what} {op.val} out of {role} range")
+    return op.val
 
 
 def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
@@ -527,7 +538,7 @@ def split_hi_lo(addr: int) -> tuple[int, int]:
 
 
 def _base_seq(val: int) -> list[tuple[str, int | None]]:
-    if -2048 <= val <= 2047:
+    if fits("imm12", val):
         return [("ADDI", val)]
     hi, lo = split_hi_lo(val)
     seq: list[tuple[str, int | None]] = [("LUI", hi)]

@@ -230,19 +230,28 @@ def test_disassemble_unknown_word_placeholder(desc):
     assert ".word 0xffffffff" in out
 
 
-def test_assembler_printer_roundtrip_whole_catalog(desc):
-    # print (no aliases) -> parse -> encode -> decode -> print again
+@pytest.mark.parametrize("aliases", [False, True])
+def test_assembler_printer_roundtrip_whole_catalog(desc, aliases):
+    # print -> parse -> encode -> decode -> print again, over random operands
+    # of every instruction and the operands that print as li, mv and not
     from test_target import _random_operands
     rng = random.Random(77)
-    for d in sorted(desc.instrs.values(), key=lambda x: x.mnemonic):
-        for _ in range(25):
-            mi = MachineInstr(d.mnemonic, _random_operands(rng, d))
-            text = codegen.format_instr(mi, desc, aliases=False)
-            back = codegen.parse_asm_line(text, desc)
-            assert back.mnemonic == mi.mnemonic, text
-            w = tgt.encode(back, desc).word
-            again = tgt.decode(w, desc, frozenset(tgt.ALL_EXTENSIONS))
-            assert codegen.format_instr(again, desc, aliases=False) == text
+    instrs = [MachineInstr(d.mnemonic, _random_operands(rng, d))
+              for d in sorted(desc.instrs.values(), key=lambda x: x.mnemonic)
+              for _ in range(25)]
+    instrs += [MachineInstr("ADDI", [MOp.preg(10), MOp.preg(0), MOp.imm(-7)]),
+               MachineInstr("ADDI", [MOp.preg(10), MOp.preg(11), MOp.imm(0)]),
+               MachineInstr("XORI", [MOp.preg(10), MOp.preg(11), MOp.imm(-1)])]
+    spelled = set()
+    for mi in instrs:
+        text = codegen.format_instr(mi, desc, aliases=aliases)
+        spelled.add(text.split()[0])
+        back = codegen.parse_asm_line(text, desc)
+        assert back.mnemonic == mi.mnemonic, text
+        w = tgt.encode(back, desc).word
+        again = tgt.decode(w, desc, frozenset(tgt.ALL_EXTENSIONS))
+        assert codegen.format_instr(again, desc, aliases=aliases) == text
+    assert ({"li", "mv", "not"} <= spelled) == aliases
 
 
 def test_print_parse_compile_composition(desc):

@@ -113,6 +113,14 @@ def test_mc_requires_extension():
     assert "Xcrypt" in err
 
 
+def test_llc_names_the_extension_a_node_needs():
+    # with M disabled no pattern covers the mul; the error names MUL and M
+    code, out, err = run_command(["llc", path("mul6.ll"), "--mattr=-m"])
+    assert code == 1 and out == ""
+    assert err.startswith("rv32x: error:")
+    assert "MUL requires extension M" in err
+
+
 def test_mc_obj_disassemble_pipeline():
     _, obj, _ = run_command(["mc", "--assemble", "--emit=obj",
                              "--mattr=+xcrypt", "-"],

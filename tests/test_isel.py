@@ -315,8 +315,52 @@ define i32 @f(i32 %a, i32 %n) {
     mod = ir.parse_ir(text)
     mf, _ = compile_fn(mod.functions[0], mod, desc, "+zbb")
     assert histogram(codegen.print_asm(mf, desc)).get("ror") == 1
-    with pytest.raises(isel.IselError):
+    with pytest.raises(isel.IselError, match="ROR requires extension Zbb"):
         compile_fn(mod.functions[0], mod, desc, "+xcrypt")
+
+
+# IR binop: (register form, immediate form, the immediate form's range)
+_IMM_FORMS = {
+    "add": ("ADD", "ADDI", (-2048, 2047)),
+    "sub": ("SUB", None, None),
+    "mul": ("MUL", None, None),
+    "and": ("AND", "ANDI", (-2048, 2047)),
+    "or": ("OR", "ORI", (-2048, 2047)),
+    "xor": ("XOR", "XORI", (-2048, 2047)),
+    "shl": ("SLL", "SLLI", (0, 31)),
+    "lshr": ("SRL", "SRLI", (0, 31)),
+    "ashr": ("SRA", "SRAI", (0, 31)),
+}
+
+
+@pytest.mark.parametrize("op", ir.BINOPS)
+def test_selection_at_immediate_boundaries(desc, op):
+    # a constant operand in range selects the immediate form; out of range,
+    # it is materialized (li, or lui+addi) and the register form is selected
+    rr, ri, bounds = _IMM_FORMS[op]
+    consts = [-2049, -2048, 2047, 2048]
+    if bounds == (0, 31):
+        consts += [31, 32]
+    sides = ["right", "left"] if op in isel.COMM_KINDS else ["right"]
+    rng = random.Random(13)
+    inputs = [([x], {}) for x in (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)]
+    inputs += [([rng.getrandbits(32)], {}) for _ in range(11)]
+    for c in consts:
+        for side in sides:
+            operands = f"%a, {c}" if side == "right" else f"{c}, %a"
+            mod = ir.parse_ir(f"define i32 @f(i32 %a) {{\n"
+                              f"  %r = {op} i32 {operands}\n"
+                              f"  ret i32 %r\n}}\n")
+            fn = mod.functions[0]
+            mf, _ = compile_fn(fn, mod, desc)
+            if ri is not None and bounds[0] <= c <= bounds[1]:
+                want = [ri]
+            else:
+                want = ["ADDI"] if -2048 <= c <= 2047 else ["LUI", "ADDI"]
+                want.append(rr)
+            assert [mi.mnemonic for mi in mf.instrs] == want + ["JALR"], \
+                (op, c, side)
+            assert_runs_like_ir(fn, mf, desc, inputs)
 
 
 def test_lxr_requires_single_use_loads(desc):
@@ -447,16 +491,18 @@ def test_extension_monotonicity(desc):
 # --------------------------------------------------------------------------
 
 def _eval_pattern(node: tgt.PatNode, env, mem):
+    M = 0xFFFFFFFF
     if node.kind == "capture":
         return env[node.name]
     if node.kind == "const":
-        return node.value & 0xFFFFFFFF
-    if node.kind == "uimm5":
-        return env[node.name]
+        return node.value & M
+    if node.kind in tgt.IMM_RANGES:
+        return env[node.name] & M
     args = [_eval_pattern(c, env, mem) for c in node.children]
-    M = 0xFFFFFFFF
     if node.kind == "add":
         return (args[0] + args[1]) & M
+    if node.kind == "sub":
+        return (args[0] - args[1]) & M
     if node.kind == "mul":
         return (args[0] * args[1]) & M
     if node.kind == "xor":
@@ -469,6 +515,8 @@ def _eval_pattern(node: tgt.PatNode, env, mem):
         return (args[0] << (args[1] & 31)) & M
     if node.kind == "srl":
         return args[0] >> (args[1] & 31)
+    if node.kind == "sra":
+        return (tgt.sext(args[0], 32) >> (args[1] & 31)) & M
     if node.kind == "rotr":
         return sim.rotr32(args[0], args[1])
     if node.kind == "load":
@@ -483,7 +531,7 @@ def _run_target_tree(node: tgt.PatNode, env, mem, desc):
     reg = iter(range(10, 28))
 
     def emit(n):
-        if n.kind == "capture" or n.kind == "uimm5":
+        if n.kind == "capture" or n.kind in tgt.IMM_RANGES:
             v = env[n.name]
             if isinstance(v, tuple):
                 return v  # ("imm", k)
@@ -513,11 +561,11 @@ def test_every_pattern_agrees_with_simulator(desc):
     for pat in desc.patterns:
         caps = set()
         tgt._captures(pat.source, caps)
-        imm_caps = set()
+        imm_caps = {}  # capture name -> immediate role
 
         def find_imm(node):
-            if node.kind == "uimm5":
-                imm_caps.add(node.name)
+            if node.kind in tgt.IMM_RANGES:
+                imm_caps[node.name] = node.kind
             for c in node.children:
                 find_imm(c)
 
@@ -536,7 +584,7 @@ def test_every_pattern_agrees_with_simulator(desc):
             mem = {}
             for c in sorted(caps):
                 if c in imm_caps:
-                    env[c] = ("imm", rng.randrange(32))
+                    env[c] = ("imm", rng.randint(*tgt.IMM_RANGES[imm_caps[c]]))
                 elif c in load_caps:
                     addr = 0x4000 + 16 * len(env)
                     sim.mem_write32(mem, addr, rng.getrandbits(32))

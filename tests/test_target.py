@@ -108,8 +108,8 @@ pattern (add $a $b) => (FOO $a $c)
 
 _FOO = ("instr FOO fmt=R opcode=0b0110011 funct3=0b000 funct7=0b0000000 "
         "ops=rd,rs1,rs2")
-_ADDI_FOO = ("instr FOO fmt=I opcode=0b0010011 funct3=0b000 ops=rd,rs1,imm12 "
-             "sem=(add $rs1 $imm12)")
+_LUI_FOO = ("instr FOO fmt=U opcode=0b0110111 ops=rd,imm20 "
+            "sem=(shl $imm20 (const 12))")
 _BAD_RECORDS = {
     "unknown-kind": (_FOO + " sem=(nand $rs1 $rs2)",
                      "unknown sem node kind 'nand'"),
@@ -127,7 +127,8 @@ _BAD_RECORDS = {
                             "no instruction FOO with a sem"),
     "pattern-unknown-instruction": (_FOO + " sem=(add $rs1 $rs2)\npattern BAR",
                                     "no instruction BAR"),
-    "pattern-imm12": (_ADDI_FOO + "\npattern FOO", "only uimm5 immediates"),
+    "pattern-imm20": (_LUI_FOO + "\npattern FOO",
+                      "only imm12 and uimm5 immediates"),
     "funct3-too-wide": (_FOO.replace("funct3=0b000", "funct3=0b1000"),
                         "opcode or funct value too wide"),
     "funct7-too-wide": (_FOO.replace("funct7=0b0000000", "funct7=0b10000000"),
@@ -154,9 +155,30 @@ def test_sem_pattern_takes_the_sem_as_its_source(desc):
         tgt.PatNode("capture", name="rs1"), tgt.PatNode("uimm5", name="uimm5")))
     assert rori.target == tgt.PatNode("RORI", (
         tgt.PatNode("capture", name="rs1"), tgt.PatNode("capture", name="uimm5")))
+    # an imm12 operand becomes a signed 12-bit constant match; its size puts
+    # ADDI ahead of ADD
+    addi = next(p for p in desc.patterns if p.target.kind == "ADDI")
+    assert addi.source == tgt.PatNode("add", (
+        tgt.PatNode("capture", name="rs1"), tgt.PatNode("imm12", name="imm12")))
+    add = next(p for p in desc.patterns if p.target.kind == "ADD")
+    assert addi.priority > add.priority
     mla = next(p for p in desc.patterns if p.target.kind == "MLA")
     assert mla.source is desc.instrs["MLA"].sem
     assert [c.name for c in mla.target.children] == ["rs1", "rs2", "rs3"]
+
+
+def test_every_instruction_with_a_sem_has_a_pattern(desc):
+    # selection reads what an instruction computes from its sem alone. LUI
+    # is left out, as imm20 operands are not matched, and so are LW and SW,
+    # whose addressing modes the selector folds itself
+    targets = {p.target for p in desc.patterns}
+    missing = [d.mnemonic for d in desc.instrs.values()
+               if d.sem is not None and "imm20" not in d.ops
+               and d.mnemonic not in ("LW", "SW")
+               and tgt.PatNode(d.mnemonic, tuple(
+                   tgt.PatNode("capture", name=r) for r in d.ops if r != "rd"))
+               not in targets]
+    assert missing == []
 
 
 def test_add_x0_encodes_to_0x33(desc):
