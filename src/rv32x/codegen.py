@@ -372,58 +372,53 @@ def parse_asm(text: str, desc: tgt.TargetDesc) -> list[MachineInstr]:
 # Object emission
 # --------------------------------------------------------------------------
 
+def _encode_all(mf: MachineFunction, desc: tgt.TargetDesc
+                ) -> tuple[list[int], list[tuple[int, str, str]]]:
+    """The words of `mf`, symbol fields zero, and one (index, kind, symbol)
+    relocation per symbol operand."""
+    words = []
+    relocs = []
+    for i, mi in enumerate(mf.instrs):
+        w = tgt.encode(mi, desc)
+        words.append(w.word)
+        if w.reloc is not None:
+            relocs.append((i, *w.reloc))
+    return words, relocs
+
+
 def emit_words(mf: MachineFunction, desc: tgt.TargetDesc,
                symbol_base_map: dict[str, int]) -> list[int]:
     """One resolved word per instruction; HI20/LO12 use the carry-rounded
     split. Raises on symbols missing from the map."""
-    words = []
-    for mi in mf.instrs:
-        mi = _resolve_instr(mi, symbol_base_map)
-        words.append(tgt.encode(mi, desc).word)
-    return words
-
-
-def _resolve_instr(mi: MachineInstr, symbols: dict[str, int]
-                   ) -> MachineInstr:
-    ops = []
-    for op in mi.ops:
-        if op.kind == "sym":
-            if op.val not in symbols:
-                raise CodegenError(f"unresolved symbol {op.val!r}")
-            hi, lo = tgt.split_hi_lo(symbols[op.val])
-            ops.append(MOp.imm(hi if op.reloc == "hi20" else lo))
-        else:
-            ops.append(op)
-    return MachineInstr(mi.mnemonic, ops, mi.is_ret)
+    words, relocs = _encode_all(mf, desc)
+    return resolve_words(words, relocs, desc, symbol_base_map)
 
 
 def obj_text(mf: MachineFunction, desc: tgt.TargetDesc) -> str:
     """Unlinked object rendering: one 0xXXXXXXXX word per line plus a
-    relocation table."""
-    lines = []
-    relocs = []
-    for i, mi in enumerate(mf.instrs):
-        w = tgt.encode(mi, desc)
-        lines.append(f"0x{w.word:08x}")
-        if w.reloc is not None:
-            kind, sym = w.reloc
-            relocs.append(f"# reloc {i} {kind.upper()} {sym}")
-    return "\n".join(lines + relocs) + "\n"
+    relocation table, indexed from this function's first word."""
+    words, relocs = _encode_all(mf, desc)
+    return "\n".join([f"0x{w:08x}" for w in words]
+                     + [f"# reloc {i} {kind.upper()} {sym}"
+                        for i, kind, sym in relocs]) + "\n"
 
 
 def parse_obj_text(text: str) -> tuple[list[int], list[tuple[int, str, str]]]:
+    """Words and relocations of one or more obj_text chunks, each behind a
+    `# function` line; relocation indices become indices into all words."""
     words = []
     relocs = []
+    base = 0  # words before the current function
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
-        if line.startswith("# reloc"):
+        if line.startswith("# function"):
+            base = len(words)
+        elif line.startswith("# reloc"):
             _, _, idx, kind, sym = line.split()
-            relocs.append((int(idx), kind.lower(), sym))
-        elif line.startswith("#"):
-            continue
-        else:
+            relocs.append((base + int(idx), kind.lower(), sym))
+        elif not line.startswith("#"):
             words.append(int(line, 16))
     return words, relocs
 
@@ -444,6 +439,9 @@ def resolve_words(words: list[int], relocs, desc: tgt.TargetDesc,
         value = hi if kind == "hi20" else lo
         d = desc.instr(mi.mnemonic)
         imm_role = "imm20" if kind == "hi20" else "imm12"
+        if imm_role not in d.ops:
+            raise CodegenError(f"word {idx} ({d.asm}) has no {imm_role} "
+                               f"field for a {kind.upper()} relocation")
         new_ops = [MOp.imm(value) if role == imm_role else op
                    for role, op in zip(d.ops, mi.ops)]
         out[idx] = tgt.encode(MachineInstr(mi.mnemonic, new_ops), desc).word

@@ -233,8 +233,7 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
 def cmd_lit(args, stdin, stdout, stderr) -> int:
     from . import testkit
     paths = args.paths or [str(testkit.shipped_tests_dir())]
-    report = testkit.run_lit(paths, workers=args.workers,
-                             verbose=args.verbose, executor=run_command)
+    report = testkit.run_lit(paths, verbose=args.verbose, executor=run_command)
     stdout.write(report.text)
     return 0 if report.failed == 0 else 1
 
@@ -335,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("paths", nargs="*", help="test files or directories "
                     "(default: the shipped corpus)")
     sp.add_argument("-v", dest="verbose", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_lit)
 
     sp = sub.add_parser("filecheck", help="match CHECK directives "

@@ -5,7 +5,9 @@ flat getelementptr with a constant byte offset, bitwise/arith ops, loads and
 stores, and the fshl/fshr intrinsics. NOT has no opcode of its own; it is
 always spelled xor with -1. The parser accepts the surface syntax of typical
 .ll listings (struct types, attribute groups, lifetime intrinsics, align
-annotations) and normalizes everything into this canonical core.
+annotations) and normalizes everything into this canonical core in one pass:
+lifetime lines are skipped, and a parameter name is read as that argument,
+with its declared type, wherever it is used.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ PTR = "ptr"
 VOID = "void"
 
 BINOPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
-COMMUTATIVE = ("add", "mul", "and", "or", "xor")
+COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor"})
 INTRINSICS = ("fshl", "fshr")
 OPCODES = BINOPS + INTRINSICS + ("alloca", "load", "store", "getelementptr", "ret")
 
@@ -85,9 +87,6 @@ class Inst:
     operands: tuple[Value, ...]
     ty: str = I32
     alloc_ty: str = I32
-
-    def operand(self, i: int) -> Value:
-        return self.operands[i]
 
 
 @dataclass(frozen=True)
@@ -196,6 +195,7 @@ class _Parser:
         self.structs: dict[str, int] = {}  # name -> member count (all i32)
         self.attr_groups: dict[str, set[str]] = {}
         self.pending_groups: dict[str, set[str]] = {}  # func name -> group ids
+        self.params: dict[str, str] = {}  # current function's name -> type
 
     def err(self, msg, lineno, col=1):
         raise IrError(msg, lineno, col, self.source_name)
@@ -273,8 +273,6 @@ class _Parser:
         if not m:
             self.err(f"malformed define line: {header!r}", start)
         pre, rett, name, paramstr, post = m.groups()
-        if rett == "i64":
-            self.err("i64 unsupported", start)
         return_type = self._parse_type(rett, start)
         attrs = set()
         groups = set()
@@ -292,6 +290,7 @@ class _Parser:
                 if not pname.startswith("%"):
                     self.err(f"unnamed parameter in @{name}", start)
                 params.append((pname[1:], pty))
+        self.params = dict(params)
         insts, label, end = self._parse_body(name, start)
         fn = Function(name, tuple(params), return_type,
                       (BasicBlock(label, tuple(insts)),), frozenset(attrs))
@@ -318,8 +317,8 @@ class _Parser:
             raw = self.lines[i]
             line = _strip_comment(raw).strip()
             i += 1
-            if not line:
-                continue
+            if not line or "llvm.lifetime" in line:
+                continue  # lifetime markers carry no meaning here
             if line == "}":
                 return insts, label, i
             m = _RE_LABEL.match(line)
@@ -336,7 +335,11 @@ class _Parser:
     def _value(self, tok, ty, lineno) -> Value:
         tok = tok.strip()
         if tok.startswith("%"):
-            return Value("temp", tok[1:], ty=ty)  # may be an arg; resolved later
+            name = tok[1:]
+            if name in self.params:
+                # the declared type, so a mistyped use fails verification
+                return Value("arg", name, ty=self.params[name])
+            return Value("temp", name, ty=ty)
         if tok.startswith("@"):
             return Value("global", tok[1:], ty=PTR)
         if tok == "undef":
@@ -356,10 +359,8 @@ class _Parser:
         return self._value(toks[1], ty, lineno)
 
     def _parse_inst(self, line, lineno) -> Inst:
-        if "i64" in line.split() or re.search(r"\bi64\b", line):
-            # lifetime intrinsics carry an i64 size and are discarded wholesale
-            if "llvm.lifetime" not in line:
-                self.err("i64 unsupported", lineno)
+        if re.search(r"\bi64\b", line):
+            self.err("i64 unsupported", lineno)
         result = None
         rest = line
         m = _RE_RESULT.match(line)
@@ -367,8 +368,6 @@ class _Parser:
             result, rest = m.group(1), m.group(2).strip()
         op = rest.split(None, 1)[0]
 
-        if "llvm.lifetime" in rest:
-            return Inst("lifetime", None, (), VOID)
         if op in ("tail", "call") or rest.startswith("call"):
             return self._parse_call(result, rest, lineno)
         if op in BINOPS:
@@ -464,8 +463,6 @@ class _Parser:
         if not m:
             self.err(f"malformed call: {rest!r}", lineno)
         rett, callee, argstr = m.groups()
-        if callee.startswith("llvm.lifetime"):
-            return Inst("lifetime", None, (), VOID)
         fsh = re.fullmatch(r"llvm\.(fshl|fshr)\.i32", callee)
         if not fsh:
             self.err(f"only fshl/fshr/lifetime intrinsic calls are supported, "
@@ -477,33 +474,9 @@ class _Parser:
         return Inst(fsh.group(1), result, args, ty)
 
 
-def _resolve_args(fn: Function) -> Function:
-    """Fix up Value.kind for names that are function parameters."""
-    argnames = {n for n, _ in fn.params}
-    argty = dict(fn.params)
-
-    def fix(v: Value) -> Value:
-        if v.kind == "temp" and v.name in argnames:
-            return Value("arg", v.name, ty=argty[v.name])
-        return v
-
-    out = []
-    for inst in fn.body:
-        out.append(Inst(inst.opcode, inst.result,
-                        tuple(fix(o) for o in inst.operands),
-                        inst.ty, inst.alloc_ty))
-    return fn.with_body(out)
-
-
 def parse_ir(text: str, source_name: str = "<stdin>") -> Module:
     """Parse IR text into a verified Module. Raises IrError with position."""
-    p = _Parser(text, source_name)
-    mod = p.parse()
-    funcs = []
-    for fn in mod.functions:
-        fn = fn.with_body([i for i in fn.body if i.opcode != "lifetime"])
-        funcs.append(_resolve_args(fn))
-    mod = mod.with_functions(funcs)
+    mod = _Parser(text, source_name).parse()
     bad = verify(mod)
     if bad:
         raise IrError("verification failed: " + "; ".join(bad))

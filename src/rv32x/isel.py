@@ -20,7 +20,6 @@ from . import ir
 from . import target as tgt
 from .mir import MOp, MachineInstr, MachineFunction, X0, RA
 
-COMM_KINDS = {"add", "mul", "and", "or", "xor"}
 _IR_TO_DAG = {"lshr": "srl", "ashr": "sra"}
 
 # generic kinds that legally remain after selection (they emit no instruction)
@@ -330,14 +329,19 @@ def combine(dag: SelDag) -> SelDag:
 # Legalize
 # --------------------------------------------------------------------------
 
-def _rotates_legal(ext: frozenset[str]) -> bool:
-    return "Zbb" in ext or "Xcrypt" in ext
+def _rotate_legal(amt: DagValue, ext: frozenset[str]) -> bool:
+    """RORI (Zbb) and ROTI (Xcrypt) rotate by a constant; only ROR (Zbb)
+    rotates by a register."""
+    if amt.node.kind == "Constant":
+        return "Zbb" in ext or "Xcrypt" in ext
+    return "Zbb" in ext
 
 
 def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
-    """Funnel shifts with equal inputs become rotates; rotates stay legal
-    under Zbb/Xcrypt and expand to shifts otherwise; global addresses become
-    ADD_LO(HI(g), g)."""
+    """Funnel shifts with equal inputs become rotates; a rotate stays when an
+    enabled instruction takes its amount and expands to shifts otherwise;
+    global addresses become ADD_LO(HI(g), g)."""
+    rots = []
     for n in list(dag.live_nodes()):
         if n.kind in ("fshl", "fshr"):
             x, y, amt = n.ops
@@ -361,26 +365,26 @@ def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
                 camt = amt
             rot = dag.new("rotr", [x, camt])
             dag.replace_value_uses(n, val(rot))
+            rots.append(rot)
 
-    if not _rotates_legal(ext):
-        for n in list(dag.live_nodes()):
-            if n.kind != "rotr":
+    for n in rots:
+        if _rotate_legal(n.ops[1], ext):
+            continue
+        x, amt = n.ops
+        if amt.node.kind == "Constant":
+            c = amt.node.value & 31
+            if c == 0:
+                dag.replace_value_uses(n, x)
                 continue
-            x, amt = n.ops
-            if amt.node.kind == "Constant":
-                c = amt.node.value & 31
-                if c == 0:
-                    dag.replace_value_uses(n, x)
-                    continue
-                shl = dag.new("shl", [x, val(dag.new("Constant", value=32 - c))])
-                srl = dag.new("srl", [x, val(dag.new("Constant", value=c))])
-            else:
-                sub = dag.new("sub", [val(dag.new("Constant", value=32)), amt])
-                left = dag.new("and", [val(sub), val(dag.new("Constant", value=31))])
-                shl = dag.new("shl", [x, val(left)])
-                srl = dag.new("srl", [x, amt])
-            orn = dag.new("or", [val(shl), val(srl)])
-            dag.replace_value_uses(n, val(orn))
+            shl = dag.new("shl", [x, val(dag.new("Constant", value=32 - c))])
+            srl = dag.new("srl", [x, val(dag.new("Constant", value=c))])
+        else:
+            sub = dag.new("sub", [val(dag.new("Constant", value=32)), amt])
+            left = dag.new("and", [val(sub), val(dag.new("Constant", value=31))])
+            shl = dag.new("shl", [x, val(left)])
+            srl = dag.new("srl", [x, amt])
+        orn = dag.new("or", [val(shl), val(srl)])
+        dag.replace_value_uses(n, val(orn))
 
     for n in list(dag.live_nodes()):
         if n.kind == "GlobalAddress":
@@ -547,7 +551,7 @@ def _match(ctx: SelectCtx, pat: tgt.PatNode, node: DagNode, binds: dict,
             return False
     if kind == "load":
         covered.append(node)
-    if kind in COMM_KINDS and len(children) == 2:
+    if kind in ir.COMMUTATIVE and len(children) == 2:
         saved, n_covered = binds.copy(), len(covered)
         if _match_ops(ctx, children, ops, binds, covered):
             return True

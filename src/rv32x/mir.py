@@ -71,9 +71,6 @@ class MachineInstr:
     ops: list[MOp]
     is_ret: bool = False
 
-    def copy(self) -> "MachineInstr":
-        return MachineInstr(self.mnemonic, list(self.ops), self.is_ret)
-
 
 @dataclass
 class MachineFunction:

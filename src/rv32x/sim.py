@@ -20,6 +20,7 @@ from .mir import MachineInstr
 MASK32 = 0xFFFFFFFF
 HALT_SENTINEL = 0xDEAD0000
 PROGRAM_BASE = 0x1000
+GLOBAL_BASE = 0x2000
 STACK_TOP = 0x0000F000
 DEFAULT_FUEL = 10 ** 6
 
@@ -137,21 +138,20 @@ def run_function(program: list[int], args: list[int],
                  mem_init: dict[int, int] | None = None,
                  fuel: int = DEFAULT_FUEL,
                  desc: tgt.TargetDesc | None = None,
-                 base: int = PROGRAM_BASE,
                  ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)
                  ) -> tuple[int, dict[int, int], list[TraceStep]]:
-    """Load encoded words at `base`, seed a0.. with args and x1 with the halt
-    sentinel, run to halt with the instructions of `ext`. Returns (a0, final
-    memory, trace). The program region and the stack region below sp are
-    excluded from the returned memory so callers can compare against an
-    IR-level interpretation."""
+    """Load encoded words at PROGRAM_BASE, seed a0.. with args and x1 with
+    the halt sentinel, run to halt with the instructions of `ext`. Returns
+    (a0, final memory, trace). The program region and the stack region below
+    sp are excluded from the returned memory so callers can compare against
+    an IR-level interpretation."""
     if len(args) > 8:
         raise SimTrap("at most 8 register arguments supported")
     desc = desc or tgt.load_default_desc()
-    state = SimState(pc=base)
+    state = SimState()
     state.mem.update(mem_init or {})
     for i, w in enumerate(program):
-        mem_write32(state.mem, base + 4 * i, w)
+        mem_write32(state.mem, PROGRAM_BASE + 4 * i, w)
     state.regs[1] = HALT_SENTINEL
     state.regs[2] = STACK_TOP
     for i, a in enumerate(args):
@@ -163,9 +163,9 @@ def run_function(program: list[int], args: list[int],
         trace.append(step(state, desc, ext))
     else:
         raise SimTrap(f"fuel exhausted after {fuel} steps", state.pc)
-    prog_end = base + 4 * len(program)
+    prog_end = PROGRAM_BASE + 4 * len(program)
     mem = {a: b for a, b in state.mem.items()
-           if not (base <= a < prog_end) and not (STACK_TOP - 0x1000 <= a < STACK_TOP)}
+           if not (PROGRAM_BASE <= a < prog_end) and not (STACK_TOP - 0x1000 <= a < STACK_TOP)}
     return state.regs[10], mem, trace
 
 
@@ -266,9 +266,10 @@ def ir_interpret(fn: ir.Function, args: list[int],
     return ret, mem
 
 
-def assign_global_addrs(mod: ir.Module, base: int = 0x2000) -> dict[str, int]:
-    """Word-aligned addresses for module globals, in declaration order."""
-    return {g.name: base + 4 * i for i, g in enumerate(mod.globals)}
+def assign_global_addrs(mod: ir.Module) -> dict[str, int]:
+    """Word-aligned addresses for module globals from GLOBAL_BASE, in
+    declaration order."""
+    return {g.name: GLOBAL_BASE + 4 * i for i, g in enumerate(mod.globals)}
 
 
 def seed_globals(mod: ir.Module, addrs: dict[str, int]) -> dict[int, int]:

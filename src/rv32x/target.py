@@ -147,9 +147,10 @@ class TargetDesc:
             raise TargetError(f"unknown instruction {mnemonic!r}") from None
 
 
-def parse_mattr(text: str | None, base=("I", "M")) -> frozenset[str]:
-    """Parse "+zba,+xcrypt,-m" style feature strings; I is always on."""
-    feats = set(base)
+def parse_mattr(text: str | None) -> frozenset[str]:
+    """Parse "+zba,+xcrypt,-m" style feature strings over the default I and
+    M; I is always on."""
+    feats = {"I", "M"}
     canon = {e.lower(): e for e in ALL_EXTENSIONS}
     if text:
         for tok in text.split(","):
@@ -481,7 +482,7 @@ def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
     for role, op in zip(d.ops, mi.ops):
         v = _op_value(op, role, d)
         if v is None:
-            reloc = ({"hi20": "hi20", "lo12": "lo12"}[op.reloc], op.val)
+            reloc = (op.reloc, op.val)
             v = 0
         vals[role] = v
 

@@ -3,12 +3,13 @@
 Test files carry RUN comment lines naming this artifact's own subcommands,
 composed with `|` pipes and `<` stdin redirects, plus CHECK directives whose
 patterns match output lines with whitespace runs collapsed. Pipelines execute
-in-process; no shell is involved.
+in-process, one test after another in the calling thread; no shell is
+involved. Threads would not be safe: the driver swaps the process-wide
+sys.stdout and sys.stderr while it parses arguments.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import pathlib
 import re
 import shlex
@@ -248,28 +249,17 @@ def run_one_test(path: str, executor) -> tuple[bool, str]:
     return True, ""
 
 
-def run_lit(paths, workers: int = 1, verbose: bool = False,
-            executor=None) -> LitReport:
-    """Execute each test's RUN pipelines; report 'PASS/FAIL: suite :: file'
-    lines plus a timing summary. Report ordering is by path regardless of
-    worker count."""
+def run_lit(paths, verbose: bool = False, executor=None) -> LitReport:
+    """Execute each test's RUN pipelines, one test after another in path
+    order; report 'PASS/FAIL: suite :: file' lines plus a timing summary."""
     if executor is None:
         from .driver import run_command as executor
     tests = discover_tests(paths)
     report = LitReport(total=len(tests))
     started = time.monotonic()
-    lines = [f"-- Testing: {len(tests)} tests, {max(1, workers)} workers --"]
-    results: dict[str, tuple[bool, str]] = {}
-    if workers > 1 and len(tests) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            futs = {ex.submit(run_one_test, t, executor): t for t in tests}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for t in tests:
-            results[t] = run_one_test(t, executor)
+    lines = [f"-- Testing: {len(tests)} tests --"]
     for i, t in enumerate(tests, 1):
-        ok, detail = results[t]
+        ok, detail = run_one_test(t, executor)
         status = "PASS" if ok else "FAIL"
         lines.append(f"{status}: {SUITE} :: {t} ({i} of {len(tests)})")
         if ok:

@@ -71,7 +71,8 @@ def test_criterion_3_mla(desc):
     assert "mul" not in h and "add" not in h
     gaddrs = sim.assign_global_addrs(mod)
     words = codegen.emit_words(mf, desc, gaddrs)
-    _, mem, _ = sim.run_function(words, [], sim.seed_globals(mod, gaddrs))
+    _, mem, _ = sim.run_function(words, [], sim.seed_globals(mod, gaddrs),
+                                 desc=desc)
     assert sim.mem_read32(mem, gaddrs["a"]) == 436  # 3 * 103 + 127
 
 
@@ -109,8 +110,8 @@ def test_criterion_5_rori(desc):
     inputs = [15] + [rng.getrandbits(32) for _ in range(1000)]
     for x in inputs:
         want = sim.rotr32(x, 2)
-        got_zbb, _, _ = sim.run_function(words_zbb, [x], {})
-        got_base, _, _ = sim.run_function(words_base, [x], {})
+        got_zbb, _, _ = sim.run_function(words_zbb, [x], {}, desc=desc)
+        got_base, _, _ = sim.run_function(words_base, [x], {}, desc=desc)
         assert got_zbb == got_base == want
     assert sim.rotr32(15, 2) == 0xC0000003
 

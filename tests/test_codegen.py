@@ -43,7 +43,7 @@ def test_returned_second_argument_moves_to_a0(desc):
     asm = codegen.print_asm(mf, desc)
     assert "mv\ta0, a1" in asm
     words = codegen.emit_words(mf, desc, {})
-    got, _, _ = sim.run_function(words, [5, 9], {})
+    got, _, _ = sim.run_function(words, [5, 9], {}, desc=desc)
     assert got == 9
 
 
@@ -198,6 +198,31 @@ def test_obj_text_roundtrip(desc):
     resolved = codegen.resolve_words(words, relocs, desc,
                                      {"a": 0x2000, "b": 0x2004, "c": 0x2008})
     assert resolved != words
+
+
+def test_multi_function_obj_resolves_like_emit_words(desc):
+    # each function's relocations are numbered from its own first word; the
+    # second function's %hi/%lo must patch its own lui and lw
+    from rv32x.driver import compile_ir_text, run_command
+    text = ("@g = global i32 5\n"
+            "define i32 @f(i32 %a) {\n  %r = add i32 %a, 1\n  ret i32 %r\n}\n"
+            "define i32 @h() {\n  %v = load i32, ptr @g\n  ret i32 %v\n}\n")
+    cm = compile_ir_text(text, "two.ll", desc, tgt.parse_mattr(None))
+    code, obj, err = run_command(["llc", "--emit=obj", "-"], stdin_text=text)
+    assert code == 0, err
+    words, relocs = codegen.parse_obj_text(obj)
+    first = len(cm.functions["f"].mf.instrs)
+    assert relocs and all(idx >= first for idx, _, _ in relocs)
+    want = [w for cf in cm.functions.values()
+            for w in codegen.emit_words(cf.mf, desc, cm.global_addrs)]
+    assert codegen.resolve_words(words, relocs, desc, cm.global_addrs) == want
+
+
+def test_relocation_on_a_word_without_its_field_is_an_error(desc):
+    addi = tgt.encode(MachineInstr("ADDI", [MOp.preg(10), MOp.preg(10),
+                                            MOp.imm(1)]), desc).word
+    with pytest.raises(codegen.CodegenError, match="no imm20 field"):
+        codegen.resolve_words([addi], [(0, "hi20", "g")], desc, {"g": 0x2000})
 
 
 def test_parse_asm_aliases_and_mem_operands(desc):

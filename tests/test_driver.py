@@ -279,7 +279,7 @@ def test_help_documents_every_flag():
                 "--zba-threshold"],
         "mc": ["--assemble", "--disassemble", "--show-encoding", "--mattr"],
         "run": ["--entry", "--args", "--mem", "--trace"],
-        "lit": ["--workers", "-v"],
+        "lit": ["-v"],
         "filecheck": ["--check-prefixes"],
     }.items():
         code, out, err = run_command([sub, "--help"])

@@ -14,6 +14,18 @@ def test_identity_one_liner():
     assert fn.body[0].operands[0] == ir.Value("arg", "a", ty="i32")
 
 
+def test_parameters_resolve_per_function_with_declared_type():
+    with pytest.raises(ir.IrError, match="add operates on i32 only"):
+        ir.parse_ir("define i32 @f(ptr %p) {\n  %a = add i32 %p, 1\n"
+                    "  ret i32 %a\n}")
+    m = ir.parse_ir("define i32 @f(i32 %a) {\n  ret i32 %a\n}\n"
+                    "define i32 @g(i32 %b) {\n  %a = add i32 %b, 1\n"
+                    "  ret i32 %a\n}")
+    add, ret = m.function("g").body
+    assert add.operands[0] == ir.Value("arg", "b", ty="i32")
+    assert ret.operands[0] == ir.Value("temp", "a", ty="i32")
+
+
 def test_optimized_sbox_shape():
     m = corpus_module("sbox.ll")
     fn = m.functions[0]

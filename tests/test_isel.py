@@ -167,7 +167,7 @@ def test_rotr_expansion_matches_simulator(desc):
     rng = random.Random(17)
     for _ in range(1000):
         x = rng.getrandbits(32)
-        got, _, _ = sim.run_function(words, [x], {})
+        got, _, _ = sim.run_function(words, [x], {}, desc=desc)
         assert got == sim.rotr32(x, 2)
 
 
@@ -199,7 +199,7 @@ define i32 @f(ptr %p) {
     words = codegen.emit_words(mf, desc_cache, {})
     mem = {}
     sim.mem_write32(mem, 0x4000 - 4, 0xCAFEF00D)
-    got, _, _ = sim.run_function(words, [0x4000], mem)
+    got, _, _ = sim.run_function(words, [0x4000], mem, desc=desc_cache)
     assert got == 0xCAFEF00D
 
 
@@ -217,7 +217,7 @@ define i32 @f(i32 %a) {
         rng = random.Random(71)
         for _ in range(64):
             x = rng.getrandbits(32)
-            got, _, _ = sim.run_function(words, [x], {})
+            got, _, _ = sim.run_function(words, [x], {}, desc=desc)
             want, _ = sim.ir_interpret(mod.functions[0], [x])
             assert got == want == sim.rotr32(x, 3)
 
@@ -313,10 +313,40 @@ define i32 @f(i32 %a, i32 %n) {
 }
 """
     mod = ir.parse_ir(text)
-    mf, _ = compile_fn(mod.functions[0], mod, desc, "+zbb")
+    fn = mod.functions[0]
+    mf, _ = compile_fn(fn, mod, desc, "+zbb")
     assert histogram(codegen.print_asm(mf, desc)).get("ror") == 1
-    with pytest.raises(isel.IselError, match="ROR requires extension Zbb"):
-        compile_fn(mod.functions[0], mod, desc, "+xcrypt")
+    # Xcrypt's ROTI takes only an immediate amount, so the rotate expands
+    mf, _ = compile_fn(fn, mod, desc, "+xcrypt")
+    h = histogram(codegen.print_asm(mf, desc))
+    assert "ror" not in h and "roti" not in h
+    assert h.get("sll") == 1 and h.get("srl") == 1 and h.get("or") == 1
+    rng = random.Random(29)
+    inputs = [([rng.getrandbits(32), n], {})
+              for n in (0, 1, 7, 31, 32, 35, rng.getrandbits(32))]
+    assert_runs_like_ir(fn, mf, desc, inputs)
+
+
+_FUNNEL_AMOUNTS = ("0", "7", "32", "35", "%n")
+
+
+def test_funnel_rotates_run_like_ir(desc):
+    # fshl/fshr with equal inputs, by constant and register amounts, under
+    # every extension set: legalized to a rotate instruction or expanded
+    fns = [f"define i32 @{op}_{amt.strip('%')}(i32 %a, i32 %n) {{\n"
+           f"  %r = call i32 @llvm.{op}.i32(i32 %a, i32 %a, i32 {amt})\n"
+           f"  ret i32 %r\n}}\n"
+           for op in ("fshl", "fshr") for amt in _FUNNEL_AMOUNTS]
+    text = "\n".join(fns)
+    ref = ir.parse_ir(text)
+    rng = random.Random(41)
+    inputs = [([rng.getrandbits(32), n], {})
+              for n in (0, 1, 7, 31, 32, 35, 63, rng.getrandbits(32))]
+    for mattr, level in itertools.product(ALL_MATTRS, ("O0", "O2")):
+        cm = driver.compile_ir_text(text, "funnel.ll", desc,
+                                    tgt.parse_mattr(mattr), level)
+        for fn in ref.functions:
+            assert_runs_like_ir(fn, cm.functions[fn.name].mf, desc, inputs)
 
 
 # IR binop: (register form, immediate form, the immediate form's range)
@@ -341,7 +371,7 @@ def test_selection_at_immediate_boundaries(desc, op):
     consts = [-2049, -2048, 2047, 2048]
     if bounds == (0, 31):
         consts += [31, 32]
-    sides = ["right", "left"] if op in isel.COMM_KINDS else ["right"]
+    sides = ["right", "left"] if op in ir.COMMUTATIVE else ["right"]
     rng = random.Random(13)
     inputs = [([x], {}) for x in (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)]
     inputs += [([rng.getrandbits(32)], {}) for _ in range(11)]

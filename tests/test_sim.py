@@ -155,7 +155,8 @@ def test_trace_is_bounded_and_descriptive(desc):
     mod = corpus_module("madd.ll")
     g = sim.assign_global_addrs(mod)
     words = codegen.emit_words(mf, desc, g)
-    _, _, trace = sim.run_function(words, [], sim.seed_globals(mod, g))
+    _, _, trace = sim.run_function(words, [], sim.seed_globals(mod, g),
+                                    desc=desc)
     assert len(trace) == len(words)
     assert any(s.mi.mnemonic == "MLA" for s in trace)
 
@@ -195,7 +196,7 @@ def test_sbox_cross_build_equivalence(desc):
         mem = {}
         for i, v in enumerate([1, 2, 3, 4, 5]):
             sim.mem_write32(mem, 0x4000 + 4 * i, v)
-        _, m, _ = sim.run_function(words, [0x4000], mem)
+        _, m, _ = sim.run_function(words, [0x4000], mem, desc=desc)
         results.append([sim.mem_read32(m, 0x4000 + 4 * i) for i in range(5)])
     assert results[0] == results[1]
 

@@ -91,14 +91,6 @@ def test_shipped_corpus_passes():
     assert f"Passed: {report.passed}" in report.text
 
 
-def test_report_deterministic_across_worker_counts():
-    r1 = testkit.run_lit([str(LIT_TESTS)], workers=1, executor=run_command)
-    r4 = testkit.run_lit([str(LIT_TESTS)], workers=4, executor=run_command)
-    strip = lambda t: [l for l in t.splitlines()
-                       if not l.startswith(("Testing Time", "--"))]
-    assert strip(r1.text) == strip(r4.text)
-
-
 def test_failing_check_is_reported(tmp_path):
     p = tmp_path / "bad.ll"
     p.write_text(
