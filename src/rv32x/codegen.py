@@ -406,8 +406,17 @@ def obj_text(mf: MachineFunction, desc: tgt.TargetDesc) -> str:
 def parse_obj_text(text: str) -> tuple[list[int], list[tuple[int, str, str]]]:
     """Words and relocations of one or more obj_text chunks, each behind a
     `# function` line; relocation indices become indices into all words."""
+    words, relocs, _ = parse_obj_functions(text)
+    return words, relocs
+
+
+def parse_obj_functions(text: str) -> tuple[list[int], list[tuple[int, str, str]],
+                                            dict[str, int]]:
+    """parse_obj_text, plus the index of each function's first word, by the
+    name on its `# function NAME` line, in text order."""
     words = []
     relocs = []
+    starts = {}
     base = 0  # words before the current function
     for line in text.splitlines():
         line = line.strip()
@@ -415,12 +424,13 @@ def parse_obj_text(text: str) -> tuple[list[int], list[tuple[int, str, str]]]:
             continue
         if line.startswith("# function"):
             base = len(words)
+            starts[line[len("# function"):].strip()] = base
         elif line.startswith("# reloc"):
             _, _, idx, kind, sym = line.split()
             relocs.append((base + int(idx), kind.lower(), sym))
         elif not line.startswith("#"):
             words.append(int(line, 16))
-    return words, relocs
+    return words, relocs, starts
 
 
 def resolve_words(words: list[int], relocs, desc: tgt.TargetDesc,

@@ -199,9 +199,17 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
 
     stripped = text.lstrip()
     if stripped.startswith("0x") or stripped.startswith("# function"):
-        words, relocs = codegen.parse_obj_text(text)
+        words, relocs, starts = codegen.parse_obj_functions(text)
         words = codegen.resolve_words(words, relocs, desc, {}, ext)
         mod = None
+        entry = args.entry or next(iter(starts), None)
+        if entry is not None:  # without `# function` lines, run every word
+            if entry not in starts:
+                raise DriverError(f"no entry function {entry!r}")
+            begin = starts[entry]
+            end = min([s for s in starts.values() if s > begin],
+                      default=len(words))
+            words = words[begin:end]
     else:
         cm = compile_ir_text(text, source, desc, ext, _opt_level(args),
                              args.zba_threshold)

@@ -1,8 +1,9 @@
 """RV32 simulator and IR-level interpreter, the semantic oracles.
 
 The machine simulator executes encoded words against an architectural state
-(32 registers, pc, sparse little-endian byte memory), each as its `sem=` in
-the target description says; JALR, the one jump, is implemented here.
+(32 registers, pc, sparse little-endian byte memory), each by calling its
+`sem=` as the target description compiled it; JALR, the one jump, is
+implemented here.
 Functions follow the halt protocol: x1 starts at a sentinel return address
 and a `jalr` to the sentinel stops execution. The IR interpreter is the
 midend's twin: it evaluates a verified function directly with two's-complement
@@ -11,7 +12,9 @@ wrapping, so any pass or lowering can be differentially checked against it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import ir
 from . import target as tgt
@@ -47,18 +50,17 @@ class SimTrap(Exception):
 
 
 def mem_read32(mem: dict[int, int], addr: int) -> int:
+    addr &= MASK32
     if addr & 3:
         raise SimTrap(f"misaligned word load at 0x{addr:08x}")
-    addr = u32(addr)
     return (mem.get(addr, 0) | mem.get(addr + 1, 0) << 8
             | mem.get(addr + 2, 0) << 16 | mem.get(addr + 3, 0) << 24)
 
 
 def mem_write32(mem: dict[int, int], addr: int, value: int):
+    addr &= MASK32
     if addr & 3:
         raise SimTrap(f"misaligned word store at 0x{addr:08x}")
-    addr = u32(addr)
-    value = u32(value)
     for i in range(4):
         mem[addr + i] = (value >> (8 * i)) & 0xFF
 
@@ -73,65 +75,66 @@ class SimState:
     def read(self, r: int) -> int:
         return 0 if r == 0 else self.regs[r]
 
-    def write(self, r: int, v: int):
-        if r != 0:
-            self.regs[r] = u32(v)
-
     def load(self, addr: int) -> int:
-        return mem_read32(self.mem, u32(addr))
+        return mem_read32(self.mem, addr)
 
     def store(self, addr: int, value: int):
-        mem_write32(self.mem, u32(addr), value)
+        mem_write32(self.mem, addr, value)
 
 
-@dataclass
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One executed instruction: its address, word and definition. The
+    decoded instruction, `mi`, is built when it is read."""
+
     pc: int
-    mi: MachineInstr
+    word: int
+    d: tgt.InstrDef
+
+    @property
+    def mi(self) -> MachineInstr:
+        return tgt.machine_instr(self.word, self.d)
 
 
-def _eval_sem(node: tgt.PatNode, env: dict[str, int], state: SimState) -> int:
-    """Value of a sem tree; `env` maps operand roles to register contents
-    and immediates."""
-    kids = node.children
-    if not kids:
-        return node.value if node.kind == "const" else env[node.name]
-    op = tgt.SEM_OPS[node.kind]
-    if len(kids) == 1:
-        return op(state, _eval_sem(kids[0], env, state))
-    return op(state, _eval_sem(kids[0], env, state),
-              _eval_sem(kids[1], env, state))
+_new_trace_step = tuple.__new__  # TraceStep(...) without its Python-level __new__
 
 
 def step(state: SimState, desc: tgt.TargetDesc,
          ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)) -> TraceStep:
-    """Execute one instruction; raises SimTrap on undecodable words or
-    misaligned accesses. regs[0] stays zero."""
-    if state.pc & 3:
-        raise SimTrap("misaligned pc", state.pc)
-    word = mem_read32(state.mem, state.pc)
-    mi = tgt.decode(word, desc, ext)
-    if mi is None:
-        raise SimTrap(f"undecodable word 0x{word:08x}", state.pc)
-    d = desc.instrs[mi.mnemonic]
-    trace = TraceStep(state.pc, mi)
-    env = {role: state.read(op.val) if op.kind == "preg" else op.val
-           for role, op in zip(d.ops, mi.ops)}
-    if mi.mnemonic == "JALR":
-        link = u32(state.pc + 4)
-        dest = u32(env["rs1"] + env["imm12"]) & ~1
-        state.write(mi.ops[0].val, link)
+    """Execute one instruction: read its source operands from the word and
+    the registers, and call its compiled sem. Raises SimTrap on a misaligned
+    pc, an undecodable or disabled word, an instruction without a sem, or a
+    misaligned access. regs[0] stays zero."""
+    pc = state.pc
+    if pc & 3:
+        raise SimTrap("misaligned pc", pc)
+    mem = state.mem
+    try:
+        word = mem[pc] | mem[pc + 1] << 8 | mem[pc + 2] << 16 | mem[pc + 3] << 24
+    except KeyError:
+        word = mem_read32(mem, pc)
+    d = tgt.lookup(word, desc, ext)
+    if d is None:
+        raise SimTrap(f"undecodable word 0x{word:08x}", pc)
+    regs = state.regs  # each value is OperandField.value, inlined
+    v = [regs[word >> shift & mask] if reg
+         else ((word >> shift & mask | word >> lo_shift & lo_mask) ^ sign) - sign
+         for reg, shift, mask, sign, lo_shift, lo_mask in d.srcs]
+    rd = word >> d.fields[0].shift & 31 if d.ops[0] == "rd" else 0
+    if d.mnemonic == "JALR":
+        dest = (v[0] + v[1]) & MASK32 & ~1
+        if rd:
+            regs[rd] = (pc + 4) & MASK32
         if dest == HALT_SENTINEL:
             state.halted = True
         state.pc = dest
-        return trace
-    if d.sem is None:
-        raise SimTrap(f"no semantics for {mi.mnemonic}", state.pc)
-    value = _eval_sem(d.sem, env, state)
-    if d.ops[0] == "rd":
-        state.write(mi.ops[0].val, value)
-    state.pc = u32(state.pc + 4)
-    return trace
+        return _new_trace_step(TraceStep, (pc, word, d))
+    if d.run is None:
+        raise SimTrap(f"no semantics for {d.mnemonic}", pc)
+    value = d.run(state, v)
+    if rd:
+        regs[rd] = value & MASK32
+    state.pc = (pc + 4) & MASK32
+    return _new_trace_step(TraceStep, (pc, word, d))
 
 
 def run_function(program: list[int], args: list[int],
@@ -144,14 +147,21 @@ def run_function(program: list[int], args: list[int],
     the halt sentinel, run to halt with the instructions of `ext`. Returns
     (a0, final memory, trace). The program region and the stack region below
     sp are excluded from the returned memory so callers can compare against
-    an IR-level interpretation."""
+    an IR-level interpretation. Raises SimTrap when the program would cover
+    seeded memory."""
     if len(args) > 8:
         raise SimTrap("at most 8 register arguments supported")
+    mem_init = mem_init or {}
+    prog_end = PROGRAM_BASE + 4 * len(program)
+    covered = [a for a in mem_init if PROGRAM_BASE <= a < prog_end]
+    if covered:
+        raise SimTrap(f"program at 0x{PROGRAM_BASE:08x}..0x{prog_end:08x} "
+                      f"overlaps seeded memory at 0x{min(covered):08x}")
     desc = desc or tgt.load_default_desc()
     state = SimState()
-    state.mem.update(mem_init or {})
-    for i, w in enumerate(program):
-        mem_write32(state.mem, PROGRAM_BASE + 4 * i, w)
+    state.mem.update(mem_init)
+    code = struct.pack(f"<{len(program)}I", *[w & MASK32 for w in program])
+    state.mem.update(zip(range(PROGRAM_BASE, prog_end), code))
     state.regs[1] = HALT_SENTINEL
     state.regs[2] = STACK_TOP
     for i, a in enumerate(args):
@@ -163,9 +173,8 @@ def run_function(program: list[int], args: list[int],
         trace.append(step(state, desc, ext))
     else:
         raise SimTrap(f"fuel exhausted after {fuel} steps", state.pc)
-    prog_end = PROGRAM_BASE + 4 * len(program)
     mem = {a: b for a, b in state.mem.items()
-           if not (PROGRAM_BASE <= a < prog_end) and not (STACK_TOP - 0x1000 <= a < STACK_TOP)}
+           if not (PROGRAM_BASE <= a < prog_end or STACK_TOP - 0x1000 <= a < STACK_TOP)}
     return state.regs[10], mem, trace
 
 

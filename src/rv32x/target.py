@@ -4,11 +4,12 @@ extensions.
 The catalog is loaded from a structured text file (see targets/rv32_xcrypt.desc)
 with one record per instruction and one per selection pattern, a line-for-line
 analog of a .td extension file. An instruction's `sem=` expression is its one
-definition of meaning: the simulator evaluates it through SEM_OPS, and a
-`pattern <MNEMONIC>` record selects the instruction wherever the DAG has that
-shape. Encoding and decoding are bit-exact over the standard RV32 formats
-R/R4/I/S/U; shift-immediate instructions are I-format records that carry a
-funct7 region above the 5-bit shift amount.
+definition of meaning: the loader compiles it once into closures over
+SEM_OPS, which the simulator calls, and a `pattern <MNEMONIC>` record selects
+the instruction wherever the DAG has that shape. Encoding and decoding are
+bit-exact over the standard RV32 formats R/R4/I/S/U; shift-immediate
+instructions are I-format records that carry a funct7 region above the 5-bit
+shift amount.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .mir import MOp, MachineInstr
 
@@ -32,8 +33,8 @@ def fits(role: str, value: int) -> bool:
     return lo <= value <= hi
 
 
-# Field layouts, msb/lsb inclusive, from which encode packs a word. Every
-# format covers bits 31..0 disjointly.
+# Field layouts, msb/lsb inclusive, from which each operand role's
+# OperandField is derived. Every format covers bits 31..0 disjointly.
 FORMATS = {
     "R": (("funct7", 31, 25), ("rs2", 24, 20), ("rs1", 19, 15),
           ("funct3", 14, 12), ("rd", 11, 7), ("opcode", 6, 0)),
@@ -51,22 +52,54 @@ class TargetError(Exception):
     pass
 
 
-def _bits(word: int, hi: int, lo: int) -> int:
-    return (word >> lo) & ((1 << (hi - lo + 1)) - 1)
-
-
-def _place(value: int, hi: int, lo: int) -> int:
-    width = hi - lo + 1
-    if value < 0 or value >= (1 << width):
-        raise TargetError(f"field value {value} does not fit in {width} bits")
-    return value << lo
-
-
 def sext(value: int, bits: int) -> int:
     value &= (1 << bits) - 1
     if value & (1 << (bits - 1)):
         value -= 1 << bits
     return value
+
+
+class OperandField(NamedTuple):
+    """Where one operand role sits in a word, for encode, decode and the
+    simulator. Its value is `word >> shift & mask | word >> lo_shift &
+    lo_mask`, sign-extended from bit `sign` when that is not 0. Only the
+    S-format imm12 has a low part: its bits 4..0 sit apart, in bits 11..7."""
+
+    reg: bool
+    shift: int
+    mask: int
+    sign: int = 0
+    lo_shift: int = 0
+    lo_mask: int = 0
+
+    def value(self, word: int) -> int:
+        v = word >> self.shift & self.mask | word >> self.lo_shift & self.lo_mask
+        return (v ^ self.sign) - self.sign
+
+
+def _operand_fields() -> dict[tuple[str, str], OperandField]:
+    """The field of each operand role in each format that has one."""
+    table = {}
+    for fmt, layout in FORMATS.items():
+        span = {name: (lo, (1 << (hi - lo + 1)) - 1) for name, hi, lo in layout}
+        for role in ("rd", "rs1", "rs2", "rs3"):
+            if role in span:
+                table[fmt, role] = OperandField(True, *span[role])
+        if "imm20" in span:
+            table[fmt, "imm20"] = OperandField(False, *span["imm20"])
+        if "imm12" in span:  # a shift amount is imm12's low five bits
+            lsb, mask = span["imm12"]
+            table[fmt, "imm12"] = OperandField(False, lsb, mask, 0x800)
+            table[fmt, "uimm5"] = OperandField(False, lsb, 31)
+        if "imm_hi" in span:
+            (hi_lsb, hi_mask), (lo_lsb, lo_mask) = span["imm_hi"], span["imm_lo"]
+            width = lo_mask.bit_length()
+            table[fmt, "imm12"] = OperandField(
+                False, hi_lsb - width, hi_mask << width, 0x800, lo_lsb, lo_mask)
+    return table
+
+
+_OPERAND_FIELDS = _operand_fields()
 
 
 @dataclass(frozen=True)
@@ -87,6 +120,11 @@ class InstrDef:
     # instruction when word & mask == match
     mask: int = 0
     match: int = 0
+    fields: tuple[OperandField, ...] = ()  # one per role of `ops`
+    srcs: tuple[OperandField, ...] = ()  # the source roles' fields, as run takes them
+    # the sem compiled: run(m, v) computes it from the source operand values
+    # v, in record order, and machine state m; None without a sem
+    run: Callable | None = field(default=None, compare=False, repr=False)
 
     @property
     def may_load(self) -> bool:
@@ -137,8 +175,9 @@ class TargetDesc:
     instrs: dict[str, InstrDef] = field(default_factory=dict)
     patterns: list[SelPattern] = field(default_factory=list)
     by_asm: dict[str, InstrDef] = field(default_factory=dict)  # printed name
-    # defs by (opcode, funct3); U-format defs sit in all eight funct3 slots
-    by_opcode: dict[tuple, list[InstrDef]] = field(default_factory=dict)
+    # defs by opcode | funct3 << 12, the word's bits under SLOT_MASK; U-format
+    # defs sit in all eight funct3 slots
+    by_opcode: dict[int, list[InstrDef]] = field(default_factory=dict)
 
     def instr(self, mnemonic: str) -> InstrDef:
         try:
@@ -250,6 +289,57 @@ SEM_OPS = {
 }
 
 
+def _compile_sem(node: PatNode, roles: tuple[str, ...]) -> Callable:
+    """The sem as nested closures over SEM_OPS: run(m, v), v the values of
+    `roles` in order. A node reads an operand role, or a constant second
+    operand, in its own closure rather than calling one for the leaf."""
+    if node.kind == "const":
+        c = node.value
+        return lambda m, v: c
+    if node.kind == "capture":
+        i = roles.index(node.name)
+        return lambda m, v: v[i]
+    op = SEM_OPS[node.kind]
+    a, b = (node.children + (None,))[:2]
+    i = roles.index(a.name) if a.kind == "capture" else None
+    j = roles.index(b.name) if b and b.kind == "capture" else None
+    if b is None:
+        if i is not None:
+            return lambda m, v: op(m, v[i])
+        f = _compile_sem(a, roles)
+        return lambda m, v: op(m, f(m, v))
+    if i is not None:
+        if j is not None:
+            return lambda m, v: op(m, v[i], v[j])
+        if b.kind == "const":
+            c = b.value
+            return lambda m, v: op(m, v[i], c)
+        g = _compile_sem(b, roles)
+        return lambda m, v: op(m, v[i], g(m, v))
+    f = _compile_sem(a, roles)
+    if j is not None:
+        return lambda m, v: op(m, f(m, v), v[j])
+    g = _compile_sem(b, roles)
+    return lambda m, v: op(m, f(m, v), g(m, v))
+
+
+# (sem text, operand roles) -> (sem tree, compiled sem): each distinct sem is
+# parsed, checked and compiled once per process, however often a description
+# is loaded. Both values are immutable.
+_SEMS: dict[tuple[str, tuple[str, ...]], tuple[PatNode, Callable]] = {}
+
+
+def _sem(text: str, ops: tuple[str, ...], where: str
+         ) -> tuple[PatNode, Callable]:
+    key = (text, ops)
+    if key not in _SEMS:
+        sem = _parse_sexpr(text, where)
+        roles = tuple(r for r in ops if r != "rd")
+        _check_sem(sem, roles, where)
+        _SEMS[key] = sem, _compile_sem(sem, roles)
+    return _SEMS[key]
+
+
 def load_target_desc(text: str) -> TargetDesc:
     """Parse a target description. Raises TargetError on duplicate mnemonics,
     encoding collisions among any co-enablable defs, or malformed sems and
@@ -311,10 +401,12 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     ops = tuple(kw["ops"].split(",")) if kw.get("ops") else ()
     if not _VALID_ROLES.issuperset(ops):
         raise TargetError(f"{where}: bad operand roles {ops}")
-    sem = None
-    if sem_text:
-        sem = _parse_sexpr(sem_text, where)
-        _check_sem(sem, [r for r in ops if r != "rd"], where)
+    try:
+        fields = tuple([_OPERAND_FIELDS[fmt, r] for r in ops])
+    except KeyError as e:
+        raise TargetError(f"{where}: format {fmt} has no {e.args[0][1]} "
+                          "field") from None
+    sem, run = _sem(sem_text, ops, where) if sem_text else (None, None)
     opcode = int(kw["opcode"], 0)
     funct3, funct7, funct2 = (int(kw[k], 0) if k in kw else None
                               for k in ("funct3", "funct7", "funct2"))
@@ -344,10 +436,13 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
         sem=sem,
         mask=mask,
         match=match,
+        fields=fields,
+        srcs=fields[1:] if ops[:1] == ("rd",) else fields,
+        run=run,
     )
 
 
-def _check_sem(node: PatNode, roles: list[str], where: str):
+def _check_sem(node: PatNode, roles: tuple[str, ...], where: str):
     """A sem is built from SEM_OPS kinds, constants and source operands."""
     if node.kind == "capture":
         if node.name not in roles:
@@ -405,17 +500,20 @@ def _check_pattern(src: PatNode, tgt: PatNode, desc: TargetDesc, where: str):
     if not tgt_caps <= src_caps:
         raise TargetError(f"{where}: target captures {tgt_caps - src_caps} "
                           "not bound by source")
+    _check_target(tgt, desc, where)
 
-    def check_tgt(node: PatNode):
-        if node.kind in ("capture", "const"):
-            return
-        if node.kind not in desc.instrs:
-            raise TargetError(f"{where}: pattern target uses unknown "
-                              f"instruction {node.kind!r}")
-        for c in node.children:
-            check_tgt(c)
 
-    check_tgt(tgt)
+def _check_target(node: PatNode, desc: TargetDesc, where: str):
+    """A module-level function, not a closure over `desc`: a recursive
+    closure is a reference cycle, and it would leave every loaded
+    description to the cyclic garbage collector."""
+    if node.kind in ("capture", "const"):
+        return
+    if node.kind not in desc.instrs:
+        raise TargetError(f"{where}: pattern target uses unknown "
+                          f"instruction {node.kind!r}")
+    for c in node.children:
+        _check_target(c, desc, where)
 
 
 def _collide(a: InstrDef, b: InstrDef) -> bool:
@@ -428,7 +526,7 @@ def _index_encodings(desc: TargetDesc):
     slot, so each def is checked against the defs of its own slots."""
     for d in desc.instrs.values():
         for funct3 in range(8) if d.fmt == "U" else (d.funct3,):
-            slot = desc.by_opcode.setdefault((d.opcode, funct3), [])
+            slot = desc.by_opcode.setdefault(d.opcode | funct3 << 12, [])
             for other in slot:
                 if _collide(other, d):
                     raise TargetError(f"encoding collision between "
@@ -445,8 +543,7 @@ def load_default_desc() -> TargetDesc:
 # Encoding / decoding
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EncodedWord:
+class EncodedWord(NamedTuple):
     word: int
     reloc: tuple[str, str] | None = None  # (kind "hi20"|"lo12", symbol)
 
@@ -457,6 +554,8 @@ def _op_value(op: MOp, role: str, d: InstrDef):
     if role in ("rd", "rs1", "rs2", "rs3"):
         if op.kind != "preg":
             raise TargetError(f"{d.mnemonic}: {role} must be a register")
+        if not 0 <= op.val < 32:
+            raise TargetError(f"{d.mnemonic}: no register x{op.val}")
         return op.val
     if op.kind == "sym":
         want = "imm20" if op.reloc == "hi20" else "imm12"
@@ -473,56 +572,44 @@ def _op_value(op: MOp, role: str, d: InstrDef):
 
 
 def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
-    """Pack one machine instruction into its 32-bit word."""
+    """Pack one machine instruction into its 32-bit word: each operand's
+    bits go where its field reads them from."""
     d = desc.instr(mi.mnemonic)
     if len(mi.ops) != len(d.ops):
         raise TargetError(f"{d.mnemonic}: expected {len(d.ops)} operands")
-    vals = {}
+    word = d.match  # the opcode and funct fields
     reloc = None
-    for role, op in zip(d.ops, mi.ops):
+    for role, f, op in zip(d.ops, d.fields, mi.ops):
         v = _op_value(op, role, d)
         if v is None:
             reloc = (op.reloc, op.val)
-            v = 0
-        vals[role] = v
-
-    if "uimm5" in vals:  # I-format shift: the amount is imm12's low bits
-        vals["imm12"] = vals["uimm5"]
-    elif "imm12" in vals:
-        imm = vals["imm12"] & 0xFFF
-        vals.update(imm12=imm, imm_hi=imm >> 5, imm_lo=imm & 0x1F)
-    word = d.match  # the opcode and funct fields
-    for name, hi, lo in FORMATS[d.fmt]:
-        if name in vals:
-            word |= _place(vals[name], hi, lo)
+        else:
+            word |= (v & f.mask) << f.shift | (v & f.lo_mask) << f.lo_shift
     return EncodedWord(word, reloc)
 
 
-# lowest bit of each register operand's field
-_REG_LSB = {"rd": 7, "rs1": 15, "rs2": 20, "rs3": 27}
+SLOT_MASK = 0x707F  # the opcode and funct3 bits
+
+
+def lookup(word: int, desc: TargetDesc, ext: frozenset[str]) -> InstrDef | None:
+    """The enabled instruction that encodes as `word`; None for unknown
+    words. Disjointness guarantees a single candidate."""
+    for d in desc.by_opcode.get(word & SLOT_MASK, ()):
+        if word & d.mask == d.match and d.ext in ext:
+            return d
+    return None
+
+
+def machine_instr(word: int, d: InstrDef) -> MachineInstr:
+    """`word`, an encoding of `d`, with its operands read out."""
+    return MachineInstr(d.mnemonic, [MOp("preg" if f.reg else "imm",
+                                         f.value(word)) for f in d.fields])
 
 
 def decode(word: int, desc: TargetDesc, ext: frozenset[str]) -> MachineInstr | None:
     """Inverse of encode over the enabled catalog; None for unknown words."""
-    for d in desc.by_opcode.get((word & 0x7F, _bits(word, 14, 12)), ()):
-        if word & d.mask == d.match and d.ext in ext:
-            break  # disjointness guarantees a single candidate
-    else:
-        return None
-    ops = []
-    for role in d.ops:
-        if role in _REG_LSB:
-            ops.append(MOp.preg((word >> _REG_LSB[role]) & 31))
-        elif role == "uimm5":
-            ops.append(MOp.imm(_bits(word, 24, 20)))
-        elif role == "imm20":
-            ops.append(MOp.imm(_bits(word, 31, 12)))
-        elif d.fmt == "S":  # imm12, split around rs1/rs2
-            imm = _bits(word, 31, 25) << 5 | _bits(word, 11, 7)
-            ops.append(MOp.imm(sext(imm, 12)))
-        else:
-            ops.append(MOp.imm(sext(_bits(word, 31, 20), 12)))
-    return MachineInstr(d.mnemonic, ops)
+    d = lookup(word, desc, ext)
+    return None if d is None else machine_instr(word, d)
 
 
 # --------------------------------------------------------------------------

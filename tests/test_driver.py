@@ -250,6 +250,35 @@ def test_run_object_with_relocations_is_an_error():
     assert code == 1 and "unresolved symbol" in err
 
 
+def test_run_object_runs_the_entry_function():
+    text = ("define i32 @f(i32 %a) {\n  %r = add i32 %a, 1\n  ret i32 %r\n}\n"
+            "define i32 @h(i32 %a) {\n  %r = xor i32 %a, 7\n  ret i32 %r\n}\n")
+    _, obj, _ = run_command(["llc", "--emit=obj", "-"], stdin_text=text)
+    for flags, want in (([], "a0 = 2"), (["--entry=f"], "a0 = 2"),
+                        (["--entry=h"], "a0 = 6")):
+        code, out, err = run_command(["run", "-", "--args=1", "--trace"]
+                                     + flags, stdin_text=obj)
+        assert code == 0, err
+        assert out.splitlines()[-1] == want
+        assert len([l for l in out.splitlines() if l.startswith("0x")]) == 2
+    code, _, err = run_command(["run", "-", "--entry=g", "--args=1"],
+                               stdin_text=obj)
+    assert code == 1 and "no entry function 'g'" in err
+
+
+def test_run_program_over_a_seeded_global_is_an_error():
+    # 1100 chained adds at -O0 make a program longer than the 4 KiB below
+    # GLOBAL_BASE, so its words would cover @g
+    body = "".join(f"  %v{i} = add i32 %v{i - 1}, 1\n" for i in range(1, 1100))
+    text = ("@g = global i32 5\ndefine i32 @big(i32 %x) {\n"
+            "  %v0 = add i32 %x, 1\n" + body
+            + "  store i32 %v1099, ptr @g\n  ret i32 %v1099\n}\n")
+    code, out, err = run_command(["run", "-O0", "-", "--args=1"],
+                                 stdin_text=text)
+    assert code == 1 and out == ""
+    assert "overlaps seeded memory at 0x00002000" in err
+
+
 def test_multi_function_module():
     text = ("define i32 @first(i32 %a) {\n  ret i32 %a\n}\n"
             "define i32 @second(i32 %a, i32 %b) {\n"

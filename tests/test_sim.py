@@ -7,7 +7,7 @@ from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
 from conftest import ALL_MATTRS, CORPUS_SHAPES, compile_corpus, \
-    corpus_module, differential_run
+    corpus_module, differential_run, synth_args
 from test_target import _random_operands
 
 
@@ -108,6 +108,134 @@ def test_x0_stays_zero_under_fuzzed_instructions(desc):
             continue  # misaligned access from random registers
         assert state.regs[0] == 0
         assert state.read(0) == 0
+
+
+def _eval_sem(node, env, state):
+    """A sem tree walked node by node, as the simulator did before sems
+    were compiled: the reference for the compiled ones. `env` maps operand
+    roles to register contents and immediates."""
+    if not node.children:
+        return node.value if node.kind == "const" else env[node.name]
+    return tgt.SEM_OPS[node.kind](
+        state, *[_eval_sem(k, env, state) for k in node.children])
+
+
+def _reference_step(state, desc):
+    """One instruction through decode and the sem tree."""
+    mi = tgt.decode(sim.mem_read32(state.mem, state.pc), desc,
+                    frozenset(tgt.ALL_EXTENSIONS))
+    d = desc.instrs[mi.mnemonic]
+    env = {role: state.read(op.val) if op.kind == "preg" else op.val
+           for role, op in zip(d.ops, mi.ops)}
+    value = _eval_sem(d.sem, env, state)
+    if d.ops[0] == "rd" and mi.ops[0].val:
+        state.regs[mi.ops[0].val] = value & sim.MASK32
+    state.pc += 4
+
+
+def _random_state(rng, memory: bool) -> sim.SimState:
+    """Random registers and memory; for an instruction that accesses memory,
+    every register holds an aligned address inside the random words."""
+    state = sim.SimState()
+    for r in range(1, 32):
+        state.regs[r] = (0x4000 + 4 * rng.randrange(64) if memory
+                         else rng.getrandbits(32))
+    for addr in range(0x3F00, 0x4200, 4):
+        sim.mem_write32(state.mem, addr, rng.getrandbits(32))
+    return state
+
+
+def test_step_agrees_with_sem_tree_for_every_instruction(desc):
+    rng = random.Random(63)
+    defs = [d for _, d in sorted(desc.instrs.items()) if d.sem is not None]
+    assert {"LUI", "LW", "SW", "LXR"} <= {d.mnemonic for d in defs}
+    for d in defs:
+        memory = d.may_load or d.may_store
+        for trial in range(40):
+            ops = _random_operands(rng, d)
+            if memory and "imm12" in d.ops:
+                ops[d.ops.index("imm12")] = MOp.imm(4 * rng.randrange(-16, 17))
+            if d.ops[0] == "rd" and trial == 0:
+                ops[0] = MOp.preg(0)
+            elif d.ops[0] == "rd" and trial == 1 and d.ops[1] == "rs1":
+                ops[0] = ops[1]  # rd aliases a source
+            state = _random_state(rng, memory)
+            word = tgt.encode(MachineInstr(d.mnemonic, ops), desc).word
+            sim.mem_write32(state.mem, state.pc, word)
+            want = sim.SimState(list(state.regs), state.pc, dict(state.mem))
+            sim.step(state, desc)
+            _reference_step(want, desc)
+            assert (state.regs, state.mem, state.pc) == \
+                (want.regs, want.mem, want.pc), (d.mnemonic, ops)
+
+
+def test_reloaded_description_runs_identically(desc):
+    again = tgt.load_default_desc()
+    assert again is not desc
+    rng = random.Random(65)
+    for name, d in sorted(desc.instrs.items()):
+        d2 = again.instrs[name]
+        assert d2 == d and d2.sem == d.sem
+        if d.sem is None:
+            assert d.run is None and d2.run is None
+            continue
+        roles = [r for r in d.ops if r != "rd"]
+        for _ in range(20):
+            base = _random_state(rng, True)
+            states = [sim.SimState(list(base.regs), mem=dict(base.mem))
+                      for _ in range(3)]
+            vals = [base.regs[rng.randrange(32)] if r.startswith("rs")
+                    else 4 * rng.randrange(8) for r in roles]
+            got = [d.run(states[0], vals), d2.run(states[1], vals),
+                   _eval_sem(d2.sem, dict(zip(roles, vals)), states[2])]
+            assert got[0] == got[1] == got[2], name
+            assert states[0].mem == states[1].mem == states[2].mem, name
+
+
+@pytest.mark.parametrize("mattr", ALL_MATTRS)
+def test_trace_steps_decode_like_decode(mattr, desc, monkeypatch):
+    """Each TraceStep decodes its word on demand exactly as decode does,
+    and the trace has one entry per step."""
+    ext = tgt.parse_mattr(mattr)
+    steps = []
+    real_step = sim.step
+    monkeypatch.setattr(sim, "step",
+                        lambda *a: steps.append(1) or real_step(*a))
+    rng = random.Random(64)
+    for name, (fname, n_ptrs, n_ints) in sorted(CORPUS_SHAPES.items()):
+        mod = corpus_module(name)
+        gaddrs = sim.assign_global_addrs(mod)
+        _, _, mf, _ = compile_corpus(name, desc, mattr, fname)
+        words = codegen.emit_words(mf, desc, gaddrs)
+        args, mem = synth_args(rng, n_ptrs, n_ints)
+        mem.update(sim.seed_globals(mod, gaddrs))
+        steps.clear()
+        _, _, trace = sim.run_function(words, args, mem, desc=desc, ext=ext)
+        assert len(trace) == len(steps) == len(words), name
+        for s in trace:
+            assert s.word == words[(s.pc - sim.PROGRAM_BASE) // 4]
+            assert s.mi == tgt.decode(s.word, desc, ext), (name, s.pc)
+            assert s.mi.mnemonic == s.d.mnemonic
+
+
+def test_program_over_seeded_memory_traps(desc):
+    # 1102 words reach past GLOBAL_BASE: without the check the program
+    # silently overwrote the word seeded there
+    nop = tgt.encode(MachineInstr(
+        "ADDI", [MOp.preg(0), MOp.preg(0), MOp.imm(0)]), desc).word
+    lw = tgt.encode(MachineInstr(
+        "LW", [MOp.preg(10), MOp.preg(10), MOp.imm(0)]), desc).word
+    ret = tgt.encode(MachineInstr(
+        "JALR", [MOp.preg(0), MOp.preg(1), MOp.imm(0)]), desc).word
+    mem = {}
+    sim.mem_write32(mem, sim.GLOBAL_BASE, 1234)
+    with pytest.raises(sim.SimTrap, match="program at 0x00001000..0x00002138 "
+                       "overlaps seeded memory at 0x00002000"):
+        sim.run_function([nop] * 1100 + [lw, ret], [sim.GLOBAL_BASE], mem,
+                         desc=desc)
+    got, _, _ = sim.run_function([nop] * 1000 + [lw, ret], [sim.GLOBAL_BASE],
+                                 mem, desc=desc)
+    assert got == 1234
 
 
 def test_misaligned_word_access_traps(desc):

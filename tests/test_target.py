@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -133,6 +134,8 @@ _BAD_RECORDS = {
                         "opcode or funct value too wide"),
     "funct7-too-wide": (_FOO.replace("funct7=0b0000000", "funct7=0b10000000"),
                         "opcode or funct value too wide"),
+    "role-outside-format": (_FOO.replace("rd,rs1,rs2", "rd,rs1,imm12"),
+                            "format R has no imm12 field"),
 }
 
 
@@ -141,6 +144,15 @@ _BAD_RECORDS = {
 def test_bad_record_rejected(text, message):
     with pytest.raises(tgt.TargetError, match=message):
         tgt.load_target_desc("extension I\n" + text + "\n")
+
+
+def test_a_dropped_description_is_freed_at_once():
+    # no reference cycle: a description that is loaded per call, as
+    # run_function without `desc` does, is not left to the cyclic collector
+    desc = tgt.load_default_desc()
+    ref = weakref.ref(desc)
+    del desc
+    assert ref() is None
 
 
 def test_every_instruction_but_jalr_has_a_sem(desc):
