@@ -313,6 +313,15 @@ def _parse_operand_token(tok: str):
         raise AsmError(f"bad operand {tok!r}") from None
 
 
+# alias -> (instruction, operands); None marks an operand the line supplies
+_ALIASES = {
+    "ret": ("JALR", (MOp.preg(X0), MOp.preg(RA), MOp.imm(0))),
+    "li": ("ADDI", (None, MOp.preg(X0), None)),
+    "mv": ("ADDI", (None, None, MOp.imm(0))),
+    "not": ("XORI", (None, None, MOp.imm(-1))),
+}
+
+
 def parse_asm_line(line: str, desc: tgt.TargetDesc) -> MachineInstr | None:
     """One instruction or None for blank/label/directive lines."""
     line = line.split("#")[0].split(";")[0].strip()
@@ -323,37 +332,36 @@ def parse_asm_line(line: str, desc: tgt.TargetDesc) -> MachineInstr | None:
     rest = parts[1] if len(parts) > 1 else ""
     toks = [t.strip() for t in rest.split(",")] if rest.strip() else []
 
-    if mn == "ret":
-        return MachineInstr("JALR", [MOp.preg(X0), MOp.preg(RA), MOp.imm(0)],
-                            is_ret=True)
-    if mn == "li":
-        return MachineInstr("ADDI", [_parse_operand_token(toks[0]),
-                                     MOp.preg(X0), _parse_operand_token(toks[1])])
-    if mn == "mv":
-        return MachineInstr("ADDI", [_parse_operand_token(toks[0]),
-                                     _parse_operand_token(toks[1]), MOp.imm(0)])
-    if mn == "not":
-        return MachineInstr("XORI", [_parse_operand_token(toks[0]),
-                                     _parse_operand_token(toks[1]), MOp.imm(-1)])
-
-    d = desc.by_asm.get(mn)
-    if d is None:
-        raise AsmError(f"unknown mnemonic {mn!r}")
-    ops: list[MOp] = []
-    if _memory_spelling(d):
-        if len(toks) != 2:
-            raise AsmError(f"{mn}: expected 'reg, imm(base)'")
-        m = _MEM_RE.match(toks[1].replace(" ", ""))
-        if not m:
-            raise AsmError(f"{mn}: bad memory operand {toks[1]!r}")
-        ops.append(_parse_operand_token(toks[0]))
-        ops.append(MOp.preg(parse_reg(m.group(2))))
-        ops.append(_parse_operand_token(m.group(1)))
+    if mn in _ALIASES:
+        mnemonic, template = _ALIASES[mn]
+        written = [_parse_operand_token(t) for t in toks]
+        if len(written) != template.count(None):
+            raise AsmError(f"{mn}: expected {template.count(None)} operands, "
+                           f"got {len(written)}")
+        it = iter(written)
+        mi = MachineInstr(mnemonic, [next(it) if op is None else op
+                                     for op in template], is_ret=mn == "ret")
     else:
+        d = desc.by_asm.get(mn)
+        if d is None:
+            raise AsmError(f"unknown mnemonic {mn!r}")
+        if _memory_spelling(d):
+            if len(toks) != 2:
+                raise AsmError(f"{mn}: expected 'reg, imm(base)'")
+            m = _MEM_RE.match(toks[1].replace(" ", ""))
+            if not m:
+                raise AsmError(f"{mn}: bad memory operand {toks[1]!r}")
+            toks = [toks[0], m.group(2), m.group(1)]
         ops = [_parse_operand_token(t) for t in toks]
-    if len(ops) != len(d.ops):
-        raise AsmError(f"{mn}: expected {len(d.ops)} operands, got {len(ops)}")
-    return MachineInstr(d.mnemonic, ops)
+        if len(ops) != len(d.ops):
+            raise AsmError(f"{mn}: expected {len(d.ops)} operands, "
+                           f"got {len(ops)}")
+        mi = MachineInstr(d.mnemonic, ops)
+    try:  # each operand's kind and range, by the encoder's own rules
+        tgt.encode(mi, desc)
+    except tgt.TargetError as e:
+        raise AsmError(str(e)) from None
+    return mi
 
 
 def parse_asm(text: str, desc: tgt.TargetDesc) -> list[MachineInstr]:
@@ -418,7 +426,7 @@ def parse_obj_functions(text: str) -> tuple[list[int], list[tuple[int, str, str]
     relocs = []
     starts = {}
     base = 0  # words before the current function
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -426,10 +434,20 @@ def parse_obj_functions(text: str) -> tuple[list[int], list[tuple[int, str, str]
             base = len(words)
             starts[line[len("# function"):].strip()] = base
         elif line.startswith("# reloc"):
-            _, _, idx, kind, sym = line.split()
-            relocs.append((base + int(idx), kind.lower(), sym))
+            fields = line.split()
+            if len(fields) != 5 or not fields[2].isdecimal() \
+                    or fields[3] not in ("HI20", "LO12"):
+                raise AsmError(f"line {lineno}: expected '# reloc INDEX "
+                               f"HI20|LO12 SYMBOL', got {line!r}")
+            relocs.append((base + int(fields[2]), fields[3].lower(), fields[4]))
         elif not line.startswith("#"):
-            words.append(int(line, 16))
+            try:
+                word = int(line, 16)
+            except ValueError:
+                word = -1  # rejected below, as out-of-range words are
+            if not 0 <= word <= 0xFFFFFFFF:
+                raise AsmError(f"line {lineno}: bad object word {line!r}")
+            words.append(word)
     return words, relocs, starts
 
 

@@ -1,7 +1,9 @@
 """The rv32x command line: opt / llc / mc / run / lit / filecheck.
 
 Every subcommand is callable in-process through run_command, which the
-lit-style test runner uses to execute RUN pipelines without a shell.
+lit-style test runner uses to execute RUN pipelines without a shell. A
+process builds one argument parser and loads one target description, on
+the first command that needs each, and every later command reuses them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from . import ir, midend, isel, codegen, sim
 from . import target as tgt
 
 PROG = "rv32x"
+
+# Built on first use and shared by every later command of the process:
+# parse_args keeps no state between calls, and a TargetDesc is immutable.
+_parser: argparse.ArgumentParser | None = None
+_desc: tgt.TargetDesc | None = None
 
 
 class DriverError(Exception):
@@ -99,6 +106,13 @@ def _opt_level(args) -> str:
     return "O2"
 
 
+def _default_desc() -> tgt.TargetDesc:
+    global _desc
+    if _desc is None:
+        _desc = tgt.load_default_desc()
+    return _desc
+
+
 def _mattr(args) -> frozenset[str]:
     text = args.mattr if args.mattr is not None else os.environ.get("RV32X_MATTR")
     return tgt.parse_mattr(text)
@@ -122,7 +136,7 @@ def cmd_opt(args, stdin, stdout, stderr) -> int:
 
 def cmd_llc(args, stdin, stdout, stderr) -> int:
     text, source = _read_input(args.input, stdin)
-    desc = tgt.load_default_desc()
+    desc = _default_desc()
     ext = _mattr(args)
     cm = compile_ir_text(text, source, desc, ext, _opt_level(args),
                          args.zba_threshold, want_dots=args.emit == "dot")
@@ -147,7 +161,7 @@ def cmd_llc(args, stdin, stdout, stderr) -> int:
 
 
 def cmd_mc(args, stdin, stdout, stderr) -> int:
-    desc = tgt.load_default_desc()
+    desc = _default_desc()
     ext = _mattr(args)
     text, source = _read_input(args.input, stdin)
     if args.disassemble:
@@ -176,26 +190,51 @@ def cmd_mc(args, stdin, stdout, stderr) -> int:
 
 
 def _parse_mem_flag(flag: str) -> dict[int, int]:
+    """`addr:hexbytes`, `;`-separated, as one byte per address."""
     mem = {}
     for part in flag.split(";"):
         if not part:
             continue
-        addr_s, _, hexbytes = part.partition(":")
-        addr = int(addr_s, 0)
-        data = bytes.fromhex(hexbytes)
+        addr_s, colon, hexbytes = part.partition(":")
+        if not colon:
+            raise DriverError(f"--mem: expected addr:hexbytes, got {part!r}")
+        try:
+            addr = int(addr_s, 0)
+        except ValueError:
+            raise DriverError(f"--mem: bad address {addr_s!r}") from None
+        try:
+            data = bytes.fromhex(hexbytes)
+        except ValueError:
+            raise DriverError(f"--mem: bad hex bytes {hexbytes!r}") from None
+        if addr < 0 or addr + len(data) > 1 << 32:
+            raise DriverError(f"--mem: address {addr_s} out of range")
         for i, b in enumerate(data):
             mem[addr + i] = b
     return mem
 
 
+def _parse_args_flag(flag: str) -> list[int]:
+    """Comma-separated integers, each a signed or unsigned 32-bit value."""
+    values = []
+    for tok in flag.split(","):
+        try:
+            v = int(tok, 0)
+        except ValueError:
+            raise DriverError(f"--args: bad integer {tok!r}") from None
+        if not -(1 << 31) <= v < 1 << 32:
+            raise DriverError(f"--args: {tok} does not fit in 32 bits")
+        values.append(v)
+    return values
+
+
 def cmd_run(args, stdin, stdout, stderr) -> int:
     text, source = _read_input(args.input, stdin)
-    desc = tgt.load_default_desc()
+    desc = _default_desc()
     ext = _mattr(args)
     mem: dict[int, int] = {}
     for flag in args.mem or ():
         mem.update(_parse_mem_flag(flag))
-    run_args = [int(v, 0) for v in args.args.split(",")] if args.args else []
+    run_args = _parse_args_flag(args.args) if args.args else []
 
     stripped = text.lstrip()
     if stripped.startswith("0x") or stripped.startswith("# function"):
@@ -366,8 +405,11 @@ def run_command(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
 def _run(argv: list[str], stdin) -> tuple[int, str, str]:
     """run_command over a stdin stream, read only by the subcommands that
     take their input from it."""
+    global _parser
     out, err = io.StringIO(), io.StringIO()
-    parser = _build_parser()
+    if _parser is None:
+        _parser = _build_parser()
+    parser = _parser
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)

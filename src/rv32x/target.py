@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .mir import MOp, MachineInstr
 
@@ -170,14 +171,18 @@ class SelPattern(NamedTuple):
     order: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetDesc:
-    instrs: dict[str, InstrDef] = field(default_factory=dict)
-    patterns: list[SelPattern] = field(default_factory=list)
-    by_asm: dict[str, InstrDef] = field(default_factory=dict)  # printed name
+    """A loaded description. It is immutable, so one can be shared by every
+    command of a process: the mappings are read-only views and the
+    sequences are tuples."""
+
+    instrs: Mapping[str, InstrDef]
+    patterns: tuple[SelPattern, ...]
+    by_asm: Mapping[str, InstrDef]  # printed name
     # defs by opcode | funct3 << 12, the word's bits under SLOT_MASK; U-format
     # defs sit in all eight funct3 slots
-    by_opcode: dict[int, list[InstrDef]] = field(default_factory=dict)
+    by_opcode: Mapping[int, tuple[InstrDef, ...]]
 
     def instr(self, mnemonic: str) -> InstrDef:
         try:
@@ -343,8 +348,10 @@ def _sem(text: str, ops: tuple[str, ...], where: str
 def load_target_desc(text: str) -> TargetDesc:
     """Parse a target description. Raises TargetError on duplicate mnemonics,
     encoding collisions among any co-enablable defs, or malformed sems and
-    patterns."""
-    desc = TargetDesc()
+    patterns. The tables are built here and frozen once, at the end."""
+    instrs: dict[str, InstrDef] = {}
+    by_asm: dict[str, InstrDef] = {}
+    patterns: list[SelPattern] = []
     ext = "I"
     order = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -359,10 +366,10 @@ def load_target_desc(text: str) -> TargetDesc:
             continue
         if line.startswith("instr "):
             d = _parse_instr(line, ext, where)
-            if d.mnemonic in desc.instrs:
+            if d.mnemonic in instrs:
                 raise TargetError(f"{where}: duplicate mnemonic {d.mnemonic}")
-            desc.instrs[d.mnemonic] = d
-            desc.by_asm.setdefault(d.asm, d)
+            instrs[d.mnemonic] = d
+            by_asm.setdefault(d.asm, d)
             continue
         if line.startswith("pattern "):
             body = line[len("pattern "):]
@@ -370,15 +377,16 @@ def load_target_desc(text: str) -> TargetDesc:
                 src_text, _, tgt_text = body.partition("=>")
                 src = _parse_sexpr(src_text, where)
                 tgt = _parse_sexpr(tgt_text, where)
-                _check_pattern(src, tgt, desc, where)
+                _check_pattern(src, tgt, instrs, where)
             else:
-                src, tgt = _sem_pattern(body.strip(), desc, where)
-            desc.patterns.append(SelPattern(src, tgt, ext, src.size(), order))
+                src, tgt = _sem_pattern(body.strip(), instrs, where)
+            patterns.append(SelPattern(src, tgt, ext, src.size(), order))
             order += 1
             continue
         raise TargetError(f"{where}: unrecognized record {line!r}")
-    _index_encodings(desc)
-    return desc
+    return TargetDesc(MappingProxyType(instrs), tuple(patterns),
+                      MappingProxyType(by_asm),
+                      MappingProxyType(_index_encodings(instrs)))
 
 
 def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
@@ -459,10 +467,10 @@ def _check_sem(node: PatNode, roles: tuple[str, ...], where: str):
         _check_sem(c, roles, where)
 
 
-def _sem_pattern(mnemonic: str, desc: TargetDesc, where: str):
+def _sem_pattern(mnemonic: str, instrs: dict[str, InstrDef], where: str):
     """`pattern MNEMONIC`: the instruction's sem is the source, and the
     target takes the source operands in record order."""
-    d = desc.instrs.get(mnemonic)
+    d = instrs.get(mnemonic)
     if d is None or d.sem is None:
         raise TargetError(f"{where}: pattern {mnemonic}: no instruction "
                           f"{mnemonic} with a sem")
@@ -492,7 +500,8 @@ def _captures(node: PatNode, out: set[str]):
         _captures(c, out)
 
 
-def _check_pattern(src: PatNode, tgt: PatNode, desc: TargetDesc, where: str):
+def _check_pattern(src: PatNode, tgt: PatNode, instrs: dict[str, InstrDef],
+                   where: str):
     src_caps: set[str] = set()
     tgt_caps: set[str] = set()
     _captures(src, src_caps)
@@ -500,20 +509,20 @@ def _check_pattern(src: PatNode, tgt: PatNode, desc: TargetDesc, where: str):
     if not tgt_caps <= src_caps:
         raise TargetError(f"{where}: target captures {tgt_caps - src_caps} "
                           "not bound by source")
-    _check_target(tgt, desc, where)
+    _check_target(tgt, instrs, where)
 
 
-def _check_target(node: PatNode, desc: TargetDesc, where: str):
-    """A module-level function, not a closure over `desc`: a recursive
+def _check_target(node: PatNode, instrs: dict[str, InstrDef], where: str):
+    """A module-level function, not a closure over `instrs`: a recursive
     closure is a reference cycle, and it would leave every loaded
     description to the cyclic garbage collector."""
     if node.kind in ("capture", "const"):
         return
-    if node.kind not in desc.instrs:
+    if node.kind not in instrs:
         raise TargetError(f"{where}: pattern target uses unknown "
                           f"instruction {node.kind!r}")
     for c in node.children:
-        _check_target(c, desc, where)
+        _check_target(c, instrs, where)
 
 
 def _collide(a: InstrDef, b: InstrDef) -> bool:
@@ -521,17 +530,21 @@ def _collide(a: InstrDef, b: InstrDef) -> bool:
     return not (a.match ^ b.match) & a.mask & b.mask
 
 
-def _index_encodings(desc: TargetDesc):
-    """Fill desc.by_opcode. Defs can only collide within one (opcode, funct3)
-    slot, so each def is checked against the defs of its own slots."""
-    for d in desc.instrs.values():
+def _index_encodings(instrs: dict[str, InstrDef]
+                     ) -> dict[int, tuple[InstrDef, ...]]:
+    """The by_opcode table. Defs can only collide within one (opcode,
+    funct3) slot, so each def is checked against the defs of its own
+    slots."""
+    slots: dict[int, list[InstrDef]] = {}
+    for d in instrs.values():
         for funct3 in range(8) if d.fmt == "U" else (d.funct3,):
-            slot = desc.by_opcode.setdefault(d.opcode | funct3 << 12, [])
+            slot = slots.setdefault(d.opcode | funct3 << 12, [])
             for other in slot:
                 if _collide(other, d):
                     raise TargetError(f"encoding collision between "
                                       f"{other.mnemonic} and {d.mnemonic}")
             slot.append(d)
+    return {key: tuple(slot) for key, slot in slots.items()}
 
 
 def load_default_desc() -> TargetDesc:

@@ -158,6 +158,48 @@ def test_mattr_env_var_default(monkeypatch):
     assert code == 0 and "lxr" not in out
 
 
+def test_a_process_builds_one_parser_and_loads_one_description(monkeypatch):
+    builds, loads = [], []
+    build, load = driver._build_parser, tgt.load_target_desc
+    monkeypatch.setattr(driver, "_parser", None)
+    monkeypatch.setattr(driver, "_desc", None)
+    monkeypatch.setattr(driver, "_build_parser",
+                        lambda: builds.append(1) or build())
+    monkeypatch.setattr(tgt, "load_target_desc",
+                        lambda text: loads.append(1) or load(text))
+    codes = [run_command(argv, stdin_text=stdin)[0] for argv, stdin in (
+        (["llc", path("sbox.ll"), "--mattr=+xcrypt"], ""),
+        (["mc", "--show-encoding", "-"], "addi a0, a0, 1\nret\n"),
+        (["run", path("rori.ll"), "--args=1"], ""),
+        (["llc", "--frobnicate", path("rori.ll")], ""),
+        (["lit"], ""),
+        (["llc", path("madd.ll"), "--emit=obj"], ""))]
+    assert codes == [0, 0, 0, 2, 0, 0]
+    assert len(builds) == 1
+    assert len(loads) <= 1
+
+
+def test_the_shared_parser_keeps_no_state_between_commands(monkeypatch):
+    # a repeated --mem appends to a fresh list on every command
+    lxr = ["run", path("lxr.ll"), "--args=0x4000,0x4004"]
+    both = lxr + ["--mem=0x4000:0f000000", "--mem=0x4004:f0000000"]
+    assert run_command(both) == run_command(both) == (0, "a0 = 255\n", "")
+    assert run_command(lxr + ["--mem=0x4004:f0000000"]) == \
+        (0, "a0 = 240\n", "")
+    # after a usage error, a command runs as in a fresh process
+    sbox = ["llc", path("sbox.ll"), "--mattr=+xcrypt", "--emit=obj"]
+    monkeypatch.setattr(driver, "_parser", None)
+    monkeypatch.setattr(driver, "_desc", None)
+    fresh = run_command(sbox)
+    assert run_command(["llc", "--emit=elf", path("sbox.ll")])[0] == 2
+    assert run_command(["run", path("rori.ll"), "--fuel=lots"])[0] == 2
+    assert run_command(sbox) == fresh
+    for argv in (["--help"], ["run", "--help"]):
+        first = run_command(argv)
+        assert first[0] == 0 and "usage:" in first[1]
+        assert run_command(argv) == first
+
+
 def test_lit_subcommand_end_to_end():
     code, out, _ = run_command(["lit", str(LIT_TESTS), "-v"])
     assert code == 0
@@ -328,3 +370,57 @@ def test_main_leaves_stdin_unread_for_a_file_input(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", OpenPipe())
     assert main(["run", "-O0", path("rori.ll"), "--args=1"]) == 0
     assert capsys.readouterr().out == "a0 = 1073741824\n"
+
+
+@pytest.mark.parametrize("argv,stdin,named", [
+    (["run", path("rori.ll"), "--args=zz"], "", "'zz'"),
+    (["run", path("rori.ll"), "--args=1,,2"], "", "''"),
+    (["run", path("rori.ll"), "--args=99999999999"], "", "99999999999"),
+    (["run", path("rori.ll"), "--args=-2147483649"], "", "-2147483649"),
+    (["run", path("rori.ll"), "--mem=0x10:zz"], "", "'zz'"),
+    (["run", path("rori.ll"), "--mem=zz:00"], "", "'zz'"),
+    (["run", path("rori.ll"), "--mem=-4:00"], "", "-4"),
+    (["run", path("rori.ll"), "--mem=0x10"], "", "'0x10'"),
+    (["run", "-"], "0x00000013\n0xzz\n", "line 2: bad object word '0xzz'"),
+    (["mc", "--disassemble", "-"], "0xzz\n", "'0xzz'"),
+    (["run", "-"], "0x00000013\n# reloc 0\n", "line 2:"),
+    (["mc", "--disassemble", "-"], "0x1ffffffff\n", "'0x1ffffffff'"),
+    (["run", "-"], "0x1ffffffff\n", "'0x1ffffffff'"),
+], ids=["args-word", "args-empty", "args-wide", "args-negative", "mem-bytes",
+        "mem-address", "mem-negative", "mem-no-colon", "obj-word-run",
+        "obj-word-mc", "obj-reloc", "obj-wide-mc", "obj-wide-run"])
+def test_malformed_input_is_a_diagnosed_error(argv, stdin, named):
+    code, out, err = run_command(argv, stdin_text=stdin)
+    assert code == 1 and out == ""
+    assert err.startswith("rv32x: error:") and named in err, err
+
+
+def test_args_span_signed_and_unsigned_32_bits():
+    for value in ("-1", "4294967295", "-2147483648"):
+        code, out, err = run_command(["run", path("identity.ll"),
+                                      f"--args={value}"])
+        assert code == 0, err
+        assert out == f"a0 = {int(value) & 0xFFFFFFFF}\n"
+
+
+@pytest.mark.parametrize("line,why", [
+    ("addi a0, a0, 99999", "immediate 99999 out of imm12 range"),
+    ("slli a0, a0, 40", "shift amount 40 out of uimm5 range"),
+    ("lw a0, 5000(a1)", "immediate 5000 out of imm12 range"),
+    ("lui a0, -1", "immediate -1 out of imm20 range"),
+    ("add a0, a1, 5", "rs2 must be a register"),
+    ("sw 5, 0(a1)", "rs2 must be a register"),
+    ("lw a0, 0(zz)", "bad operand 'zz'"),
+    ("addi a0, a0, %hi(g)", "hi20 relocation is only valid on imm20"),
+    ("li a0", "li: expected 2 operands, got 1"),
+    ("mv a0", "mv: expected 2 operands, got 1"),
+    ("not", "not: expected 2 operands, got 0"),
+    ("ret a0", "ret: expected 0 operands, got 1"),
+])
+def test_mc_rejects_what_it_cannot_encode(line, why):
+    # nothing prints asm that --emit=obj would reject
+    for emit in ("asm", "obj"):
+        code, out, err = run_command(["mc", f"--emit={emit}", "-"],
+                                     stdin_text=f"mv a0, a1\n{line}\n")
+        assert code == 1 and out == ""
+        assert err.startswith("rv32x: error: line 2: ") and why in err, err

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import weakref
 
@@ -153,6 +154,30 @@ def test_a_dropped_description_is_freed_at_once():
     ref = weakref.ref(desc)
     del desc
     assert ref() is None
+
+
+def test_a_loaded_description_is_immutable():
+    desc = tgt.load_default_desc()
+    add = desc.instrs["ADD"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        desc.instrs = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        desc.patterns = ()
+    for table, key in ((desc.instrs, "ADD"), (desc.by_asm, "add"),
+                       (desc.by_opcode, 0x33)):
+        with pytest.raises(TypeError):
+            table[key] = add
+        with pytest.raises(TypeError):
+            del table[key]
+        with pytest.raises(AttributeError):
+            table.clear()
+    with pytest.raises(TypeError):
+        desc.patterns[0] = desc.patterns[1]
+    with pytest.raises(AttributeError):
+        desc.patterns.append(desc.patterns[0])
+    with pytest.raises(AttributeError):
+        desc.by_opcode[0x33].append(add)
+    assert all(type(slot) is tuple for slot in desc.by_opcode.values())
 
 
 def test_every_instruction_but_jalr_has_a_sem(desc):
