@@ -10,6 +10,7 @@ redone with three scratch registers reserved for reload sequences.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import target as tgt
@@ -45,10 +46,8 @@ class _Interval:
     uses: list[int]
 
     def next_use(self, after: int) -> int:
-        for u in self.uses:
-            if u > after:
-                return u
-        return 1 << 30
+        i = bisect_right(self.uses, after)
+        return self.uses[i] if i < len(self.uses) else 1 << 30
 
 
 def _intervals(mf: MachineFunction, desc: tgt.TargetDesc):
@@ -66,7 +65,7 @@ def _intervals(mf: MachineFunction, desc: tgt.TargetDesc):
                 uses.setdefault(op.val, []).append(i)
     out = []
     for v, b in born.items():
-        us = sorted(uses.get(v, []))
+        us = uses.get(v, [])  # ascending, as appended
         dies = us[-1] if us else b
         if v == mf.ret_vreg:
             dies = n  # must survive into the return
@@ -99,41 +98,37 @@ def _preg_windows(mf: MachineFunction, desc: tgt.TargetDesc):
 
 def allocate_registers(mf: MachineFunction, desc: tgt.TargetDesc
                        ) -> MachineFunction:
-    """Assign physical registers; spill on overflow. Always succeeds."""
-    out = _allocate(mf, desc, reserve_scratch=False)
+    """Assign physical registers; spill on overflow. Always succeeds. Both
+    attempts scan the same intervals, built once."""
+    intervals = _intervals(mf, desc)
+    pwin = _preg_windows(mf, desc)
+    out = _allocate(mf, desc, intervals, pwin, reserve_scratch=False)
     if out is None:
-        out = _allocate(mf, desc, reserve_scratch=True)
+        out = _allocate(mf, desc, intervals, pwin, reserve_scratch=True)
         if out is None:
             raise CodegenError("register allocation failed even with spilling")
     return out
 
 
-def _allocate(mf: MachineFunction, desc: tgt.TargetDesc, reserve_scratch: bool
-              ) -> MachineFunction | None:
+def _allocate(mf: MachineFunction, desc: tgt.TargetDesc,
+              intervals: list[_Interval], pwin: dict[int, list[int]],
+              reserve_scratch: bool) -> MachineFunction | None:
     pool = [r for r in ALLOC_ORDER
             if not (reserve_scratch and r in SCRATCH_REGS)]
-    intervals = _intervals(mf, desc)
-    pwin = _preg_windows(mf, desc)
     assign: dict[int, int] = {}
     spilled: dict[int, int] = {}
     active: list[_Interval] = []
 
-    def overlaps_preg(iv: _Interval, reg: int) -> bool:
-        w = pwin.get(reg)
-        return w is not None and not (iv.dies <= w[0] or w[1] <= iv.born)
-
     for iv in intervals:
         active = [a for a in active if a.dies > iv.born]
-        taken = {assign[a.vreg] for a in active if a.vreg in assign}
+        # registers held by live intervals or by physical-register windows
+        busy = {assign[a.vreg] for a in active if a.vreg in assign}
+        busy.update(r for r, (start, end) in pwin.items()
+                    if not (iv.dies <= start or end <= iv.born))
         choices = pool
-        if iv.vreg == mf.ret_vreg and A0 not in taken \
-                and not overlaps_preg(iv, A0):
+        if iv.vreg == mf.ret_vreg and A0 not in busy:
             choices = [A0] + pool
-        reg = None
-        for r in choices:
-            if r not in taken and not overlaps_preg(iv, r):
-                reg = r
-                break
+        reg = next((r for r in choices if r not in busy), None)
         if reg is None:
             if not reserve_scratch:
                 return None

@@ -213,6 +213,18 @@ def _parse_mem_flag(flag: str) -> dict[int, int]:
     return mem
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a usage error unless `text` is an integer > 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
 def _parse_args_flag(flag: str) -> list[int]:
     """Comma-separated integers, each a signed or unsigned 32-bit value."""
     values = []
@@ -241,6 +253,7 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
         words, relocs, starts = codegen.parse_obj_functions(text)
         words = codegen.resolve_words(words, relocs, desc, {}, ext)
         mod = None
+        returns = True  # object words have no signature: a0 is printed
         entry = args.entry or next(iter(starts), None)
         if entry is not None:  # without `# function` lines, run every word
             if entry not in starts:
@@ -256,6 +269,11 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
         entry = args.entry or (mod.functions[0].name if mod.functions else None)
         if entry is None or entry not in cm.functions:
             raise DriverError(f"no entry function {entry!r}")
+        fn = mod.function(entry)
+        if len(run_args) != len(fn.params):
+            raise DriverError(f"@{entry} takes {len(fn.params)} arguments, "
+                              f"--args gives {len(run_args)}")
+        returns = fn.return_type != ir.VOID  # else a0 means nothing
         mem.update(sim.seed_globals(mod, cm.global_addrs))
         words = codegen.emit_words(cm.functions[entry].mf, desc,
                                    cm.global_addrs)
@@ -269,7 +287,8 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
         for stepi in trace:
             text = codegen.format_instr(stepi.mi, desc, aliases=False)
             stdout.write(f"0x{stepi.pc:08x}: {text}\n")
-    stdout.write(f"a0 = {a0}\n")
+    if returns:
+        stdout.write(f"a0 = {a0}\n")
     if mod is not None:
         for g in mod.globals:
             addr = cm.global_addrs[g.name]
@@ -374,7 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mem", action="append",
                     help="addr:hexbytes memory image (repeatable)")
     sp.add_argument("--trace", action="store_true")
-    sp.add_argument("--fuel", type=int, default=sim.DEFAULT_FUEL)
+    sp.add_argument("--fuel", type=_positive_int, default=sim.DEFAULT_FUEL,
+                    help="steps to simulate before giving up")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("lit", help="run RUN-line regression tests")

@@ -152,6 +152,18 @@ _RE_DEFINE = re.compile(rf"define\s+(.*?)(\w+)\s+@({_NAME})\s*\((.*)\)\s*(.*){{\
 _RE_LABEL = re.compile(rf"^({_NAME}):\s*(?:;.*)?$")
 _RE_ATTRGROUP = re.compile(r"attributes\s+#(\d+)\s*=\s*{(.*)}")
 _RE_RESULT = re.compile(rf"^%({_NAME})\s*=\s*(.*)$")
+# instruction bodies, matched once per line
+_RE_I64 = re.compile(r"\bi64\b")
+_RE_BINOP = re.compile(r"(\w+)\s+([^,]+),\s*(\S+)$")
+_RE_LOAD = re.compile(r"load\s+(\w+)\s*,\s*ptr\s+(\S+)")
+_RE_STORE = re.compile(r"store\s+(\w+)\s+([^,]+),\s*ptr\s+(\S+)")
+_RE_ALLOCA = re.compile(r"alloca\s+(\w+)")
+_RE_RET = re.compile(r"ret\s+(\w+)\s+(\S+)")
+_RE_GEP = re.compile(r"getelementptr\s+(?:inbounds\s+)?(%?[\w.]+)\s*,\s*ptr\s+"
+                     r"([^,]+),\s*(.*)$")
+_RE_INT = re.compile(r"-?\d+")
+_RE_CALL = re.compile(r"(?:tail\s+)?call\s+(\w+)\s+@([\w.]+)\((.*)\)")
+_RE_FSH = re.compile(r"llvm\.(fshl|fshr)\.i32")
 _SKIP_PREFIXES = ("source_filename", "target datalayout", "target triple",
                   "declare ", "!", ";")
 
@@ -196,6 +208,9 @@ class _Parser:
         self.attr_groups: dict[str, set[str]] = {}
         self.pending_groups: dict[str, set[str]] = {}  # func name -> group ids
         self.params: dict[str, str] = {}  # current function's name -> type
+        # the current function's operands by type and token; a Value is
+        # immutable, so every use of a name shares one
+        self.values: dict[str, dict[str, Value]] = {}
 
     def err(self, msg, lineno, col=1):
         raise IrError(msg, lineno, col, self.source_name)
@@ -291,6 +306,7 @@ class _Parser:
                     self.err(f"unnamed parameter in @{name}", start)
                 params.append((pname[1:], pty))
         self.params = dict(params)
+        self.values = {}
         insts, label, end = self._parse_body(name, start)
         fn = Function(name, tuple(params), return_type,
                       (BasicBlock(label, tuple(insts)),), frozenset(attrs))
@@ -334,6 +350,13 @@ class _Parser:
 
     def _value(self, tok, ty, lineno) -> Value:
         tok = tok.strip()
+        seen = self.values.setdefault(ty, {})
+        v = seen.get(tok)
+        if v is None:
+            v = seen[tok] = self._new_value(tok, ty, lineno)
+        return v
+
+    def _new_value(self, tok, ty, lineno) -> Value:
         if tok.startswith("%"):
             name = tok[1:]
             if name in self.params:
@@ -359,13 +382,15 @@ class _Parser:
         return self._value(toks[1], ty, lineno)
 
     def _parse_inst(self, line, lineno) -> Inst:
-        if re.search(r"\bi64\b", line):
+        if "i64" in line and _RE_I64.search(line):
             self.err("i64 unsupported", lineno)
         result = None
         rest = line
         m = _RE_RESULT.match(line)
         if m:
             result, rest = m.group(1), m.group(2).strip()
+            if not rest:
+                self.err(f"missing instruction after %{result} =", lineno)
         op = rest.split(None, 1)[0]
 
         if op in ("tail", "call") or rest.startswith("call"):
@@ -373,7 +398,7 @@ class _Parser:
         if op in BINOPS:
             return self._parse_binop(op, result, rest, lineno)
         if op == "load":
-            m = re.match(r"load\s+(\w+)\s*,\s*ptr\s+(\S+)", rest)
+            m = _RE_LOAD.match(rest)
             if not m:
                 self.err(f"malformed load: {rest!r}", lineno)
             ty = self._parse_type(m.group(1), lineno)
@@ -382,7 +407,7 @@ class _Parser:
             addr = self._value(m.group(2).rstrip(","), PTR, lineno)
             return Inst("load", result, (addr,), ty)
         if op == "store":
-            m = re.match(r"store\s+(\w+)\s+([^,]+),\s*ptr\s+(\S+)", rest)
+            m = _RE_STORE.match(rest)
             if not m:
                 self.err(f"malformed store: {rest!r}", lineno)
             ty = self._parse_type(m.group(1), lineno)
@@ -392,7 +417,7 @@ class _Parser:
         if op == "getelementptr":
             return self._parse_gep(result, rest, lineno)
         if op == "alloca":
-            m = re.match(r"alloca\s+(\w+)", rest)
+            m = _RE_ALLOCA.match(rest)
             if not m:
                 self.err(f"malformed alloca: {rest!r}", lineno)
             ty = self._parse_type(m.group(1), lineno)
@@ -400,7 +425,7 @@ class _Parser:
         if op == "ret":
             if rest.strip() == "ret void":
                 return Inst("ret", None, (), VOID)
-            m = re.match(r"ret\s+(\w+)\s+(\S+)", rest)
+            m = _RE_RET.match(rest)
             if not m:
                 self.err(f"malformed ret: {rest!r}", lineno)
             ty = self._parse_type(m.group(1), lineno)
@@ -409,9 +434,9 @@ class _Parser:
 
     def _parse_binop(self, op, result, rest, lineno) -> Inst:
         body = rest[len(op):].strip()
-        while body.split(None, 1)[0] in ("nsw", "nuw", "exact") and " " in body:
+        while " " in body and body.split(None, 1)[0] in ("nsw", "nuw", "exact"):
             body = body.split(None, 1)[1]
-        m = re.match(r"(\w+)\s+([^,]+),\s*(\S+)$", body)
+        m = _RE_BINOP.match(body)
         if not m:
             self.err(f"malformed {op}: {rest!r}", lineno)
         ty = self._parse_type(m.group(1), lineno)
@@ -422,8 +447,7 @@ class _Parser:
         return Inst(op, result, (a, b), ty)
 
     def _parse_gep(self, result, rest, lineno) -> Inst:
-        m = re.match(r"getelementptr\s+(?:inbounds\s+)?(%?[\w.]+)\s*,\s*ptr\s+([^,]+),\s*(.*)$",
-                     rest)
+        m = _RE_GEP.match(rest)
         if not m:
             self.err(f"malformed getelementptr: {rest!r}", lineno)
         elem, basetok, idxstr = m.groups()
@@ -431,7 +455,7 @@ class _Parser:
         indices = []
         for part in idxstr.split(","):
             t = part.split()
-            if len(t) != 2 or not re.fullmatch(r"-?\d+", t[1]):
+            if len(t) != 2 or not _RE_INT.fullmatch(t[1]):
                 self.err("getelementptr indices must be integer constants", lineno)
             if t[0] == "i64":
                 self.err("i64 unsupported", lineno)
@@ -459,11 +483,11 @@ class _Parser:
         return indices[0] * scale
 
     def _parse_call(self, result, rest, lineno) -> Inst:
-        m = re.match(r"(?:tail\s+)?call\s+(\w+)\s+@([\w.]+)\((.*)\)", rest)
+        m = _RE_CALL.match(rest)
         if not m:
             self.err(f"malformed call: {rest!r}", lineno)
         rett, callee, argstr = m.groups()
-        fsh = re.fullmatch(r"llvm\.(fshl|fshr)\.i32", callee)
+        fsh = _RE_FSH.fullmatch(callee)
         if not fsh:
             self.err(f"only fshl/fshr/lifetime intrinsic calls are supported, "
                      f"got @{callee}", lineno)
@@ -589,7 +613,7 @@ def _verify_function(fn: Function, gnames) -> list[str]:
             elif types[v.name] != v.ty:
                 note(idx, f"%{v.name} used as {v.ty} but defined as {types[v.name]}")
         elif v.kind == "arg":
-            if v.name not in dict(fn.params):
+            if v.name not in defined:
                 note(idx, f"unknown argument %{v.name}")
         elif v.kind == "global":
             if v.name not in gnames:

@@ -13,8 +13,8 @@ deterministic Kahn linearization ordered by node creation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import heapq
+from typing import NamedTuple
 
 from . import ir
 from . import target as tgt
@@ -57,17 +57,15 @@ class DagNode:
         return f"<{self.kind}#{self.uid}>"
 
 
-@dataclass(frozen=True, eq=False)
-class DagValue:
+class DagValue(NamedTuple):
+    """A DAG edge: result `res` ("val" or "ch") of `node`. It is a named
+    tuple, as mir.MOp is, because select and schedule make one per edge
+    they touch: a tuple builds faster than a frozen dataclass, and its
+    equality and hash over (node, res) compare nodes by identity, since
+    DagNode defines neither."""
+
     node: DagNode
-    res: str = "val"  # "val" | "ch"
-
-    def __eq__(self, other):
-        return (isinstance(other, DagValue) and self.node is other.node
-                and self.res == other.res)
-
-    def __hash__(self):
-        return hash((id(self.node), self.res))
+    res: str = "val"
 
 
 def ch(node: DagNode) -> DagValue:
@@ -81,13 +79,14 @@ def val(node: DagNode) -> DagValue:
 # edge slots, as reported by SelDag.uses(): ("op", i), CHAIN or RET
 CHAIN = ("chain",)
 RET = ("ret",)
+_OPS = tuple(("op", i) for i in range(8))  # more operands than any node has
 
 
 def _edges(n: DagNode):
     """(slot, DagValue) for every operand edge of `n`."""
     for i, op in enumerate(n.ops):
         if isinstance(op, DagValue):
-            yield ("op", i), op
+            yield _OPS[i], op
     if n.chain is not None:
         yield CHAIN, n.chain
     if n.ret_value is not None:
@@ -752,48 +751,33 @@ def schedule(dag: SelDag) -> MachineFunction:
     node creation index), then one MachineInstr per machine node over fresh
     virtual registers."""
     nodes = dag.live_nodes()
-    indeg = {id(n): 0 for n in nodes}
-    succs: dict[int, list[DagNode]] = {id(n): [] for n in nodes}
-
-    def edge(src: DagNode, dst: DagNode):
-        succs[id(src)].append(dst)
-        indeg[id(dst)] += 1
-
-    for n in nodes:
-        for op in n.ops:
-            if isinstance(op, DagValue):
-                edge(op.node, n)
-        if n.chain is not None:
-            edge(n.chain.node, n)
-        if n.ret_value is not None:
-            edge(n.ret_value.node, n)
-
-    ready = [n.uid for n in nodes if indeg[id(n)] == 0]
+    # operand edges not yet scheduled; a live node's users are its use list
+    indeg = {n: sum(1 for _ in _edges(n)) for n in nodes}
+    ready = [n.uid for n in nodes if indeg[n] == 0]
     heapq.heapify(ready)
     by_uid = {n.uid: n for n in nodes}
     linear: list[DagNode] = []
     while ready:
         n = by_uid[heapq.heappop(ready)]
         linear.append(n)
-        for s in succs[id(n)]:
-            indeg[id(s)] -= 1
-            if indeg[id(s)] == 0:
+        for s, _ in dag._uses.get(n, ()):
+            indeg[s] -= 1
+            if indeg[s] == 0:
                 heapq.heappush(ready, s.uid)
     if len(linear) != len(nodes):
         raise IselError("cycle in selection DAG")
 
     mf = MachineFunction(dag.name)
-    vreg_of: dict[int, int] = {}
+    vreg_of: dict[DagNode, MOp] = {}  # each result's operand, for every use
     nvreg = 0
 
     def operand_mop(op) -> MOp:
-        nonlocal nvreg
         if isinstance(op, DagValue):
             src = op.node
             if src.kind == "Register":
                 rkind, ridx = src.value
                 return MOp.preg(10 + ridx if rkind == "arg" else ridx)
-            return MOp.vreg(vreg_of[id(src)])
+            return vreg_of[src]
         tag = op[0]
         if tag == "imm":
             return MOp.imm(op[1])
@@ -818,8 +802,8 @@ def schedule(dag: SelDag) -> MachineFunction:
             continue
         ops: list[MOp] = []
         if n.vt != "none":
-            vreg_of[id(n)] = nvreg
-            ops.append(MOp.vreg(nvreg))
+            vreg_of[n] = MOp.vreg(nvreg)
+            ops.append(vreg_of[n])
             nvreg += 1
         for op in n.ops:
             ops.append(operand_mop(op))

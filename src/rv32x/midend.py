@@ -12,6 +12,7 @@ rewrites.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import ir
@@ -83,12 +84,12 @@ class _Renames:
         return v
 
     def inst(self, inst: Inst) -> Inst:
-        if not self.map:
-            return inst
-        ops = tuple(self.value(o) for o in inst.operands)
-        if ops == inst.operands:
-            return inst
-        return Inst(inst.opcode, inst.result, ops, inst.ty, inst.alloc_ty)
+        for o in inst.operands:
+            if o.kind == "temp" and o.name in self.map:
+                ops = tuple(self.value(o) for o in inst.operands)
+                return Inst(inst.opcode, inst.result, ops, inst.ty,
+                            inst.alloc_ty)
+        return inst
 
 
 def _def_map(body) -> dict[str, Inst]:
@@ -181,7 +182,9 @@ _PURE = set(ir.BINOPS) | set(ir.INTRINSICS) | {"getelementptr"}
 def _vn_key(inst: Inst):
     ops = inst.operands
     if inst.opcode in ir.COMMUTATIVE:
-        ops = tuple(sorted(ops, key=lambda v: (v.kind, v.name, v.const)))
+        a, b = ops
+        if (b.kind, b.name, b.const) < (a.kind, a.name, a.const):
+            ops = (b, a)
     return (inst.opcode, ops)
 
 
@@ -231,31 +234,27 @@ def _is_not(inst: Inst) -> bool:
             and inst.operands[1].kind == "const" and inst.operands[1].const == -1)
 
 
-def _use_counts(body) -> dict[str, int]:
-    uses: dict[str, int] = {}
-    for inst in body:
-        for op in inst.operands:
-            if op.kind == "temp":
-                uses[op.name] = uses.get(op.name, 0) + 1
-    return uses
+def _use_counts(body) -> Counter[str]:
+    return Counter(op.name for inst in body for op in inst.operands
+                   if op.kind == "temp")
 
 
-def _dce(body, stats: PassStats):
-    """Drop pure instructions (loads included) whose results are unused."""
-    changed = True
-    body = list(body)
-    while changed:
-        changed = False
-        uses = _use_counts(body)
-        kept = []
-        for inst in body:
-            if inst.result is not None and inst.result not in uses \
-                    and (inst.opcode in _PURE or inst.opcode == "load"):
-                changed = True
-                continue
-            kept.append(inst)
-        body = kept
-    return body
+def _dce(body) -> list[Inst]:
+    """Drop pure instructions (loads included) whose results are unused. One
+    backward pass: a dropped instruction gives up its operands' uses before
+    the walk reaches their definitions, so a dead chain goes at once."""
+    uses = _use_counts(body)
+    kept = []
+    for inst in reversed(body):
+        if inst.result is not None and not uses.get(inst.result) \
+                and (inst.opcode in _PURE or inst.opcode == "load"):
+            for op in inst.operands:
+                if op.kind == "temp":
+                    uses[op.name] -= 1
+            continue
+        kept.append(inst)
+    kept.reverse()
+    return kept
 
 
 def _forward_load(load: Inst, prior_insts: list[Inst], defs) -> Value | None:
@@ -356,8 +355,9 @@ def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]
 
         emit(inst)
 
-    body = [renames.inst(i) for i in out]
-    return body, changed
+    # every instruction was renamed above, and in SSA no use precedes the
+    # rename of its definition
+    return out, changed
 
 
 def _combine_and_xor(inst: Inst, defs) -> Inst | None:
@@ -415,7 +415,7 @@ def pass_inst_combine(fn: ir.Function, stats: PassStats,
     else:
         raise PassError(f"instcombine did not reach a fixpoint in "
                         f"{max_iterations} iterations on @{fn.name}")
-    return fn.with_body(_dce(body, stats))
+    return fn.with_body(_dce(body))
 
 
 # --------------------------------------------------------------------------
@@ -463,10 +463,10 @@ def pass_reassociate(fn: ir.Function, stats: PassStats) -> ir.Function:
     out = []
     for inst in fn.body:
         if inst.opcode in ir.COMMUTATIVE:
-            ops = tuple(sorted(inst.operands, key=key))
-            if ops != inst.operands:
+            a, b = inst.operands
+            if key(b) < key(a):
                 stats.bump("reassociate.insts-reassociated")
-                inst = Inst(inst.opcode, inst.result, ops, inst.ty)
+                inst = Inst(inst.opcode, inst.result, (b, a), inst.ty)
         out.append(inst)
     return fn.with_body(out)
 

@@ -8,6 +8,7 @@ operand-role list of the owning instruction definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 ABI_NAMES = (
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1",
@@ -36,12 +37,16 @@ def parse_reg(tok: str) -> int:
     return REG_INDEX[tok]
 
 
-@dataclass(frozen=True)
-class MOp:
+class MOp(NamedTuple):
     """Machine operand.
 
     kind: "vreg" (val = virtual id), "preg" (val = x-index), "imm" (val = int),
     "sym" (val = symbol name, reloc = "hi20" | "lo12").
+
+    It is a named tuple for the reason PatNode is one: a compile makes one
+    per operand of every machine instruction, and a tuple of atomic values
+    is cheaper to build than a frozen dataclass and is dropped from the
+    cyclic collector's tracking, which a dataclass instance never is.
     """
 
     kind: str
@@ -54,7 +59,7 @@ class MOp:
 
     @staticmethod
     def preg(n: int) -> "MOp":
-        return MOp("preg", n)
+        return _PREGS[n]
 
     @staticmethod
     def imm(v: int) -> "MOp":
@@ -63,6 +68,9 @@ class MOp:
     @staticmethod
     def sym(name: str, reloc: str) -> "MOp":
         return MOp("sym", name, reloc)
+
+
+_PREGS = tuple(MOp("preg", i) for i in range(32))
 
 
 @dataclass

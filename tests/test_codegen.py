@@ -78,6 +78,30 @@ def test_spilling_preserves_semantics(desc):
     assert_runs_like_ir(fn, mf, desc, inputs)
 
 
+def test_allocation_builds_intervals_once_for_both_attempts(monkeypatch,
+                                                           desc):
+    # the scan without scratch registers fails on a function that spills,
+    # and the scan with them reuses its intervals and register windows
+    calls = {"_intervals": 0, "_preg_windows": 0, "_allocate": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(codegen, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(codegen, name, counted)
+    mod = _many_live_values_fn(40)
+    mf, _ = compile_fn(mod.functions[0], mod, desc, None)
+    assert mf.frame_size > 0
+    assert calls == {"_intervals": 1, "_preg_windows": 1, "_allocate": 2}
+
+
+def test_a_physical_register_operand_is_shared():
+    assert MOp.preg(5) is MOp.preg(5)
+    assert MOp.preg(5) == MOp("preg", 5)
+    assert hash(MOp.preg(5)) == hash(MOp("preg", 5))
+    assert MOp.preg(5) != MOp.imm(5) and MOp.vreg(5) != MOp.preg(5)
+
+
 def test_random_synthetic_blocks_survive_allocation(desc):
     """Pressure fuzz: random-width xor trees, simulator equivalence."""
     rng = random.Random(56)

@@ -386,13 +386,39 @@ def test_main_leaves_stdin_unread_for_a_file_input(monkeypatch, capsys):
     (["run", "-"], "0x00000013\n# reloc 0\n", "line 2:"),
     (["mc", "--disassemble", "-"], "0x1ffffffff\n", "'0x1ffffffff'"),
     (["run", "-"], "0x1ffffffff\n", "'0x1ffffffff'"),
+    (["run", "-", "--args=1"], "define i32 @f(i32 %a) {\n  xor\n"
+     "  ret i32 %a\n}\n", "2:1: malformed xor"),
+    (["llc", "-"], "define i32 @f(i32 %a) {\n  %x =\n  ret i32 %a\n}\n",
+     "2:1: missing instruction after %x ="),
+    (["run", "-"], "define i32 @f(i32 %a, i32 %b) { ret i32 %b }",
+     "@f takes 2 arguments, --args gives 0"),
 ], ids=["args-word", "args-empty", "args-wide", "args-negative", "mem-bytes",
         "mem-address", "mem-negative", "mem-no-colon", "obj-word-run",
-        "obj-word-mc", "obj-reloc", "obj-wide-mc", "obj-wide-run"])
+        "obj-word-mc", "obj-reloc", "obj-wide-mc", "obj-wide-run",
+        "bare-opcode", "bare-result", "args-missing"])
 def test_malformed_input_is_a_diagnosed_error(argv, stdin, named):
     code, out, err = run_command(argv, stdin_text=stdin)
     assert code == 1 and out == ""
     assert err.startswith("rv32x: error:") and named in err, err
+
+
+def test_run_fuel_must_be_positive():
+    for fuel in ("0", "-3"):
+        code, out, err = run_command(["run", path("identity.ll"), "--args=1",
+                                      f"--fuel={fuel}"])
+        assert code == 2 and out == ""
+        assert f"argument --fuel: must be positive, got {fuel}" in err, err
+    assert run_command(["run", path("identity.ll"), "--args=1",
+                        "--fuel=2"]) == (0, "a0 = 1\n", "")
+
+
+def test_run_prints_no_a0_for_a_void_function():
+    text = ("@g = global i32 5\n"
+            "define void @f(ptr %p) {\n  store i32 7, ptr %p\n"
+            "  store i32 9, ptr @g\n  ret void\n}\n")
+    for level in ("-O0", "-O2"):
+        assert run_command(["run", "-", level, "--args=4096"], text) == \
+            (0, "@g = 9\n", "")
 
 
 def test_args_span_signed_and_unsigned_32_bits():

@@ -743,6 +743,14 @@ def test_use_lists_stay_exact_through_selection(monkeypatch, desc):
         assert seen == ISEL_STAGES * len(cm.functions)
 
 
+def test_dag_values_compare_their_nodes_by_identity():
+    a, b = isel.DagNode("Constant", value=7), isel.DagNode("Constant", value=7)
+    assert isel.val(a) == isel.val(a) and hash(isel.val(a)) == hash(isel.val(a))
+    assert isel.val(a) != isel.val(b)
+    assert isel.val(a) != isel.ch(a)
+    assert len({isel.val(a), isel.val(b), isel.ch(a), isel.val(a)}) == 3
+
+
 def test_select_walks_the_dag_a_fixed_number_of_times(monkeypatch, desc):
     # a full walk per selected node made select quadratic in function size
     walks = 0

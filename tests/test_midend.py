@@ -306,6 +306,25 @@ define i32 @f(ptr %p) {
     assert not any(i.opcode == "load" for i in out2.body)
 
 
+def test_dce_drops_a_dead_chain_in_one_call():
+    fn = parse_fn("""
+define i32 @f(ptr %p, i32 %a) {
+  %l = load i32, ptr %p
+  %x = add i32 %l, %a
+  %y = xor i32 %x, %x
+  %k = add i32 %a, 1
+  store i32 %k, ptr %p
+  %z = shl i32 %y, 2
+  store i32 %a, ptr %p
+  ret i32 %a
+}
+""")
+    # %z uses %y uses %x uses the load: each is dead only once its user is
+    kept = midend._dce(fn.body)
+    assert [i.opcode for i in kept] == ["add", "store", "store", "ret"]
+    assert kept[0].result == "k"
+
+
 # --------------------------------------------------------------------------
 # Reassociate
 # --------------------------------------------------------------------------
