@@ -117,12 +117,12 @@ def _allocate(mf: MachineFunction, desc: tgt.TargetDesc,
             if not (reserve_scratch and r in SCRATCH_REGS)]
     assign: dict[int, int] = {}
     spilled: dict[int, int] = {}
-    active: list[_Interval] = []
+    active: list[_Interval] = []  # live at the scan position, all assigned
 
     for iv in intervals:
         active = [a for a in active if a.dies > iv.born]
         # registers held by live intervals or by physical-register windows
-        busy = {assign[a.vreg] for a in active if a.vreg in assign}
+        busy = {assign[a.vreg] for a in active}
         busy.update(r for r, (start, end) in pwin.items()
                     if not (iv.dies <= start or end <= iv.born))
         choices = pool
@@ -133,8 +133,8 @@ def _allocate(mf: MachineFunction, desc: tgt.TargetDesc,
             if not reserve_scratch:
                 return None
             # spill the interval whose next use is furthest away
-            cands = [a for a in active if a.vreg in assign] + [iv]
-            victim = max(cands, key=lambda a: (a.next_use(iv.born), a.vreg))
+            victim = max(active + [iv],
+                         key=lambda a: (a.next_use(iv.born), a.vreg))
             if victim is iv:
                 spilled[iv.vreg] = len(spilled)
                 continue

@@ -202,9 +202,10 @@ class SelDag:
 
     def live_nodes(self) -> list[DagNode]:
         """Nodes reachable from the root, in creation order."""
-        if self._root is None:
+        root, uses = self._root, self._uses
+        if root is None:
             return list(self.nodes)
-        return [n for n in self.nodes if self.live(n)]
+        return [n for n in self.nodes if n is root or n in uses]
 
     def uses(self) -> dict[int, list[tuple[DagNode, object]]]:
         """Map id(node) -> [(user, slot)] over value, chain and ret edges."""
@@ -751,8 +752,12 @@ def schedule(dag: SelDag) -> MachineFunction:
     node creation index), then one MachineInstr per machine node over fresh
     virtual registers."""
     nodes = dag.live_nodes()
-    # operand edges not yet scheduled; a live node's users are its use list
-    indeg = {n: sum(1 for _ in _edges(n)) for n in nodes}
+    # operand edges not yet scheduled: a live node's edges are its operands'
+    # use lists
+    indeg = dict.fromkeys(nodes, 0)
+    for users in dag._uses.values():
+        for user, _ in users:
+            indeg[user] += 1
     ready = [n.uid for n in nodes if indeg[n] == 0]
     heapq.heapify(ready)
     by_uid = {n.uid: n for n in nodes}

@@ -193,19 +193,18 @@ def pass_early_cse(fn: ir.Function, stats: PassStats) -> ir.Function:
     store-to-load forwarding. A store invalidates every available load except
     the one for its own literal address value."""
     renames = _Renames()
-    table: dict = {}
+    table: dict = {}  # value-numbering key -> first instruction with it
     avail: dict[Value, Value] = {}
     out = []
     for inst in fn.body:
         inst = renames.inst(inst)
         if inst.opcode in _PURE:
-            key = _vn_key(inst)
-            hit = table.get(key)
-            if hit is not None:
-                renames.add(inst.result, hit)
+            first = table.setdefault(_vn_key(inst), inst)
+            if first is not inst:
+                renames.add(inst.result,
+                            Value("temp", first.result, ty=first.ty))
                 stats.bump("early-cse.insts-cse")
                 continue
-            table[key] = Value("temp", inst.result, ty=inst.ty)
             out.append(inst)
         elif inst.opcode == "load":
             addr = inst.operands[0]

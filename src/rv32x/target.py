@@ -562,26 +562,27 @@ class EncodedWord(NamedTuple):
 
 
 def _op_value(op: MOp, role: str, d: InstrDef):
-    if op.kind == "vreg":
+    kind, val, reloc = op
+    if kind == "vreg":
         raise TargetError(f"{d.mnemonic}: virtual register in encoder")
     if role in ("rd", "rs1", "rs2", "rs3"):
-        if op.kind != "preg":
+        if kind != "preg":
             raise TargetError(f"{d.mnemonic}: {role} must be a register")
-        if not 0 <= op.val < 32:
-            raise TargetError(f"{d.mnemonic}: no register x{op.val}")
-        return op.val
-    if op.kind == "sym":
-        want = "imm20" if op.reloc == "hi20" else "imm12"
+        if not 0 <= val < 32:
+            raise TargetError(f"{d.mnemonic}: no register x{val}")
+        return val
+    if kind == "sym":
+        want = "imm20" if reloc == "hi20" else "imm12"
         if role != want:
-            raise TargetError(f"{d.mnemonic}: {op.reloc} relocation is only "
+            raise TargetError(f"{d.mnemonic}: {reloc} relocation is only "
                               f"valid on {want} operands")
         return None  # relocation, field stays zero
-    if op.kind != "imm":
+    if kind != "imm":
         raise TargetError(f"{d.mnemonic}: {role} must be an immediate")
-    if not fits(role, op.val):
+    if not fits(role, val):
         what = "shift amount" if role == "uimm5" else "immediate"
-        raise TargetError(f"{d.mnemonic}: {what} {op.val} out of {role} range")
-    return op.val
+        raise TargetError(f"{d.mnemonic}: {what} {val} out of {role} range")
+    return val
 
 
 def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
