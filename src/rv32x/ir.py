@@ -152,7 +152,7 @@ _RE_DEFINE = re.compile(rf"define\s+(.*?)(\w+)\s+@({_NAME})\s*\((.*)\)\s*(.*){{\
 _RE_LABEL = re.compile(rf"^({_NAME}):\s*(?:;.*)?$")
 _RE_ATTRGROUP = re.compile(r"attributes\s+#(\d+)\s*=\s*{(.*)}")
 _RE_RESULT = re.compile(rf"^%({_NAME})\s*=\s*(.*)$")
-# instruction bodies, matched once per line
+# instruction bodies, compiled once rather than looked up per line
 _RE_I64 = re.compile(r"\bi64\b")
 _RE_BINOP = re.compile(r"(\w+)\s+([^,]+),\s*(\S+)$")
 _RE_LOAD = re.compile(r"load\s+(\w+)\s*,\s*ptr\s+(\S+)")

@@ -86,8 +86,8 @@ class _Renames:
     def inst(self, inst: Inst) -> Inst:
         for o in inst.operands:
             if o.kind == "temp" and o.name in self.map:
-                ops = tuple(self.value(o) for o in inst.operands)
-                return Inst(inst.opcode, inst.result, ops, inst.ty,
+                return Inst(inst.opcode, inst.result,
+                            tuple(map(self.value, inst.operands)), inst.ty,
                             inst.alloc_ty)
         return inst
 

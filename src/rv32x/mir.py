@@ -44,9 +44,9 @@ class MOp(NamedTuple):
     "sym" (val = symbol name, reloc = "hi20" | "lo12").
 
     It is a named tuple for the reason PatNode is one: a compile makes one
-    per operand of every machine instruction, and a tuple of atomic values
-    is cheaper to build than a frozen dataclass and is dropped from the
-    cyclic collector's tracking, which a dataclass instance never is.
+    per operand of every machine instruction, and a named tuple builds in
+    about three fifths of the time of a frozen dataclass and compares and
+    hashes in C. The 32 physical registers are built once and shared.
     """
 
     kind: str
