@@ -254,6 +254,9 @@ def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
             consts[v] = dag.new("Constant", value=v)
         return val(consts[v])
 
+    if len(fn.params) > 8:  # a0..a7; the psABI passes the rest on the stack
+        raise IselError(f"@{fn.name}: {len(fn.params)} parameters; at most 8 "
+                        "are passed in registers")
     for i, (pname, pty) in enumerate(fn.params):
         env[pname] = val(dag.new("Register", value=("arg", i), vt=pty))
 

@@ -1,9 +1,11 @@
 """RV32 simulator and IR-level interpreter, the semantic oracles.
 
 The machine simulator executes encoded words against an architectural state
-(32 registers, pc, sparse little-endian byte memory), each by calling its
-`sem=` as the target description compiled it; JALR, the one jump, is
-implemented here.
+(32 registers, pc, sparse little-endian byte memory, and the program's own
+words), each by calling its `sem=`, as the target description compiled it,
+on the word; JALR, the one jump, is implemented here. One loop,
+`_execute`, runs every instruction: `run_function` runs it to halt and
+`step` runs one iteration of it.
 Functions follow the halt protocol: x1 starts at a sentinel return address
 and a `jalr` to the sentinel stops execution. The IR interpreter is the
 midend's twin: it evaluates a verified function directly with two's-complement
@@ -12,7 +14,6 @@ wrapping, so any pass or lowering can be differentially checked against it.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,19 +68,34 @@ def mem_write32(mem: dict[int, int], addr: int, value: int):
 
 @dataclass
 class SimState:
+    """Registers, pc and memory. The program's words sit in `program`, from
+    PROGRAM_BASE, and not in the byte memory: fetch reads them by index, and
+    load and store reach them as memory words, so a store into the program
+    changes what executes later."""
+
     regs: list[int] = field(default_factory=lambda: [0] * 32)
     pc: int = PROGRAM_BASE
     mem: dict[int, int] = field(default_factory=dict)
     halted: bool = False
+    program: list[int] = field(default_factory=list)
 
     def read(self, r: int) -> int:
         return 0 if r == 0 else self.regs[r]
 
     def load(self, addr: int) -> int:
+        addr &= MASK32
+        i = addr - PROGRAM_BASE
+        if 0 <= i < 4 * len(self.program) and not i & 3:
+            return self.program[i >> 2]
         return mem_read32(self.mem, addr)
 
     def store(self, addr: int, value: int):
-        mem_write32(self.mem, addr, value)
+        addr &= MASK32
+        i = addr - PROGRAM_BASE
+        if 0 <= i < 4 * len(self.program) and not i & 3:
+            self.program[i >> 2] = value & MASK32
+        else:
+            mem_write32(self.mem, addr, value)
 
 
 class TraceStep(NamedTuple):
@@ -98,43 +114,58 @@ class TraceStep(NamedTuple):
 _new_trace_step = tuple.__new__  # TraceStep(...) without its Python-level __new__
 
 
-def step(state: SimState, desc: tgt.TargetDesc,
-         ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)) -> TraceStep:
-    """Execute one instruction: read its source operands from the word and
-    the registers, and call its compiled sem. Raises SimTrap on a misaligned
-    pc, an undecodable or disabled word, an instruction without a sem, or a
-    misaligned access. regs[0] stays zero."""
+def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
+             fuel: int, trace: list[TraceStep]):
+    """The one instruction loop: run up to `fuel` instructions of `ext` from
+    state.pc, stopping after a jalr to the halt sentinel, and append each to
+    `trace`. A word is fetched from the program by index (from memory
+    outside it), looked up, and executed by its compiled sem or as JALR.
+    Raises SimTrap on a misaligned pc, an undecodable or disabled word, an
+    instruction without a sem, or a misaligned access. regs[0] stays zero."""
+    regs, mem, program = state.regs, state.mem, state.program
+    size = len(program)
+    lookup = tgt.lookup
+    append = trace.append
     pc = state.pc
-    if pc & 3:
-        raise SimTrap("misaligned pc", pc)
-    mem = state.mem
-    try:
-        word = mem[pc] | mem[pc + 1] << 8 | mem[pc + 2] << 16 | mem[pc + 3] << 24
-    except KeyError:
-        word = mem_read32(mem, pc)
-    d = tgt.lookup(word, desc, ext)
-    if d is None:
-        raise SimTrap(f"undecodable word 0x{word:08x}", pc)
-    regs = state.regs  # each value is OperandField.value, inlined
-    v = [regs[word >> shift & mask] if reg
-         else ((word >> shift & mask | word >> lo_shift & lo_mask) ^ sign) - sign
-         for reg, shift, mask, sign, lo_shift, lo_mask in d.srcs]
-    rd = word >> d.fields[0].shift & 31 if d.ops[0] == "rd" else 0
-    if d.mnemonic == "JALR":
-        dest = (v[0] + v[1]) & MASK32 & ~1
+    for _ in range(fuel):
+        if pc & 3:
+            raise SimTrap("misaligned pc", pc)
+        i = (pc - PROGRAM_BASE) >> 2
+        word = program[i] if 0 <= i < size else mem_read32(mem, pc)
+        d = lookup(word, desc, ext)
+        if d is None:
+            raise SimTrap(f"undecodable word 0x{word:08x}", pc)
+        run = d.run
+        if run is not None:
+            value = run(state, regs, word)
+            if d.ops[0] == "rd":
+                rd = word >> d.fields[0].shift & 31
+                if rd:
+                    regs[rd] = value & MASK32
+            append(_new_trace_step(TraceStep, (pc, word, d)))
+            pc = (pc + 4) & MASK32
+            continue
+        if d.mnemonic != "JALR":
+            raise SimTrap(f"no semantics for {d.mnemonic}", pc)
+        rd, base, offset = [f.value(word) for f in d.fields]
+        dest = (regs[base] + offset) & MASK32 & ~1
         if rd:
             regs[rd] = (pc + 4) & MASK32
+        append(_new_trace_step(TraceStep, (pc, word, d)))
+        pc = dest
         if dest == HALT_SENTINEL:
             state.halted = True
-        state.pc = dest
-        return _new_trace_step(TraceStep, (pc, word, d))
-    if d.run is None:
-        raise SimTrap(f"no semantics for {d.mnemonic}", pc)
-    value = d.run(state, v)
-    if rd:
-        regs[rd] = value & MASK32
-    state.pc = (pc + 4) & MASK32
-    return _new_trace_step(TraceStep, (pc, word, d))
+            break
+    state.pc = pc
+
+
+def step(state: SimState, desc: tgt.TargetDesc,
+         ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)) -> TraceStep:
+    """Execute one instruction: one iteration of the loop run_function
+    runs."""
+    trace: list[TraceStep] = []
+    _execute(state, desc, ext, 1, trace)
+    return trace[0]
 
 
 def run_function(program: list[int], args: list[int],
@@ -144,11 +175,12 @@ def run_function(program: list[int], args: list[int],
                  ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)
                  ) -> tuple[int, dict[int, int], list[TraceStep]]:
     """Load encoded words at PROGRAM_BASE, seed a0.. with args and x1 with
-    the halt sentinel, run to halt with the instructions of `ext`. Returns
-    (a0, final memory, trace). The program region and the stack region below
-    sp are excluded from the returned memory so callers can compare against
-    an IR-level interpretation. Raises SimTrap when the program would cover
-    seeded memory."""
+    the halt sentinel, and run to halt, at most `fuel` instructions, with the
+    instructions of `ext`. Returns (a0, final memory, trace). The stack
+    region below sp is excluded from the returned memory, and the program
+    is never in it, so callers can compare against an IR-level
+    interpretation. Raises SimTrap when the program would cover seeded
+    memory."""
     if len(args) > 8:
         raise SimTrap("at most 8 register arguments supported")
     mem_init = mem_init or {}
@@ -158,23 +190,17 @@ def run_function(program: list[int], args: list[int],
         raise SimTrap(f"program at 0x{PROGRAM_BASE:08x}..0x{prog_end:08x} "
                       f"overlaps seeded memory at 0x{min(covered):08x}")
     desc = desc or tgt.load_default_desc()
-    state = SimState()
-    state.mem.update(mem_init)
-    code = struct.pack(f"<{len(program)}I", *[w & MASK32 for w in program])
-    state.mem.update(zip(range(PROGRAM_BASE, prog_end), code))
+    state = SimState(mem=dict(mem_init), program=[w & MASK32 for w in program])
     state.regs[1] = HALT_SENTINEL
     state.regs[2] = STACK_TOP
     for i, a in enumerate(args):
         state.regs[10 + i] = u32(a)
     trace: list[TraceStep] = []
-    for _ in range(fuel):
-        if state.halted:
-            break
-        trace.append(step(state, desc, ext))
-    else:
+    _execute(state, desc, ext, fuel, trace)
+    if not state.halted:
         raise SimTrap(f"fuel exhausted after {fuel} steps", state.pc)
     mem = {a: b for a, b in state.mem.items()
-           if not (PROGRAM_BASE <= a < prog_end or STACK_TOP - 0x1000 <= a < STACK_TOP)}
+           if not STACK_TOP - 0x1000 <= a < STACK_TOP}
     return state.regs[10], mem, trace
 
 

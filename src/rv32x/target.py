@@ -4,9 +4,10 @@ extensions.
 The catalog is loaded from a structured text file (see targets/rv32_xcrypt.desc)
 with one record per instruction and one per selection pattern, a line-for-line
 analog of a .td extension file. An instruction's `sem=` expression is its one
-definition of meaning: the loader compiles it once into closures over
-SEM_OPS, which the simulator calls, and a `pattern <MNEMONIC>` record selects
-the instruction wherever the DAG has that shape. Encoding and decoding are
+definition of meaning: the loader compiles it once per format into closures
+over SEM_OPS that read their operands from the encoded word, which the
+simulator calls, and a `pattern <MNEMONIC>` record selects the instruction
+wherever the DAG has that shape. Encoding and decoding are
 bit-exact over the standard RV32 formats R/R4/I/S/U; shift-immediate
 instructions are I-format records that carry a funct7 region above the 5-bit
 shift amount.
@@ -122,9 +123,9 @@ class InstrDef:
     mask: int = 0
     match: int = 0
     fields: tuple[OperandField, ...] = ()  # one per role of `ops`
-    srcs: tuple[OperandField, ...] = ()  # the source roles' fields, as run takes them
-    # the sem compiled: run(m, v) computes it from the source operand values
-    # v, in record order, and machine state m; None without a sem
+    # the sem compiled: run(m, regs, word) computes it for the encoded
+    # `word`, reading register operands from `regs` and immediates from the
+    # word, with machine state m; None without a sem
     run: Callable | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -294,54 +295,76 @@ SEM_OPS = {
 }
 
 
-def _compile_sem(node: PatNode, roles: tuple[str, ...]) -> Callable:
-    """The sem as nested closures over SEM_OPS: run(m, v), v the values of
-    `roles` in order. A node reads an operand role, or a constant second
+def _compile_sem(node: PatNode, fmt: str) -> Callable:
+    """The sem as nested closures over SEM_OPS: run(m, regs, word), for an
+    instruction of format `fmt`. Each operand is read straight from the
+    word through its role's OperandField in that format: a register
+    operand is regs[word >> shift & 31], an immediate its field's value. A
+    node reads a register operand, or an immediate or constant second
     operand, in its own closure rather than calling one for the leaf."""
     if node.kind == "const":
         c = node.value
-        return lambda m, v: c
+        return lambda m, r, w: c
     if node.kind == "capture":
-        i = roles.index(node.name)
-        return lambda m, v: v[i]
+        f = _OPERAND_FIELDS[fmt, node.name]
+        if f.reg:
+            s = f.shift
+            return lambda m, r, w: r[w >> s & 31]
+        s, k, g, ls, lk = f.shift, f.mask, f.sign, f.lo_shift, f.lo_mask
+        return lambda m, r, w: ((w >> s & k | w >> ls & lk) ^ g) - g
     op = SEM_OPS[node.kind]
     a, b = (node.children + (None,))[:2]
-    i = roles.index(a.name) if a.kind == "capture" else None
-    j = roles.index(b.name) if b and b.kind == "capture" else None
+    i = _reg_shift(a, fmt)
     if b is None:
         if i is not None:
-            return lambda m, v: op(m, v[i])
-        f = _compile_sem(a, roles)
-        return lambda m, v: op(m, f(m, v))
+            return lambda m, r, w: op(m, r[w >> i & 31])
+        f = _compile_sem(a, fmt)
+        return lambda m, r, w: op(m, f(m, r, w))
+    j = _reg_shift(b, fmt)
     if i is not None:
         if j is not None:
-            return lambda m, v: op(m, v[i], v[j])
+            return lambda m, r, w: op(m, r[w >> i & 31], r[w >> j & 31])
         if b.kind == "const":
             c = b.value
-            return lambda m, v: op(m, v[i], c)
-        g = _compile_sem(b, roles)
-        return lambda m, v: op(m, v[i], g(m, v))
-    f = _compile_sem(a, roles)
+            return lambda m, r, w: op(m, r[w >> i & 31], c)
+        if b.kind == "capture":
+            f = _OPERAND_FIELDS[fmt, b.name]
+            s, k, g, ls, lk = f.shift, f.mask, f.sign, f.lo_shift, f.lo_mask
+            return lambda m, r, w: op(m, r[w >> i & 31],
+                                      ((w >> s & k | w >> ls & lk) ^ g) - g)
+        g = _compile_sem(b, fmt)
+        return lambda m, r, w: op(m, r[w >> i & 31], g(m, r, w))
+    f = _compile_sem(a, fmt)
     if j is not None:
-        return lambda m, v: op(m, f(m, v), v[j])
-    g = _compile_sem(b, roles)
-    return lambda m, v: op(m, f(m, v), g(m, v))
+        return lambda m, r, w: op(m, f(m, r, w), r[w >> j & 31])
+    g = _compile_sem(b, fmt)
+    return lambda m, r, w: op(m, f(m, r, w), g(m, r, w))
 
 
-# (sem text, operand roles) -> (sem tree, compiled sem): each distinct sem is
-# parsed, checked and compiled once per process, however often a description
-# is loaded. Both values are immutable.
-_SEMS: dict[tuple[str, tuple[str, ...]], tuple[PatNode, Callable]] = {}
+def _reg_shift(node: PatNode, fmt: str) -> int | None:
+    """The shift of the register field `node` reads; None for any other
+    node."""
+    if node.kind == "capture" and _OPERAND_FIELDS[fmt, node.name].reg:
+        return _OPERAND_FIELDS[fmt, node.name].shift
+    return None
 
 
-def _sem(text: str, ops: tuple[str, ...], where: str
+# (sem text, format, operand roles) -> (sem tree, compiled sem): each
+# distinct sem is parsed, checked and compiled once per process, however
+# often a description is loaded. The format is part of the key because the
+# compiled sem reads its operands from the format's fields. Both values are
+# immutable.
+_SEMS: dict[tuple[str, str, tuple[str, ...]], tuple[PatNode, Callable]] = {}
+
+
+def _sem(text: str, fmt: str, ops: tuple[str, ...], where: str
          ) -> tuple[PatNode, Callable]:
-    key = (text, ops)
+    key = (text, fmt, ops)
     if key not in _SEMS:
         sem = _parse_sexpr(text, where)
         roles = tuple(r for r in ops if r != "rd")
         _check_sem(sem, roles, where)
-        _SEMS[key] = sem, _compile_sem(sem, roles)
+        _SEMS[key] = sem, _compile_sem(sem, fmt)
     return _SEMS[key]
 
 
@@ -414,7 +437,7 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     except KeyError as e:
         raise TargetError(f"{where}: format {fmt} has no {e.args[0][1]} "
                           "field") from None
-    sem, run = _sem(sem_text, ops, where) if sem_text else (None, None)
+    sem, run = _sem(sem_text, fmt, ops, where) if sem_text else (None, None)
     opcode = int(kw["opcode"], 0)
     funct3, funct7, funct2 = (int(kw[k], 0) if k in kw else None
                               for k in ("funct3", "funct7", "funct2"))
@@ -445,7 +468,6 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
         mask=mask,
         match=match,
         fields=fields,
-        srcs=fields[1:] if ops[:1] == ("rd",) else fields,
         run=run,
     )
 

@@ -372,6 +372,13 @@ def test_main_leaves_stdin_unread_for_a_file_input(monkeypatch, capsys):
     assert capsys.readouterr().out == "a0 = 1073741824\n"
 
 
+def _params_sum(n: int) -> str:
+    """A function of n parameters that returns the first plus the last."""
+    params = ", ".join(f"i32 %a{i}" for i in range(n))
+    return (f"define i32 @f({params}) {{\n  %s = add i32 %a0, %a{n - 1}\n"
+            "  ret i32 %s\n}\n")
+
+
 @pytest.mark.parametrize("argv,stdin,named", [
     (["run", path("rori.ll"), "--args=zz"], "", "'zz'"),
     (["run", path("rori.ll"), "--args=1,,2"], "", "''"),
@@ -392,10 +399,16 @@ def test_main_leaves_stdin_unread_for_a_file_input(monkeypatch, capsys):
      "2:1: missing instruction after %x ="),
     (["run", "-"], "define i32 @f(i32 %a, i32 %b) { ret i32 %b }",
      "@f takes 2 arguments, --args gives 0"),
+    (["llc", "-"], _params_sum(9), "@f: 9 parameters; at most 8"),
+    (["run", "-", "--args=" + ",".join("1" * 9)], _params_sum(9),
+     "@f: 9 parameters; at most 8"),
+    (["llc", "-"], _params_sum(23), "@f: 23 parameters; at most 8"),
+    (["run", "-"], _params_sum(23), "@f: 23 parameters; at most 8"),
 ], ids=["args-word", "args-empty", "args-wide", "args-negative", "mem-bytes",
         "mem-address", "mem-negative", "mem-no-colon", "obj-word-run",
         "obj-word-mc", "obj-reloc", "obj-wide-mc", "obj-wide-run",
-        "bare-opcode", "bare-result", "args-missing"])
+        "bare-opcode", "bare-result", "args-missing", "params-9-llc",
+        "params-9-run", "params-23-llc", "params-23-run"])
 def test_malformed_input_is_a_diagnosed_error(argv, stdin, named):
     code, out, err = run_command(argv, stdin_text=stdin)
     assert code == 1 and out == ""

@@ -179,15 +179,18 @@ def test_reloaded_description_runs_identically(desc):
         if d.sem is None:
             assert d.run is None and d2.run is None
             continue
-        roles = [r for r in d.ops if r != "rd"]
         for _ in range(20):
             base = _random_state(rng, True)
             states = [sim.SimState(list(base.regs), mem=dict(base.mem))
                       for _ in range(3)]
-            vals = [base.regs[rng.randrange(32)] if r.startswith("rs")
-                    else 4 * rng.randrange(8) for r in roles]
-            got = [d.run(states[0], vals), d2.run(states[1], vals),
-                   _eval_sem(d2.sem, dict(zip(roles, vals)), states[2])]
+            ops = [MOp.imm(4 * rng.randrange(8)) if op.kind == "imm" else op
+                   for op in _random_operands(rng, d)]
+            word = tgt.encode(MachineInstr(name, ops), desc).word
+            env = {role: base.read(op.val) if op.kind == "preg" else op.val
+                   for role, op in zip(d.ops, ops) if role != "rd"}
+            got = [d.run(states[0], states[0].regs, word),
+                   d2.run(states[1], states[1].regs, word),
+                   _eval_sem(d2.sem, env, states[2])]
             assert got[0] == got[1] == got[2], name
             assert states[0].mem == states[1].mem == states[2].mem, name
 
@@ -195,12 +198,13 @@ def test_reloaded_description_runs_identically(desc):
 @pytest.mark.parametrize("mattr", ALL_MATTRS)
 def test_trace_steps_decode_like_decode(mattr, desc, monkeypatch):
     """Each TraceStep decodes its word on demand exactly as decode does,
-    and the trace has one entry per step."""
+    and the trace has one entry per executed instruction, each looked up
+    once."""
     ext = tgt.parse_mattr(mattr)
     steps = []
-    real_step = sim.step
-    monkeypatch.setattr(sim, "step",
-                        lambda *a: steps.append(1) or real_step(*a))
+    real_lookup = tgt.lookup
+    monkeypatch.setattr(tgt, "lookup",
+                        lambda *a: steps.append(1) or real_lookup(*a))
     rng = random.Random(64)
     for name, (fname, n_ptrs, n_ints) in sorted(CORPUS_SHAPES.items()):
         mod = corpus_module(name)
@@ -261,8 +265,36 @@ def test_fuel_exhaustion(desc):
     # an infinite loop: jalr x0, 0(a0) with a0 pointing at itself
     loop = tgt.encode(MachineInstr(
         "JALR", [MOp.preg(0), MOp.preg(10), MOp.imm(0)]), desc).word
-    with pytest.raises(sim.SimTrap, match="fuel exhausted"):
+    with pytest.raises(sim.SimTrap, match="fuel exhausted after 100 steps"):
         sim.run_function([loop], [sim.PROGRAM_BASE], {}, fuel=100, desc=desc)
+    # fuel counts instructions: n of them run to halt on fuel n
+    nop = tgt.encode(MachineInstr(
+        "ADDI", [MOp.preg(0), MOp.preg(0), MOp.imm(0)]), desc).word
+    ret = tgt.encode(MachineInstr(
+        "JALR", [MOp.preg(0), MOp.preg(1), MOp.imm(0)]), desc).word
+    got, _, trace = sim.run_function([nop, ret], [5], {}, fuel=2, desc=desc)
+    assert got == 5 and len(trace) == 2
+    with pytest.raises(sim.SimTrap, match="fuel exhausted after 1 steps"):
+        sim.run_function([nop, ret], [5], {}, fuel=1, desc=desc)
+
+
+def test_program_words_are_memory(desc):
+    """A store into the program changes what executes later, a load from
+    it reads code, and neither shows in the returned memory."""
+    def word(mnemonic, *ops):
+        return tgt.encode(MachineInstr(mnemonic, list(ops)), desc).word
+    a0, a1, a2 = MOp.preg(10), MOp.preg(11), MOp.preg(12)
+    addi_42 = word("ADDI", a0, MOp.preg(0), MOp.imm(42))
+    program = [word("SW", a0, a1, MOp.imm(8)),  # word 2 := a0
+               word("LW", a2, a1, MOp.imm(0)),  # a2 := word 0
+               word("ADDI", a0, MOp.preg(0), MOp.imm(7)),
+               word("ADD", a0, a0, a2),
+               word("JALR", MOp.preg(0), MOp.preg(1), MOp.imm(0))]
+    got, mem, trace = sim.run_function(program, [addi_42, sim.PROGRAM_BASE],
+                                       {}, desc=desc)
+    assert got == (42 + program[0]) & sim.MASK32
+    assert mem == {}
+    assert trace[2].word == addi_42
 
 
 def test_run_function_identity(desc):
