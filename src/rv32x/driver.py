@@ -299,7 +299,10 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
 def cmd_lit(args, stdin, stdout, stderr) -> int:
     from . import testkit
     paths = args.paths or [str(testkit.shipped_tests_dir())]
-    report = testkit.run_lit(paths, verbose=args.verbose, executor=run_command)
+    try:
+        report = testkit.run_lit(paths, run_command, args.verbose)
+    except (testkit.TestkitError, OSError) as e:
+        raise DriverError(str(e)) from None
     stdout.write(report.text)
     return 0 if report.failed == 0 else 1
 
@@ -322,7 +325,10 @@ def cmd_filecheck(args, stdin, stdout, stderr) -> int:
 def cmd_update_checks(args, stdin, stdout, stderr) -> int:
     from . import testkit
     for path in args.paths:
-        changed = testkit.update_checks(path, executor=run_command)
+        try:
+            changed = testkit.update_checks(path, run_command)
+        except (testkit.TestkitError, OSError, UnicodeDecodeError) as e:
+            raise DriverError(str(e)) from None
         stdout.write(f"{'updated' if changed else 'unchanged'}: {path}\n")
     return 0
 

@@ -1,6 +1,7 @@
 """SSA IR subset: types, text parser, printer and verifier.
 
-The IR is deliberately tiny: i32/ptr scalars, single-basic-block functions,
+The IR is deliberately tiny: i32/ptr scalars, functions of one basic block
+(a Function holds it as `body` and `label`; the parser rejects a second),
 flat getelementptr with a constant byte offset, bitwise/arith ops, loads and
 stores, and the fshl/fshr intrinsics. NOT has no opcode of its own; it is
 always spelled xor with -1. The parser accepts the surface syntax of typical
@@ -90,31 +91,21 @@ class Inst:
 
 
 @dataclass(frozen=True)
-class BasicBlock:
-    label: str
-    insts: tuple[Inst, ...]
-
-
-@dataclass(frozen=True)
 class Function:
     name: str
     params: tuple[tuple[str, str], ...]  # (name, ty)
     return_type: str
-    blocks: tuple[BasicBlock, ...]
+    body: tuple[Inst, ...]
     attributes: frozenset[str] = frozenset()
-
-    @property
-    def body(self) -> tuple[Inst, ...]:
-        return self.blocks[0].insts
+    label: str = "entry"  # the block's name, kept so print_ir round-trips
 
     def with_body(self, insts) -> "Function":
         return Function(self.name, self.params, self.return_type,
-                        (BasicBlock(self.blocks[0].label, tuple(insts)),),
-                        self.attributes)
+                        tuple(insts), self.attributes, self.label)
 
     def with_attributes(self, attrs) -> "Function":
-        return Function(self.name, self.params, self.return_type, self.blocks,
-                        frozenset(attrs))
+        return Function(self.name, self.params, self.return_type, self.body,
+                        frozenset(attrs), self.label)
 
 
 @dataclass(frozen=True)
@@ -177,24 +168,25 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def _split_inline_defines(text: str) -> list[str]:
-    """Allow whole functions written on one line: define ... { inst }"""
+def _split_inline_defines(text: str) -> list[tuple[int, str]]:
+    """(line number, text) per line, allowing whole functions written on
+    one line: define ... { inst }. Its pieces keep that line's number."""
     lines = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         s = _strip_comment(raw).strip()
         if s.startswith("define") and "{" in s and not s.endswith("{"):
             head, rest = s.split("{", 1)
-            lines.append(head + "{")
+            lines.append((lineno, head + "{"))
             rest = rest.strip()
             if rest.endswith("}"):
                 body = rest[:-1].strip()
                 if body:
-                    lines.append(body)
-                lines.append("}")
+                    lines.append((lineno, body))
+                lines.append((lineno, "}"))
             elif rest:
-                lines.append(rest)
+                lines.append((lineno, rest))
         else:
-            lines.append(raw)
+            lines.append((lineno, raw))
     return lines
 
 
@@ -219,7 +211,7 @@ class _Parser:
         i = 0
         n = len(self.lines)
         while i < n:
-            raw = self.lines[i]
+            lineno, raw = self.lines[i]
             line = _strip_comment(raw).strip()
             i += 1
             if not line or line.startswith(_SKIP_PREFIXES):
@@ -227,20 +219,20 @@ class _Parser:
             if line.startswith("attributes"):
                 m = _RE_ATTRGROUP.match(line)
                 if not m:
-                    self.err("malformed attributes line", i)
+                    self.err("malformed attributes line", lineno)
                 self.attr_groups[m.group(1)] = self._attr_tokens(m.group(2))
                 continue
             if line.startswith("@"):
-                self._parse_global(line, i)
+                self._parse_global(line, lineno)
                 continue
             m = _RE_STRUCT.match(line)
             if m:
-                self._parse_struct(m, i)
+                self._parse_struct(m, lineno)
                 continue
             if line.startswith("define"):
-                i = self._parse_function(line, i)
+                i = self._parse_function(line, lineno, i)
                 continue
-            self.err(f"unrecognized top-level construct: {line!r}", i)
+            self.err(f"unrecognized top-level construct: {line!r}", lineno)
         self._apply_attr_groups()
         return Module(self.source_name, tuple(self.globals), tuple(self.functions))
 
@@ -283,7 +275,8 @@ class _Parser:
             self.err(f"unknown type {tok!r}", lineno)
         return tok
 
-    def _parse_function(self, header, start) -> int:
+    def _parse_function(self, header, start, i) -> int:
+        """The define on line `start`; its body starts at self.lines[i]."""
         m = _RE_DEFINE.match(header)
         if not m:
             self.err(f"malformed define line: {header!r}", start)
@@ -307,9 +300,9 @@ class _Parser:
                 params.append((pname[1:], pty))
         self.params = dict(params)
         self.values = {}
-        insts, label, end = self._parse_body(name, start)
-        fn = Function(name, tuple(params), return_type,
-                      (BasicBlock(label, tuple(insts)),), frozenset(attrs))
+        insts, label, end = self._parse_body(name, start, i)
+        fn = Function(name, tuple(params), return_type, tuple(insts),
+                      frozenset(attrs), label)
         self.functions.append(fn)
         self.pending_groups[name] = groups
         return end
@@ -323,14 +316,13 @@ class _Parser:
             out.append(fn.with_attributes(tags))
         self.functions = out
 
-    def _parse_body(self, fname, start):
+    def _parse_body(self, fname, start, i):
         insts = []
         label = "entry"
         saw_label = False
-        i = start
         n = len(self.lines)
         while i < n:
-            raw = self.lines[i]
+            lineno, raw = self.lines[i]
             line = _strip_comment(raw).strip()
             i += 1
             if not line or "llvm.lifetime" in line:
@@ -341,11 +333,11 @@ class _Parser:
             if m:
                 if saw_label or insts:
                     self.err("multi-block functions are not supported "
-                             "(single basic block only)", i)
+                             "(single basic block only)", lineno)
                 label = m.group(1)
                 saw_label = True
                 continue
-            insts.append(self._parse_inst(line, i))
+            insts.append(self._parse_inst(line, lineno))
         self.err(f"unterminated function @{fname}", start)
 
     def _value(self, tok, ty, lineno) -> Value:
@@ -556,8 +548,8 @@ def print_ir(mod: Module) -> str:
         attrs = " ".join(sorted(fn.attributes))
         attrs = (" " + attrs) if attrs else ""
         out.append(f"define {fn.return_type} @{fn.name}({params}){attrs} {{")
-        if fn.blocks[0].label != "entry":
-            out.append(f"{fn.blocks[0].label}:")
+        if fn.label != "entry":
+            out.append(f"{fn.label}:")
         for inst in fn.body:
             out.append("  " + _fmt_inst(inst))
         out.append("}")
@@ -594,8 +586,6 @@ def _verify_function(fn: Function, gnames) -> list[str]:
     def note(idx, msg):
         bad.append(f"@{fn.name}:{idx}: {msg}")
 
-    if len(fn.blocks) != 1:
-        return [f"@{fn.name}: exactly one basic block required"]
     defined = {}
     for i, (pname, pty) in enumerate(fn.params):
         if pname in defined:

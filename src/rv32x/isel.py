@@ -1,14 +1,16 @@
-"""Per-block selection DAG: build, combine, legalize, select, schedule.
+"""Per-function selection DAG: build, combine, legalize, select, schedule.
 
 The DAG starts target-independent (one node per IR instruction, memory ops
-threaded on a linear chain from EntryToken), is legalized for the enabled
-extensions (global addresses become ADD_LO(HI(g), g), rotates are kept legal
-or expanded into shifts), then covered by machine nodes. Selection consults
-imperative hooks at their root node kinds first, then declarative patterns
-from the target description by descending priority, which select every ALU
-instruction. Fallbacks cover only loads and stores, with their addressing
-modes, and the HI/ADD_LO halves of a global address. Scheduling is a
-deterministic Kahn linearization ordered by node creation.
+threaded on a linear chain from EntryToken, the return as the root), is
+legalized for the enabled extensions (global addresses become
+ADD_LO(HI(g), g), rotates are kept legal or expanded into shifts), then
+covered by machine nodes, whose immediates, symbols and fixed registers are
+inline mir.MOp operands. Selection consults imperative hooks at their root
+node kinds first, then declarative patterns from the target description by
+descending priority, which select every ALU instruction. Fallbacks cover
+only loads and stores, with their addressing modes, and the HI/ADD_LO halves
+of a global address. Scheduling is a deterministic Kahn linearization
+ordered by node creation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 from . import ir
 from . import target as tgt
-from .mir import MOp, MachineInstr, MachineFunction, X0, RA
+from .mir import MOp, MachineInstr, MachineFunction, X0, RA, A0
 
 _IR_TO_DAG = {"lshr": "srl", "ashr": "sra"}
 
@@ -34,12 +36,14 @@ class DagNode:
     """One DAG node. Value results are index "val", chain results "ch".
 
     Machine nodes (is_machine) reference an InstrDef mnemonic in `kind`; their
-    ops list may contain DagValue register operands or ("imm", v) /
-    ("sym", name, reloc) inline operands, in role order with rd omitted.
+    ops list holds DagValue register operands and mir.MOp inline operands
+    (imm, sym or preg), in role order with rd omitted. The DAG's root is the
+    return: a generic "ret" until selection makes it a JALR, and only it
+    carries `ret_value`.
     """
 
     __slots__ = ("kind", "ops", "chain", "vt", "value", "uid",
-                 "is_machine", "is_ret", "ret_value")
+                 "is_machine", "ret_value")
 
     def __init__(self, kind, ops=(), chain=None, vt="i32", value=None, uid=0,
                  is_machine=False):
@@ -50,7 +54,6 @@ class DagNode:
         self.value = value
         self.uid = uid
         self.is_machine = is_machine
-        self.is_ret = False
         self.ret_value = None  # DagValue carried by the return
 
     def __repr__(self):
@@ -258,7 +261,7 @@ def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
         raise IselError(f"@{fn.name}: {len(fn.params)} parameters; at most 8 "
                         "are passed in registers")
     for i, (pname, pty) in enumerate(fn.params):
-        env[pname] = val(dag.new("Register", value=("arg", i), vt=pty))
+        env[pname] = val(dag.new("Register", value=i, vt=pty))
 
     def operand(v: ir.Value) -> DagValue:
         if v.kind == "const":
@@ -416,10 +419,11 @@ class SelectCtx:
         self.zba_threshold = zba_threshold
         self.debug_lines: list[str] = []
         self._materialized: dict[int, DagNode] = {}
-        # enabled patterns by root node kind, highest priority first
+        # enabled patterns by root node kind, highest priority first; the
+        # sort is stable, so equal priorities keep their record order
         self.patterns: dict[str, list[tgt.SelPattern]] = {}
         for p in sorted((p for p in desc.patterns if p.ext in ext),
-                        key=lambda p: (-p.priority, p.order)):
+                        key=lambda p: -p.priority):
             self.patterns.setdefault(_root_kind(p), []).append(p)
 
     def debug(self, msg: str):
@@ -429,11 +433,8 @@ class SelectCtx:
         d = self.desc.instr(mnemonic)
         if d.ext not in self.ext:
             raise IselError(f"{mnemonic} requires extension {d.ext}")
-        has_chain = d.may_load or d.may_store
-        n = self.dag.new(mnemonic, ops, chain=chain if has_chain else None,
-                         vt="i32" if "rd" in d.ops else "none",
-                         is_machine=True)
-        return n
+        return self.dag.new(mnemonic, ops, chain,
+                            "i32" if "rd" in d.ops else "none", is_machine=True)
 
     def reg_operand(self, v: DagValue) -> DagValue:
         """Constants used as register operands are materialized here."""
@@ -443,15 +444,12 @@ class SelectCtx:
         if node is None:
             seq = tgt.materialize_imm(v.node.value, self.ext,
                                       self.zba_threshold)
-            for i, (mn, imm) in enumerate(seq):
+            for mn, imm in seq:
                 if mn == "LUI":
-                    node = self.make_machine("LUI", [("imm", imm)])
+                    node = self.make_machine("LUI", [MOp.imm(imm)])
                 elif mn == "ADDI":
-                    src = val(node) if node is not None else None
-                    if src is None:
-                        src = val(self.dag.new("Register", value=("phys", X0),
-                                               vt="i32"))
-                    node = self.make_machine("ADDI", [src, ("imm", imm)])
+                    src = MOp.preg(X0) if node is None else val(node)
+                    node = self.make_machine("ADDI", [src, MOp.imm(imm)])
                 else:
                     node = self.make_machine(mn, [val(node), val(node)])
             self._materialized[id(v.node)] = node
@@ -506,9 +504,8 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
         say("  loads are not adjacent on the chain, not folding")
         return None
     base = a.ops[0]
-    addi = ctx.make_machine("ADDI", [ctx.reg_operand(base), ("imm", 16)])
-    lxr = ctx.make_machine("LXR", [ctx.reg_operand(base), val(addi)],
-                           chain=a.chain)
+    addi = ctx.make_machine("ADDI", [ctx.reg_operand(base), MOp.imm(16)])
+    lxr = ctx.make_machine("LXR", [ctx.reg_operand(base), val(addi)])
     _splice_chains(dag, [a, b], lxr)
     say("  -> emitting ADDI + LXR")
     return lxr
@@ -586,27 +583,23 @@ def _match_ops(ctx: SelectCtx, children, ops, binds: dict,
             imm = tgt.sext(node.value, 32)
             if not tgt.fits(kind, imm):
                 return False
-            binds[pat.name] = ("imm", imm)
+            binds[pat.name] = MOp.imm(imm)
         elif not _match(ctx, pat, node, binds, covered, False):
             return False
     return True
 
 
-def _emit_target(ctx: SelectCtx, pat: tgt.PatNode, binds: dict,
-                 chain_in) -> DagNode:
+def _emit_target(ctx: SelectCtx, pat: tgt.PatNode, binds: dict) -> DagNode:
     ops = []
     for c in pat.children:
         if c.kind == "capture":
             b = binds[c.name]
-            if isinstance(b, DagValue):
-                ops.append(ctx.reg_operand(b))
-            else:
-                ops.append(b)  # ("imm", v)
+            ops.append(ctx.reg_operand(b) if isinstance(b, DagValue) else b)
         elif c.kind == "const":
-            ops.append(("imm", c.value))
+            ops.append(MOp.imm(c.value))
         else:
-            ops.append(val(_emit_target(ctx, c, binds, None)))
-    return ctx.make_machine(pat.kind, ops, chain=chain_in)
+            ops.append(val(_emit_target(ctx, c, binds)))
+    return ctx.make_machine(pat.kind, ops)
 
 
 def _try_patterns(ctx: SelectCtx, node: DagNode) -> DagNode | None:
@@ -615,14 +608,9 @@ def _try_patterns(ctx: SelectCtx, node: DagNode) -> DagNode | None:
         covered: list[DagNode] = []
         if not _match(ctx, pat.source, node, binds, covered, True):
             continue
-        chain_in = None
-        if covered:
-            if not _chain_adjacent(ctx.dag, covered):
-                continue
-            chain_in = _chain_order(covered)[0].chain
-        # register-operand binds: loads bound to address captures stay as
-        # address values; nothing else to adjust
-        new = _emit_target(ctx, pat.target, binds, chain_in)
+        if covered and not _chain_adjacent(ctx.dag, covered):
+            continue
+        new = _emit_target(ctx, pat.target, binds)
         if covered:
             _splice_chains(ctx.dag, covered, new)
         ctx.debug(f"pattern {pat.source.kind} -> {pat.target.kind} "
@@ -637,14 +625,14 @@ def _fold_addr(ctx: SelectCtx, addr: DagValue):
     if node.kind == "ADD_LO":
         hi, g = node.ops
         lui = _select_node(ctx, hi.node)
-        return val(lui), ("sym", g.node.value, "lo12")
+        return val(lui), MOp.sym(g.node.value, "lo12")
     if node.kind == "add":
         base, off = node.ops
         if off.node.kind == "Constant":
             imm = tgt.sext(off.node.value, 32)
             if tgt.fits("imm12", imm) and base.node.kind != "Constant":
-                return ctx.reg_operand(base), ("imm", imm)
-    return ctx.reg_operand(addr), ("imm", 0)
+                return ctx.reg_operand(base), MOp.imm(imm)
+    return ctx.reg_operand(addr), MOp.imm(0)
 
 
 def _select_fallback(ctx: SelectCtx, node: DagNode) -> DagNode:
@@ -652,8 +640,7 @@ def _select_fallback(ctx: SelectCtx, node: DagNode) -> DagNode:
     if kind == "Load":
         base, off = _fold_addr(ctx, node.ops[0])
         lw = ctx.make_machine("LW", [base, off], chain=node.chain)
-        dag = ctx.dag
-        dag.replace_chain_uses(node, ch(lw))
+        ctx.dag.replace_chain_uses(node, ch(lw))
         return lw
     if kind == "Store":
         value, addr = node.ops
@@ -664,11 +651,11 @@ def _select_fallback(ctx: SelectCtx, node: DagNode) -> DagNode:
         return sw
     if kind == "HI":
         g = node.ops[0].node
-        return ctx.make_machine("LUI", [("sym", g.value, "hi20")])
+        return ctx.make_machine("LUI", [MOp.sym(g.value, "hi20")])
     if kind == "ADD_LO":
         hi, g = node.ops
         return ctx.make_machine("ADDI", [ctx.reg_operand(hi),
-                                         ("sym", g.node.value, "lo12")])
+                                         MOp.sym(g.node.value, "lo12")])
     # name the disabled instructions that would have covered the node
     needs = {f"{p.target.kind} requires extension {p.ext}": None
              for p in ctx.desc.patterns
@@ -695,8 +682,6 @@ def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
     ctx = SelectCtx(dag, desc, ext, zba_threshold)
 
     root = dag.root
-    root.is_ret = True
-
     # consumers before producers: reverse postorder from the root, with an
     # explicit stack, as dependency chains can outgrow the recursion limit
     order: list[DagNode] = []
@@ -719,10 +704,9 @@ def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
         if not dag.live(node):
             continue
         if node.kind == "ret":
-            jalr = ctx.make_machine("JALR", [("preg", X0), ("preg", RA),
-                                             ("imm", 0)])
+            jalr = ctx.make_machine("JALR", [MOp.preg(X0), MOp.preg(RA),
+                                             MOp.imm(0)])
             jalr.vt = "none"  # rd is pinned to x0, no result to allocate
-            jalr.is_ret = True
             dag.set_edge(jalr, CHAIN, node.chain)
             dag.set_edge(jalr, RET, node.ret_value)
             dag.root = jalr
@@ -782,31 +766,25 @@ def schedule(dag: SelDag) -> MachineFunction:
     def operand_mop(op) -> MOp:
         if isinstance(op, DagValue):
             src = op.node
-            if src.kind == "Register":
-                rkind, ridx = src.value
-                return MOp.preg(10 + ridx if rkind == "arg" else ridx)
+            if src.kind == "Register":  # argument i arrives in a<i>
+                return MOp.preg(A0 + src.value)
             return vreg_of[src]
-        tag = op[0]
-        if tag == "imm":
-            return MOp.imm(op[1])
-        if tag == "preg":
-            return MOp.preg(op[1])
-        return MOp.sym(op[1], op[2])
+        return op
 
+    root = dag.root
     for n in linear:
         if not n.is_machine:
             continue
-        if n.is_ret:
+        if n is root:
             if n.ret_value is not None:
                 rv = operand_mop(n.ret_value)
                 if rv.kind == "vreg":
                     mf.ret_vreg = rv.val
-                elif rv.kind == "preg" and rv.val != 10:
+                elif rv.kind == "preg" and rv.val != A0:
                     # returned argument lives elsewhere: mv a0, <reg>
                     mf.instrs.append(MachineInstr(
-                        "ADDI", [MOp.preg(10), rv, MOp.imm(0)]))
-            mf.instrs.append(MachineInstr(
-                "JALR", [operand_mop(op) for op in n.ops], is_ret=True))
+                        "ADDI", [MOp.preg(A0), rv, MOp.imm(0)]))
+            mf.instrs.append(MachineInstr("JALR", list(n.ops), is_ret=True))
             continue
         ops: list[MOp] = []
         if n.vt != "none":
@@ -837,7 +815,7 @@ def emit_dot(dag: SelDag, stage_label: str = "") -> str:
         elif n.kind == "GlobalAddress":
             extra = f"<@{n.value}>"
         elif n.kind == "Register":
-            extra = f"<{n.value[0]}{n.value[1]}>"
+            extra = f"<arg{n.value}>"
         return f"{n.kind}{extra}:{n.vt}"
 
     for n in nodes:

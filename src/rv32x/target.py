@@ -169,7 +169,6 @@ class SelPattern(NamedTuple):
     target: PatNode  # kind = instruction mnemonic, children are leaves
     ext: str
     priority: int
-    order: int
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,7 @@ class TargetDesc:
     sequences are tuples."""
 
     instrs: Mapping[str, InstrDef]
-    patterns: tuple[SelPattern, ...]
+    patterns: tuple[SelPattern, ...]  # in record order
     by_asm: Mapping[str, InstrDef]  # printed name
     # defs by opcode | funct3 << 12, the word's bits under SLOT_MASK; U-format
     # defs sit in all eight funct3 slots
@@ -376,7 +375,6 @@ def load_target_desc(text: str) -> TargetDesc:
     by_asm: dict[str, InstrDef] = {}
     patterns: list[SelPattern] = []
     ext = "I"
-    order = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split(";")[0].strip()
         if not line:
@@ -403,8 +401,7 @@ def load_target_desc(text: str) -> TargetDesc:
                 _check_pattern(src, tgt, instrs, where)
             else:
                 src, tgt = _sem_pattern(body.strip(), instrs, where)
-            patterns.append(SelPattern(src, tgt, ext, src.size(), order))
-            order += 1
+            patterns.append(SelPattern(src, tgt, ext, src.size()))
             continue
         raise TargetError(f"{where}: unrecognized record {line!r}")
     return TargetDesc(MappingProxyType(instrs), tuple(patterns),

@@ -249,11 +249,9 @@ def run_one_test(path: str, executor) -> tuple[bool, str]:
     return True, ""
 
 
-def run_lit(paths, verbose: bool = False, executor=None) -> LitReport:
+def run_lit(paths, executor, verbose: bool = False) -> LitReport:
     """Execute each test's RUN pipelines, one test after another in path
     order; report 'PASS/FAIL: suite :: file' lines plus a timing summary."""
-    if executor is None:
-        from .driver import run_command as executor
     tests = discover_tests(paths)
     report = LitReport(total=len(tests))
     started = time.monotonic()
@@ -300,14 +298,12 @@ def _strip_filecheck_stage(stages: list[list[str]]):
     return stages[:-1], prefix
 
 
-def update_checks(path: str, executor=None) -> bool:
+def update_checks(path: str, executor) -> bool:
     """Regenerate CHECK bodies from the current compiler output, preserving
     RUN lines and function labels. Only .ll codegen tests are rewritten;
     hand-authored .s tests are left untouched. Refuses with a diff when the
     producing pipeline is nondeterministic across two runs. Returns whether
     the file changed."""
-    if executor is None:
-        from .driver import run_command as executor
     if not path.endswith(".ll"):
         return False
     with open(path, "r", encoding="utf-8") as f:

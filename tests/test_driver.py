@@ -404,13 +404,32 @@ def _params_sum(n: int) -> str:
      "@f: 9 parameters; at most 8"),
     (["llc", "-"], _params_sum(23), "@f: 23 parameters; at most 8"),
     (["run", "-"], _params_sum(23), "@f: 23 parameters; at most 8"),
+    (["lit", path("missing")], "", "no such test path"),
+    (["update-checks", path("missing.ll")], "", "missing.ll"),
 ], ids=["args-word", "args-empty", "args-wide", "args-negative", "mem-bytes",
         "mem-address", "mem-negative", "mem-no-colon", "obj-word-run",
         "obj-word-mc", "obj-reloc", "obj-wide-mc", "obj-wide-run",
         "bare-opcode", "bare-result", "args-missing", "params-9-llc",
-        "params-9-run", "params-23-llc", "params-23-run"])
+        "params-9-run", "params-23-llc", "params-23-run", "lit-missing",
+        "update-checks-missing"])
 def test_malformed_input_is_a_diagnosed_error(argv, stdin, named):
     code, out, err = run_command(argv, stdin_text=stdin)
+    assert code == 1 and out == ""
+    assert err.startswith("rv32x: error:") and named in err, err
+
+
+@pytest.mark.parametrize("data,named", [
+    (b"; RUN: llc < %s | filecheck %s\n"
+     b"define i32 @f(i32 %a) {\n  %x = frob i32 %a, 1\n  ret i32 %a\n}\n",
+     "RUN pipeline failed while updating checks:\n"
+     "rv32x: error: <stdin>:3:1: unknown opcode 'frob'"),
+    (b"\xff; RUN: llc < %s | filecheck %s\n", "can't decode byte 0xff"),
+], ids=["failing-pipeline", "not-utf8"])
+def test_update_checks_of_a_bad_file_is_a_diagnosed_error(tmp_path, data,
+                                                          named):
+    p = tmp_path / "t.ll"
+    p.write_bytes(data)
+    code, out, err = run_command(["update-checks", str(p)])
     assert code == 1 and out == ""
     assert err.startswith("rv32x: error:") and named in err, err
 

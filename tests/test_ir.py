@@ -94,24 +94,22 @@ def test_verifier_accepts_corpus():
 
 def test_use_before_def():
     m = ir.Module("t", (), (ir.Function(
-        "f", (), "i32",
-        (ir.BasicBlock("entry", (
+        "f", (), "i32", (
             ir.Inst("add", "y", (ir.Value("temp", "x", ty="i32"),
                                  ir.const(1)), "i32"),
             ir.Inst("ret", None, (ir.Value("temp", "y", ty="i32"),), "i32"),
-        )),)),))
+        )),))
     bad = ir.verify(m)
     assert any("use before def: %x" in v for v in bad)
 
 
 def test_store_address_type_violation():
     m = ir.Module("t", (), (ir.Function(
-        "f", (("a", "i32"),), "void",
-        (ir.BasicBlock("entry", (
+        "f", (("a", "i32"),), "void", (
             ir.Inst("store", None, (ir.const(1),
                                     ir.Value("arg", "a", ty="i32")), "void"),
             ir.Inst("ret", None, (), "void"),
-        )),)),))
+        )),))
     bad = ir.verify(m)
     assert any("store takes" in v for v in bad)
 
@@ -147,6 +145,21 @@ def test_unknown_opcode_diagnostic():
     with pytest.raises(ir.IrError, match="unknown opcode"):
         ir.parse_ir("define i32 @f(i32 %a) {\n  %x = frob i32 %a, 1\n"
                     "  ret i32 %x\n}")
+
+
+@pytest.mark.parametrize("text,where", [
+    ("define i32 @f(i32 %a) { ret i32 %a }\n"
+     "define i32 @g(i32 %a) {\n  %x = frob i32 %a, 1\n  ret i32 %x\n}\n",
+     "<stdin>:3:1: unknown opcode 'frob'"),
+    ("\ndefine i32 @f(i32 %a) { %x = frob i32 %a, 1 }\n",
+     "<stdin>:2:1: unknown opcode 'frob'"),
+], ids=["after", "inside"])
+def test_position_of_a_one_line_define(text, where):
+    """The pieces of a one-line define keep its line number, and the lines
+    after it keep theirs."""
+    with pytest.raises(ir.IrError) as e:
+        ir.parse_ir(text)
+    assert str(e.value) == where
 
 
 def test_parse_error_carries_position():

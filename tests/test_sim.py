@@ -328,8 +328,8 @@ def test_ir_interpret_identity():
 
 
 def test_ir_interpret_undef_read_errors():
-    fn = ir.Function("f", (), "i32", (ir.BasicBlock("entry", (
-        ir.Inst("ret", None, (ir.UNDEF,), "i32"),)),))
+    fn = ir.Function("f", (), "i32", (
+        ir.Inst("ret", None, (ir.UNDEF,), "i32"),))
     with pytest.raises(sim.InterpError, match="undefined value"):
         sim.ir_interpret(fn, [])
 
