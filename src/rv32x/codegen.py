@@ -2,7 +2,8 @@
 
 Allocation is a linear scan over def/last-use intervals with the fixed
 preference order a0-a7, t0-t6, s1-s11. Function arguments arrive pinned in
-a0.., the return value is steered into a0. On pressure overflow the interval
+a0..; the return value lands in a0 when a0 is free at its definition and is
+moved there before the return otherwise. On pressure overflow the interval
 with the furthest next use is spilled to an sp-relative slot and the scan is
 redone with three scratch registers reserved for reload sequences.
 """
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from . import target as tgt
-from .mir import (MOp, MachineInstr, MachineFunction, REG_INDEX,
+from .mir import (ABI_NAMES, MOp, MachineInstr, MachineFunction, REG_INDEX,
                   parse_reg, reg_name, X0, RA, SP, A0)
 
 ALLOC_ORDER = (
@@ -27,11 +30,6 @@ SCRATCH_REGS = (REG_INDEX["s9"], REG_INDEX["s10"], REG_INDEX["s11"])
 
 class CodegenError(Exception):
     pass
-
-
-def _inst_def_slot(desc: tgt.TargetDesc, mi: MachineInstr) -> int | None:
-    d = desc.instr(mi.mnemonic)
-    return 0 if d.ops and d.ops[0] == "rd" else None
 
 
 # --------------------------------------------------------------------------
@@ -50,149 +48,159 @@ class _Interval:
         return self.uses[i] if i < len(self.uses) else 1 << 30
 
 
-def _intervals(mf: MachineFunction, desc: tgt.TargetDesc):
+def _live_ranges(mf: MachineFunction, desc: tgt.TargetDesc):
+    """One walk over the instructions: the def/use interval of every
+    virtual register, in birth order, and a conservative liveness window per
+    physical register already present."""
     born: dict[int, int] = {}
-    uses: dict[int, list[int]] = {}
+    uses: defaultdict[int, list[int]] = defaultdict(list)
+    windows: dict[int, list[int]] = {}
     n = len(mf.instrs)
     for i, mi in enumerate(mf.instrs):
-        dslot = _inst_def_slot(desc, mi)
-        for s, op in enumerate(mi.ops):
-            if op.kind != "vreg":
-                continue
-            if s == dslot:
-                born[op.val] = i
-            else:
-                uses.setdefault(op.val, []).append(i)
-    out = []
+        defines = desc.instr(mi.mnemonic).defines
+        for s, (kind, val, _) in enumerate(mi.ops):
+            if kind == "vreg":
+                if s == 0 and defines:
+                    born[val] = i
+                else:
+                    uses[val].append(i)
+            elif kind == "preg" and val not in (X0, RA, SP):
+                w = windows.get(val)
+                if w is None:
+                    windows[val] = [i if s == 0 and defines else -1, i]
+                else:
+                    w[1] = i
+    if mf.ret_vreg is None and A0 in windows \
+            and any(mi.is_ret for mi in mf.instrs):
+        # a0 already carries the return value; keep it live to the end
+        windows[A0][1] = n
+    intervals = []
     for v, b in born.items():
         us = uses.get(v, [])  # ascending, as appended
         dies = us[-1] if us else b
         if v == mf.ret_vreg:
             dies = n  # must survive into the return
-        out.append(_Interval(v, b, dies, us))
-    out.sort(key=lambda iv: (iv.born, iv.vreg))
-    return out
-
-
-def _preg_windows(mf: MachineFunction, desc: tgt.TargetDesc):
-    """Conservative liveness window per physical register already present."""
-    windows: dict[int, list[int, int]] = {}
-    n = len(mf.instrs)
-    for i, mi in enumerate(mf.instrs):
-        dslot = _inst_def_slot(desc, mi)
-        for s, op in enumerate(mi.ops):
-            if op.kind != "preg" or op.val in (X0, RA, SP):
-                continue
-            is_def = s == dslot
-            w = windows.get(op.val)
-            if w is None:
-                windows[op.val] = [i if is_def else -1, i]
-            else:
-                w[1] = i
-    ret_like = any(mi.is_ret for mi in mf.instrs)
-    if ret_like and mf.ret_vreg is None and A0 in windows:
-        # a0 already carries the return value; keep it live to the end
-        windows[A0][1] = n
-    return windows
+        intervals.append(_Interval(v, b, dies, us))
+    intervals.sort(key=lambda iv: (iv.born, iv.vreg))
+    return intervals, windows
 
 
 def allocate_registers(mf: MachineFunction, desc: tgt.TargetDesc
                        ) -> MachineFunction:
     """Assign physical registers; spill on overflow. Always succeeds. Both
     attempts scan the same intervals, built once."""
-    intervals = _intervals(mf, desc)
-    pwin = _preg_windows(mf, desc)
-    out = _allocate(mf, desc, intervals, pwin, reserve_scratch=False)
-    if out is None:
-        out = _allocate(mf, desc, intervals, pwin, reserve_scratch=True)
-        if out is None:
-            raise CodegenError("register allocation failed even with spilling")
-    return out
+    intervals, pwin = _live_ranges(mf, desc)
+    assign, spilled = (_allocate(intervals, pwin, reserve_scratch=False)
+                       or _allocate(intervals, pwin, reserve_scratch=True))
+    return _rewrite(mf, desc, assign, spilled)
 
 
-def _allocate(mf: MachineFunction, desc: tgt.TargetDesc,
-              intervals: list[_Interval], pwin: dict[int, list[int]],
-              reserve_scratch: bool) -> MachineFunction | None:
-    pool = [r for r in ALLOC_ORDER
-            if not (reserve_scratch and r in SCRATCH_REGS)]
+# bit i of a register set stands for ALLOC_ORDER[i], so the lowest set bit
+# is the preferred free register
+_BIT = {r: 1 << i for i, r in enumerate(ALLOC_ORDER)}
+_SCRATCH_BITS = sum(_BIT[r] for r in SCRATCH_REGS)
+
+
+def _allocate(intervals: list[_Interval], pwin: dict[int, list[int]],
+              reserve_scratch: bool
+              ) -> tuple[dict[int, int], dict[int, int]] | None:
+    """The scan keeps the free registers as a bitmask, the assigned
+    intervals in a heap by end, and, when spilling, the candidates in a
+    max-heap by (next use, vreg). A candidate's key only grows as the scan
+    passes its uses, so `due`, a min-heap by recorded next use, says whose
+    key to refresh before a victim is taken."""
+    free = (1 << len(ALLOC_ORDER)) - 1
+    if reserve_scratch:
+        free &= ~_SCRATCH_BITS
+    wins = [(start, end, _BIT[r]) for r, (start, end) in pwin.items()
+            if r in _BIT]
     assign: dict[int, int] = {}
     spilled: dict[int, int] = {}
-    active: list[_Interval] = []  # live at the scan position, all assigned
+    live: list[tuple[int, int, int]] = []  # (dies, vreg, bit)
+    far: list[tuple[int, int, _Interval]] = []  # (-next use, -vreg, iv)
+    due: list[tuple[int, int, _Interval]] = []  # (next use, vreg, iv)
 
     for iv in intervals:
-        active = [a for a in active if a.dies > iv.born]
-        # registers held by live intervals or by physical-register windows
-        busy = {assign[a.vreg] for a in active}
-        busy.update(r for r, (start, end) in pwin.items()
-                    if not (iv.dies <= start or end <= iv.born))
-        choices = pool
-        if iv.vreg == mf.ret_vreg and A0 not in busy:
-            choices = [A0] + pool
-        reg = next((r for r in choices if r not in busy), None)
-        if reg is None:
-            if not reserve_scratch:
-                return None
+        at = iv.born
+        while live and live[0][0] <= at:
+            _, v, bit = heappop(live)
+            if v in assign:  # else a spill gave its register away
+                free |= bit
+        taken = 0  # physical-register windows overlapping this interval
+        for start, end, bit in wins:
+            if start < iv.dies and at < end:
+                taken |= bit
+        avail = free & ~taken
+        if avail:
+            bit = avail & -avail
+            free ^= bit
+            assign[iv.vreg] = ALLOC_ORDER[bit.bit_length() - 1]
+        elif not reserve_scratch:
+            return None
+        else:
             # spill the interval whose next use is furthest away
-            victim = max(active + [iv],
-                         key=lambda a: (a.next_use(iv.born), a.vreg))
-            if victim is iv:
+            while due and due[0][0] <= at:
+                _, v, a = heappop(due)
+                if v in assign and a.dies > at:
+                    nu = a.next_use(at)
+                    heappush(due, (nu, v, a))
+                    heappush(far, (-nu, -v, a))
+            while far and (-far[0][1] not in assign or far[0][2].dies <= at):
+                heappop(far)  # spilled or ended
+            if not far or (-iv.next_use(at), -iv.vreg) < far[0][:2]:
                 spilled[iv.vreg] = len(spilled)
                 continue
-            reg = assign.pop(victim.vreg)
+            victim = heappop(far)[2]
+            assign[iv.vreg] = assign.pop(victim.vreg)
             spilled[victim.vreg] = len(spilled)
-            active = [a for a in active if a is not victim]
-        assign[iv.vreg] = reg
-        active.append(iv)
+            bit = _BIT[assign[iv.vreg]]
+        heappush(live, (iv.dies, iv.vreg, bit))
+        if reserve_scratch:
+            nu = iv.next_use(at)
+            heappush(due, (nu, iv.vreg, iv))
+            heappush(far, (-nu, -iv.vreg, iv))
 
-    if spilled and not reserve_scratch:
-        return None
-    return _rewrite(mf, desc, assign, spilled)
+    return assign, spilled
 
 
 def _rewrite(mf: MachineFunction, desc: tgt.TargetDesc,
              assign: dict[int, int], spilled: dict[int, int]
              ) -> MachineFunction:
     out = MachineFunction(mf.name)
-    nslots = len(spilled)
-    if nslots:
-        out.frame_size = (nslots * 4 + 15) & ~15
-
-    def slot_off(v: int) -> int:
-        return spilled[v] * 4
-
-    ret_reg = assign.get(mf.ret_vreg) if mf.ret_vreg is not None else None
+    if spilled:
+        out.frame_size = (len(spilled) * 4 + 15) & ~15
+    # one operand per register and per spill slot, shared by every use
+    reg = {MOp.vreg(v): MOp.preg(r) for v, r in assign.items()}
+    slot = {MOp.vreg(v): MOp.imm(s * 4) for v, s in spilled.items()}
+    sp, a0 = MOp.preg(SP), MOp.preg(A0)
+    scratch = [MOp.preg(r) for r in SCRATCH_REGS]
+    ret = MOp.vreg(mf.ret_vreg) if mf.ret_vreg is not None else None
+    emit = out.instrs.append
     for mi in mf.instrs:
-        dslot = _inst_def_slot(desc, mi)
-        pre: list[MachineInstr] = []
-        post: list[MachineInstr] = []
-        ops: list[MOp] = []
-        scratch_iter = iter(SCRATCH_REGS)
-        for s, op in enumerate(mi.ops):
-            if op.kind != "vreg":
-                ops.append(op)
-                continue
-            if op.val in spilled:
-                if s == dslot:
-                    r = SCRATCH_REGS[0]
-                    post.append(MachineInstr("SW", [
-                        MOp.preg(r), MOp.preg(SP), MOp.imm(slot_off(op.val))]))
+        ops = [reg.get(op, op) for op in mi.ops]
+        store = None
+        if slot and not slot.keys().isdisjoint(ops):
+            defines = desc.instr(mi.mnemonic).defines
+            loads = 0
+            for s, op in enumerate(ops):
+                off = slot.get(op)
+                if off is None:
+                    continue
+                if s == 0 and defines:
+                    ops[0] = scratch[0]
+                    store = MachineInstr("SW", [scratch[0], sp, off])
                 else:
-                    r = next(scratch_iter)
-                    pre.append(MachineInstr("LW", [
-                        MOp.preg(r), MOp.preg(SP), MOp.imm(slot_off(op.val))]))
-                ops.append(MOp.preg(r))
-            else:
-                ops.append(MOp.preg(assign[op.val]))
-        new = MachineInstr(mi.mnemonic, ops, mi.is_ret)
-        if mi.is_ret and ret_reg is not None and ret_reg != A0:
-            pre.append(MachineInstr("ADDI", [MOp.preg(A0), MOp.preg(ret_reg),
-                                             MOp.imm(0)]))
-        if mi.is_ret and mf.ret_vreg is not None and mf.ret_vreg in spilled:
-            pre.append(MachineInstr("LW", [MOp.preg(A0), MOp.preg(SP),
-                                           MOp.imm(slot_off(mf.ret_vreg))]))
-        out.instrs.extend(pre)
-        out.instrs.append(new)
-        out.instrs.extend(post)
+                    ops[s] = scratch[loads]
+                    emit(MachineInstr("LW", [scratch[loads], sp, off]))
+                    loads += 1
+        if mi.is_ret and ret is not None:
+            if ret in slot:
+                emit(MachineInstr("LW", [a0, sp, slot[ret]]))
+            elif reg.get(ret, a0) != a0:
+                emit(MachineInstr("ADDI", [a0, reg[ret], MOp.imm(0)]))
+        emit(MachineInstr(mi.mnemonic, ops, mi.is_ret))
+        if store is not None:
+            emit(store)
     return out
 
 
@@ -235,13 +243,6 @@ def _fmt_operand(op: MOp) -> str:
     return f"v{op.val}"
 
 
-def _memory_spelling(d: tgt.InstrDef) -> bool:
-    """Loads, stores and JALR are written `op reg, imm(base)`; LXR, which
-    loads through two registers and has no offset, is not."""
-    return (d.may_load or d.may_store or d.mnemonic == "JALR") \
-        and "imm12" in d.ops
-
-
 def format_instr(mi: MachineInstr, desc: tgt.TargetDesc,
                  aliases: bool = True) -> str:
     d = desc.instr(mi.mnemonic)
@@ -256,11 +257,12 @@ def format_instr(mi: MachineInstr, desc: tgt.TargetDesc,
                 return f"mv\t{_fmt_operand(ops[0])}, {_fmt_operand(ops[1])}"
         if mi.mnemonic == "XORI" and ops[2].kind == "imm" and ops[2].val == -1:
             return f"not\t{_fmt_operand(ops[0])}, {_fmt_operand(ops[1])}"
-    if _memory_spelling(d):
-        head, base, off = ops  # rd or rs2, rs1, imm12
-        return (f"{d.asm}\t{_fmt_operand(head)}, "
-                f"{_fmt_operand(off)}({_fmt_operand(base)})")
-    return f"{d.asm}\t" + ", ".join(_fmt_operand(op) for op in ops)
+    texts = [ABI_NAMES[op.val] if op.kind == "preg" else _fmt_operand(op)
+             for op in ops]
+    if d.mem_spelling:
+        head, base, off = texts  # rd or rs2, rs1, imm12
+        return f"{d.asm}\t{head}, {off}({base})"
+    return f"{d.asm}\t" + ", ".join(texts)
 
 
 def print_asm(mf: MachineFunction, desc: tgt.TargetDesc) -> str:
@@ -340,7 +342,7 @@ def parse_asm_line(line: str, desc: tgt.TargetDesc) -> MachineInstr | None:
         d = desc.by_asm.get(mn)
         if d is None:
             raise AsmError(f"unknown mnemonic {mn!r}")
-        if _memory_spelling(d):
+        if d.mem_spelling:
             if len(toks) != 2:
                 raise AsmError(f"{mn}: expected 'reg, imm(base)'")
             m = _MEM_RE.match(toks[1].replace(" ", ""))

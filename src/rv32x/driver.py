@@ -91,13 +91,16 @@ def compile_ir_text(text: str, source: str, desc: tgt.TargetDesc,
 # --------------------------------------------------------------------------
 
 def _read_input(path: str | None, stdin: io.TextIOBase) -> tuple[str, str]:
-    if path in (None, "-"):
-        return stdin.read(), "<stdin>"
+    name = "<stdin>" if path in (None, "-") else path
     try:
+        if name == "<stdin>":
+            return stdin.read(), name
         with open(path, "r", encoding="utf-8") as f:
             return f.read(), path
     except OSError as e:
         raise DriverError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise DriverError(f"{name}: not UTF-8 text: {e}") from None
 
 
 def _opt_level(args) -> str:

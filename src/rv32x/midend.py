@@ -421,49 +421,44 @@ def pass_inst_combine(fn: ir.Function, stats: PassStats,
 # Reassociate
 # --------------------------------------------------------------------------
 
-def compute_ranks(fn: ir.Function) -> dict:
-    """Constants rank 0, argument i ranks i+3, instruction results rank
-    1 + max(operand ranks)."""
-    ranks: dict[tuple, int] = {}
-    for i, (name, _) in enumerate(fn.params):
-        ranks[("arg", name)] = i + 3
-
-    def rank_of(v: Value) -> int:
-        if v.kind == "const" or v.kind == "undef":
-            return 0
-        if v.kind == "global":
-            return 1
-        return ranks.get((v.kind, v.name), 1)
-
-    for inst in fn.body:
+def compute_ranks(fn: ir.Function) -> dict[str, tuple[int, int]]:
+    """(rank, order) of each argument and instruction result, by name.
+    Constants and undef rank 0, globals 1, argument i ranks i+3, an
+    instruction result 1 + max(operand ranks). The order is the position
+    of the definition, arguments first. Argument and result names are
+    distinct, as the verifier requires."""
+    ranks = {name: (i + 3, i) for i, (name, _) in enumerate(fn.params)}
+    first = len(fn.params)
+    for i, inst in enumerate(fn.body):
         if inst.result is not None:
-            best = max((rank_of(o) for o in inst.operands), default=0)
-            ranks[("temp", inst.result)] = 1 + best
+            best = 0
+            for v in inst.operands:
+                if v.kind == "arg" or v.kind == "temp":
+                    r = ranks.get(v.name, (1,))[0]
+                else:
+                    r = 1 if v.kind == "global" else 0
+                if r > best:
+                    best = r
+            ranks[inst.result] = (1 + best, first + i)
     return ranks
+
+
+def _operand_key(v: Value, ranks: dict[str, tuple[int, int]]) -> tuple:
+    """Constants first, by value, then globals, then by (rank, order)."""
+    if v.kind == "const":
+        return (0, -1, v.const)
+    if v.kind == "global":
+        return (1, -1)
+    return ranks.get(v.name, (1, 0))
 
 
 def pass_reassociate(fn: ir.Function, stats: PassStats) -> ir.Function:
     ranks = compute_ranks(fn)
-    order: dict[tuple, int] = {}
-    for i, (name, _) in enumerate(fn.params):
-        order[("arg", name)] = i
-    for i, inst in enumerate(fn.body):
-        if inst.result is not None:
-            order[("temp", inst.result)] = len(fn.params) + i
-
-    def key(v: Value):
-        if v.kind == "const":
-            return (0, -1, v.const)
-        if v.kind == "global":
-            return (1, -1, 0)
-        r = ranks.get((v.kind, v.name), 1)
-        return (r, order.get((v.kind, v.name), 0), 0)
-
     out = []
     for inst in fn.body:
         if inst.opcode in ir.COMMUTATIVE:
             a, b = inst.operands
-            if key(b) < key(a):
+            if _operand_key(b, ranks) < _operand_key(a, ranks):
                 stats.bump("reassociate.insts-reassociated")
                 inst = Inst(inst.opcode, inst.result, (b, a), inst.ty)
         out.append(inst)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -135,6 +136,21 @@ class InstrDef:
     @property
     def may_store(self) -> bool:
         return "mayStore" in self.flags
+
+    # Allocation and printing read these per instruction. They are computed
+    # on first use, once per description: a description loaded only to
+    # simulate, as run_function without `desc` does, never pays for them.
+    @cached_property
+    def defines(self) -> bool:
+        """ops[0] is rd, the one operand the instruction writes."""
+        return self.ops[:1] == ("rd",)
+
+    @cached_property
+    def mem_spelling(self) -> bool:
+        """Written `op reg, imm(base)`: loads, stores and JALR. Not LXR,
+        which loads through two registers and has no offset."""
+        return (self.may_load or self.may_store or self.mnemonic == "JALR") \
+            and "imm12" in self.ops
 
 
 class PatNode(NamedTuple):
@@ -613,11 +629,16 @@ def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
     word = d.match  # the opcode and funct fields
     reloc = None
     for role, f, op in zip(d.ops, d.fields, mi.ops):
-        v = _op_value(op, role, d)
-        if v is None:
-            reloc = (op.reloc, op.val)
-        else:
-            word |= (v & f.mask) << f.shift | (v & f.lo_mask) << f.lo_shift
+        kind, v, _ = op
+        # a register in a register field or an immediate in range goes in
+        # as it is; _op_value diagnoses the rest, or finds a relocation
+        if not (kind == "preg" and f.reg and 0 <= v < 32
+                or kind == "imm" and not f.reg and fits(role, v)):
+            v = _op_value(op, role, d)
+            if v is None:
+                reloc = (op.reloc, op.val)
+                continue
+        word |= (v & f.mask) << f.shift | (v & f.lo_mask) << f.lo_shift
     return EncodedWord(word, reloc)
 
 

@@ -210,27 +210,31 @@ class LitReport:
 
 
 def discover_tests(paths) -> list[str]:
+    """The tests under `paths`: the .s and .ll files of a directory that
+    carry RUN lines, and each file named directly, which must be a test."""
     found: list[str] = []
     for p in paths:
         path = pathlib.Path(p)
         if path.is_dir():
             for f in sorted(path.rglob("*")):
-                if f.suffix in (".s", ".ll") and f.is_file():
-                    found.append(str(f))
+                if f.suffix not in (".s", ".ll") or not f.is_file():
+                    continue
+                try:
+                    if parse_test_file(str(f)).run_lines:
+                        found.append(str(f))
+                except (OSError, UnicodeDecodeError):
+                    continue  # not a test
         elif path.is_file():
+            try:
+                run_lines = parse_test_file(str(path)).run_lines
+            except UnicodeDecodeError as e:
+                raise TestkitError(f"{p}: not UTF-8 text: {e}") from None
+            if not run_lines:
+                raise TestkitError(f"{p}: not a test: it has no RUN lines")
             found.append(str(path))
         else:
             raise TestkitError(f"no such test path: {p}")
-    # only files that actually carry RUN lines are tests
-    out = []
-    for f in sorted(dict.fromkeys(found)):
-        try:
-            tf = parse_test_file(f)
-        except (OSError, UnicodeDecodeError):
-            continue
-        if tf.run_lines:
-            out.append(f)
-    return out
+    return sorted(dict.fromkeys(found))
 
 
 def run_one_test(path: str, executor) -> tuple[bool, str]:

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from rv32x import codegen, ir, sim
+from rv32x import codegen, ir, midend, sim
 from rv32x import target as tgt
-from rv32x.mir import MOp, MachineInstr, MachineFunction, REG_INDEX
+from rv32x.mir import A0, MOp, MachineInstr, MachineFunction, REG_INDEX
 
 from conftest import (assert_runs_like_ir, compile_corpus, compile_fn,
                       corpus_module, make_ptr_args)
@@ -81,8 +81,9 @@ def test_spilling_preserves_semantics(desc):
 def test_allocation_builds_intervals_once_for_both_attempts(monkeypatch,
                                                            desc):
     # the scan without scratch registers fails on a function that spills,
-    # and the scan with them reuses its intervals and register windows
-    calls = {"_intervals": 0, "_preg_windows": 0, "_allocate": 0}
+    # and the scan with them reuses the intervals and register windows of
+    # the one walk over the instructions
+    calls = {"_live_ranges": 0, "_allocate": 0}
     for name in calls:
         def counted(*args, _real=getattr(codegen, name), _name=name,
                     **kwargs):
@@ -92,7 +93,107 @@ def test_allocation_builds_intervals_once_for_both_attempts(monkeypatch,
     mod = _many_live_values_fn(40)
     mf, _ = compile_fn(mod.functions[0], mod, desc, None)
     assert mf.frame_size > 0
-    assert calls == {"_intervals": 1, "_preg_windows": 1, "_allocate": 2}
+    assert calls == {"_live_ranges": 1, "_allocate": 2}
+
+
+def _reference_scan(mf, intervals, pwin, reserve_scratch):
+    """The linear scan as first written: it rebuilds the live set and the
+    busy registers for every interval, and evaluates every live interval to
+    pick a spill victim. codegen._allocate must decide exactly as this."""
+    pool = [r for r in codegen.ALLOC_ORDER
+            if not (reserve_scratch and r in codegen.SCRATCH_REGS)]
+    assign, spilled, active = {}, {}, []
+    for iv in intervals:
+        active = [a for a in active if a.dies > iv.born]
+        busy = {assign[a.vreg] for a in active}
+        busy.update(r for r, (start, end) in pwin.items()
+                    if not (iv.dies <= start or end <= iv.born))
+        choices = pool
+        if iv.vreg == mf.ret_vreg and A0 not in busy:
+            choices = [A0] + pool
+        reg = next((r for r in choices if r not in busy), None)
+        if reg is None:
+            if not reserve_scratch:
+                return None
+            victim = max(active + [iv],
+                         key=lambda a: (a.next_use(iv.born), a.vreg))
+            if victim is iv:
+                spilled[iv.vreg] = len(spilled)
+                continue
+            reg = assign.pop(victim.vreg)
+            spilled[victim.vreg] = len(spilled)
+            active = [a for a in active if a is not victim]
+        assign[iv.vreg] = reg
+        active.append(iv)
+    return assign, spilled
+
+
+def _assert_scan_matches_reference(mf, desc):
+    intervals, pwin = codegen._live_ranges(mf, desc)
+    for reserve in (False, True):
+        assert codegen._allocate(intervals, pwin, reserve) == \
+            _reference_scan(mf, intervals, pwin, reserve), (mf.name, reserve)
+
+
+def _random_machine_fn(rng: random.Random, n: int) -> MachineFunction:
+    """SSA over virtual registers: arguments pinned in a0.., values used
+    at random distances, dead values, stores, and either a value steered
+    into a0 or a0 written directly before the return."""
+    nargs = rng.randrange(0, 9)
+    args = [MOp.preg(A0 + i) for i in range(nargs)]
+    vals = []
+    mf = MachineFunction(f"r{n}")
+
+    def src():
+        pool = vals[-rng.choice((3, 12, 60)):] + args
+        return rng.choice(pool) if pool else MOp.preg(0)
+
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.15:
+            mf.instrs.append(MachineInstr(
+                "SW", [src(), src(), MOp.imm(4 * rng.randrange(8))]))
+            continue
+        v = MOp.vreg(len(vals))
+        if r < 0.3:
+            mf.instrs.append(MachineInstr("ADDI", [v, src(), MOp.imm(1)]))
+        else:
+            mf.instrs.append(MachineInstr("ADD", [v, src(), src()]))
+        vals.append(v)
+    if vals and rng.random() < 0.6:
+        mf.ret_vreg = rng.choice(vals).val
+    elif vals:
+        mf.instrs.append(MachineInstr("ADDI", [MOp.preg(A0), vals[-1],
+                                               MOp.imm(0)]))
+    mf.instrs.append(MachineInstr("JALR", [MOp.preg(0), MOp.preg(1),
+                                           MOp.imm(0)], is_ret=True))
+    mf.num_vregs = len(vals)
+    return mf
+
+
+def test_scan_decides_as_the_reference_on_random_functions(desc):
+    rng = random.Random(91)
+    spilled = 0
+    for _ in range(120):
+        mf = _random_machine_fn(rng, rng.randrange(1, 160))
+        _assert_scan_matches_reference(mf, desc)
+        spilled += codegen.allocate_registers(mf, desc).frame_size > 0
+    assert 10 < spilled < 110  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("size", [100, 200, 400, 800])
+def test_scan_decides_as_the_reference_on_large_functions(monkeypatch, desc,
+                                                          size):
+    from test_fuzz import gen_large_fn
+    seen = []
+    real = codegen.allocate_registers
+    monkeypatch.setattr(codegen, "allocate_registers",
+                        lambda mf, d: seen.append(mf) or real(mf, d))
+    mod = ir.parse_ir(gen_large_fn(random.Random(size), size, size))
+    opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
+    compile_fn(opt.functions[0], opt, desc, "+zba,+zbb,+xcrypt")
+    (mf,) = seen
+    _assert_scan_matches_reference(mf, desc)
 
 
 def test_a_physical_register_operand_is_shared():

@@ -434,6 +434,16 @@ def test_update_checks_of_a_bad_file_is_a_diagnosed_error(tmp_path, data,
     assert err.startswith("rv32x: error:") and named in err, err
 
 
+@pytest.mark.parametrize("cmd", ["llc", "opt", "run", "mc"])
+def test_input_that_is_not_utf8_is_a_diagnosed_error(tmp_path, cmd):
+    p = tmp_path / "t.ll"
+    p.write_bytes(b"\xffdefine i32 @f(i32 %a) {\n  ret i32 %a\n}\n")
+    code, out, err = run_command([cmd, str(p)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"rv32x: error: {p}: not UTF-8 text") \
+        and err.count("\n") == 1, err
+
+
 def test_run_fuel_must_be_positive():
     for fuel in ("0", "-3"):
         code, out, err = run_command(["run", path("identity.ll"), "--args=1",

@@ -144,6 +144,20 @@ def test_global_address_becomes_add_lo_hi():
     assert addr.ops[1].node.kind == "GlobalAddress"
 
 
+@pytest.mark.parametrize("level", ["O0", "O2"])
+def test_accesses_of_one_global_share_one_lui(desc, level):
+    # the loads and the store of @g share one ADD_LO, so one HI is selected
+    text = ("@g = global i32 5\n"
+            "define i32 @f(i32 %a) {\n"
+            "  %x = load i32, ptr @g\n  %y = load i32, ptr @g\n"
+            "  %s = add i32 %x, %y\n  store i32 %s, ptr @g\n"
+            "  ret i32 %s\n}\n")
+    cm = driver.compile_ir_text(text, "g", desc, tgt.parse_mattr(None), level)
+    asm = cm.functions["f"].asm
+    assert histogram(asm)["lui"] == 1, asm
+    assert asm.count("%lo(g)") == 3 - (level == "O2"), asm
+
+
 def test_rotr_kept_legal_under_zbb():
     dag, _ = build("rori.ll", opt=True)
     isel.combine(dag)

@@ -332,10 +332,10 @@ define i32 @f(ptr %p, i32 %a) {
 def test_rank_of_first_argument_is_three():
     fn = parse_fn("define i32 @f(i32 %state, i32 %b) {\n"
                   "  %x = add i32 %state, %b\n  ret i32 %x\n}")
-    ranks = midend.compute_ranks(fn)
-    assert ranks[("arg", "state")] == 3
-    assert ranks[("arg", "b")] == 4
-    assert ranks[("temp", "x")] == 5
+    ranks = midend.compute_ranks(fn)  # name -> (rank, order)
+    assert ranks["state"] == (3, 0)
+    assert ranks["b"] == (4, 1)
+    assert ranks["x"] == (5, 2)
 
 
 def test_reassociate_sorts_by_rank():

@@ -84,6 +84,19 @@ def test_discover_ignores_files_without_run_lines(tmp_path):
     assert [pathlib.Path(f).name for f in found] == ["b.ll"]
 
 
+def test_a_named_file_that_is_no_test_is_an_error(tmp_path):
+    # a directory walk skips them; named on the command line, each is an
+    # error rather than a run of 0 tests
+    (tmp_path / "plain.ll").write_text("define void @f() {\n  ret void\n}\n")
+    (tmp_path / "bytes.ll").write_bytes(b"\xff; RUN: opt %s\n")
+    assert testkit.discover_tests([str(tmp_path)]) == []
+    for name, named in (("plain.ll", "not a test: it has no RUN lines"),
+                        ("bytes.ll", "not UTF-8 text")):
+        code, out, err = run_command(["lit", str(tmp_path / name)])
+        assert code == 1 and out == ""
+        assert err.startswith("rv32x: error:") and named in err, err
+
+
 def test_shipped_corpus_passes():
     report = testkit.run_lit([str(LIT_TESTS)], executor=run_command)
     assert report.failed == 0
