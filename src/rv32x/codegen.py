@@ -1,11 +1,13 @@
 """Register allocation, prologue/epilogue, assembly and object emission.
 
-Allocation is a linear scan over def/last-use intervals with the fixed
-preference order a0-a7, t0-t6, s1-s11. Function arguments arrive pinned in
-a0..; the return value lands in a0 when a0 is free at its definition and is
-moved there before the return otherwise. On pressure overflow the interval
-with the furthest next use is spilled to an sp-relative slot and the scan is
-redone with three scratch registers reserved for reload sequences.
+Every function is one straight-line block, so allocation is one forward
+walk that treats the registers as a cache of the virtual registers, in the
+fixed preference order a0-a7, t0-t6, s1-s11. Function arguments arrive
+pinned in a0..; the return value lands in a0 when a0 is free at its
+definition and is moved or reloaded there before the return otherwise.
+When no register is free the value used furthest in the future is evicted
+to an sp-relative slot, and a use of a value that is not resident reloads
+it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from . import target as tgt
 from .mir import (ABI_NAMES, MOp, MachineInstr, MachineFunction, REG_INDEX,
@@ -25,7 +27,6 @@ ALLOC_ORDER = (
     + [REG_INDEX[f"t{i}"] for i in range(7)]
     + [REG_INDEX[f"s{i}"] for i in range(1, 12)]
 )
-SCRATCH_REGS = (REG_INDEX["s9"], REG_INDEX["s10"], REG_INDEX["s11"])
 
 
 class CodegenError(Exception):
@@ -33,7 +34,7 @@ class CodegenError(Exception):
 
 
 # --------------------------------------------------------------------------
-# Linear-scan register allocation
+# Register allocation
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -50,20 +51,21 @@ class _Interval:
 
 def _live_ranges(mf: MachineFunction, desc: tgt.TargetDesc):
     """One walk over the instructions: the def/use interval of every
-    virtual register, in birth order, and a conservative liveness window per
-    physical register already present."""
-    born: dict[int, int] = {}
-    uses: defaultdict[int, list[int]] = defaultdict(list)
+    virtual register operand, in birth order, and a conservative liveness
+    window per physical register already present."""
+    born: dict[MOp, int] = {}
+    uses: defaultdict[MOp, list[int]] = defaultdict(list)
     windows: dict[int, list[int]] = {}
     n = len(mf.instrs)
     for i, mi in enumerate(mf.instrs):
         defines = desc.instr(mi.mnemonic).defines
-        for s, (kind, val, _) in enumerate(mi.ops):
+        for s, op in enumerate(mi.ops):
+            kind, val, _ = op
             if kind == "vreg":
                 if s == 0 and defines:
-                    born[val] = i
+                    born[op] = i
                 else:
-                    uses[val].append(i)
+                    uses[op].append(i)
             elif kind == "preg" and val not in (X0, RA, SP):
                 w = windows.get(val)
                 if w is None:
@@ -74,59 +76,53 @@ def _live_ranges(mf: MachineFunction, desc: tgt.TargetDesc):
             and any(mi.is_ret for mi in mf.instrs):
         # a0 already carries the return value; keep it live to the end
         windows[A0][1] = n
-    intervals = []
-    for v, b in born.items():
-        us = uses.get(v, [])  # ascending, as appended
+    intervals = {}
+    for op, b in born.items():  # one def per instruction: birth order
+        us = uses.get(op, [])  # ascending, as appended
         dies = us[-1] if us else b
-        if v == mf.ret_vreg:
+        if op.val == mf.ret_vreg:
             dies = n  # must survive into the return
-        intervals.append(_Interval(v, b, dies, us))
-    intervals.sort(key=lambda iv: (iv.born, iv.vreg))
+        intervals[op] = _Interval(op.val, b, dies, us)
     return intervals, windows
-
-
-def allocate_registers(mf: MachineFunction, desc: tgt.TargetDesc
-                       ) -> MachineFunction:
-    """Assign physical registers; spill on overflow. Always succeeds. Both
-    attempts scan the same intervals, built once."""
-    intervals, pwin = _live_ranges(mf, desc)
-    assign, spilled = (_allocate(intervals, pwin, reserve_scratch=False)
-                       or _allocate(intervals, pwin, reserve_scratch=True))
-    return _rewrite(mf, desc, assign, spilled)
 
 
 # bit i of a register set stands for ALLOC_ORDER[i], so the lowest set bit
 # is the preferred free register
 _BIT = {r: 1 << i for i, r in enumerate(ALLOC_ORDER)}
-_SCRATCH_BITS = sum(_BIT[r] for r in SCRATCH_REGS)
+_REG_OF_BIT = {1 << i: MOp.preg(r) for i, r in enumerate(ALLOC_ORDER)}
+_VREG = (1 << 32) - 1  # the vreg field of an eviction key
 
 
-def _allocate(intervals: list[_Interval], pwin: dict[int, list[int]],
-              reserve_scratch: bool
-              ) -> tuple[dict[int, int], dict[int, int]] | None:
-    """The scan keeps the free registers as a bitmask, the assigned
-    intervals in a heap by end, and, when spilling, the candidates in a
-    max-heap by (next use, vreg). A candidate's key only grows as the scan
-    passes its uses, so `due`, a min-heap by recorded next use, says whose
-    key to refresh before a victim is taken."""
-    free = (1 << len(ALLOC_ORDER)) - 1
-    if reserve_scratch:
-        free &= ~_SCRATCH_BITS
+def allocate_registers(mf: MachineFunction, desc: tgt.TargetDesc
+                       ) -> MachineFunction:
+    """Assign physical registers; always succeeds. Per instruction the walk
+    reloads the sources that are not resident, before it and without one
+    evicting another; frees the values it reads last; places the def; and
+    frees a def that is never read. A value takes the lowest free register
+    that no overlapping argument window holds. With none free, the resident
+    with the furthest next use gives its register up, ties going to the
+    higher vreg, and is stored to its slot on its first eviction only,
+    since a vreg is written once. From the first eviction on, `far` is a
+    max-heap of keys next use << 32 | vreg, plain ints: a value gets a new
+    key where it is placed and where it is read, so the newest key of each
+    resident is exact and outranks its stale ones, whose next use passed."""
+    ivs, pwin = _live_ranges(mf, desc)
     wins = [(start, end, _BIT[r]) for r, (start, end) in pwin.items()
             if r in _BIT]
-    assign: dict[int, int] = {}
-    spilled: dict[int, int] = {}
-    live: list[tuple[int, int, int]] = []  # (dies, vreg, bit)
-    far: list[tuple[int, int, _Interval]] = []  # (-next use, -vreg, iv)
-    due: list[tuple[int, int, _Interval]] = []  # (next use, vreg, iv)
+    out = MachineFunction(mf.name)
+    emit = out.instrs.append
+    sp, a0 = MOp.preg(SP), MOp.preg(A0)
+    free = (1 << len(ALLOC_ORDER)) - 1
+    reg: dict[MOp, MOp] = {}  # resident vreg -> its register
+    slot: dict[MOp, MOp] = {}  # stored vreg -> its sp offset
+    far: list[int] | None = None  # negated keys
 
-    for iv in intervals:
-        at = iv.born
-        while live and live[0][0] <= at:
-            _, v, bit = heappop(live)
-            if v in assign:  # else a spill gave its register away
-                free |= bit
-        taken = 0  # physical-register windows overlapping this interval
+    def place(v: MOp, at: int, i: int, keep) -> MOp:
+        """A register for `v` from after position `at` (i - 1 for a reload
+        written before instruction i) until it dies."""
+        nonlocal free, far
+        iv = ivs[v]
+        taken = 0  # physical-register windows overlapping that range
         for start, end, bit in wins:
             if start < iv.dies and at < end:
                 taken |= bit
@@ -134,73 +130,66 @@ def _allocate(intervals: list[_Interval], pwin: dict[int, list[int]],
         if avail:
             bit = avail & -avail
             free ^= bit
-            assign[iv.vreg] = ALLOC_ORDER[bit.bit_length() - 1]
-        elif not reserve_scratch:
-            return None
+            r = _REG_OF_BIT[bit]
         else:
-            # spill the interval whose next use is furthest away
-            while due and due[0][0] <= at:
-                _, v, a = heappop(due)
-                if v in assign and a.dies > at:
-                    nu = a.next_use(at)
-                    heappush(due, (nu, v, a))
-                    heappush(far, (-nu, -v, a))
-            while far and (-far[0][1] not in assign or far[0][2].dies <= at):
-                heappop(far)  # spilled or ended
-            if not far or (-iv.next_use(at), -iv.vreg) < far[0][:2]:
-                spilled[iv.vreg] = len(spilled)
-                continue
-            victim = heappop(far)[2]
-            assign[iv.vreg] = assign.pop(victim.vreg)
-            spilled[victim.vreg] = len(spilled)
-            bit = _BIT[assign[iv.vreg]]
-        heappush(live, (iv.dies, iv.vreg, bit))
-        if reserve_scratch:
-            nu = iv.next_use(at)
-            heappush(due, (nu, iv.vreg, iv))
-            heappush(far, (-nu, -iv.vreg, iv))
-
-    return assign, spilled
-
-
-def _rewrite(mf: MachineFunction, desc: tgt.TargetDesc,
-             assign: dict[int, int], spilled: dict[int, int]
-             ) -> MachineFunction:
-    out = MachineFunction(mf.name)
-    if spilled:
-        out.frame_size = (len(spilled) * 4 + 15) & ~15
-    # one operand per register and per spill slot, shared by every use
-    reg = {MOp.vreg(v): MOp.preg(r) for v, r in assign.items()}
-    slot = {MOp.vreg(v): MOp.imm(s * 4) for v, s in spilled.items()}
-    sp, a0 = MOp.preg(SP), MOp.preg(A0)
-    scratch = [MOp.preg(r) for r in SCRATCH_REGS]
-    ret = MOp.vreg(mf.ret_vreg) if mf.ret_vreg is not None else None
-    emit = out.instrs.append
-    for mi in mf.instrs:
-        ops = [reg.get(op, op) for op in mi.ops]
-        store = None
-        if slot and not slot.keys().isdisjoint(ops):
-            defines = desc.instr(mi.mnemonic).defines
-            loads = 0
-            for s, op in enumerate(ops):
-                off = slot.get(op)
-                if off is None:
+            if far is None:
+                far = [-(ivs[u].next_use(i) << 32 | u.val) for u in reg]
+                heapify(far)
+            aside = []
+            while True:
+                k = heappop(far)
+                u = MOp.vreg(-k & _VREG)
+                r = reg.get(u)
+                if r is None:
+                    continue  # evicted or dead since pushed
+                if _BIT[r.val] & taken or u in keep:
+                    aside.append(k)
                     continue
-                if s == 0 and defines:
-                    ops[0] = scratch[0]
-                    store = MachineInstr("SW", [scratch[0], sp, off])
-                else:
-                    ops[s] = scratch[loads]
-                    emit(MachineInstr("LW", [scratch[loads], sp, off]))
-                    loads += 1
+                break
+            for k in aside:
+                heappush(far, k)
+            del reg[u]
+            if u not in slot:
+                slot[u] = MOp.imm(4 * len(slot))
+                emit(MachineInstr("SW", [r, sp, slot[u]]))
+        reg[v] = r
+        if far is not None:
+            heappush(far, -(iv.next_use(i) << 32 | iv.vreg))
+        return r
+
+    ret = MOp.vreg(mf.ret_vreg) if mf.ret_vreg is not None else None
+    for i, mi in enumerate(mf.instrs):
+        ops = [reg.get(op, op) for op in mi.ops]
+        if slot and not slot.keys().isdisjoint(ops):
+            for s, op in enumerate(ops):
+                if op in slot:  # a source that is not resident
+                    r = reg.get(op)
+                    if r is None:
+                        r = place(op, i - 1, i, mi.ops)
+                        emit(MachineInstr("LW", [r, sp, slot[op]]))
+                    ops[s] = r
+        for op in mi.ops:  # a source read last is freed, else rekeyed
+            if op in reg:
+                iv = ivs[op]
+                if iv.dies == i:
+                    free |= _BIT[reg.pop(op).val]
+                elif far is not None:
+                    heappush(far, -(iv.next_use(i) << 32 | iv.vreg))
+        iv = ivs.get(ops[0])  # a vreg still in ops is the def
+        if iv is not None:
+            dst = ops[0]
+            ops[0] = place(dst, i, i, ())
         if mi.is_ret and ret is not None:
-            if ret in slot:
+            r = reg.get(ret)
+            if r is None:
                 emit(MachineInstr("LW", [a0, sp, slot[ret]]))
-            elif reg.get(ret, a0) != a0:
-                emit(MachineInstr("ADDI", [a0, reg[ret], MOp.imm(0)]))
+            elif r is not a0:
+                emit(MachineInstr("ADDI", [a0, r, MOp.imm(0)]))
         emit(MachineInstr(mi.mnemonic, ops, mi.is_ret))
-        if store is not None:
-            emit(store)
+        if iv is not None and iv.dies == i:
+            free |= _BIT[reg.pop(dst).val]
+    if slot:
+        out.frame_size = (len(slot) * 4 + 15) & ~15
     return out
 
 

@@ -78,30 +78,29 @@ def test_spilling_preserves_semantics(desc):
     assert_runs_like_ir(fn, mf, desc, inputs)
 
 
-def test_allocation_builds_intervals_once_for_both_attempts(monkeypatch,
-                                                           desc):
-    # the scan without scratch registers fails on a function that spills,
-    # and the scan with them reuses the intervals and register windows of
-    # the one walk over the instructions
-    calls = {"_live_ranges": 0, "_allocate": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(codegen, name), _name=name,
-                    **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(codegen, name, counted)
+def test_allocation_builds_intervals_once(monkeypatch, desc):
+    # one walk over the instructions gives the intervals and the argument
+    # windows, also when the function spills
+    calls = []
+    real = codegen._live_ranges
+    monkeypatch.setattr(codegen, "_live_ranges",
+                        lambda *args: calls.append(args) or real(*args))
     mod = _many_live_values_fn(40)
     mf, _ = compile_fn(mod.functions[0], mod, desc, None)
     assert mf.frame_size > 0
-    assert calls == {"_live_ranges": 1, "_allocate": 2}
+    assert len(calls) == 1
 
 
-def _reference_scan(mf, intervals, pwin, reserve_scratch):
+# the registers the replaced allocator's spilling scan handed out: it held
+# s9-s11 back for its reload and store sequences
+_SPILL_SCAN_POOL = codegen.ALLOC_ORDER[:-3]
+
+
+def _reference_scan(mf, intervals, pwin, pool):
     """The linear scan as first written: it rebuilds the live set and the
     busy registers for every interval, and evaluates every live interval to
-    pick a spill victim. codegen._allocate must decide exactly as this."""
-    pool = [r for r in codegen.ALLOC_ORDER
-            if not (reserve_scratch and r in codegen.SCRATCH_REGS)]
+    pick a spill victim. Where it spills nothing, the allocator must assign
+    exactly as this does over the full ALLOC_ORDER."""
     assign, spilled, active = {}, {}, []
     for iv in intervals:
         active = [a for a in active if a.dies > iv.born]
@@ -113,8 +112,6 @@ def _reference_scan(mf, intervals, pwin, reserve_scratch):
             choices = [A0] + pool
         reg = next((r for r in choices if r not in busy), None)
         if reg is None:
-            if not reserve_scratch:
-                return None
             victim = max(active + [iv],
                          key=lambda a: (a.next_use(iv.born), a.vreg))
             if victim is iv:
@@ -128,11 +125,103 @@ def _reference_scan(mf, intervals, pwin, reserve_scratch):
     return assign, spilled
 
 
-def _assert_scan_matches_reference(mf, desc):
+def _check_allocation(mf, out, desc) -> int:
+    """Walk the allocated code next to the vreg code and track what each
+    register and each spill slot holds: every operand must read the vreg or
+    incoming register value it names, and the return value must reach a0.
+    Returns the number of reloads."""
+    sp, a0 = MOp.preg(codegen.SP), MOp.preg(A0)
+    held = {r: ("in", r) for r in range(32)}  # allocated code's registers
+    named = dict(held)  # the vreg code's physical registers
+    slots = {}
+    reloads = 0
+    a0_carries_result = mf.ret_vreg is None and any(
+        a0 in mi.ops for mi in mf.instrs)
+    it = iter(out.instrs)
+    for j, mi in enumerate(mf.instrs):
+        got = next(it)
+        while True:  # spill code, and the return value's move to a0
+            if got.mnemonic in ("LW", "SW") and got.ops[1] == sp:
+                off = got.ops[2].val
+                assert 0 <= off < out.frame_size and off % 4 == 0, got
+                if got.mnemonic == "SW":
+                    slots[off] = held[got.ops[0].val]
+                else:
+                    held[got.ops[0].val] = slots[off]
+                    reloads += 1
+            elif mi.is_ret and not got.is_ret:
+                assert got.mnemonic == "ADDI" and got.ops[0] == a0 \
+                    and got.ops[2] == MOp.imm(0), got
+                held[A0] = held[got.ops[1].val]
+            else:
+                break
+            got = next(it)
+        assert (got.mnemonic, got.is_ret) == (mi.mnemonic, mi.is_ret), \
+            (j, got, mi)
+        if mi.is_ret and mf.ret_vreg is not None:
+            assert held[A0] == ("vreg", mf.ret_vreg), (mf.name, held[A0])
+        elif mi.is_ret and a0_carries_result:
+            assert held[A0] == named[A0], (mf.name, held[A0])
+        defines = desc.instr(mi.mnemonic).defines
+        for s, (want, have) in enumerate(zip(mi.ops, got.ops)):
+            if s == 0 and defines:
+                continue
+            if want.kind == "vreg":
+                assert have.kind == "preg" and \
+                    held[have.val] == ("vreg", want.val), (j, s, got, mi)
+            elif want.kind == "preg":
+                assert have == want and held[want.val] == named[want.val], \
+                    (j, s, got, mi)
+            else:
+                assert have == want, (j, s, got, mi)
+        if defines:
+            want, have = mi.ops[0], got.ops[0]
+            assert have.kind == "preg" and have.val in codegen.ALLOC_ORDER \
+                or have == want, (j, got, mi)
+            if want.kind == "vreg":
+                held[have.val] = ("vreg", want.val)
+            else:
+                held[have.val] = named[want.val] = ("def", j)
+    assert next(it, None) is None
+    assert out.frame_size % 16 == 0 and out.frame_size >= 4 * len(slots)
+    return reloads
+
+
+def _rewritten(mf, assign):
+    """The allocated code of a function that does not spill, under the
+    assignment `assign`."""
+    reg = {MOp.vreg(v): MOp.preg(r) for v, r in assign.items()}
+    out = []
+    for mi in mf.instrs:
+        if mi.is_ret and mf.ret_vreg is not None \
+                and assign[mf.ret_vreg] != A0:
+            out.append(MachineInstr("ADDI", [MOp.preg(A0),
+                                             reg[MOp.vreg(mf.ret_vreg)],
+                                             MOp.imm(0)]))
+        out.append(MachineInstr(mi.mnemonic, [reg.get(op, op)
+                                              for op in mi.ops], mi.is_ret))
+    return out
+
+
+def _assert_allocates_as_the_reference(mf, desc):
+    """Check the allocated code. Where the reference scan spills nothing,
+    the assignment must be the scan's. Otherwise the replaced allocator's
+    count, a reload at every use of an interval its scan spilled, bounds
+    the reloads. Returns whether the function spilled."""
+    out = codegen.allocate_registers(mf, desc)
+    reloads = _check_allocation(mf, out, desc)
     intervals, pwin = codegen._live_ranges(mf, desc)
-    for reserve in (False, True):
-        assert codegen._allocate(intervals, pwin, reserve) == \
-            _reference_scan(mf, intervals, pwin, reserve), (mf.name, reserve)
+    ivs = list(intervals.values())
+    assign, spilled = _reference_scan(mf, ivs, pwin, codegen.ALLOC_ORDER)
+    assert bool(spilled) == (out.frame_size > 0), mf.name
+    if not spilled:
+        assert out.instrs == _rewritten(mf, assign), mf.name
+        return False
+    _, spilled = _reference_scan(mf, ivs, pwin, _SPILL_SCAN_POOL)
+    uses = {iv.vreg: len(iv.uses) for iv in ivs}
+    bound = sum(uses[v] + (v == mf.ret_vreg) for v in spilled)
+    assert reloads <= bound, (mf.name, reloads, bound)
+    return True
 
 
 def _random_machine_fn(rng: random.Random, n: int) -> MachineFunction:
@@ -176,8 +265,7 @@ def test_scan_decides_as_the_reference_on_random_functions(desc):
     spilled = 0
     for _ in range(120):
         mf = _random_machine_fn(rng, rng.randrange(1, 160))
-        _assert_scan_matches_reference(mf, desc)
-        spilled += codegen.allocate_registers(mf, desc).frame_size > 0
+        spilled += _assert_allocates_as_the_reference(mf, desc)
     assert 10 < spilled < 110  # both outcomes are exercised
 
 
@@ -191,9 +279,80 @@ def test_scan_decides_as_the_reference_on_large_functions(monkeypatch, desc,
                         lambda mf, d: seen.append(mf) or real(mf, d))
     mod = ir.parse_ir(gen_large_fn(random.Random(size), size, size))
     opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
-    compile_fn(opt.functions[0], opt, desc, "+zba,+zbb,+xcrypt")
-    (mf,) = seen
-    _assert_scan_matches_reference(mf, desc)
+    for mattr in (None, "+zba,+zbb,+xcrypt"):
+        compile_fn(opt.functions[0], opt, desc, mattr)
+    monkeypatch.undo()
+    assert len(seen) == 2
+    for mf in seen:
+        _assert_allocates_as_the_reference(mf, desc)
+
+
+def test_a_reload_keeps_clear_of_an_argument_its_instruction_reads(desc):
+    # v0 is evicted at the 26th value, as its use comes last; the sw that
+    # uses it is a0's last read, under full pressure from v1..v25. A reload
+    # written before that sw must not land in a0.
+    a0, x0 = MOp.preg(A0), MOp.preg(0)
+    mf = MachineFunction("press")
+    for k in range(26):
+        mf.instrs.append(MachineInstr("ADDI", [MOp.vreg(k), x0,
+                                               MOp.imm(100 if k == 0 else k)]))
+    for k in range(1, 26):
+        mf.instrs.append(MachineInstr("SW", [MOp.vreg(k), a0, MOp.imm(4)]))
+    mf.instrs.append(MachineInstr("SW", [MOp.vreg(0), a0, MOp.imm(0)]))
+    acc = MOp.vreg(1)
+    for k in range(2, 26):
+        nxt = MOp.vreg(24 + k)
+        mf.instrs.append(MachineInstr("ADD", [nxt, acc, MOp.vreg(k)]))
+        acc = nxt
+    mf.instrs.append(MachineInstr("JALR", [x0, MOp.preg(1), MOp.imm(0)],
+                                  is_ret=True))
+    mf.ret_vreg, mf.num_vregs = acc.val, acc.val + 1
+    out = codegen.allocate_registers(mf, desc)
+    _check_allocation(mf, out, desc)
+    i = next(i for i, mi in enumerate(out.instrs)
+             if mi.mnemonic == "SW" and mi.ops[1:] == [a0, MOp.imm(0)])
+    reload = out.instrs[i - 1]
+    assert reload.mnemonic == "LW" and reload.ops[1] == MOp.preg(codegen.SP)
+    assert reload.ops[0] != a0
+    words = codegen.emit_words(codegen.insert_prologue_epilogue(out), desc, {})
+    got, mem, _ = sim.run_function(words, [0x4000], {}, desc=desc)
+    want = {}
+    sim.mem_write32(want, 0x4000, 100)
+    sim.mem_write32(want, 0x4004, 25)
+    assert (got, mem) == (sum(range(1, 26)), want)
+
+
+def test_sources_of_one_instruction_never_evict_each_other(desc):
+    # v0 and v1 are evicted as 28 values fill the 26 registers, and both are
+    # reloaded for one add. After v0's reload, v0 is the value used
+    # furthest ahead, yet v1's reload must take another register.
+    x0 = MOp.preg(0)
+    mf = MachineFunction("pair")
+    for k in range(28):
+        mf.instrs.append(MachineInstr("ADDI", [MOp.vreg(k), x0,
+                                               MOp.imm(k + 1)]))
+    for k in range(2, 28):
+        mf.instrs.append(MachineInstr("SW", [MOp.vreg(k), x0,
+                                             MOp.imm(4 * k)]))
+    mf.instrs.append(MachineInstr("ADD", [MOp.vreg(28), MOp.vreg(0),
+                                          MOp.vreg(1)]))
+    acc = MOp.vreg(2)
+    for n, k in enumerate([*range(3, 28), 0, 28], 29):  # v0 is read last
+        mf.instrs.append(MachineInstr("ADD", [MOp.vreg(n), acc, MOp.vreg(k)]))
+        acc = MOp.vreg(n)
+    mf.instrs.append(MachineInstr("JALR", [x0, MOp.preg(1), MOp.imm(0)],
+                                  is_ret=True))
+    mf.ret_vreg = acc.val
+    out = codegen.allocate_registers(mf, desc)
+    _check_allocation(mf, out, desc)
+    add = next(mi for mi in out.instrs if mi.mnemonic == "ADD")
+    assert add.ops[1] != add.ops[2]
+    words = codegen.emit_words(codegen.insert_prologue_epilogue(out), desc, {})
+    got, mem, _ = sim.run_function(words, [], {}, desc=desc)
+    want = {}
+    for k in range(2, 28):
+        sim.mem_write32(want, 4 * k, k + 1)
+    assert (got, mem) == (sum(range(3, 29)) + 1 + (1 + 2), want)
 
 
 def test_a_physical_register_operand_is_shared():

@@ -42,9 +42,9 @@ CORPUS_DIGESTS = {
 LARGE_MATTRS = (None, "+zba,+zbb,+xcrypt")
 LARGE_DIGESTS = {
     200:
-        "1503e83aa4dcf6b778f9e152cd1ef4a276fe589dc3bd7dd10c6328f92ddc55be",
+        "a156627da062659bf51cd4e55ec0ab2b38d64f7c1cbb0232798f6d16a923d57f",
     800:
-        "ccf9c65533339a16d2273f7e69c75275a3d1177fe1f0b683d801850f6ef306fa",
+        "b20d27e6d808b8efd0f65229696f77412bc8562742f2ca7d205ee1d99b15a090",
 }
 
 
