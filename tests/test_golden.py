@@ -1,17 +1,21 @@
 """Byte identity of emitted code: SHA-256 digests of `llc` asm and obj output
 for every corpus file under every --mattr, and for two large spilling
-functions. A change meant to alter emitted bytes updates these constants
-and says which and why; any other change must leave them as they are."""
+functions, and of instruction selection's other outputs: the DAG dumped at
+each stage and the --debug-isel trace. A change meant to alter these
+outputs updates these constants and says which and why; any other change
+must leave them as they are."""
 
 import hashlib
 import random
 
 import pytest
 
-from rv32x.driver import run_command
+from rv32x import target as tgt
+from rv32x.driver import compile_ir_text, run_command
 
 from conftest import ALL_MATTRS, CORPUS, corpus_text
-from test_fuzz import gen_large_fn
+from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
+                       gen_shift_pair_fn)
 
 # per corpus file: asm then obj under each of ALL_MATTRS, in order
 CORPUS_DIGESTS = {
@@ -47,6 +51,14 @@ LARGE_DIGESTS = {
         "b20d27e6d808b8efd0f65229696f77412bc8562742f2ca7d205ee1d99b15a090",
 }
 
+# `llc --emit=dot --dag-stage=S` for every stage, then the `llc --debug-isel`
+# lines, for every corpus file under every --mattr at -O2, and for six
+# generated functions under base and all extensions at -O0 and -O2 (at -O0
+# dead values reach the DAG)
+ISEL_DUMPS_DIGEST = \
+    "d21860944a0f86cfb7f5de7f1897395dfd610651a835b2ae31158482f7be9c5e"
+DAG_STAGES = ("built", "combined1", "legalized", "combined2", "selected")
+
 
 def _digest(text: str, mattrs) -> str:
     h = hashlib.sha256()
@@ -75,3 +87,25 @@ def test_corpus_output_is_byte_identical(name):
 def test_large_function_output_is_byte_identical(size):
     text = gen_large_fn(random.Random(size), size, size)
     assert _digest(text, LARGE_MATTRS) == LARGE_DIGESTS[size]
+
+
+def test_isel_dumps_are_identical(desc):
+    # one compile per case gives what llc prints for each --dag-stage
+    cases = [(corpus_text(p.name), mattr, "O2")
+             for p in sorted(CORPUS.glob("*.ll")) for mattr in ALL_MATTRS]
+    rng = random.Random(5000)
+    for text in [gen(rng, i) for i in range(2)
+                 for gen in (gen_arith_fn, gen_memory_fn, gen_shift_pair_fn)]:
+        cases += [(text, mattr, level) for mattr in LARGE_MATTRS
+                  for level in ("O0", "O2")]
+    h = hashlib.sha256()
+    for text, mattr, level in cases:
+        cm = compile_ir_text(text, "-", desc, tgt.parse_mattr(mattr), level,
+                             want_dots=True)
+        for stage in DAG_STAGES:
+            for cf in cm.functions.values():
+                h.update(cf.dots[stage].encode())
+        for fname, cf in cm.functions.items():
+            for line in cf.debug_lines:
+                h.update(f"[isel:{fname}] {line}\n".encode())
+    assert h.hexdigest() == ISEL_DUMPS_DIGEST
