@@ -5,18 +5,27 @@ threaded on a linear chain from EntryToken, the return as the root), is
 legalized for the enabled extensions (global addresses become
 ADD_LO(HI(g), g), rotates are kept legal or expanded into shifts), then
 covered by machine nodes, whose immediates, symbols and fixed registers are
-inline mir.MOp operands. Selection consults imperative hooks at their root
-node kinds first, then declarative patterns from the target description by
-descending priority, which select every ALU instruction. Fallbacks cover
-only loads and stores, with their addressing modes, and the HI/ADD_LO halves
-of a global address. Scheduling is a deterministic Kahn linearization
-ordered by node creation.
+inline mir.MOp operands. Edges live only on the nodes: a node names its
+operands, and nothing records its users. Every stage leaves `SelDag.nodes`
+as exactly the nodes reachable from the root; combine and legalize collect
+their rewrites and apply them in one sweep.
+
+Selection reads the generic DAG without changing it and builds a new graph
+of machine nodes. It consults imperative hooks at their root node kinds
+first, then declarative patterns from the target description by descending
+priority, which select every ALU instruction. Fallbacks cover only loads
+and stores, with their addressing modes, and the HI/ADD_LO halves of a
+global address. Scheduling is a deterministic Kahn linearization of the
+machine graph ordered by node creation.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
-from typing import NamedTuple
+import itertools
+from collections import defaultdict
+from typing import Iterable, NamedTuple
 
 from . import ir
 from . import target as tgt
@@ -26,6 +35,9 @@ _IR_TO_DAG = {"lshr": "srl", "ashr": "sra"}
 
 # generic kinds that legally remain after selection (they emit no instruction)
 NON_INSTR_KINDS = {"EntryToken", "Register"}
+# generic kinds that selection never covers on their own: constants and
+# global addresses are consumed by their users
+_LEAF_KINDS = NON_INSTR_KINDS | {"Constant", "GlobalAddress"}
 
 
 class IselError(Exception):
@@ -79,48 +91,48 @@ def val(node: DagNode) -> DagValue:
     return DagValue(node, "val")
 
 
-# edge slots, as reported by SelDag.uses(): ("op", i), CHAIN or RET
-CHAIN = ("chain",)
-RET = ("ret",)
-_OPS = tuple(("op", i) for i in range(8))  # more operands than any node has
-
-
-def _edges(n: DagNode):
-    """(slot, DagValue) for every operand edge of `n`."""
-    for i, op in enumerate(n.ops):
-        if isinstance(op, DagValue):
-            yield _OPS[i], op
+def _operands(n: DagNode) -> list[DagValue]:
+    """`n`'s edges: its DagValue ops, then its chain and returned value."""
+    edges = [op for op in n.ops if type(op) is DagValue]
     if n.chain is not None:
-        yield CHAIN, n.chain
+        edges.append(n.chain)
     if n.ret_value is not None:
-        yield RET, n.ret_value
+        edges.append(n.ret_value)
+    return edges
 
 
-def _edge(n: DagNode, slot):
-    if slot[0] == "op":
-        return n.ops[slot[1]]
-    return n.chain if slot[0] == "chain" else n.ret_value
+def _rewrite(nodes: Iterable[DagNode], repl: dict[DagNode, DagValue]):
+    """One sweep: point every value edge of `nodes` at a node in `repl` to
+    the value that node is replaced by, following replaced replacements."""
+    for n in nodes:
+        ops = n.ops
+        for i, v in enumerate(ops):
+            if v.node in repl:
+                ops[i] = _follow(repl, v)
+        if n.ret_value is not None and n.ret_value.node in repl:
+            n.ret_value = _follow(repl, n.ret_value)
+
+
+def _follow(repl: dict[DagNode, DagValue], v: DagValue) -> DagValue:
+    while v.node in repl:
+        v = repl[v.node]
+    return v
 
 
 class SelDag:
     """Nodes in creation order, and the root they are reachable from.
 
-    A node is live when it is the root or has a live user. The DAG keeps the
-    use list of every live node: the (user, slot) edges of its live users. A
-    node whose last use goes away dies and drops its own operand edges, and
-    a dead node that gains a live user comes back with its edges. Node edges
-    are therefore changed only through `set_edge`, the `replace_*` helpers
-    and `root`; a node fresh from `new` is dead, so its fields may be filled
-    in directly until it gains a user. The lists live here rather than on
-    the nodes so that nodes hold no references back to their users.
+    Edges live only on the nodes (`ops`, `chain`, `ret_value`), so a node
+    does not know its users. A stage may add nodes with `new` and repoint
+    edges; it ends by pruning, so that `nodes` holds exactly the nodes
+    reachable from the root, in creation order.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.nodes: list[DagNode] = []
         self._uid = 0
-        self._root: DagNode | None = None
-        self._uses: dict[DagNode, dict] = {}  # node -> {(user, slot): None}
+        self.root: DagNode | None = None
         self.entry = self.new("EntryToken", vt="none")
 
     def new(self, kind, ops=(), chain=None, vt="i32", value=None,
@@ -130,110 +142,23 @@ class SelDag:
         self.nodes.append(n)
         return n
 
-    @property
-    def root(self) -> DagNode | None:
-        return self._root
-
-    @root.setter
-    def root(self, n: DagNode | None):
-        old, self._root = self._root, n
-        if n is not None and n is not old and n not in self._uses:
-            self._revive(n)
-        if old is not None and old is not n and old not in self._uses:
-            self._kill(old)
-
-    def live(self, n: DagNode) -> bool:
-        return n is self._root or n in self._uses
-
-    def use_list(self, n: DagNode) -> list[tuple[DagNode, tuple]]:
-        """The (user, slot) edges of `n`'s live users."""
-        return list(self._uses.get(n, ()))
-
-    def _link(self, user: DagNode, slot, op: DagNode) -> bool:
-        """Record an edge from live `user`; True if it revived `op`."""
-        uses = self._uses.get(op)
-        if uses is not None:
-            uses[(user, slot)] = None
-            return False
-        self._uses[op] = {(user, slot): None}
-        return op is not self._root
-
-    def _unlink(self, user: DagNode, slot, op: DagNode) -> bool:
-        """Drop an edge from `user`; True if it killed `op`."""
-        uses = self._uses[op]
-        del uses[(user, slot)]
-        if uses:
-            return False
-        del self._uses[op]
-        return op is not self._root
-
-    def _revive(self, n: DagNode):
-        """`n` just became live: record its operand edges, transitively."""
-        stack = [n]
-        while stack:
-            user = stack.pop()
-            for slot, v in _edges(user):
-                if self._link(user, slot, v.node):
-                    stack.append(v.node)
-
-    def _kill(self, n: DagNode):
-        """`n` just died: drop its operand edges, transitively."""
-        stack = [n]
-        while stack:
-            user = stack.pop()
-            for slot, v in _edges(user):
-                if self._unlink(user, slot, v.node):
-                    stack.append(v.node)
-
-    def set_edge(self, user: DagNode, slot, v: DagValue | None):
-        """Point `user`'s operand `slot` at `v`."""
-        old = _edge(user, slot)
-        if slot[0] == "op":
-            user.ops[slot[1]] = v
-        elif slot[0] == "chain":
-            user.chain = v
-        else:
-            user.ret_value = v
-        if not self.live(user) or (old is not None and v is not None
-                                   and old.node is v.node):
-            return
-        # link the new operand first, so that operands it shares stay live
-        if v is not None and self._link(user, slot, v.node):
-            self._revive(v.node)
-        if old is not None and self._unlink(user, slot, old.node):
-            self._kill(old.node)
-
     def live_nodes(self) -> list[DagNode]:
-        """Nodes reachable from the root, in creation order."""
-        root, uses = self._root, self._uses
-        if root is None:
+        """Nodes reachable from the root, in creation order: one walk."""
+        if self.root is None:
             return list(self.nodes)
-        return [n for n in self.nodes if n is root or n in uses]
-
-    def uses(self) -> dict[int, list[tuple[DagNode, object]]]:
-        """Map id(node) -> [(user, slot)] over value, chain and ret edges."""
-        out: dict[int, list] = {}
-        for n in self.live_nodes():
-            for slot, v in _edges(n):
-                out.setdefault(id(v.node), []).append((n, slot))
-        return out
-
-    def value_use_count(self, node: DagNode) -> int:
-        """Value edges from live users, the return's included."""
-        return sum(1 for user, slot in self._uses.get(node, ())
-                   if slot[0] == "ret"
-                   or slot[0] == "op" and user.ops[slot[1]].res == "val")
-
-    def _replace_uses(self, old: DagNode, new: DagValue, res: str):
-        for user, slot in self.use_list(old):
-            if _edge(user, slot).res == res:
-                self.set_edge(user, slot, new)
-
-    def replace_value_uses(self, old: DagNode, new: DagValue):
-        self._replace_uses(old, new, "val")
-
-    def replace_chain_uses(self, old: DagNode, new: DagValue):
-        self._replace_uses(old, new, "ch")
+        seen = {self.root}
+        stack = [self.root]
+        while stack:
+            n = stack.pop()
+            for v in n.ops:
+                if type(v) is DagValue and v.node not in seen:
+                    seen.add(v.node)
+                    stack.append(v.node)
+            for v in (n.chain, n.ret_value):
+                if v is not None and v.node not in seen:
+                    seen.add(v.node)
+                    stack.append(v.node)
+        return [n for n in self.nodes if n in seen]
 
     def prune(self):
         self.nodes = self.live_nodes()
@@ -309,6 +234,7 @@ def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
             raise IselError(f"cannot build DAG node for opcode {op!r}")
     if dag.root is None:
         raise IselError(f"@{fn.name}: no return")
+    dag.prune()  # values nothing uses, as at -O0
     return dag
 
 
@@ -320,13 +246,14 @@ def combine(dag: SelDag) -> SelDag:
     """Merge identical Constant/GlobalAddress nodes, drop unreachable nodes.
     Often a no-op post-legalize."""
     canon: dict = {}
-    for n in dag.live_nodes():
+    repl: dict[DagNode, DagValue] = {}
+    for n in dag.nodes:
         if n.kind in ("Constant", "GlobalAddress"):
-            key = (n.kind, n.value)
-            if key in canon and canon[key] is not n:
-                dag.replace_value_uses(n, val(canon[key]))
-            else:
-                canon[key] = n
+            first = canon.setdefault((n.kind, n.value), n)
+            if first is not n:
+                repl[n] = val(first)
+    if repl:
+        _rewrite(dag.nodes, repl)
     dag.prune()
     return dag
 
@@ -346,13 +273,16 @@ def _rotate_legal(amt: DagValue, ext: frozenset[str]) -> bool:
 def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
     """Funnel shifts with equal inputs become rotates; a rotate stays when an
     enabled instruction takes its amount and expands to shifts otherwise;
-    global addresses become ADD_LO(HI(g), g)."""
-    rots = []
-    for n in list(dag.live_nodes()):
-        if n.kind in ("fshl", "fshr"):
-            x, y, amt = n.ops
-            if not (isinstance(x, DagValue) and isinstance(y, DagValue)
-                    and x == y):
+    global addresses become ADD_LO(HI(g), g). Replacements are collected,
+    each read through those before it, and applied in one sweep."""
+    repl: dict[DagNode, DagValue] = {}
+    rots, globs = [], []
+    for n in list(dag.nodes):
+        if n.kind == "GlobalAddress":
+            globs.append(n)
+        elif n.kind in ("fshl", "fshr"):
+            x, y, amt = (_follow(repl, v) for v in n.ops)
+            if x != y:
                 raise IselError(
                     "funnel shift with distinct inputs is unsupported "
                     "(no funnel-shift instruction in any enabled extension)")
@@ -370,17 +300,17 @@ def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
             else:
                 camt = amt
             rot = dag.new("rotr", [x, camt])
-            dag.replace_value_uses(n, val(rot))
+            repl[n] = val(rot)
             rots.append(rot)
 
     for n in rots:
-        if _rotate_legal(n.ops[1], ext):
+        x, amt = (_follow(repl, v) for v in n.ops)
+        if _rotate_legal(amt, ext):
             continue
-        x, amt = n.ops
         if amt.node.kind == "Constant":
             c = amt.node.value & 31
             if c == 0:
-                dag.replace_value_uses(n, x)
+                repl[n] = x
                 continue
             shl = dag.new("shl", [x, val(dag.new("Constant", value=32 - c))])
             srl = dag.new("srl", [x, val(dag.new("Constant", value=c))])
@@ -389,20 +319,16 @@ def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
             left = dag.new("and", [val(sub), val(dag.new("Constant", value=31))])
             shl = dag.new("shl", [x, val(left)])
             srl = dag.new("srl", [x, amt])
-        orn = dag.new("or", [val(shl), val(srl)])
-        dag.replace_value_uses(n, val(orn))
+        repl[n] = val(dag.new("or", [val(shl), val(srl)]))
 
-    for n in list(dag.live_nodes()):
-        if n.kind == "GlobalAddress":
-            users = [(u, slot) for u, slot in dag.use_list(n)
-                     if u.kind not in ("HI", "ADD_LO")]
-            if not users:
-                continue
-            hi = dag.new("HI", [val(n)], vt="ptr")
-            addlo = dag.new("ADD_LO", [val(hi), val(n)], vt="ptr")
-            for u, slot in users:
-                dag.set_edge(u, slot, val(addlo))
-    dag.prune()
+    # the HI and ADD_LO made here are the only users left of their global
+    swept = len(dag.nodes)
+    for g in globs:
+        hi = dag.new("HI", [val(g)], vt="ptr")
+        repl[g] = val(dag.new("ADD_LO", [val(hi), val(g)], vt="ptr"))
+    if repl:
+        _rewrite(itertools.islice(dag.nodes, swept), repl)
+        dag.prune()
     return dag
 
 
@@ -411,14 +337,26 @@ def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
 # --------------------------------------------------------------------------
 
 class SelectCtx:
+    """Selection state over a generic DAG that it never changes. Machine
+    nodes are made in `out`, a new graph with the DAG's name, entry and node
+    numbering. `vals` and `chains` map a generic node's value and chain
+    results to the machine results that replace them; `refd` holds the
+    generic nodes that some machine node names; `uses` counts each node's
+    value users in the generic DAG, the return's included."""
+
     def __init__(self, dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
                  zba_threshold: int = 2):
-        self.dag = dag
+        self.out = copy.copy(dag)
+        self.out.nodes = []
         self.desc = desc
         self.ext = ext
         self.zba_threshold = zba_threshold
         self.debug_lines: list[str] = []
-        self._materialized: dict[int, DagNode] = {}
+        self._materialized: dict[DagNode, DagNode] = {}
+        self.vals: dict[DagNode, DagValue] = {}
+        self.chains: dict[DagNode, DagValue] = {}
+        self.refd: set[DagNode] = set()
+        self.uses: dict[DagNode, int] = defaultdict(int)
         # enabled patterns by root node kind, highest priority first; the
         # sort is stable, so equal priorities keep their record order
         self.patterns: dict[str, list[tgt.SelPattern]] = {}
@@ -433,14 +371,20 @@ class SelectCtx:
         d = self.desc.instr(mnemonic)
         if d.ext not in self.ext:
             raise IselError(f"{mnemonic} requires extension {d.ext}")
-        return self.dag.new(mnemonic, ops, chain,
-                            "i32" if "rd" in d.ops else "none", is_machine=True)
+        for op in ops:
+            if type(op) is DagValue:
+                self.refd.add(op.node)
+        if chain is not None:
+            self.refd.add(chain.node)
+        return self.out.new(mnemonic, ops, chain,
+                            "i32" if "rd" in d.ops else "none",
+                            is_machine=True)
 
     def reg_operand(self, v: DagValue) -> DagValue:
         """Constants used as register operands are materialized here."""
         if v.node.kind != "Constant":
             return v
-        node = self._materialized.get(id(v.node))
+        node = self._materialized.get(v.node)
         if node is None:
             seq = tgt.materialize_imm(v.node.value, self.ext,
                                       self.zba_threshold)
@@ -452,7 +396,7 @@ class SelectCtx:
                     node = self.make_machine("ADDI", [src, MOp.imm(imm)])
                 else:
                     node = self.make_machine(mn, [val(node), val(node)])
-            self._materialized[id(v.node)] = node
+            self._materialized[v.node] = node
         return val(node)
 
 
@@ -469,7 +413,6 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     """
     if "Xcrypt" not in ctx.ext:
         return None
-    dag = ctx.dag
     say = ctx.debug
     say(f"xor-loads hook: inspecting {node!r}")
     if len(node.ops) != 2:
@@ -484,7 +427,7 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
         say("  [2] second load address is an add: no")
         return None
     say("  [2] second load address is an add: yes")
-    if not (isinstance(addr2.ops[0], DagValue) and addr2.ops[0] == a.ops[0]):
+    if addr2.ops[0] != a.ops[0]:
         say("  [3] add base equals first load address: no")
         return None
     say("  [3] add base equals first load address: yes")
@@ -497,16 +440,16 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
         say(f"  [5] constant equals 16: no ({addend.value})")
         return None
     say("  [5] constant equals 16: yes")
-    if dag.value_use_count(a) != 1 or dag.value_use_count(b) != 1:
+    if ctx.uses[a] != 1 or ctx.uses[b] != 1:
         say("  loads have other uses, not folding")
         return None
-    if not _chain_adjacent(dag, [a, b]):
+    if not _chain_adjacent([a, b]):
         say("  loads are not adjacent on the chain, not folding")
         return None
     base = a.ops[0]
     addi = ctx.make_machine("ADDI", [ctx.reg_operand(base), MOp.imm(16)])
     lxr = ctx.make_machine("LXR", [ctx.reg_operand(base), val(addi)])
-    _splice_chains(dag, [a, b], lxr)
+    _splice_chains(ctx, [a, b], lxr)
     say("  -> emitting ADDI + LXR")
     return lxr
 
@@ -519,7 +462,7 @@ def _chain_order(nodes: list[DagNode]) -> list[DagNode]:
     return sorted(nodes, key=lambda n: n.uid)
 
 
-def _chain_adjacent(dag: SelDag, mems: list[DagNode]) -> bool:
+def _chain_adjacent(mems: list[DagNode]) -> bool:
     """Covered memory nodes must form a consecutive run on the linear chain."""
     mems = _chain_order(mems)
     for earlier, later in zip(mems, mems[1:]):
@@ -528,10 +471,12 @@ def _chain_adjacent(dag: SelDag, mems: list[DagNode]) -> bool:
     return True
 
 
-def _splice_chains(dag: SelDag, mems: list[DagNode], machine: DagNode):
+def _splice_chains(ctx: SelectCtx, mems: list[DagNode], machine: DagNode):
+    """`machine` takes the place of the run of `mems` on the chain."""
     mems = _chain_order(mems)
-    dag.set_edge(machine, CHAIN, mems[0].chain)
-    dag.replace_chain_uses(mems[-1], ch(machine))
+    machine.chain = mems[0].chain
+    ctx.refd.add(machine.chain.node)
+    ctx.chains[mems[-1]] = ch(machine)
 
 
 def _match(ctx: SelectCtx, pat: tgt.PatNode, node: DagNode, binds: dict,
@@ -541,14 +486,13 @@ def _match(ctx: SelectCtx, pat: tgt.PatNode, node: DagNode, binds: dict,
     additions; the caller discards them, or restores both before a
     commutative retry."""
     kind = pat.kind
-    if node.kind != ("Load" if kind == "load" else kind) or node.is_machine:
+    if node.kind != ("Load" if kind == "load" else kind):
         return False
     children, ops = pat.children, node.ops
     if len(ops) != len(children):
         return False
-    if not is_root and (kind == "load" or pat.oneuse):
-        if ctx.dag.value_use_count(node) != 1:
-            return False
+    if not is_root and (kind == "load" or pat.oneuse) and ctx.uses[node] != 1:
+        return False
     if kind == "load":
         covered.append(node)
     if kind in ir.COMMUTATIVE and len(children) == 2:
@@ -608,11 +552,11 @@ def _try_patterns(ctx: SelectCtx, node: DagNode) -> DagNode | None:
         covered: list[DagNode] = []
         if not _match(ctx, pat.source, node, binds, covered, True):
             continue
-        if covered and not _chain_adjacent(ctx.dag, covered):
+        if covered and not _chain_adjacent(covered):
             continue
         new = _emit_target(ctx, pat.target, binds)
         if covered:
-            _splice_chains(ctx.dag, covered, new)
+            _splice_chains(ctx, covered, new)
         ctx.debug(f"pattern {pat.source.kind} -> {pat.target.kind} "
                   f"matched at {node!r}")
         return new
@@ -624,8 +568,8 @@ def _fold_addr(ctx: SelectCtx, addr: DagValue):
     node = addr.node
     if node.kind == "ADD_LO":
         hi, g = node.ops
-        lui = _select_node(ctx, hi.node)
-        return val(lui), MOp.sym(g.node.value, "lo12")
+        lui = ctx.vals.get(hi.node) or val(_select_node(ctx, hi.node))
+        return lui, MOp.sym(g.node.value, "lo12")
     if node.kind == "add":
         base, off = node.ops
         if off.node.kind == "Constant":
@@ -640,14 +584,14 @@ def _select_fallback(ctx: SelectCtx, node: DagNode) -> DagNode:
     if kind == "Load":
         base, off = _fold_addr(ctx, node.ops[0])
         lw = ctx.make_machine("LW", [base, off], chain=node.chain)
-        ctx.dag.replace_chain_uses(node, ch(lw))
+        ctx.chains[node] = ch(lw)
         return lw
     if kind == "Store":
         value, addr = node.ops
         base, off = _fold_addr(ctx, addr)
         sw = ctx.make_machine("SW", [ctx.reg_operand(value), base, off],
                               chain=node.chain)
-        ctx.dag.replace_chain_uses(node, ch(sw))
+        ctx.chains[node] = ch(sw)
         return sw
     if kind == "HI":
         g = node.ops[0].node
@@ -665,69 +609,100 @@ def _select_fallback(ctx: SelectCtx, node: DagNode) -> DagNode:
 
 
 def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
-    """Select one generic node; returns its machine replacement."""
-    if node.is_machine:
-        return node
+    """Select one generic node; returns the machine node for its value."""
     replacement = _try_patterns(ctx, node)
     if replacement is None:
         replacement = _select_fallback(ctx, node)
-    ctx.dag.replace_value_uses(node, val(replacement))
+    ctx.vals[node] = val(replacement)
     return replacement
 
 
 def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
            zba_threshold: int = 2) -> tuple[SelDag, list[str]]:
     """Cover every generic node with machine nodes. Hooks first, then
-    declarative patterns by priority, then fallbacks."""
+    declarative patterns by priority, then fallbacks (maximal munch).
+
+    `dag` is left as it is, and one-use tests read its use counts, taken
+    once. Nodes are visited consumers first; a node is skipped when no
+    machine node names it or a cover has already mapped it. Returns a new
+    graph rooted at the JALR: the machine nodes, their operands resolved
+    through the value map, and the EntryToken and Register leaves they
+    reach."""
     ctx = SelectCtx(dag, desc, ext, zba_threshold)
+    uses = ctx.uses
 
     root = dag.root
     # consumers before producers: reverse postorder from the root, with an
-    # explicit stack, as dependency chains can outgrow the recursion limit
+    # explicit stack, as dependency chains can outgrow the recursion limit;
+    # the same walk counts the value users of every node
     order: list[DagNode] = []
-    seen = {id(root)}
-    stack = [(root, _edges(root))]
+    seen = {root}
+    stack = [(root, iter(_operands(root)))]
     while stack:
         n, edges = stack[-1]
-        for _, v in edges:
-            if id(v.node) not in seen:
-                seen.add(id(v.node))
-                stack.append((v.node, _edges(v.node)))
+        for v in edges:
+            if v.res == "val":
+                uses[v.node] += 1
+            if v.node not in seen:
+                seen.add(v.node)
+                stack.append((v.node, iter(_operands(v.node))))
                 break
         else:
             stack.pop()
             order.append(n)
+    order.pop()  # the root, a generic "ret"
 
+    jalr = ctx.make_machine("JALR", [MOp.preg(X0), MOp.preg(RA), MOp.imm(0)],
+                            chain=root.chain)
+    jalr.vt = "none"  # rd is pinned to x0, no result to allocate
+    if root.ret_value is not None:
+        ctx.refd.add(root.ret_value.node)
+
+    vals, chains, refd = ctx.vals, ctx.chains, ctx.refd
     for node in reversed(order):
-        if node.is_machine or node.kind in NON_INSTR_KINDS:
+        if (node.kind in _LEAF_KINDS or node not in refd or node in vals
+                or node in chains):
             continue
-        if not dag.live(node):
-            continue
-        if node.kind == "ret":
-            jalr = ctx.make_machine("JALR", [MOp.preg(X0), MOp.preg(RA),
-                                             MOp.imm(0)])
-            jalr.vt = "none"  # rd is pinned to x0, no result to allocate
-            dag.set_edge(jalr, CHAIN, node.chain)
-            dag.set_edge(jalr, RET, node.ret_value)
-            dag.root = jalr
-            continue
-        if node.kind in ("Constant", "GlobalAddress"):
-            continue  # consumed by users; materialized on demand
         hook = HOOKS.get(node.kind)
         matched = hook(ctx, node) if hook is not None else None
         if matched is not None:
-            dag.replace_value_uses(node, val(matched))
+            vals[node] = val(matched)
         else:
             _select_node(ctx, node)
 
     # ret value may be a bare constant: materialize it now
-    if dag.root.ret_value is not None:
-        dag.set_edge(dag.root, RET, ctx.reg_operand(dag.root.ret_value))
-    dag.prune()
-    for n in dag.live_nodes():
-        if not n.is_machine and n.kind not in NON_INSTR_KINDS:
-            raise IselError(f"selection left generic node {n!r}")
-    return dag, ctx.debug_lines
+    if root.ret_value is not None:
+        jalr.ret_value = ctx.reg_operand(root.ret_value)
+    return _resolve(ctx, jalr), ctx.debug_lines
+
+
+def _resolve(ctx: SelectCtx, root: DagNode) -> SelDag:
+    """Point every machine operand that names a generic node at the machine
+    result that replaced it; only EntryToken and Register stay generic."""
+    vals, chains = ctx.vals, ctx.chains
+    leaves: set[DagNode] = set()
+
+    def leaf(v: DagValue) -> DagValue:
+        if v.node.kind not in NON_INSTR_KINDS:
+            raise IselError(f"selection left generic node {v.node!r}")
+        leaves.add(v.node)
+        return v
+
+    out = ctx.out
+    for m in out.nodes:
+        ops = m.ops
+        for i, v in enumerate(ops):
+            if type(v) is DagValue and not v.node.is_machine:
+                ops[i] = vals.get(v.node) or leaf(v)
+        c = m.chain
+        if c is not None and not c.node.is_machine:
+            m.chain = chains.get(c.node) or leaf(c)
+    rv = root.ret_value
+    if rv is not None and not rv.node.is_machine:
+        root.ret_value = vals.get(rv.node) or leaf(rv)
+    out.nodes = sorted(leaves, key=lambda n: n.uid) + out.nodes
+    out.root = root
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -735,26 +710,34 @@ def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
 # --------------------------------------------------------------------------
 
 def schedule(dag: SelDag) -> MachineFunction:
-    """Deterministic Kahn topological linearization (ready set ordered by
-    node creation index), then one MachineInstr per machine node over fresh
-    virtual registers."""
-    nodes = dag.live_nodes()
-    # each node's operand edges not yet scheduled, counted from the use
-    # lists, which hold every edge of a live node
-    indeg = dict.fromkeys(nodes, 0)
-    for users in dag._uses.values():
-        for user, _ in users:
-            indeg[user] += 1
-    ready = [n.uid for n in nodes if indeg[n] == 0]
-    heapq.heapify(ready)
+    """Deterministic Kahn topological linearization of the machine graph
+    (ready set ordered by node creation index), read from the nodes' own
+    edges, then one MachineInstr per machine node over fresh virtual
+    registers."""
+    nodes = dag.nodes
+    # each node's users, and how many of its operand edges are unscheduled
+    users: dict[DagNode, list[DagNode]] = {n: [] for n in nodes}
+    indeg: dict[DagNode, int] = {}
+    for n in nodes:
+        k = 0
+        for v in n.ops:
+            if type(v) is DagValue:
+                users[v.node].append(n)
+                k += 1
+        for v in (n.chain, n.ret_value):
+            if v is not None:
+                users[v.node].append(n)
+                k += 1
+        indeg[n] = k
+    ready = [n.uid for n in nodes if not indeg[n]]  # ascending: a heap
     by_uid = {n.uid: n for n in nodes}
     linear: list[DagNode] = []
     while ready:
         n = by_uid[heapq.heappop(ready)]
         linear.append(n)
-        for s, _ in dag._uses.get(n, ()):
+        for s in users[n]:
             indeg[s] -= 1
-            if indeg[s] == 0:
+            if not indeg[s]:
                 heapq.heappush(ready, s.uid)
     if len(linear) != len(nodes):
         raise IselError("cycle in selection DAG")
@@ -805,7 +788,7 @@ def schedule(dag: SelDag) -> MachineFunction:
 def emit_dot(dag: SelDag, stage_label: str = "") -> str:
     """Graphviz rendering: solid value edges, dashed chain edges."""
     lines = [f'digraph "{dag.name}{":" + stage_label if stage_label else ""}" {{']
-    nodes = dag.live_nodes()
+    nodes = dag.nodes
     names = {id(n): f"n{n.uid}" for n in nodes}
 
     def label(n: DagNode) -> str:

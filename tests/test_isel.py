@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -713,12 +714,12 @@ def test_post_select_sbox_dot_has_five_naxors(desc):
 
 
 # --------------------------------------------------------------------------
-# use lists
+# the DAG between stages
 # --------------------------------------------------------------------------
 
-def assert_use_lists_exact(dag):
-    """Live flags equal reachability from the root, and each node's use
-    list equals its (user, slot) edges recomputed from the live nodes."""
+def assert_nodes_exactly_reachable(dag):
+    """`dag.nodes` holds each node reachable from the root once, in
+    creation order, and no other node."""
     reach, stack = set(), [dag.root]
     while stack:
         n = stack.pop()
@@ -726,21 +727,31 @@ def assert_use_lists_exact(dag):
             reach.add(id(n))
             stack += [op.node for op in n.ops if isinstance(op, isel.DagValue)]
             stack += [v.node for v in (n.chain, n.ret_value) if v is not None]
-    want = dag.uses()
-    for n in dag.nodes:
-        assert dag.live(n) == (id(n) in reach), n
-        assert set(dag.use_list(n)) == set(want.get(id(n), ())), n
+    assert len(dag.nodes) == len(reach)
+    assert {id(n) for n in dag.nodes} == reach
+    assert [n.uid for n in dag.nodes] == sorted(n.uid for n in dag.nodes)
+
+
+def dag_edges(dag):
+    return dag.root, [(n, list(n.ops), n.chain, n.ret_value)
+                      for n in dag.nodes]
 
 
 ISEL_STAGES = ["build_dag", "combine", "legalize", "combine", "select"]
 
 
-def test_use_lists_stay_exact_through_selection(monkeypatch, desc):
+def test_stages_keep_reachable_nodes_and_select_leaves_its_input(
+        monkeypatch, desc):
     seen = []
     for name in set(ISEL_STAGES):
         def checked(*args, stage=getattr(isel, name), name=name, **kwargs):
+            if name == "select":
+                before = dag_edges(args[0])
             out = stage(*args, **kwargs)
-            assert_use_lists_exact(out[0] if name == "select" else out)
+            if name == "select":
+                assert dag_edges(args[0]) == before
+                assert out[0] is not args[0]
+            assert_nodes_exactly_reachable(out[0] if name == "select" else out)
             seen.append(name)
             return out
         monkeypatch.setattr(isel, name, checked)
@@ -766,43 +777,71 @@ def test_dag_values_compare_their_nodes_by_identity():
 
 
 def test_select_walks_the_dag_a_fixed_number_of_times(monkeypatch, desc):
-    # a full walk per selected node made select quadratic in function size
-    walks = 0
-    in_select = False
-    real_live_nodes, real_select = isel.SelDag.live_nodes, isel.select
+    # a full walk per selected node made select quadratic in function size;
+    # a sweep per rewrite would do the same to combine and legalize
+    walks = collections.Counter()  # whole-DAG walks per stage
+    reads = collections.Counter()  # edge reads per node in the running stage
+    stage = None
+    real_operands, real_prune = isel._operands, isel.SelDag.prune
 
     class CountedNodes(list):
         def __iter__(self):
-            nonlocal walks
-            walks += in_select
+            if stage is not None:
+                walks[stage] += 1
             return super().__iter__()
 
-    def live_nodes(dag):
-        nonlocal walks
-        walks += in_select
-        return real_live_nodes(dag)
+    def operands(n):
+        reads[n] += 1
+        return real_operands(n)
 
-    def select(dag, *args, **kwargs):
-        nonlocal in_select
+    def prune(dag):
+        real_prune(dag)
         dag.nodes = CountedNodes(dag.nodes)
-        in_select = True
-        try:
-            return real_select(dag, *args, **kwargs)
-        finally:
-            in_select = False
 
-    monkeypatch.setattr(isel.SelDag, "live_nodes", live_nodes)
-    monkeypatch.setattr(isel, "select", select)
+    def counted(name, real):
+        def run(dag, *args, **kwargs):
+            nonlocal stage
+            dag.nodes = CountedNodes(dag.nodes)
+            stage = name
+            reads.clear()
+            try:
+                return real(dag, *args, **kwargs)
+            finally:
+                # a walk along the edges reads each node's edges once
+                walks[name] += max(reads.values(), default=0)
+                stage = None
+        return run
 
-    def select_walks(size, mattr):
-        nonlocal walks
-        walks = 0
+    monkeypatch.setattr(isel, "_operands", operands)
+    monkeypatch.setattr(isel.SelDag, "prune", prune)
+    for name in ("combine", "legalize", "select"):
+        monkeypatch.setattr(isel, name, counted(name, getattr(isel, name)))
+
+    def stage_walks(size, mattr):
+        # rotates, one per 50 instructions, and a global, so that legalize
+        # rewrites; 8 and 24, so that the second combine merges the rotates'
+        # amounts
         text = gen_large_fn(random.Random(size), size, size)
+        head, ret = text.rsplit("\n  ret i32 ", 1)
+        acc = ret.split("\n")[0]
+        lines = ["@g = global i32 0", head]
+        for i in range(size // 50):
+            lines += [f"  %t{i} = xor i32 {acc}, %x",
+                      f"  %r{i} = call i32 @llvm.fshl.i32(i32 %t{i}, "
+                      f"i32 %t{i}, i32 8)"]
+            acc = f"%r{i}"
+        lines += ["  %gv = load i32, ptr @g", "  store i32 24, ptr @g",
+                  "  store i32 8, ptr %p", f"  %out = xor i32 {acc}, %gv",
+                  "  ret i32 %out", "}"]
+        text = "\n".join(lines)
+        walks.clear()
         driver.compile_ir_text(text, "t", desc, tgt.parse_mattr(mattr))
-        return walks
+        return dict(walks)
 
     for mattr in (None, "+zba,+zbb,+xcrypt"):
-        assert 0 < select_walks(100, mattr) == select_walks(400, mattr)
+        small, large = stage_walks(100, mattr), stage_walks(400, mattr)
+        assert sorted(small) == ["combine", "legalize", "select"]
+        assert all(small.values()) and small == large, (small, large)
 
 
 def test_select_takes_chains_deeper_than_the_recursion_limit(desc):
