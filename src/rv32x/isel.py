@@ -50,8 +50,8 @@ class DagNode:
     Machine nodes (is_machine) reference an InstrDef mnemonic in `kind`; their
     ops list holds DagValue register operands and mir.MOp inline operands
     (imm, sym or preg), in role order with rd omitted. The DAG's root is the
-    return: a generic "ret" until selection makes it a JALR, and only it
-    carries `ret_value`.
+    return: a generic "ret", and a JALR in the graph selection builds; only
+    it carries `ret_value`.
     """
 
     __slots__ = ("kind", "ops", "chain", "vt", "value", "uid",
@@ -321,7 +321,8 @@ def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
             srl = dag.new("srl", [x, amt])
         repl[n] = val(dag.new("or", [val(shl), val(srl)]))
 
-    # the HI and ADD_LO made here are the only users left of their global
+    # the sweep stops before the HI and ADD_LO made here: they keep their
+    # global, whose other users move to the ADD_LO
     swept = len(dag.nodes)
     for g in globs:
         hi = dag.new("HI", [val(g)], vt="ptr")
