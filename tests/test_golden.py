@@ -56,8 +56,8 @@ LARGE_DIGESTS = {
 # generated functions under base and all extensions at -O0 and -O2 (at -O0
 # dead values reach the DAG)
 ISEL_DUMPS_DIGEST = \
-    "d21860944a0f86cfb7f5de7f1897395dfd610651a835b2ae31158482f7be9c5e"
-DAG_STAGES = ("built", "combined1", "legalized", "combined2", "selected")
+    "6b8032eb32f1775f16ec4359d1f13510f25a9f439cbbc4642da17db250384457"
+DAG_STAGES = ("built", "legalized", "combined2", "selected")
 
 
 def _digest(text: str, mattrs) -> str:
