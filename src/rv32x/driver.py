@@ -46,22 +46,19 @@ class CompiledModule:
 
 
 def compile_function(fn: ir.Function, mod: ir.Module, desc: tgt.TargetDesc,
-                     ext: frozenset[str], zba_threshold: int = 2,
+                     ext: frozenset[str],
                      want_dots: bool = False) -> CompiledFunction:
     dots = {}
     dag = isel.build_dag(fn, mod)
     if want_dots:
         dots["built"] = isel.emit_dot(dag, "built")
-    isel.combine(dag)
-    if want_dots:
-        dots["combined1"] = isel.emit_dot(dag, "combined1")
-    isel.legalize(dag, ext)
+    isel.legalize(dag, desc, ext)
     if want_dots:
         dots["legalized"] = isel.emit_dot(dag, "legalized")
     isel.combine(dag)
     if want_dots:
         dots["combined2"] = isel.emit_dot(dag, "combined2")
-    dag, debug_lines = isel.select(dag, desc, ext, zba_threshold=zba_threshold)
+    dag, debug_lines = isel.select(dag, desc, ext)
     if want_dots:
         dots["selected"] = isel.emit_dot(dag, "selected")
     mf = isel.schedule(dag)
@@ -72,8 +69,7 @@ def compile_function(fn: ir.Function, mod: ir.Module, desc: tgt.TargetDesc,
 
 def compile_ir_text(text: str, source: str, desc: tgt.TargetDesc,
                     ext: frozenset[str], opt_level: str = "O2",
-                    zba_threshold: int = 2, want_dots: bool = False
-                    ) -> CompiledModule:
+                    want_dots: bool = False) -> CompiledModule:
     mod = ir.parse_ir(text, source)
     if opt_level == "O2":
         mod, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
@@ -81,8 +77,7 @@ def compile_ir_text(text: str, source: str, desc: tgt.TargetDesc,
         raise DriverError(f"unknown optimization level {opt_level!r}")
     funcs = {}
     for fn in mod.functions:
-        funcs[fn.name] = compile_function(fn, mod, desc, ext, zba_threshold,
-                                          want_dots)
+        funcs[fn.name] = compile_function(fn, mod, desc, ext, want_dots)
     return CompiledModule(mod, funcs, sim.assign_global_addrs(mod))
 
 
@@ -142,7 +137,7 @@ def cmd_llc(args, stdin, stdout, stderr) -> int:
     desc = _default_desc()
     ext = _mattr(args)
     cm = compile_ir_text(text, source, desc, ext, _opt_level(args),
-                         args.zba_threshold, want_dots=args.emit == "dot")
+                         want_dots=args.emit == "dot")
     if args.debug_isel:
         for fname, cf in cm.functions.items():
             for line in cf.debug_lines:
@@ -266,8 +261,7 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
                       default=len(words))
             words = words[begin:end]
     else:
-        cm = compile_ir_text(text, source, desc, ext, _opt_level(args),
-                             args.zba_threshold)
+        cm = compile_ir_text(text, source, desc, ext, _opt_level(args))
         mod = cm.module
         entry = args.entry or (mod.functions[0].name if mod.functions else None)
         if entry is None or entry not in cm.functions:
@@ -361,10 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-O2", dest="O2", action="store_true",
                         help="default pipeline (default)")
         sp.add_argument("--mattr", help="extensions, e.g. +zba,+zbb,+xcrypt")
-        sp.add_argument("--zba-threshold", type=int, default=2,
-                        dest="zba_threshold",
-                        help="base-sequence length above which Zba "
-                             "materialization is attempted")
 
     sp = sub.add_parser("opt", help="run midend passes over IR")
     sp.add_argument("input", nargs="?")
@@ -379,8 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common_compile(sp)
     sp.add_argument("--emit", choices=("asm", "obj", "dot"), default="asm")
     sp.add_argument("--dag-stage", dest="dag_stage", default="selected",
-                    choices=("built", "combined1", "legalized", "combined2",
-                             "selected"))
+                    choices=("built", "legalized", "combined2", "selected"))
     sp.add_argument("--debug-isel", dest="debug_isel", action="store_true",
                     help="print selection hook decisions")
     sp.set_defaults(fn=cmd_llc)

@@ -1,14 +1,16 @@
-"""Per-function selection DAG: build, combine, legalize, select, schedule.
+"""Per-function selection DAG: build, legalize, combine, select, schedule.
 
-The DAG starts target-independent (one node per IR instruction, memory ops
-threaded on a linear chain from EntryToken, the return as the root), is
-legalized for the enabled extensions (global addresses become
-ADD_LO(HI(g), g), rotates are kept legal or expanded into shifts), then
-covered by machine nodes, whose immediates, symbols and fixed registers are
-inline mir.MOp operands. Edges live only on the nodes: a node names its
-operands, and nothing records its users. Every stage leaves `SelDag.nodes`
-as exactly the nodes reachable from the root; combine and legalize collect
-their rewrites and apply them in one sweep.
+The DAG starts target-independent (one node per IR instruction and per
+distinct constant and global, memory ops threaded on a linear chain from
+EntryToken, the return as the root). Legalize makes global addresses
+ADD_LO(HI(g), g) and keeps a rotate when an enabled `rotr` pattern covers
+it, expanding it into shifts otherwise; combine merges the constants that
+legalize made. Selection then covers the DAG with machine nodes, whose
+immediates, symbols and fixed registers are inline mir.MOp operands. Edges
+live only on the nodes: a node names its operands, and nothing records its
+users. Every stage leaves `SelDag.nodes` as exactly the nodes reachable from
+the root; combine and legalize collect their rewrites and apply them in one
+sweep.
 
 Selection reads the generic DAG without changing it and builds a new graph
 of machine nodes. It consults imperative hooks at their root node kinds
@@ -243,13 +245,13 @@ def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
 # --------------------------------------------------------------------------
 
 def combine(dag: SelDag) -> SelDag:
-    """Merge identical Constant/GlobalAddress nodes, drop unreachable nodes.
-    Often a no-op post-legalize."""
-    canon: dict = {}
+    """Merge identical Constant nodes, such as those legalize makes, and
+    drop unreachable nodes."""
+    canon: dict[int, DagNode] = {}
     repl: dict[DagNode, DagValue] = {}
     for n in dag.nodes:
-        if n.kind in ("Constant", "GlobalAddress"):
-            first = canon.setdefault((n.kind, n.value), n)
+        if n.kind == "Constant":
+            first = canon.setdefault(n.value, n)
             if first is not n:
                 repl[n] = val(first)
     if repl:
@@ -262,19 +264,17 @@ def combine(dag: SelDag) -> SelDag:
 # Legalize
 # --------------------------------------------------------------------------
 
-def _rotate_legal(amt: DagValue, ext: frozenset[str]) -> bool:
-    """RORI (Zbb) and ROTI (Xcrypt) rotate by a constant; only ROR (Zbb)
-    rotates by a register."""
-    if amt.node.kind == "Constant":
-        return "Zbb" in ext or "Xcrypt" in ext
-    return "Zbb" in ext
-
-
-def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
+def legalize(dag: SelDag, desc: tgt.TargetDesc,
+             ext: frozenset[str]) -> SelDag:
     """Funnel shifts with equal inputs become rotates; a rotate stays when an
-    enabled instruction takes its amount and expands to shifts otherwise;
-    global addresses become ADD_LO(HI(g), g). Replacements are collected,
-    each read through those before it, and applied in one sweep."""
+    enabled pattern over leaves, such as `(rotr $rs1 $uimm5)`, matches it,
+    and expands to shifts otherwise; global addresses become
+    ADD_LO(HI(g), g). Replacements are collected, each read through those
+    before it, and applied in one sweep."""
+    # the operand leaves of each enabled pattern that covers a rotate alone
+    rotates = [p.source.children for p in desc.patterns
+               if p.ext in ext and p.source.kind == "rotr"
+               and not any(c.children for c in p.source.children)]
     repl: dict[DagNode, DagValue] = {}
     rots, globs = [], []
     for n in list(dag.nodes):
@@ -305,7 +305,8 @@ def legalize(dag: SelDag, ext: frozenset[str]) -> SelDag:
 
     for n in rots:
         x, amt = (_follow(repl, v) for v in n.ops)
-        if _rotate_legal(amt, ext):
+        # leaves only: _match_ops needs no selection state to match them
+        if any(_match_ops(None, pat, (x, amt), {}, []) for pat in rotates):
             continue
         if amt.node.kind == "Constant":
             c = amt.node.value & 31
@@ -345,13 +346,11 @@ class SelectCtx:
     generic nodes that some machine node names; `uses` counts each node's
     value users in the generic DAG, the return's included."""
 
-    def __init__(self, dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
-                 zba_threshold: int = 2):
+    def __init__(self, dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str]):
         self.out = copy.copy(dag)
         self.out.nodes = []
         self.desc = desc
         self.ext = ext
-        self.zba_threshold = zba_threshold
         self.debug_lines: list[str] = []
         self._materialized: dict[DagNode, DagNode] = {}
         self.vals: dict[DagNode, DagValue] = {}
@@ -387,9 +386,7 @@ class SelectCtx:
             return v
         node = self._materialized.get(v.node)
         if node is None:
-            seq = tgt.materialize_imm(v.node.value, self.ext,
-                                      self.zba_threshold)
-            for mn, imm in seq:
+            for mn, imm in tgt.materialize_imm(v.node.value, self.ext):
                 if mn == "LUI":
                     node = self.make_machine("LUI", [MOp.imm(imm)])
                 elif mn == "ADDI":
@@ -618,8 +615,8 @@ def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
     return replacement
 
 
-def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
-           zba_threshold: int = 2) -> tuple[SelDag, list[str]]:
+def select(dag: SelDag, desc: tgt.TargetDesc,
+           ext: frozenset[str]) -> tuple[SelDag, list[str]]:
     """Cover every generic node with machine nodes. Hooks first, then
     declarative patterns by priority, then fallbacks (maximal munch).
 
@@ -629,7 +626,7 @@ def select(dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str],
     graph rooted at the JALR: the machine nodes, their operands resolved
     through the value map, and the EntryToken and Register leaves they
     reach."""
-    ctx = SelectCtx(dag, desc, ext, zba_threshold)
+    ctx = SelectCtx(dag, desc, ext)
     uses = ctx.uses
 
     root = dag.root

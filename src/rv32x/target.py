@@ -696,9 +696,9 @@ def materialize_imm(value: int, ext: frozenset[str] = frozenset({"I"}),
     Entries are (mnemonic, immediate); SH*ADD entries carry no immediate and
     mean `shNadd rd, rd, rd`. The Zba shortcut replaces the base sequence only
     when the base sequence is longer than `zba_threshold` and the shortcut is
-    strictly shorter, mirroring the upstream guard (threshold 2); on RV32 the
-    base sequence never exceeds two instructions, so the shortcut is inert at
-    the default threshold.
+    strictly shorter, mirroring the upstream guard (threshold 2). On RV32 the
+    base sequence never exceeds two instructions and the shortcut is at least
+    two, so the shortcut never replaces it, at any threshold.
     """
     val = sext(value, 32)
     res = _base_seq(val)

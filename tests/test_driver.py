@@ -346,8 +346,7 @@ def test_outputs_deterministic_across_invocations():
 def test_help_documents_every_flag():
     for sub, flags in {
         "opt": ["--passes", "--stats", "-O0", "-O2"],
-        "llc": ["--emit", "--dag-stage", "--mattr", "--debug-isel",
-                "--zba-threshold"],
+        "llc": ["--emit", "--dag-stage", "--mattr", "--debug-isel"],
         "mc": ["--assemble", "--disassemble", "--show-encoding", "--mattr"],
         "run": ["--entry", "--args", "--mem", "--trace"],
         "lit": ["-v"],
@@ -357,6 +356,16 @@ def test_help_documents_every_flag():
         text = out + err
         for flag in flags:
             assert flag in text, (sub, flag)
+
+
+def test_removed_isel_options_are_usage_errors():
+    # the Zba threshold changed no output and combined1 printed the built DAG
+    for argv in (["llc", path("madd.ll"), "--zba-threshold=1"],
+                 ["llc", path("madd.ll"), "--emit=dot",
+                  "--dag-stage=combined1"]):
+        code, out, err = run_command(argv)
+        assert code == 2 and out == "", argv
+        assert "rv32x: error:" in err, err
 
 
 def test_main_leaves_stdin_unread_for_a_file_input(monkeypatch, capsys):

@@ -123,8 +123,7 @@ def test_combine_merges_duplicate_constants():
 
 def test_combine_post_legalize_is_noop_on_minimal_dag(desc):
     dag, _ = build("shlxor.ll")
-    isel.combine(dag)
-    isel.legalize(dag, tgt.parse_mattr("+xcrypt"))
+    isel.legalize(dag, desc, tgt.parse_mattr("+xcrypt"))
     before = [(n.uid, n.kind) for n in dag.live_nodes()]
     isel.combine(dag)
     assert [(n.uid, n.kind) for n in dag.live_nodes()] == before
@@ -134,10 +133,9 @@ def test_combine_post_legalize_is_noop_on_minimal_dag(desc):
 # legalize
 # --------------------------------------------------------------------------
 
-def test_global_address_becomes_add_lo_hi():
+def test_global_address_becomes_add_lo_hi(desc):
     dag, _ = build("madd.ll")
-    isel.combine(dag)
-    isel.legalize(dag, tgt.parse_mattr(None))
+    isel.legalize(dag, desc, tgt.parse_mattr(None))
     store = next(n for n in dag.live_nodes() if n.kind == "Store")
     addr = store.ops[1].node
     assert addr.kind == "ADD_LO"
@@ -159,17 +157,15 @@ def test_accesses_of_one_global_share_one_lui(desc, level):
     assert asm.count("%lo(g)") == 3 - (level == "O2"), asm
 
 
-def test_rotr_kept_legal_under_zbb():
+def test_rotr_kept_legal_under_zbb(desc):
     dag, _ = build("rori.ll", opt=True)
-    isel.combine(dag)
-    isel.legalize(dag, tgt.parse_mattr("+zbb"))
+    isel.legalize(dag, desc, tgt.parse_mattr("+zbb"))
     assert any(n.kind == "rotr" for n in dag.live_nodes())
 
 
 def test_rotr_expands_without_rotate_support(desc):
     dag, _ = build("rori.ll", opt=True)
-    isel.combine(dag)
-    isel.legalize(dag, tgt.parse_mattr(None))
+    isel.legalize(dag, desc, tgt.parse_mattr(None))
     kinds = [n.kind for n in dag.live_nodes()]
     assert "rotr" not in kinds
     assert "shl" in kinds and "srl" in kinds and "or" in kinds
@@ -186,7 +182,7 @@ def test_rotr_expansion_matches_simulator(desc):
         assert got == sim.rotr32(x, 2)
 
 
-def test_funnel_with_distinct_inputs_rejected():
+def test_funnel_with_distinct_inputs_rejected(desc):
     text = """
 define i32 @f(i32 %a, i32 %b) {
   %r = call i32 @llvm.fshr.i32(i32 %a, i32 %b, i32 2)
@@ -196,7 +192,7 @@ define i32 @f(i32 %a, i32 %b) {
     mod = ir.parse_ir(text)
     dag = isel.build_dag(mod.functions[0], mod)
     with pytest.raises(isel.IselError, match="funnel shift"):
-        isel.legalize(dag, tgt.parse_mattr(None))
+        isel.legalize(dag, desc, tgt.parse_mattr(None))
 
 
 def test_negative_gep_offset_folds_and_simulates(desc):
@@ -237,7 +233,7 @@ define i32 @f(i32 %a) {
             assert got == want == sim.rotr32(x, 3)
 
 
-def test_fshr_with_equal_inputs_becomes_rotr():
+def test_fshr_with_equal_inputs_becomes_rotr(desc):
     text = """
 define i32 @f(i32 %a) {
   %r = call i32 @llvm.fshr.i32(i32 %a, i32 %a, i32 7)
@@ -246,7 +242,7 @@ define i32 @f(i32 %a) {
 """
     mod = ir.parse_ir(text)
     dag = isel.build_dag(mod.functions[0], mod)
-    isel.legalize(dag, tgt.parse_mattr("+zbb"))
+    isel.legalize(dag, desc, tgt.parse_mattr("+zbb"))
     rot = [n for n in dag.live_nodes() if n.kind == "rotr"]
     assert len(rot) == 1
 
@@ -680,6 +676,46 @@ def test_new_instruction_is_one_desc_edit():
     assert "ANDN" not in [mi.mnemonic for mi in base.functions["andn"].mf.instrs]
 
 
+# a register rotate in the custom-0 opcode space, added as text only
+RORX_DESC = """
+instr RORX fmt=R opcode=0b0001011 funct3=0b101 funct7=0b0000000 ops=rd,rs1,rs2 asm=rorx sem=(rotr $rs1 $rs2)
+pattern RORX
+"""
+
+RORX_IR = """
+define i32 @rorx(i32 %a, i32 %b) {
+  %r = call i32 @llvm.fshr.i32(i32 %a, i32 %a, i32 %b)
+  ret i32 %r
+}
+"""
+
+
+def test_new_rotate_is_one_desc_edit():
+    """A rotate instruction added to the description text alone keeps the
+    rotate legal and is selected: legalize reads the enabled patterns."""
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    desc = tgt.load_target_desc(text + RORX_DESC)  # under extension Xcrypt
+    assert desc.instrs["RORX"].ext == "Xcrypt"
+
+    def mnemonics(mattr):
+        cm = driver.compile_ir_text(RORX_IR, "rorx.ll", desc,
+                                    tgt.parse_mattr(mattr))
+        return cm.functions["rorx"].mf, \
+            [mi.mnemonic for mi in cm.functions["rorx"].mf.instrs]
+
+    mf, got = mnemonics("+xcrypt")
+    assert got == ["RORX", "JALR"]
+    fn = ir.parse_ir(RORX_IR).functions[0]
+    rng = random.Random(4)
+    inputs = [([rng.getrandbits(32), rng.getrandbits(32)], {})
+              for _ in range(64)]
+    assert_runs_like_ir(fn, mf, desc, inputs)
+    # without a register rotate the rotate expands into shifts
+    _, base = mnemonics(None)
+    assert "RORX" not in base and {"SLL", "SRL", "OR"} <= set(base)
+    assert mnemonics("+zbb")[1] == ["ROR", "JALR"]
+
+
 # --------------------------------------------------------------------------
 # coverage and dot
 # --------------------------------------------------------------------------
@@ -737,7 +773,7 @@ def dag_edges(dag):
                       for n in dag.nodes]
 
 
-ISEL_STAGES = ["build_dag", "combine", "legalize", "combine", "select"]
+ISEL_STAGES = ["build_dag", "legalize", "combine", "select"]
 
 
 def test_stages_keep_reachable_nodes_and_select_leaves_its_input(
@@ -819,8 +855,7 @@ def test_select_walks_the_dag_a_fixed_number_of_times(monkeypatch, desc):
 
     def stage_walks(size, mattr):
         # rotates, one per 50 instructions, and a global, so that legalize
-        # rewrites; 8 and 24, so that the second combine merges the rotates'
-        # amounts
+        # rewrites; 8 and 24, so that combine merges the rotates' amounts
         text = gen_large_fn(random.Random(size), size, size)
         head, ret = text.rsplit("\n  ret i32 ", 1)
         acc = ret.split("\n")[0]
