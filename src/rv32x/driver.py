@@ -57,7 +57,7 @@ def compile_function(fn: ir.Function, mod: ir.Module, desc: tgt.TargetDesc,
         dots["legalized"] = isel.emit_dot(dag, "legalized")
     isel.combine(dag)
     if want_dots:
-        dots["combined2"] = isel.emit_dot(dag, "combined2")
+        dots["combined"] = isel.emit_dot(dag, "combined")
     dag, debug_lines = isel.select(dag, desc, ext)
     if want_dots:
         dots["selected"] = isel.emit_dot(dag, "selected")
@@ -369,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common_compile(sp)
     sp.add_argument("--emit", choices=("asm", "obj", "dot"), default="asm")
     sp.add_argument("--dag-stage", dest="dag_stage", default="selected",
-                    choices=("built", "legalized", "combined2", "selected"))
+                    choices=("built", "legalized", "combined", "selected"))
     sp.add_argument("--debug-isel", dest="debug_isel", action="store_true",
                     help="print selection hook decisions")
     sp.set_defaults(fn=cmd_llc)

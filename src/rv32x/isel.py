@@ -2,30 +2,31 @@
 
 The DAG starts target-independent (one node per IR instruction and per
 distinct constant and global, memory ops threaded on a linear chain from
-EntryToken, the return as the root). Legalize makes global addresses
-ADD_LO(HI(g), g) and keeps a rotate when an enabled `rotr` pattern covers
-it, expanding it into shifts otherwise; combine merges the constants that
-legalize made. Selection then covers the DAG with machine nodes, whose
-immediates, symbols and fixed registers are inline mir.MOp operands. Edges
-live only on the nodes: a node names its operands, and nothing records its
-users. Every stage leaves `SelDag.nodes` as exactly the nodes reachable from
-the root; combine and legalize collect their rewrites and apply them in one
-sweep.
+EntryToken, the return as the root). Legalize makes a global address g
+add(HI(g), LO(g)), two leaves that name its upper and lower halves, and
+keeps a rotate when an enabled `rotr` pattern covers it, expanding it into
+shifts otherwise; combine merges the constants that legalize made.
+Selection then covers the DAG with machine nodes, whose immediates, symbols
+and fixed registers are inline mir.MOp operands. Edges live only on the
+nodes: a node names its operands, and nothing records its users. Every
+stage leaves `SelDag.nodes` as exactly the nodes reachable from the root;
+combine and legalize collect their rewrites and apply them in one sweep.
 
 Selection reads the generic DAG without changing it and builds a new graph
 of machine nodes. It consults imperative hooks at their root node kinds
 first, then declarative patterns from the target description by descending
-priority, which select every ALU instruction. Fallbacks cover only loads
-and stores, with their addressing modes, and the HI/ADD_LO halves of a
-global address. Scheduling is a deterministic Kahn linearization of the
-machine graph ordered by node creation.
+priority, which select every instruction, loads and stores with their
+address offsets included; there are no fallbacks. A register operand that
+is a constant or a HI leaf is materialized where it is used: a constant as
+its shortest sequence, HI(g) as `lui %hi(g)`, each once per node. An imm12
+operand matches LO(g) as `%lo(g)`. Scheduling is a deterministic Kahn
+linearization of the machine graph ordered by node creation.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
-import itertools
 from collections import defaultdict
 from typing import Iterable, NamedTuple
 
@@ -37,9 +38,10 @@ _IR_TO_DAG = {"lshr": "srl", "ashr": "sra"}
 
 # generic kinds that legally remain after selection (they emit no instruction)
 NON_INSTR_KINDS = {"EntryToken", "Register"}
-# generic kinds that selection never covers on their own: constants and
-# global addresses are consumed by their users
-_LEAF_KINDS = NON_INSTR_KINDS | {"Constant", "GlobalAddress"}
+# generic kinds that selection never covers on their own: their users
+# consume them, materializing constants and HI as register operands and
+# matching constants and LO as immediates
+_LEAF_KINDS = NON_INSTR_KINDS | {"Constant", "HI", "LO"}
 
 
 class IselError(Exception):
@@ -215,12 +217,12 @@ def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
                                 constant(inst.operands[1].const)], vt="ptr")
             env[inst.result] = val(n)
         elif op == "load":
-            n = dag.new("Load", [operand(inst.operands[0])], chain=chain,
+            n = dag.new("load", [operand(inst.operands[0])], chain=chain,
                         vt=inst.ty)
             env[inst.result] = val(n)
             chain = ch(n)
         elif op == "store":
-            n = dag.new("Store", [operand(inst.operands[0]),
+            n = dag.new("store", [operand(inst.operands[0]),
                                   operand(inst.operands[1])],
                         chain=chain, vt="none")
             chain = ch(n)
@@ -268,8 +270,8 @@ def legalize(dag: SelDag, desc: tgt.TargetDesc,
              ext: frozenset[str]) -> SelDag:
     """Funnel shifts with equal inputs become rotates; a rotate stays when an
     enabled pattern over leaves, such as `(rotr $rs1 $uimm5)`, matches it,
-    and expands to shifts otherwise; global addresses become
-    ADD_LO(HI(g), g). Replacements are collected, each read through those
+    and expands to shifts otherwise; a global address g becomes
+    add(HI(g), LO(g)). Replacements are collected, each read through those
     before it, and applied in one sweep."""
     # the operand leaves of each enabled pattern that covers a rotate alone
     rotates = [p.source.children for p in desc.patterns
@@ -322,14 +324,12 @@ def legalize(dag: SelDag, desc: tgt.TargetDesc,
             srl = dag.new("srl", [x, amt])
         repl[n] = val(dag.new("or", [val(shl), val(srl)]))
 
-    # the sweep stops before the HI and ADD_LO made here: they keep their
-    # global, whose other users move to the ADD_LO
-    swept = len(dag.nodes)
     for g in globs:
-        hi = dag.new("HI", [val(g)], vt="ptr")
-        repl[g] = val(dag.new("ADD_LO", [val(hi), val(g)], vt="ptr"))
+        hi = dag.new("HI", value=g.value, vt="ptr")
+        lo = dag.new("LO", value=g.value)
+        repl[g] = val(dag.new("add", [val(hi), val(lo)], vt="ptr"))
     if repl:
-        _rewrite(itertools.islice(dag.nodes, swept), repl)
+        _rewrite(dag.nodes, repl)
         dag.prune()
     return dag
 
@@ -362,7 +362,7 @@ class SelectCtx:
         self.patterns: dict[str, list[tgt.SelPattern]] = {}
         for p in sorted((p for p in desc.patterns if p.ext in ext),
                         key=lambda p: -p.priority):
-            self.patterns.setdefault(_root_kind(p), []).append(p)
+            self.patterns.setdefault(p.source.kind, []).append(p)
 
     def debug(self, msg: str):
         self.debug_lines.append(msg)
@@ -381,11 +381,15 @@ class SelectCtx:
                             is_machine=True)
 
     def reg_operand(self, v: DagValue) -> DagValue:
-        """Constants used as register operands are materialized here."""
-        if v.node.kind != "Constant":
+        """Constants and HI leaves used as register operands are
+        materialized here, once per node."""
+        kind = v.node.kind
+        if kind != "Constant" and kind != "HI":
             return v
         node = self._materialized.get(v.node)
-        if node is None:
+        if node is None and kind == "HI":
+            node = self.make_machine("LUI", [MOp.sym(v.node.value, "hi20")])
+        elif node is None:
             for mn, imm in tgt.materialize_imm(v.node.value, self.ext):
                 if mn == "LUI":
                     node = self.make_machine("LUI", [MOp.imm(imm)])
@@ -394,13 +398,8 @@ class SelectCtx:
                     node = self.make_machine("ADDI", [src, MOp.imm(imm)])
                 else:
                     node = self.make_machine(mn, [val(node), val(node)])
-            self._materialized[v.node] = node
+        self._materialized[v.node] = node
         return val(node)
-
-
-def _root_kind(p: tgt.SelPattern) -> str:
-    """The DAG node kind a pattern's source is rooted at."""
-    return "Load" if p.source.kind == "load" else p.source.kind
 
 
 def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
@@ -416,7 +415,7 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     if len(node.ops) != 2:
         return None
     a, b = node.ops[0].node, node.ops[1].node
-    if not (a.kind == "Load" and b.kind == "Load"):
+    if not (a.kind == "load" and b.kind == "load"):
         say("  [1] both operands are loads: no")
         return None
     say("  [1] both operands are loads: yes")
@@ -480,18 +479,18 @@ def _splice_chains(ctx: SelectCtx, mems: list[DagNode], machine: DagNode):
 def _match(ctx: SelectCtx, pat: tgt.PatNode, node: DagNode, binds: dict,
            covered: list, is_root: bool) -> bool:
     """Match the operation `pat` at `node`, adding its captures to `binds`
-    and the loads it covers to `covered`. A failed match may leave partial
-    additions; the caller discards them, or restores both before a
-    commutative retry."""
+    and the loads and stores it covers to `covered`. A failed match may
+    leave partial additions; the caller discards them, or restores both
+    before a commutative retry."""
     kind = pat.kind
-    if node.kind != ("Load" if kind == "load" else kind):
+    if node.kind != kind:
         return False
     children, ops = pat.children, node.ops
     if len(ops) != len(children):
         return False
     if not is_root and (kind == "load" or pat.oneuse) and ctx.uses[node] != 1:
         return False
-    if kind == "load":
+    if kind == "load" or kind == "store":
         covered.append(node)
     if kind in ir.COMMUTATIVE and len(children) == 2:
         saved, n_covered = binds.copy(), len(covered)
@@ -520,27 +519,35 @@ def _match_ops(ctx: SelectCtx, children, ops, binds: dict,
                     tgt.sext(node.value, 32) != pat.value:
                 return False
         elif kind in tgt.IMM_RANGES:
-            if node.kind != "Constant":
+            if node.kind == "Constant":
+                imm = tgt.sext(node.value, 32)
+                if not tgt.fits(kind, imm):
+                    return False
+                binds[pat.name] = MOp.imm(imm)
+            elif node.kind == "LO" and kind == "imm12":
+                binds[pat.name] = MOp.sym(node.value, "lo12")
+            else:
                 return False
-            imm = tgt.sext(node.value, 32)
-            if not tgt.fits(kind, imm):
-                return False
-            binds[pat.name] = MOp.imm(imm)
         elif not _match(ctx, pat, node, binds, covered, False):
             return False
     return True
 
 
 def _emit_target(ctx: SelectCtx, pat: tgt.PatNode, binds: dict) -> DagNode:
+    """Make the machine nodes of `pat`, inner instructions first. Captured
+    register operands are then materialized in register order, rs1 first,
+    so that a store's base is made before the value it stores."""
     ops = []
     for c in pat.children:
         if c.kind == "capture":
-            b = binds[c.name]
-            ops.append(ctx.reg_operand(b) if isinstance(b, DagValue) else b)
+            ops.append(binds[c.name])
         elif c.kind == "const":
             ops.append(MOp.imm(c.value))
         else:
             ops.append(val(_emit_target(ctx, c, binds)))
+    for i in ctx.desc.instr(pat.kind).source_order:
+        if type(ops[i]) is DagValue:
+            ops[i] = ctx.reg_operand(ops[i])
     return ctx.make_machine(pat.kind, ops)
 
 
@@ -561,64 +568,27 @@ def _try_patterns(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     return None
 
 
-def _fold_addr(ctx: SelectCtx, addr: DagValue):
-    """Addressing-mode selection: returns (base operand, offset operand)."""
-    node = addr.node
-    if node.kind == "ADD_LO":
-        hi, g = node.ops
-        lui = ctx.vals.get(hi.node) or val(_select_node(ctx, hi.node))
-        return lui, MOp.sym(g.node.value, "lo12")
-    if node.kind == "add":
-        base, off = node.ops
-        if off.node.kind == "Constant":
-            imm = tgt.sext(off.node.value, 32)
-            if tgt.fits("imm12", imm) and base.node.kind != "Constant":
-                return ctx.reg_operand(base), MOp.imm(imm)
-    return ctx.reg_operand(addr), MOp.imm(0)
-
-
-def _select_fallback(ctx: SelectCtx, node: DagNode) -> DagNode:
-    kind = node.kind
-    if kind == "Load":
-        base, off = _fold_addr(ctx, node.ops[0])
-        lw = ctx.make_machine("LW", [base, off], chain=node.chain)
-        ctx.chains[node] = ch(lw)
-        return lw
-    if kind == "Store":
-        value, addr = node.ops
-        base, off = _fold_addr(ctx, addr)
-        sw = ctx.make_machine("SW", [ctx.reg_operand(value), base, off],
-                              chain=node.chain)
-        ctx.chains[node] = ch(sw)
-        return sw
-    if kind == "HI":
-        g = node.ops[0].node
-        return ctx.make_machine("LUI", [MOp.sym(g.value, "hi20")])
-    if kind == "ADD_LO":
-        hi, g = node.ops
-        return ctx.make_machine("ADDI", [ctx.reg_operand(hi),
-                                         MOp.sym(g.node.value, "lo12")])
+def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
+    """Select one generic node by hook, else by pattern; returns the machine
+    node for its value."""
+    hook = HOOKS.get(node.kind)
+    new = hook(ctx, node) if hook is not None else None
+    if new is None:
+        new = _try_patterns(ctx, node)
+    if new is not None:
+        return new
     # name the disabled instructions that would have covered the node
     needs = {f"{p.target.kind} requires extension {p.ext}": None
              for p in ctx.desc.patterns
-             if p.ext not in ctx.ext and _root_kind(p) == kind}
+             if p.ext not in ctx.ext and p.source.kind == node.kind}
     why = f" ({', '.join(needs)})" if needs else ""
-    raise IselError(f"uncovered node kind {kind!r}{why}")
-
-
-def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
-    """Select one generic node; returns the machine node for its value."""
-    replacement = _try_patterns(ctx, node)
-    if replacement is None:
-        replacement = _select_fallback(ctx, node)
-    ctx.vals[node] = val(replacement)
-    return replacement
+    raise IselError(f"uncovered node kind {node.kind!r}{why}")
 
 
 def select(dag: SelDag, desc: tgt.TargetDesc,
            ext: frozenset[str]) -> tuple[SelDag, list[str]]:
-    """Cover every generic node with machine nodes. Hooks first, then
-    declarative patterns by priority, then fallbacks (maximal munch).
+    """Cover every generic node with machine nodes: hooks first, then
+    declarative patterns by priority (maximal munch).
 
     `dag` is left as it is, and one-use tests read its use counts, taken
     once. Nodes are visited consumers first; a node is skipped when no
@@ -661,12 +631,7 @@ def select(dag: SelDag, desc: tgt.TargetDesc,
         if (node.kind in _LEAF_KINDS or node not in refd or node in vals
                 or node in chains):
             continue
-        hook = HOOKS.get(node.kind)
-        matched = hook(ctx, node) if hook is not None else None
-        if matched is not None:
-            vals[node] = val(matched)
-        else:
-            _select_node(ctx, node)
+        vals[node] = val(_select_node(ctx, node))
 
     # ret value may be a bare constant: materialize it now
     if root.ret_value is not None:
@@ -793,7 +758,7 @@ def emit_dot(dag: SelDag, stage_label: str = "") -> str:
         extra = ""
         if n.kind == "Constant":
             extra = f"<{tgt.sext(n.value, 32)}>"
-        elif n.kind == "GlobalAddress":
+        elif n.kind in ("GlobalAddress", "HI", "LO"):
             extra = f"<@{n.value}>"
         elif n.kind == "Register":
             extra = f"<arg{n.value}>"

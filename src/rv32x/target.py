@@ -146,6 +146,13 @@ class InstrDef:
         return self.ops[:1] == ("rd",)
 
     @cached_property
+    def source_order(self) -> tuple[int, ...]:
+        """The positions of the source operands (`ops` without rd) in
+        register order, rs1 first: SW lists its rs2 before its rs1."""
+        src = self.ops[1:] if self.defines else self.ops
+        return tuple(sorted(range(len(src)), key=src.__getitem__))
+
+    @cached_property
     def mem_spelling(self) -> bool:
         """Written `op reg, imm(base)`: loads, stores and JALR. Not LXR,
         which loads through two registers and has no offset."""
@@ -409,20 +416,39 @@ def load_target_desc(text: str) -> TargetDesc:
             by_asm.setdefault(d.asm, d)
             continue
         if line.startswith("pattern "):
-            body = line[len("pattern "):]
-            if "=>" in body:
-                src_text, _, tgt_text = body.partition("=>")
-                src = _parse_sexpr(src_text, where)
-                tgt = _parse_sexpr(tgt_text, where)
-                _check_pattern(src, tgt, instrs, where)
-            else:
-                src, tgt = _sem_pattern(body.strip(), instrs, where)
-            patterns.append(SelPattern(src, tgt, ext, src.size()))
+            src, tgt, size = _pattern(line[len("pattern "):].strip(),
+                                      instrs, where)
+            patterns.append(SelPattern(src, tgt, ext, size))
             continue
         raise TargetError(f"{where}: unrecognized record {line!r}")
     return TargetDesc(MappingProxyType(instrs), tuple(patterns),
                       MappingProxyType(by_asm),
                       MappingProxyType(_index_encodings(instrs)))
+
+
+# pattern record -> (source, target, size), built once per process, as sems
+# are. A `pattern SRC => TGT` is keyed by its text; a `pattern MNEMONIC` by
+# the instruction's operand roles and sem as well, which it is built from.
+_PATTERNS: dict[tuple, tuple[PatNode, PatNode, int]] = {}
+
+
+def _pattern(body: str, instrs: dict[str, InstrDef], where: str
+             ) -> tuple[PatNode, PatNode, int]:
+    explicit = "=>" in body
+    d = None if explicit else instrs.get(body)
+    key = (body, None if d is None else (d.ops, d.sem))
+    hit = _PATTERNS.get(key)
+    if hit is None:
+        if explicit:
+            src_text, _, tgt_text = body.partition("=>")
+            src = _parse_sexpr(src_text, where)
+            tgt = _parse_sexpr(tgt_text, where)
+        else:
+            src, tgt = _sem_pattern(body, instrs, where)
+        hit = _PATTERNS[key] = src, tgt, src.size()
+    if explicit:  # its target names instructions of this description
+        _check_pattern(hit[0], hit[1], instrs, where)
+    return hit
 
 
 def _parse_instr(line: str, ext: str, where: str) -> InstrDef:

@@ -132,7 +132,7 @@ def test_mc_obj_disassemble_pipeline():
 
 
 def test_llc_dot_stages():
-    for stage, want in (("built", "GlobalAddress"), ("legalized", "ADD_LO"),
+    for stage, want in (("built", "GlobalAddress"), ("legalized", "LO"),
                         ("selected", "MLA")):
         code, out, _ = run_command(
             ["llc", path("madd.ll"), "--mattr=+xcrypt", "--emit=dot",
@@ -359,10 +359,13 @@ def test_help_documents_every_flag():
 
 
 def test_removed_isel_options_are_usage_errors():
-    # the Zba threshold changed no output and combined1 printed the built DAG
+    # the Zba threshold changed no output, combined1 printed the built DAG,
+    # and combined2 is now the one combined stage
     for argv in (["llc", path("madd.ll"), "--zba-threshold=1"],
                  ["llc", path("madd.ll"), "--emit=dot",
-                  "--dag-stage=combined1"]):
+                  "--dag-stage=combined1"],
+                 ["llc", path("madd.ll"), "--emit=dot",
+                  "--dag-stage=combined2"]):
         code, out, err = run_command(argv)
         assert code == 2 and out == "", argv
         assert "rv32x: error:" in err, err

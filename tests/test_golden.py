@@ -56,8 +56,8 @@ LARGE_DIGESTS = {
 # generated functions under base and all extensions at -O0 and -O2 (at -O0
 # dead values reach the DAG)
 ISEL_DUMPS_DIGEST = \
-    "6b8032eb32f1775f16ec4359d1f13510f25a9f439cbbc4642da17db250384457"
-DAG_STAGES = ("built", "legalized", "combined2", "selected")
+    "c90bb45887d5ca2bba8028241be1d38de1098789e1ce5acf838501eae087cb4c"
+DAG_STAGES = ("built", "legalized", "combined", "selected")
 
 
 def _digest(text: str, mattrs) -> str:

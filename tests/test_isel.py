@@ -32,7 +32,7 @@ def build(name, fname=None, opt=False):
 def test_build_madd_dag_shape():
     dag, _ = build("madd.ll")
     kinds = [n.kind for n in dag.live_nodes()]
-    assert "mul" in kinds and "add" in kinds and "Store" in kinds
+    assert "mul" in kinds and "add" in kinds and "store" in kinds
     # the mul feeds the add which feeds a store, all on one chain
     addn = next(n for n in dag.live_nodes() if n.kind == "add")
     assert any(isinstance(op, isel.DagValue) and op.node.kind == "mul"
@@ -58,7 +58,7 @@ define i32 @f() {
     mod = ir.parse_ir(text)
     dag = isel.build_dag(mod.functions[0], mod)
     nodes = dag.live_nodes()
-    assert sum(1 for n in nodes if n.kind == "Load") == 2
+    assert sum(1 for n in nodes if n.kind == "load") == 2
     assert sum(1 for n in nodes if n.kind == "GlobalAddress") == 1
 
 
@@ -85,7 +85,8 @@ def test_node_count_matches_ir_walk():
 
 def test_chain_threads_memory_ops():
     dag, _ = build("sbox.ll")
-    mems = [n for n in dag.live_nodes() if n.kind in ("Load", "Store")]
+    mems = [n for n in dag.live_nodes() if n.kind in ("load", "store")]
+    assert mems
     mems.sort(key=lambda n: n.uid)
     assert dag.live_nodes()[0].kind == "EntryToken"
     prev = dag.entry
@@ -136,16 +137,18 @@ def test_combine_post_legalize_is_noop_on_minimal_dag(desc):
 def test_global_address_becomes_add_lo_hi(desc):
     dag, _ = build("madd.ll")
     isel.legalize(dag, desc, tgt.parse_mattr(None))
-    store = next(n for n in dag.live_nodes() if n.kind == "Store")
+    store = next(n for n in dag.live_nodes() if n.kind == "store")
     addr = store.ops[1].node
-    assert addr.kind == "ADD_LO"
+    assert addr.kind == "add"
     assert addr.ops[0].node.kind == "HI"
-    assert addr.ops[1].node.kind == "GlobalAddress"
+    assert addr.ops[1].node.kind == "LO"
+    assert addr.ops[0].node.value == addr.ops[1].node.value == "a"
 
 
 @pytest.mark.parametrize("level", ["O0", "O2"])
 def test_accesses_of_one_global_share_one_lui(desc, level):
-    # the loads and the store of @g share one ADD_LO, so one HI is selected
+    # the loads and the store of @g share one add(HI, LO), and the HI leaf
+    # is materialized once
     text = ("@g = global i32 5\n"
             "define i32 @f(i32 %a) {\n"
             "  %x = load i32, ptr @g\n  %y = load i32, ptr @g\n"
@@ -155,6 +158,71 @@ def test_accesses_of_one_global_share_one_lui(desc, level):
     asm = cm.functions["f"].asm
     assert histogram(asm)["lui"] == 1, asm
     assert asm.count("%lo(g)") == 3 - (level == "O2"), asm
+
+
+# a store and a load through a constant pointer plus a gep offset
+CONST_PTR_IR = """
+define i32 @f(i32 %v) {
+  %p = getelementptr i32, ptr 16384, i32 1
+  store i32 %v, ptr %p
+  %x = load i32, ptr %p
+  %r = add i32 %x, 1
+  ret i32 %r
+}
+"""
+
+# a global's address used as a value: stored through a pointer, stored into
+# another global, and offset by a gep
+GLOBAL_VALUE_IR = """
+@g = global i32 7
+@h = global i32 0
+define i32 @f(ptr %p) {
+  store ptr @g, ptr %p
+  store ptr @g, ptr @h
+  %q = getelementptr i32, ptr @g, i32 3
+  store i32 5, ptr %q
+  %a = load i32, ptr %p
+  %b = load i32, ptr @h
+  %s = add i32 %a, %b
+  ret i32 %s
+}
+"""
+
+
+def _compile_and_run(desc, text, mattr, level, inputs):
+    """Compile `text` and check that it runs like the IR interpreter."""
+    cm = driver.compile_ir_text(text, "t.ll", desc, tgt.parse_mattr(mattr),
+                                level)
+    mod = ir.parse_ir(text)
+    gaddrs = sim.assign_global_addrs(mod)
+    for _, mem in inputs:
+        mem.update(sim.seed_globals(mod, gaddrs))
+    cf = cm.functions["f"]
+    assert_runs_like_ir(mod.functions[0], cf.mf, desc, inputs, gaddrs)
+    return cf
+
+
+@pytest.mark.parametrize("mattr", [None, "+zba,+zbb,+xcrypt"])
+@pytest.mark.parametrize("level", ["O0", "O2"])
+def test_constant_pointer_offset_folds_into_the_access(desc, mattr, level):
+    # the LW and SW patterns match (add $rs1 $imm12) with a constant base
+    # too: the base is materialized and the gep offset is the immediate
+    cf = _compile_and_run(desc, CONST_PTR_IR, mattr, level,
+                          [([v], {}) for v in (0, 1, 0xFFFFFFFF, 1234567)])
+    mems = [mi for mi in cf.mf.instrs if mi.mnemonic in ("LW", "SW")]
+    assert mems and all(mi.ops[-1] == MOp.imm(4) for mi in mems), cf.asm
+    assert len(cf.mf.instrs) == 5, cf.asm
+
+
+@pytest.mark.parametrize("mattr", [None, "+zba,+zbb,+xcrypt"])
+@pytest.mark.parametrize("level", ["O0", "O2"])
+def test_global_address_used_as_a_value(desc, mattr, level):
+    cf = _compile_and_run(desc, GLOBAL_VALUE_IR, mattr, level,
+                          [([0x4000], {}), ([0x4010], {0x4010: 9})])
+    # one lui per global; @g's full address is made once, by one addi, and
+    # the gep's offset folds into the store through it
+    assert histogram(cf.asm)["lui"] == 2, cf.asm
+    assert cf.asm.count("%lo(g)") == 1 and "12(" in cf.asm, cf.asm
 
 
 def test_rotr_kept_legal_under_zbb(desc):
@@ -562,11 +630,15 @@ def _eval_pattern(node: tgt.PatNode, env, mem):
         return sim.rotr32(args[0], args[1])
     if node.kind == "load":
         return sim.mem_read32(mem, args[0])
+    if node.kind == "store":
+        sim.mem_write32(mem, args[1], args[0])
+        return None
     raise AssertionError(f"no evaluator for {node.kind}")
 
 
 def _run_target_tree(node: tgt.PatNode, env, mem, desc):
-    """Execute the machine-instruction tree bottom-up in the simulator."""
+    """Execute the machine-instruction tree bottom-up in the simulator.
+    Returns the root's result (None for a store) and the memory after."""
     state = sim.SimState()
     state.mem = dict(mem)
     reg = iter(range(10, 28))
@@ -582,22 +654,23 @@ def _run_target_tree(node: tgt.PatNode, env, mem, desc):
         if n.kind == "const":
             return ("imm", n.value)
         srcs = [emit(c) for c in n.children]
-        rd = next(reg)
         d = desc.instr(n.kind)
-        ops = [MOp.preg(rd)]
+        rd = next(reg) if d.defines else None
+        ops = [] if rd is None else [MOp.preg(rd)]
         for s in srcs:
             ops.append(MOp.preg(s[1]) if s[0] == "reg" else MOp.imm(s[1]))
-        word = tgt.encode(MachineInstr(n.kind, ops), desc).word
-        sim.mem_write32(state.mem, state.pc, word)
+        state.program.append(tgt.encode(MachineInstr(n.kind, ops), desc).word)
         sim.step(state, desc)
         return ("reg", rd)
 
     kind, r = emit(node)
     assert kind == "reg"
-    return state.regs[r]
+    return (None if r is None else state.regs[r]), state.mem
 
 
 def test_every_pattern_agrees_with_simulator(desc):
+    """Each pattern's target, run in the simulator, computes what its source
+    does: the same value, and for a store the same memory."""
     rng = random.Random(41)
     for pat in desc.patterns:
         caps = set()
@@ -611,32 +684,45 @@ def test_every_pattern_agrees_with_simulator(desc):
                 find_imm(c)
 
         find_imm(pat.source)
-        load_caps = set()
+        addrs = []  # (base capture, offset capture or None) per access
 
-        def find_loads(node):
-            if node.kind == "load":
-                load_caps.add(node.children[0].name)
+        def find_addrs(node):
+            if node.kind in ("load", "store"):
+                a = node.children[-1]
+                if a.kind == "capture":
+                    addrs.append((a.name, None))
+                else:
+                    assert a.kind == "add", pat
+                    addrs.append((a.children[0].name, a.children[1].name))
             for c in node.children:
-                find_loads(c)
+                find_addrs(c)
 
-        find_loads(pat.source)
+        find_addrs(pat.source)
         for trial in range(1000):
             env = {}
             mem = {}
             for c in sorted(caps):
                 if c in imm_caps:
                     env[c] = ("imm", rng.randint(*tgt.IMM_RANGES[imm_caps[c]]))
-                elif c in load_caps:
-                    addr = 0x4000 + 16 * len(env)
-                    sim.mem_write32(mem, addr, rng.getrandbits(32))
-                    env[c] = addr
                 else:
                     env[c] = rng.getrandbits(32)
+            # each access reaches its own word: the base is what the offset
+            # needs to land there
+            for k, (base, off) in enumerate(addrs):
+                addr = 0x4000 + 16 * k
+                sim.mem_write32(mem, addr, rng.getrandbits(32))
+                env[base] = (addr - (env[off][1] if off else 0)) & 0xFFFFFFFF
             src_env = {c: (env[c][1] if isinstance(env[c], tuple) else env[c])
                        for c in env}
-            want = _eval_pattern(pat.source, src_env, mem)
-            got = _run_target_tree(pat.target, env, mem, desc)
-            assert got == want, (pat.source.kind, pat.target.kind, trial)
+            want_mem = dict(mem)
+            want = _eval_pattern(pat.source, src_env, want_mem)
+            got, got_mem = _run_target_tree(pat.target, env, mem, desc)
+            assert (got, got_mem) == (want, want_mem), \
+                (pat.source.kind, pat.target.kind, trial)
+    # the memory patterns were checked: LW and SW, with and without offset
+    assert sorted(p.target.kind for p in desc.patterns
+                  if p.source.kind in ("load", "store")) == \
+        ["LW", "LW", "SW", "SW"]
 
 
 # Zbkb's andn (funct7 0b0100000, funct3 0b111), added as text only

@@ -8,6 +8,8 @@ import pytest
 from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
+from conftest import PKG_ROOT
+
 
 # --------------------------------------------------------------------------
 # Independent bit-packing oracle: places each field with shifts only.
@@ -108,6 +110,16 @@ pattern (add $a $b) => (FOO $a $c)
         tgt.load_target_desc(text)
 
 
+def test_a_parsed_pattern_is_checked_against_each_description(desc):
+    # the shipped description has parsed its records once already; the
+    # same record in a description without SH1ADD is still rejected
+    shipped = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    record = next(line for line in shipped.splitlines()
+                  if line.startswith("pattern (add (mul_oneuse"))
+    with pytest.raises(tgt.TargetError, match="unknown instruction 'SH1ADD'"):
+        tgt.load_target_desc(f"extension I\n{record}\n")
+
+
 _FOO = ("instr FOO fmt=R opcode=0b0110011 funct3=0b000 funct7=0b0000000 "
         "ops=rd,rs1,rs2")
 _LUI_FOO = ("instr FOO fmt=U opcode=0b0110111 ops=rd,imm20 "
@@ -206,15 +218,25 @@ def test_sem_pattern_takes_the_sem_as_its_source(desc):
 
 def test_every_instruction_with_a_sem_has_a_pattern(desc):
     # selection reads what an instruction computes from its sem alone. LUI
-    # is left out, as imm20 operands are not matched, and so are LW and SW,
-    # whose addressing modes the selector folds itself
+    # is left out, as imm20 operands are not matched
     targets = {p.target for p in desc.patterns}
     missing = [d.mnemonic for d in desc.instrs.values()
                if d.sem is not None and "imm20" not in d.ops
-               and d.mnemonic not in ("LW", "SW")
                and tgt.PatNode(d.mnemonic, tuple(
                    tgt.PatNode("capture", name=r) for r in d.ops if r != "rd"))
                not in targets]
+    assert missing == []
+
+
+def test_every_instruction_with_a_sem_is_selectable_in_its_extension(desc):
+    # selection makes instructions through patterns, hooks and operand
+    # materialization only: a pattern of the instruction's own extension
+    # must target it, except for LUI, whose imm20 is not matched and which
+    # materialization makes
+    targets = {(p.target.kind, p.ext) for p in desc.patterns}
+    missing = [d.mnemonic for d in desc.instrs.values()
+               if d.sem is not None and d.mnemonic != "LUI"
+               and (d.mnemonic, d.ext) not in targets]
     assert missing == []
 
 
