@@ -7,7 +7,10 @@ analog of a .td extension file. An instruction's `sem=` expression is its one
 definition of meaning: the loader compiles it once per format into closures
 over SEM_OPS that read their operands from the encoded word, which the
 simulator calls, and a `pattern <MNEMONIC>` record selects the instruction
-wherever the DAG has that shape. Encoding and decoding are
+wherever the DAG has that shape. Every record kind is parsed once per
+process: a description loaded again from the same text reuses the frozen
+InstrDefs, sems and patterns of the first load, and only checks them against
+each other and indexes them. Encoding and decoding are
 bit-exact over the standard RV32 formats R/R4/I/S/U; shift-immediate
 instructions are I-format records that carry a funct7 region above the 5-bit
 shift amount.
@@ -138,8 +141,8 @@ class InstrDef:
         return "mayStore" in self.flags
 
     # Allocation and printing read these per instruction. They are computed
-    # on first use, once per description: a description loaded only to
-    # simulate, as run_function without `desc` does, never pays for them.
+    # on first use, once per process: every description loaded from the
+    # same record shares its InstrDef.
     @cached_property
     def defines(self) -> bool:
         """ops[0] is rd, the one operand the instruction writes."""
@@ -278,7 +281,11 @@ def _list_node(items: list, where: str) -> PatNode:
         if len(args) != 1 or not isinstance(args[0], str):
             raise TargetError(f"{where}: {head} takes one literal")
         if head == "const":
-            return PatNode("const", value=int(args[0]))
+            try:
+                return PatNode("const", value=int(args[0]))
+            except ValueError:
+                raise TargetError(f"{where}: const takes an integer literal, "
+                                  f"not {args[0]!r}") from None
         return PatNode("uimm5", name=args[0].removeprefix("$"))
     children = tuple([_capture(a) if isinstance(a, str) else a for a in args])
     if head == "not":
@@ -292,6 +299,8 @@ def _list_node(items: list, where: str) -> PatNode:
 _VALID_ROLES = {"rd", "rs1", "rs2", "rs3", *IMM_RANGES}
 # one capture leaf per operand role, shared by every tree that names it
 _ROLE_CAPTURES = {r: PatNode("capture", name=r) for r in _VALID_ROLES}
+# the `key=value` fields of an instr record, sem= aside
+_FIELDS = {"fmt", "opcode", "funct3", "funct7", "funct2", "ops", "asm", "sched"}
 # flag tokens and the names InstrDef.flags stores them under
 _FLAGS = {"commutable": "isCommutable", "mayLoad": "mayLoad",
           "mayStore": "mayStore", "hasSideEffects": "hasSideEffects"}
@@ -371,11 +380,18 @@ def _reg_shift(node: PatNode, fmt: str) -> int | None:
     return None
 
 
+# Every record is parsed once per process, however often a description is
+# loaded; the memos hold only immutable values, and never an error, so a bad
+# record is diagnosed, with its own line, on every load.
+#
+# (instr record text, extension) -> its InstrDef, shared by every
+# description loaded with that record.
+_INSTRS: dict[tuple[str, str], InstrDef] = {}
+
 # (sem text, format, operand roles) -> (sem tree, compiled sem): each
-# distinct sem is parsed, checked and compiled once per process, however
-# often a description is loaded. The format is part of the key because the
-# compiled sem reads its operands from the format's fields. Both values are
-# immutable.
+# distinct sem is parsed, checked and compiled once. The format is part of
+# the key because the compiled sem reads its operands from the format's
+# fields.
 _SEMS: dict[tuple[str, str, tuple[str, ...]], tuple[PatNode, Callable]] = {}
 
 
@@ -409,7 +425,9 @@ def load_target_desc(text: str) -> TargetDesc:
                 raise TargetError(f"{where}: unknown extension {ext!r}")
             continue
         if line.startswith("instr "):
-            d = _parse_instr(line, ext, where)
+            d = _INSTRS.get((line, ext))
+            if d is None:
+                d = _INSTRS[line, ext] = _parse_instr(line, ext, where)
             if d.mnemonic in instrs:
                 raise TargetError(f"{where}: duplicate mnemonic {d.mnemonic}")
             instrs[d.mnemonic] = d
@@ -426,9 +444,11 @@ def load_target_desc(text: str) -> TargetDesc:
                       MappingProxyType(_index_encodings(instrs)))
 
 
-# pattern record -> (source, target, size), built once per process, as sems
-# are. A `pattern SRC => TGT` is keyed by its text; a `pattern MNEMONIC` by
-# the instruction's operand roles and sem as well, which it is built from.
+# pattern record -> (source, target, size). A `pattern SRC => TGT` is keyed
+# by its text, and its captures are checked with its parse; the instructions
+# of its target are checked against each description. A `pattern MNEMONIC`
+# is keyed by the instruction's operand roles and sem as well, which it is
+# built from.
 _PATTERNS: dict[tuple, tuple[PatNode, PatNode, int]] = {}
 
 
@@ -443,11 +463,12 @@ def _pattern(body: str, instrs: dict[str, InstrDef], where: str
             src_text, _, tgt_text = body.partition("=>")
             src = _parse_sexpr(src_text, where)
             tgt = _parse_sexpr(tgt_text, where)
+            _check_captures(src, tgt, where)
         else:
             src, tgt = _sem_pattern(body, instrs, where)
         hit = _PATTERNS[key] = src, tgt, src.size()
     if explicit:  # its target names instructions of this description
-        _check_pattern(hit[0], hit[1], instrs, where)
+        _check_target(hit[1], instrs, where)
     return hit
 
 
@@ -459,7 +480,7 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     flags = set()
     for tok in toks[2:]:
         key, eq, value = tok.partition("=")
-        if eq:
+        if eq and key in _FIELDS:
             kw[key] = value
         elif tok in _FLAGS:
             flags.add(_FLAGS[tok])
@@ -477,9 +498,13 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
         raise TargetError(f"{where}: format {fmt} has no {e.args[0][1]} "
                           "field") from None
     sem, run = _sem(sem_text, fmt, ops, where) if sem_text else (None, None)
-    opcode = int(kw["opcode"], 0)
-    funct3, funct7, funct2 = (int(kw[k], 0) if k in kw else None
-                              for k in ("funct3", "funct7", "funct2"))
+    if "opcode" not in kw:
+        raise TargetError(f"{where}: missing opcode=")
+    if "funct3" not in kw and fmt != "U":
+        raise TargetError(f"{where}: format {fmt} needs funct3=")
+    opcode, funct3, funct7, funct2 = (
+        _int_field(kw, k, where)
+        for k in ("opcode", "funct3", "funct7", "funct2"))
     # fixed bits: opcode, funct3, and the funct7 region of R and shift
     # immediates or the funct2 region of R4
     mask, match = 0x7F, opcode
@@ -509,6 +534,16 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
         fields=fields,
         run=run,
     )
+
+
+def _int_field(kw: dict[str, str], key: str, where: str) -> int | None:
+    if key not in kw:
+        return None
+    try:
+        return int(kw[key], 0)
+    except ValueError:
+        raise TargetError(f"{where}: {key}={kw[key]} is not an integer") \
+            from None
 
 
 def _check_sem(node: PatNode, roles: tuple[str, ...], where: str):
@@ -561,8 +596,7 @@ def _captures(node: PatNode, out: set[str]):
         _captures(c, out)
 
 
-def _check_pattern(src: PatNode, tgt: PatNode, instrs: dict[str, InstrDef],
-                   where: str):
+def _check_captures(src: PatNode, tgt: PatNode, where: str):
     src_caps: set[str] = set()
     tgt_caps: set[str] = set()
     _captures(src, src_caps)
@@ -570,7 +604,6 @@ def _check_pattern(src: PatNode, tgt: PatNode, instrs: dict[str, InstrDef],
     if not tgt_caps <= src_caps:
         raise TargetError(f"{where}: target captures {tgt_caps - src_caps} "
                           "not bound by source")
-    _check_target(tgt, instrs, where)
 
 
 def _check_target(node: PatNode, instrs: dict[str, InstrDef], where: str):
@@ -579,9 +612,14 @@ def _check_target(node: PatNode, instrs: dict[str, InstrDef], where: str):
     description to the cyclic garbage collector."""
     if node.kind in ("capture", "const"):
         return
-    if node.kind not in instrs:
+    d = instrs.get(node.kind)
+    if d is None:
         raise TargetError(f"{where}: pattern target uses unknown "
                           f"instruction {node.kind!r}")
+    if len(node.children) != len(d.source_order):
+        raise TargetError(f"{where}: pattern target {d.mnemonic} takes "
+                          f"{len(d.source_order)} operands, not "
+                          f"{len(node.children)}")
     for c in node.children:
         _check_target(c, instrs, where)
 

@@ -149,14 +149,82 @@ _BAD_RECORDS = {
                         "opcode or funct value too wide"),
     "role-outside-format": (_FOO.replace("rd,rs1,rs2", "rd,rs1,imm12"),
                             "format R has no imm12 field"),
+    "missing-opcode": (_FOO.replace("opcode=0b0110011 ", ""),
+                       "missing opcode="),
+    "non-integer-opcode": (_FOO.replace("opcode=0b0110011", "opcode=zz"),
+                           "opcode=zz is not an integer"),
+    "non-integer-funct3": (_FOO.replace("funct3=0b000", "funct3=9x"),
+                           "funct3=9x is not an integer"),
+    "misspelled-field": (_FOO.replace("funct7=", "funtc7="),
+                         "unknown token 'funtc7=0b0000000'"),
+    "missing-funct3": (_FOO.replace("funct3=0b000 ", ""),
+                       "format R needs funct3="),
+    "const-not-integer": (_FOO + "\npattern (add $a (const x)) => (FOO $a $a)",
+                          "const takes an integer literal, not 'x'"),
+    "pattern-too-few-operands": (
+        _FOO + "\npattern (sub (xor $a $b) $c) => (FOO $a)",
+        "pattern target FOO takes 2 operands, not 1"),
+    "pattern-too-many-operands": (
+        _FOO + "\npattern (sub (xor $a $b) $c) => (FOO $a $b $c)",
+        "pattern target FOO takes 2 operands, not 3"),
+    "nested-pattern-operands": (
+        _FOO + "\npattern (sub (xor $a $b) $c) => (FOO (FOO $a) $c)",
+        "pattern target FOO takes 2 operands, not 1"),
 }
 
 
 @pytest.mark.parametrize("text, message", list(_BAD_RECORDS.values()),
                          ids=list(_BAD_RECORDS))
 def test_bad_record_rejected(text, message):
-    with pytest.raises(tgt.TargetError, match=message):
-        tgt.load_target_desc("extension I\n" + text + "\n")
+    # the bad record is the last line; it is diagnosed, with its own line
+    # number, on every load, since the record memos never hold an error
+    for pad in ("", "\n", "\n\n"):
+        line = text.count("\n") + pad.count("\n") + 2
+        with pytest.raises(tgt.TargetError,
+                           match=f"^line {line}: .*{message}"):
+            tgt.load_target_desc("extension I\n" + pad + text + "\n")
+
+
+def test_a_reload_parses_no_instr_record(monkeypatch):
+    monkeypatch.setattr(tgt, "_INSTRS", {})  # as in a fresh process
+    calls = []
+    parse_instr = tgt._parse_instr
+
+    def counting_parse_instr(*args):
+        calls.append(args)
+        return parse_instr(*args)
+
+    monkeypatch.setattr(tgt, "_parse_instr", counting_parse_instr)
+    first = tgt.load_default_desc()
+    assert len(calls) == len(first.instrs)
+    second = tgt.load_default_desc()
+    assert len(calls) == len(first.instrs)
+    # a new description, as immutable as the first, over the same defs
+    assert second is not first
+    with pytest.raises(TypeError):
+        second.instrs["ADD"] = first.instrs["SUB"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        second.instrs["ADD"].opcode = 0
+    assert all(second.instrs[m] is d for m, d in first.instrs.items())
+    assert second.patterns == first.patterns
+
+
+def test_a_record_under_two_extensions_gives_two_defs():
+    record = _FOO + " sem=(add $rs1 $rs2)"
+    under_i = tgt.load_target_desc(f"extension I\n{record}\n").instrs["FOO"]
+    under_zba = tgt.load_target_desc(f"extension Zba\n{record}\n"
+                                     ).instrs["FOO"]
+    assert (under_i.ext, under_zba.ext) == ("I", "Zba")
+    assert tgt.load_target_desc(f"extension Zba\n{record}\n"
+                                ).instrs["FOO"] is under_zba
+
+
+def test_a_duplicate_of_a_memoized_record_reports_its_own_line():
+    record = _FOO + " sem=(add $rs1 $rs2)"
+    tgt.load_target_desc(f"extension I\n{record}\n")
+    with pytest.raises(tgt.TargetError,
+                       match="^line 4: duplicate mnemonic FOO"):
+        tgt.load_target_desc(f"extension I\n{record}\n\n{record}\n")
 
 
 def test_a_dropped_description_is_freed_at_once():
