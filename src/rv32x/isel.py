@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import heapq
 from collections import defaultdict
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import ir
 from . import target as tgt
@@ -49,10 +49,12 @@ class IselError(Exception):
 
 
 class DagNode:
-    """One DAG node. Value results are index "val", chain results "ch".
+    """One DAG node. An edge is the node it names: `ops` and `ret_value`
+    name the nodes whose values are read, `chain` the memory node that must
+    come first.
 
     Machine nodes (is_machine) reference an InstrDef mnemonic in `kind`; their
-    ops list holds DagValue register operands and mir.MOp inline operands
+    ops list holds DagNode register operands and mir.MOp inline operands
     (imm, sym or preg), in role order with rd omitted. The DAG's root is the
     return: a generic "ret", and a JALR in the graph selection builds; only
     it carries `ret_value`.
@@ -70,34 +72,16 @@ class DagNode:
         self.value = value
         self.uid = uid
         self.is_machine = is_machine
-        self.ret_value = None  # DagValue carried by the return
+        self.ret_value = None  # the node whose value the return carries
 
     def __repr__(self):
         return f"<{self.kind}#{self.uid}>"
 
 
-class DagValue(NamedTuple):
-    """A DAG edge: result `res` ("val" or "ch") of `node`. It is a named
-    tuple, as mir.MOp is, because building the DAG and selecting it make one
-    per edge: a named tuple builds in about three fifths of the time of a
-    frozen dataclass, and its equality and hash over (node, res) compare
-    nodes by identity, since DagNode defines neither."""
-
-    node: DagNode
-    res: str = "val"
-
-
-def ch(node: DagNode) -> DagValue:
-    return DagValue(node, "ch")
-
-
-def val(node: DagNode) -> DagValue:
-    return DagValue(node, "val")
-
-
-def _operands(n: DagNode) -> list[DagValue]:
-    """`n`'s edges: its DagValue ops, then its chain and returned value."""
-    edges = [op for op in n.ops if type(op) is DagValue]
+def _operands(n: DagNode) -> list[DagNode]:
+    """`n`'s edges, the one definition of them: its DagNode ops, then its
+    chain and returned value."""
+    edges = [op for op in n.ops if type(op) is DagNode]
     if n.chain is not None:
         edges.append(n.chain)
     if n.ret_value is not None:
@@ -105,21 +89,21 @@ def _operands(n: DagNode) -> list[DagValue]:
     return edges
 
 
-def _rewrite(nodes: Iterable[DagNode], repl: dict[DagNode, DagValue]):
+def _rewrite(nodes: Iterable[DagNode], repl: dict[DagNode, DagNode]):
     """One sweep: point every value edge of `nodes` at a node in `repl` to
-    the value that node is replaced by, following replaced replacements."""
+    the node that replaces it, following replaced replacements."""
     for n in nodes:
         ops = n.ops
         for i, v in enumerate(ops):
-            if v.node in repl:
+            if v in repl:
                 ops[i] = _follow(repl, v)
-        if n.ret_value is not None and n.ret_value.node in repl:
+        if n.ret_value in repl:
             n.ret_value = _follow(repl, n.ret_value)
 
 
-def _follow(repl: dict[DagNode, DagValue], v: DagValue) -> DagValue:
-    while v.node in repl:
-        v = repl[v.node]
+def _follow(repl: dict[DagNode, DagNode], v: DagNode) -> DagNode:
+    while v in repl:
+        v = repl[v]
     return v
 
 
@@ -153,15 +137,10 @@ class SelDag:
         seen = {self.root}
         stack = [self.root]
         while stack:
-            n = stack.pop()
-            for v in n.ops:
-                if type(v) is DagValue and v.node not in seen:
-                    seen.add(v.node)
-                    stack.append(v.node)
-            for v in (n.chain, n.ret_value):
-                if v is not None and v.node not in seen:
-                    seen.add(v.node)
-                    stack.append(v.node)
+            for v in _operands(stack.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
         return [n for n in self.nodes if n in seen]
 
     def prune(self):
@@ -175,30 +154,30 @@ class SelDag:
 def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
     """One node per IR instruction; loads/stores on a linear chain."""
     dag = SelDag(fn.name)
-    chain = ch(dag.entry)
-    env: dict[str, DagValue] = {}
+    chain = dag.entry
+    env: dict[str, DagNode] = {}
     consts: dict[int, DagNode] = {}
     globs: dict[str, DagNode] = {}
 
-    def constant(v: int) -> DagValue:
+    def constant(v: int) -> DagNode:
         v = v & 0xFFFFFFFF
         if v not in consts:
             consts[v] = dag.new("Constant", value=v)
-        return val(consts[v])
+        return consts[v]
 
     if len(fn.params) > 8:  # a0..a7; the psABI passes the rest on the stack
         raise IselError(f"@{fn.name}: {len(fn.params)} parameters; at most 8 "
                         "are passed in registers")
     for i, (pname, pty) in enumerate(fn.params):
-        env[pname] = val(dag.new("Register", value=i, vt=pty))
+        env[pname] = dag.new("Register", value=i, vt=pty)
 
-    def operand(v: ir.Value) -> DagValue:
+    def operand(v: ir.Value) -> DagNode:
         if v.kind == "const":
             return constant(v.const)
         if v.kind == "global":
             if v.name not in globs:
                 globs[v.name] = dag.new("GlobalAddress", value=v.name, vt="ptr")
-            return val(globs[v.name])
+            return globs[v.name]
         if v.kind == "undef":
             raise IselError("undef value reached instruction selection")
         return env[v.name]
@@ -206,26 +185,21 @@ def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
     for inst in fn.body:
         op = inst.opcode
         if op in ir.BINOPS:
-            kind = _IR_TO_DAG.get(op, op)
-            n = dag.new(kind, [operand(inst.operands[0]), operand(inst.operands[1])])
-            env[inst.result] = val(n)
+            env[inst.result] = dag.new(_IR_TO_DAG.get(op, op), [
+                operand(inst.operands[0]), operand(inst.operands[1])])
         elif op in ir.INTRINSICS:
-            n = dag.new(op, [operand(o) for o in inst.operands])
-            env[inst.result] = val(n)
+            env[inst.result] = dag.new(op, [operand(o) for o in inst.operands])
         elif op == "getelementptr":
-            n = dag.new("add", [operand(inst.operands[0]),
-                                constant(inst.operands[1].const)], vt="ptr")
-            env[inst.result] = val(n)
-        elif op == "load":
-            n = dag.new("load", [operand(inst.operands[0])], chain=chain,
-                        vt=inst.ty)
-            env[inst.result] = val(n)
-            chain = ch(n)
+            env[inst.result] = dag.new("add", [
+                operand(inst.operands[0]), constant(inst.operands[1].const)],
+                vt="ptr")
+        elif op == "load":  # the load's value, and the chain's new end
+            env[inst.result] = chain = dag.new(
+                "load", [operand(inst.operands[0])], chain=chain, vt=inst.ty)
         elif op == "store":
-            n = dag.new("store", [operand(inst.operands[0]),
-                                  operand(inst.operands[1])],
-                        chain=chain, vt="none")
-            chain = ch(n)
+            chain = dag.new("store", [operand(inst.operands[0]),
+                                      operand(inst.operands[1])],
+                            chain=chain, vt="none")
         elif op == "ret":
             n = dag.new("ret", [], chain=chain, vt="none")
             if inst.operands:
@@ -250,12 +224,12 @@ def combine(dag: SelDag) -> SelDag:
     """Merge identical Constant nodes, such as those legalize makes, and
     drop unreachable nodes."""
     canon: dict[int, DagNode] = {}
-    repl: dict[DagNode, DagValue] = {}
+    repl: dict[DagNode, DagNode] = {}
     for n in dag.nodes:
         if n.kind == "Constant":
             first = canon.setdefault(n.value, n)
             if first is not n:
-                repl[n] = val(first)
+                repl[n] = first
     if repl:
         _rewrite(dag.nodes, repl)
     dag.prune()
@@ -277,32 +251,30 @@ def legalize(dag: SelDag, desc: tgt.TargetDesc,
     rotates = [p.source.children for p in desc.patterns
                if p.ext in ext and p.source.kind == "rotr"
                and not any(c.children for c in p.source.children)]
-    repl: dict[DagNode, DagValue] = {}
+    repl: dict[DagNode, DagNode] = {}
     rots, globs = [], []
     for n in list(dag.nodes):
         if n.kind == "GlobalAddress":
             globs.append(n)
         elif n.kind in ("fshl", "fshr"):
             x, y, amt = (_follow(repl, v) for v in n.ops)
-            if x != y:
+            if x is not y:
                 raise IselError(
                     "funnel shift with distinct inputs is unsupported "
                     "(no funnel-shift instruction in any enabled extension)")
             if n.kind == "fshl":
                 # rotl(x, c) == rotr(x, 32 - c)
-                if amt.node.kind == "Constant":
-                    c = (32 - amt.node.value) & 31
-                    camt = val(dag.new("Constant", value=c))
+                if amt.kind == "Constant":
+                    camt = dag.new("Constant", value=(32 - amt.value) & 31)
                 else:
-                    sub = dag.new("sub", [val(dag.new("Constant", value=32)), amt])
-                    camt = val(dag.new("and", [val(sub),
-                                               val(dag.new("Constant", value=31))]))
-            elif amt.node.kind == "Constant" and amt.node.value > 31:
-                camt = val(dag.new("Constant", value=amt.node.value & 31))
+                    sub = dag.new("sub", [dag.new("Constant", value=32), amt])
+                    camt = dag.new("and", [sub, dag.new("Constant", value=31)])
+            elif amt.kind == "Constant" and amt.value > 31:
+                camt = dag.new("Constant", value=amt.value & 31)
             else:
                 camt = amt
             rot = dag.new("rotr", [x, camt])
-            repl[n] = val(rot)
+            repl[n] = rot
             rots.append(rot)
 
     for n in rots:
@@ -310,24 +282,24 @@ def legalize(dag: SelDag, desc: tgt.TargetDesc,
         # leaves only: _match_ops needs no selection state to match them
         if any(_match_ops(None, pat, (x, amt), {}, []) for pat in rotates):
             continue
-        if amt.node.kind == "Constant":
-            c = amt.node.value & 31
+        if amt.kind == "Constant":
+            c = amt.value & 31
             if c == 0:
                 repl[n] = x
                 continue
-            shl = dag.new("shl", [x, val(dag.new("Constant", value=32 - c))])
-            srl = dag.new("srl", [x, val(dag.new("Constant", value=c))])
+            shl = dag.new("shl", [x, dag.new("Constant", value=32 - c)])
+            srl = dag.new("srl", [x, dag.new("Constant", value=c)])
         else:
-            sub = dag.new("sub", [val(dag.new("Constant", value=32)), amt])
-            left = dag.new("and", [val(sub), val(dag.new("Constant", value=31))])
-            shl = dag.new("shl", [x, val(left)])
+            sub = dag.new("sub", [dag.new("Constant", value=32), amt])
+            left = dag.new("and", [sub, dag.new("Constant", value=31)])
+            shl = dag.new("shl", [x, left])
             srl = dag.new("srl", [x, amt])
-        repl[n] = val(dag.new("or", [val(shl), val(srl)]))
+        repl[n] = dag.new("or", [shl, srl])
 
     for g in globs:
         hi = dag.new("HI", value=g.value, vt="ptr")
         lo = dag.new("LO", value=g.value)
-        repl[g] = val(dag.new("add", [val(hi), val(lo)], vt="ptr"))
+        repl[g] = dag.new("add", [hi, lo], vt="ptr")
     if repl:
         _rewrite(dag.nodes, repl)
         dag.prune()
@@ -341,10 +313,10 @@ def legalize(dag: SelDag, desc: tgt.TargetDesc,
 class SelectCtx:
     """Selection state over a generic DAG that it never changes. Machine
     nodes are made in `out`, a new graph with the DAG's name, entry and node
-    numbering. `vals` and `chains` map a generic node's value and chain
-    results to the machine results that replace them; `refd` holds the
-    generic nodes that some machine node names; `uses` counts each node's
-    value users in the generic DAG, the return's included."""
+    numbering. `covers` maps a generic node to the machine node that
+    replaces it, for its value and its place on the chain alike; `refd`
+    holds the generic nodes that some machine node names; `uses` counts each
+    node's value users in the generic DAG, the return's included."""
 
     def __init__(self, dag: SelDag, desc: tgt.TargetDesc, ext: frozenset[str]):
         self.out = copy.copy(dag)
@@ -353,8 +325,7 @@ class SelectCtx:
         self.ext = ext
         self.debug_lines: list[str] = []
         self._materialized: dict[DagNode, DagNode] = {}
-        self.vals: dict[DagNode, DagValue] = {}
-        self.chains: dict[DagNode, DagValue] = {}
+        self.covers: dict[DagNode, DagNode] = {}
         self.refd: set[DagNode] = set()
         self.uses: dict[DagNode, int] = defaultdict(int)
         # enabled patterns by root node kind, highest priority first; the
@@ -371,35 +342,31 @@ class SelectCtx:
         d = self.desc.instr(mnemonic)
         if d.ext not in self.ext:
             raise IselError(f"{mnemonic} requires extension {d.ext}")
-        for op in ops:
-            if type(op) is DagValue:
-                self.refd.add(op.node)
-        if chain is not None:
-            self.refd.add(chain.node)
-        return self.out.new(mnemonic, ops, chain,
-                            "i32" if "rd" in d.ops else "none",
-                            is_machine=True)
+        m = self.out.new(mnemonic, ops, chain,
+                         "i32" if "rd" in d.ops else "none", is_machine=True)
+        self.refd.update(_operands(m))
+        return m
 
-    def reg_operand(self, v: DagValue) -> DagValue:
+    def reg_operand(self, v: DagNode) -> DagNode:
         """Constants and HI leaves used as register operands are
         materialized here, once per node."""
-        kind = v.node.kind
+        kind = v.kind
         if kind != "Constant" and kind != "HI":
             return v
-        node = self._materialized.get(v.node)
+        node = self._materialized.get(v)
         if node is None and kind == "HI":
-            node = self.make_machine("LUI", [MOp.sym(v.node.value, "hi20")])
+            node = self.make_machine("LUI", [MOp.sym(v.value, "hi20")])
         elif node is None:
-            for mn, imm in tgt.materialize_imm(v.node.value, self.ext):
+            for mn, imm in tgt.materialize_imm(v.value, self.ext):
                 if mn == "LUI":
                     node = self.make_machine("LUI", [MOp.imm(imm)])
                 elif mn == "ADDI":
-                    src = MOp.preg(X0) if node is None else val(node)
+                    src = MOp.preg(X0) if node is None else node
                     node = self.make_machine("ADDI", [src, MOp.imm(imm)])
                 else:
-                    node = self.make_machine(mn, [val(node), val(node)])
-        self._materialized[v.node] = node
-        return val(node)
+                    node = self.make_machine(mn, [node, node])
+        self._materialized[v] = node
+        return node
 
 
 def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
@@ -414,21 +381,21 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     say(f"xor-loads hook: inspecting {node!r}")
     if len(node.ops) != 2:
         return None
-    a, b = node.ops[0].node, node.ops[1].node
+    a, b = node.ops
     if not (a.kind == "load" and b.kind == "load"):
         say("  [1] both operands are loads: no")
         return None
     say("  [1] both operands are loads: yes")
-    addr2 = b.ops[0].node
+    addr2 = b.ops[0]
     if addr2.kind != "add":
         say("  [2] second load address is an add: no")
         return None
     say("  [2] second load address is an add: yes")
-    if addr2.ops[0] != a.ops[0]:
+    if addr2.ops[0] is not a.ops[0]:
         say("  [3] add base equals first load address: no")
         return None
     say("  [3] add base equals first load address: yes")
-    addend = addr2.ops[1].node
+    addend = addr2.ops[1]
     if addend.kind != "Constant":
         say("  [4] second addend is a constant: no")
         return None
@@ -445,7 +412,7 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
         return None
     base = a.ops[0]
     addi = ctx.make_machine("ADDI", [ctx.reg_operand(base), MOp.imm(16)])
-    lxr = ctx.make_machine("LXR", [ctx.reg_operand(base), val(addi)])
+    lxr = ctx.make_machine("LXR", [ctx.reg_operand(base), addi])
     _splice_chains(ctx, [a, b], lxr)
     say("  -> emitting ADDI + LXR")
     return lxr
@@ -463,7 +430,7 @@ def _chain_adjacent(mems: list[DagNode]) -> bool:
     """Covered memory nodes must form a consecutive run on the linear chain."""
     mems = _chain_order(mems)
     for earlier, later in zip(mems, mems[1:]):
-        if later.chain is None or later.chain.node is not earlier:
+        if later.chain is not earlier:
             return False
     return True
 
@@ -472,8 +439,8 @@ def _splice_chains(ctx: SelectCtx, mems: list[DagNode], machine: DagNode):
     """`machine` takes the place of the run of `mems` on the chain."""
     mems = _chain_order(mems)
     machine.chain = mems[0].chain
-    ctx.refd.add(machine.chain.node)
-    ctx.chains[mems[-1]] = ch(machine)
+    ctx.refd.add(machine.chain)
+    ctx.covers[mems[-1]] = machine
 
 
 def _match(ctx: SelectCtx, pat: tgt.PatNode, node: DagNode, binds: dict,
@@ -507,12 +474,10 @@ def _match_ops(ctx: SelectCtx, children, ops, binds: dict,
                covered: list) -> bool:
     """Match each pattern child at the operand in the same place. Leaves
     are matched here; operations recurse into _match."""
-    for pat, v in zip(children, ops):
+    for pat, node in zip(children, ops):
         kind = pat.kind
-        node = v.node
         if kind == "capture":
-            bound = binds.setdefault(pat.name, v)
-            if bound is not v and bound != v:
+            if binds.setdefault(pat.name, node) is not node:
                 return False
         elif kind == "const":
             if node.kind != "Constant" or \
@@ -544,9 +509,9 @@ def _emit_target(ctx: SelectCtx, pat: tgt.PatNode, binds: dict) -> DagNode:
         elif c.kind == "const":
             ops.append(MOp.imm(c.value))
         else:
-            ops.append(val(_emit_target(ctx, c, binds)))
+            ops.append(_emit_target(ctx, c, binds))
     for i in ctx.desc.instr(pat.kind).source_order:
-        if type(ops[i]) is DagValue:
+        if type(ops[i]) is DagNode:
             ops[i] = ctx.reg_operand(ops[i])
     return ctx.make_machine(pat.kind, ops)
 
@@ -594,44 +559,44 @@ def select(dag: SelDag, desc: tgt.TargetDesc,
     once. Nodes are visited consumers first; a node is skipped when no
     machine node names it or a cover has already mapped it. Returns a new
     graph rooted at the JALR: the machine nodes, their operands resolved
-    through the value map, and the EntryToken and Register leaves they
+    through the cover map, and the EntryToken and Register leaves they
     reach."""
     ctx = SelectCtx(dag, desc, ext)
     uses = ctx.uses
 
     root = dag.root
     # consumers before producers: reverse postorder from the root, with an
-    # explicit stack, as dependency chains can outgrow the recursion limit;
-    # the same walk counts the value users of every node
+    # explicit stack, as dependency chains can outgrow the recursion limit
     order: list[DagNode] = []
     seen = {root}
     stack = [(root, iter(_operands(root)))]
     while stack:
         n, edges = stack[-1]
         for v in edges:
-            if v.res == "val":
-                uses[v.node] += 1
-            if v.node not in seen:
-                seen.add(v.node)
-                stack.append((v.node, iter(_operands(v.node))))
+            if v not in seen:
+                seen.add(v)
+                stack.append((v, iter(_operands(v))))
                 break
         else:
             stack.pop()
             order.append(n)
+            # value users only: a memory node's chain user does not read it
+            for v in n.ops:
+                uses[v] += 1
     order.pop()  # the root, a generic "ret"
 
     jalr = ctx.make_machine("JALR", [MOp.preg(X0), MOp.preg(RA), MOp.imm(0)],
                             chain=root.chain)
     jalr.vt = "none"  # rd is pinned to x0, no result to allocate
     if root.ret_value is not None:
-        ctx.refd.add(root.ret_value.node)
+        uses[root.ret_value] += 1
+        ctx.refd.add(root.ret_value)
 
-    vals, chains, refd = ctx.vals, ctx.chains, ctx.refd
+    covers, refd = ctx.covers, ctx.refd
     for node in reversed(order):
-        if (node.kind in _LEAF_KINDS or node not in refd or node in vals
-                or node in chains):
+        if node.kind in _LEAF_KINDS or node not in refd or node in covers:
             continue
-        vals[node] = val(_select_node(ctx, node))
+        covers[node] = _select_node(ctx, node)
 
     # ret value may be a bare constant: materialize it now
     if root.ret_value is not None:
@@ -641,28 +606,31 @@ def select(dag: SelDag, desc: tgt.TargetDesc,
 
 def _resolve(ctx: SelectCtx, root: DagNode) -> SelDag:
     """Point every machine operand that names a generic node at the machine
-    result that replaced it; only EntryToken and Register stay generic."""
-    vals, chains = ctx.vals, ctx.chains
+    node that covers it; only EntryToken and Register stay generic."""
+    covers = ctx.covers
     leaves: set[DagNode] = set()
 
-    def leaf(v: DagValue) -> DagValue:
-        if v.node.kind not in NON_INSTR_KINDS:
-            raise IselError(f"selection left generic node {v.node!r}")
-        leaves.add(v.node)
+    def resolve(v: DagNode) -> DagNode:
+        m = covers.get(v)
+        if m is not None:
+            return m
+        if v.kind not in NON_INSTR_KINDS:
+            raise IselError(f"selection left generic node {v!r}")
+        leaves.add(v)
         return v
 
     out = ctx.out
     for m in out.nodes:
         ops = m.ops
         for i, v in enumerate(ops):
-            if type(v) is DagValue and not v.node.is_machine:
-                ops[i] = vals.get(v.node) or leaf(v)
+            if type(v) is DagNode and not v.is_machine:
+                ops[i] = resolve(v)
         c = m.chain
-        if c is not None and not c.node.is_machine:
-            m.chain = chains.get(c.node) or leaf(c)
+        if c is not None and not c.is_machine:
+            m.chain = resolve(c)
     rv = root.ret_value
-    if rv is not None and not rv.node.is_machine:
-        root.ret_value = vals.get(rv.node) or leaf(rv)
+    if rv is not None and not rv.is_machine:
+        root.ret_value = resolve(rv)
     out.nodes = sorted(leaves, key=lambda n: n.uid) + out.nodes
     out.root = root
     return out
@@ -682,16 +650,10 @@ def schedule(dag: SelDag) -> MachineFunction:
     users: dict[DagNode, list[DagNode]] = {n: [] for n in nodes}
     indeg: dict[DagNode, int] = {}
     for n in nodes:
-        k = 0
-        for v in n.ops:
-            if type(v) is DagValue:
-                users[v.node].append(n)
-                k += 1
-        for v in (n.chain, n.ret_value):
-            if v is not None:
-                users[v.node].append(n)
-                k += 1
-        indeg[n] = k
+        edges = _operands(n)
+        for v in edges:
+            users[v].append(n)
+        indeg[n] = len(edges)
     ready = [n.uid for n in nodes if not indeg[n]]  # ascending: a heap
     by_uid = {n.uid: n for n in nodes}
     linear: list[DagNode] = []
@@ -710,11 +672,10 @@ def schedule(dag: SelDag) -> MachineFunction:
     nvreg = 0
 
     def operand_mop(op) -> MOp:
-        if isinstance(op, DagValue):
-            src = op.node
-            if src.kind == "Register":  # argument i arrives in a<i>
-                return MOp.preg(A0 + src.value)
-            return vreg_of[src]
+        if type(op) is DagNode:
+            if op.kind == "Register":  # argument i arrives in a<i>
+                return MOp.preg(A0 + op.value)
+            return vreg_of[op]
         return op
 
     root = dag.root
@@ -768,12 +729,12 @@ def emit_dot(dag: SelDag, stage_label: str = "") -> str:
         lines.append(f'  {names[id(n)]} [label="{label(n)}"];')
     for n in nodes:
         for op in n.ops:
-            if isinstance(op, DagValue):
-                lines.append(f"  {names[id(op.node)]} -> {names[id(n)]};")
+            if type(op) is DagNode:
+                lines.append(f"  {names[id(op)]} -> {names[id(n)]};")
         if n.chain is not None:
-            lines.append(f"  {names[id(n.chain.node)]} -> {names[id(n)]} "
+            lines.append(f"  {names[id(n.chain)]} -> {names[id(n)]} "
                          f"[style=dashed];")
         if n.ret_value is not None:
-            lines.append(f"  {names[id(n.ret_value.node)]} -> {names[id(n)]};")
+            lines.append(f"  {names[id(n.ret_value)]} -> {names[id(n)]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -149,10 +149,15 @@ class InstrDef:
         return self.ops[:1] == ("rd",)
 
     @cached_property
+    def sources(self) -> tuple[str, ...]:
+        """The source operand roles: `ops` without rd."""
+        return self.ops[1:] if self.defines else self.ops
+
+    @cached_property
     def source_order(self) -> tuple[int, ...]:
-        """The positions of the source operands (`ops` without rd) in
-        register order, rs1 first: SW lists its rs2 before its rs1."""
-        src = self.ops[1:] if self.defines else self.ops
+        """The positions of the source operands in register order, rs1
+        first: SW lists its rs2 before its rs1."""
+        src = self.sources
         return tuple(sorted(range(len(src)), key=src.__getitem__))
 
     @cached_property
@@ -444,12 +449,14 @@ def load_target_desc(text: str) -> TargetDesc:
                       MappingProxyType(_index_encodings(instrs)))
 
 
-# pattern record -> (source, target, size). A `pattern SRC => TGT` is keyed
-# by its text, and its captures are checked with its parse; the instructions
-# of its target are checked against each description. A `pattern MNEMONIC`
-# is keyed by the instruction's operand roles and sem as well, which it is
-# built from.
-_PATTERNS: dict[tuple, tuple[PatNode, PatNode, int]] = {}
+# pattern record -> ((source, target, size), source captures). A `pattern
+# SRC => TGT` is keyed by its text, and its captures are checked with its
+# parse; the instructions of its target, and the operands they are given,
+# are checked against each description. A `pattern MNEMONIC` is keyed by the
+# instruction's operand roles and sem as well, which it is built from, and
+# keeps no captures.
+_PATTERNS: dict[tuple, tuple[tuple[PatNode, PatNode, int],
+                             dict[str, str] | None]] = {}
 
 
 def _pattern(body: str, instrs: dict[str, InstrDef], where: str
@@ -459,17 +466,24 @@ def _pattern(body: str, instrs: dict[str, InstrDef], where: str
     key = (body, None if d is None else (d.ops, d.sem))
     hit = _PATTERNS.get(key)
     if hit is None:
+        caps = None
         if explicit:
             src_text, _, tgt_text = body.partition("=>")
             src = _parse_sexpr(src_text, where)
             tgt = _parse_sexpr(tgt_text, where)
-            _check_captures(src, tgt, where)
+            caps = _check_captures(src, tgt, where)
         else:
             src, tgt = _sem_pattern(body, instrs, where)
-        hit = _PATTERNS[key] = src, tgt, src.size()
+        hit = _PATTERNS[key] = (src, tgt, src.size()), caps
+    parsed, caps = hit
     if explicit:  # its target names instructions of this description
-        _check_target(hit[1], instrs, where)
-    return hit
+        src, tgt, _ = parsed
+        d = _check_target(tgt, caps, instrs, where)
+        if not d.defines and src.kind != "store":
+            raise TargetError(f"{where}: pattern target {d.mnemonic} writes "
+                              f"no rd, so it cannot give the value of "
+                              f"{src.kind!r}")
+    return parsed
 
 
 def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
@@ -500,20 +514,28 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     sem, run = _sem(sem_text, fmt, ops, where) if sem_text else (None, None)
     if "opcode" not in kw:
         raise TargetError(f"{where}: missing opcode=")
-    if "funct3" not in kw and fmt != "U":
-        raise TargetError(f"{where}: format {fmt} needs funct3=")
+    # the funct regions of the record's encoding, each given exactly when
+    # it exists: funct3 but in U, funct7 in R and in shift immediates (I
+    # with uimm5), funct2 in R4
+    shift = fmt == "I" and "uimm5" in ops
+    for key, has in (("funct3", fmt != "U"), ("funct7", fmt == "R" or shift),
+                     ("funct2", fmt == "R4")):
+        if has != (key in kw):
+            form = f"format {fmt}" + (" with uimm5" if shift else
+                                      " without uimm5" if fmt == "I" else "")
+            raise TargetError(f"{where}: {form} needs {key}=" if has else
+                              f"{where}: {form} has no {key} field")
     opcode, funct3, funct7, funct2 = (
         _int_field(kw, k, where)
         for k in ("opcode", "funct3", "funct7", "funct2"))
-    # fixed bits: opcode, funct3, and the funct7 region of R and shift
-    # immediates or the funct2 region of R4
+    # fixed bits: opcode and the funct regions
     mask, match = 0x7F, opcode
-    if fmt != "U":
-        mask, match = mask | 0x7 << 12, match | (funct3 or 0) << 12
-    if fmt == "R" or fmt == "I" and "uimm5" in ops:
-        mask, match = mask | 0x7F << 25, match | (funct7 or 0) << 25
-    elif fmt == "R4":
-        mask, match = mask | 0x3 << 25, match | (funct2 or 0) << 25
+    if funct3 is not None:
+        mask, match = mask | 0x7 << 12, match | funct3 << 12
+    if funct7 is not None:
+        mask, match = mask | 0x7F << 25, match | funct7 << 25
+    elif funct2 is not None:
+        mask, match = mask | 0x3 << 25, match | funct2 << 25
     if match & ~mask:
         raise TargetError(f"{where}: opcode or funct value too wide")
     return InstrDef(
@@ -589,39 +611,77 @@ def _imm_matcher(node: PatNode) -> PatNode:
                    oneuse=node.oneuse)
 
 
-def _captures(node: PatNode, out: set[str]):
+def _captures(node: PatNode, out: dict[str, str]):
+    """Map each capture name in `node` to its kind: "capture" for a
+    register, else the immediate role it matches."""
     if node.kind == "capture" or node.kind in IMM_RANGES:
-        out.add(node.name)
+        out[node.name] = node.kind
     for c in node.children:
         _captures(c, out)
 
 
-def _check_captures(src: PatNode, tgt: PatNode, where: str):
-    src_caps: set[str] = set()
-    tgt_caps: set[str] = set()
+def _check_captures(src: PatNode, tgt: PatNode, where: str
+                    ) -> dict[str, str]:
+    """The source's captures, which bind every capture of the target."""
+    src_caps: dict[str, str] = {}
+    tgt_caps: dict[str, str] = {}
     _captures(src, src_caps)
     _captures(tgt, tgt_caps)
-    if not tgt_caps <= src_caps:
-        raise TargetError(f"{where}: target captures {tgt_caps - src_caps} "
-                          "not bound by source")
+    if not tgt_caps.keys() <= src_caps.keys():
+        raise TargetError(f"{where}: target captures "
+                          f"{tgt_caps.keys() - src_caps.keys()} not bound "
+                          "by source")
+    return src_caps
 
 
-def _check_target(node: PatNode, instrs: dict[str, InstrDef], where: str):
-    """A module-level function, not a closure over `instrs`: a recursive
+def _check_target(node: PatNode, caps: dict[str, str],
+                  instrs: dict[str, InstrDef], where: str) -> InstrDef:
+    """`node` is an instruction of `instrs`, and each operand suits its
+    role: a register role takes a register capture or a nested instruction
+    that writes rd; an immediate role takes a constant in its range or an
+    immediate capture, which is a `(uimm5 $n)` and fits every immediate
+    role. `caps` maps the captures the source binds to their kinds. Returns
+    the instruction.
+
+    A module-level function, not a closure over `instrs`: a recursive
     closure is a reference cycle, and it would leave every loaded
     description to the cyclic garbage collector."""
-    if node.kind in ("capture", "const"):
-        return
     d = instrs.get(node.kind)
     if d is None:
         raise TargetError(f"{where}: pattern target uses unknown "
                           f"instruction {node.kind!r}")
-    if len(node.children) != len(d.source_order):
+    roles = d.sources
+    if len(node.children) != len(roles):
         raise TargetError(f"{where}: pattern target {d.mnemonic} takes "
-                          f"{len(d.source_order)} operands, not "
+                          f"{len(roles)} operands, not "
                           f"{len(node.children)}")
-    for c in node.children:
-        _check_target(c, instrs, where)
+    for role, c in zip(roles, node.children):
+        imm = IMM_RANGES.get(role)  # None for a register role
+        if c.kind == "capture":
+            ok = (caps[c.name] == "capture") == (imm is None)
+        elif c.kind == "const":
+            ok = imm is not None and imm[0] <= c.value <= imm[1]
+        else:
+            ok = imm is None and _check_target(c, caps, instrs, where).defines
+        if not ok:
+            raise _operand_error(where, d.mnemonic, role, c, caps)
+    return d
+
+
+def _operand_error(where: str, mnemonic: str, role: str, c: PatNode,
+                   caps: dict[str, str]) -> TargetError:
+    imm = IMM_RANGES.get(role)
+    need = "a register" if imm is None else \
+        f"an immediate in [{imm[0]}, {imm[1]}]"
+    if c.kind == "capture":
+        kind = caps[c.name]
+        what = f"{'register' if kind == 'capture' else kind} ${c.name}"
+    elif c.kind == "const":
+        what = f"(const {c.value})"
+    else:
+        what = f"{c.kind}, which writes no rd" if imm is None else c.kind
+    return TargetError(f"{where}: pattern target {mnemonic}: {role} takes "
+                       f"{need}, not {what}")
 
 
 def _collide(a: InstrDef, b: InstrDef) -> bool:

@@ -35,7 +35,7 @@ def test_build_madd_dag_shape():
     assert "mul" in kinds and "add" in kinds and "store" in kinds
     # the mul feeds the add which feeds a store, all on one chain
     addn = next(n for n in dag.live_nodes() if n.kind == "add")
-    assert any(isinstance(op, isel.DagValue) and op.node.kind == "mul"
+    assert any(isinstance(op, isel.DagNode) and op.kind == "mul"
                for op in addn.ops)
 
 
@@ -91,7 +91,7 @@ def test_chain_threads_memory_ops():
     assert dag.live_nodes()[0].kind == "EntryToken"
     prev = dag.entry
     for m in mems:
-        assert m.chain is not None and m.chain.node is prev
+        assert m.chain is not None and m.chain is prev
         prev = m
 
 
@@ -101,7 +101,7 @@ def test_chain_threads_memory_ops():
 
 def test_combine_drops_orphan_constant():
     dag = isel.SelDag("t")
-    ret = dag.new("ret", [], chain=isel.ch(dag.entry), vt="none")
+    ret = dag.new("ret", [], chain=dag.entry, vt="none")
     dag.root = ret
     dag.new("Constant", value=0)  # orphan
     isel.combine(dag)
@@ -112,14 +112,14 @@ def test_combine_merges_duplicate_constants():
     dag = isel.SelDag("t")
     c1 = dag.new("Constant", value=4)
     c2 = dag.new("Constant", value=4)
-    add = dag.new("add", [isel.val(c1), isel.val(c2)])
-    ret = dag.new("ret", [], chain=isel.ch(dag.entry), vt="none")
-    ret.ret_value = isel.val(add)
+    add = dag.new("add", [c1, c2])
+    ret = dag.new("ret", [], chain=dag.entry, vt="none")
+    ret.ret_value = add
     dag.root = ret
     isel.combine(dag)
     consts = [n for n in dag.nodes if n.kind == "Constant"]
     assert len(consts) == 1
-    assert add.ops[0].node is add.ops[1].node
+    assert add.ops[0] is add.ops[1]
 
 
 def test_combine_post_legalize_is_noop_on_minimal_dag(desc):
@@ -138,11 +138,11 @@ def test_global_address_becomes_add_lo_hi(desc):
     dag, _ = build("madd.ll")
     isel.legalize(dag, desc, tgt.parse_mattr(None))
     store = next(n for n in dag.live_nodes() if n.kind == "store")
-    addr = store.ops[1].node
+    addr = store.ops[1]
     assert addr.kind == "add"
-    assert addr.ops[0].node.kind == "HI"
-    assert addr.ops[1].node.kind == "LO"
-    assert addr.ops[0].node.value == addr.ops[1].node.value == "a"
+    assert addr.ops[0].kind == "HI"
+    assert addr.ops[1].kind == "LO"
+    assert addr.ops[0].value == addr.ops[1].value == "a"
 
 
 @pytest.mark.parametrize("level", ["O0", "O2"])
@@ -673,17 +673,8 @@ def test_every_pattern_agrees_with_simulator(desc):
     does: the same value, and for a store the same memory."""
     rng = random.Random(41)
     for pat in desc.patterns:
-        caps = set()
+        caps = {}  # capture name -> "capture" or its immediate role
         tgt._captures(pat.source, caps)
-        imm_caps = {}  # capture name -> immediate role
-
-        def find_imm(node):
-            if node.kind in tgt.IMM_RANGES:
-                imm_caps[node.name] = node.kind
-            for c in node.children:
-                find_imm(c)
-
-        find_imm(pat.source)
         addrs = []  # (base capture, offset capture or None) per access
 
         def find_addrs(node):
@@ -702,8 +693,8 @@ def test_every_pattern_agrees_with_simulator(desc):
             env = {}
             mem = {}
             for c in sorted(caps):
-                if c in imm_caps:
-                    env[c] = ("imm", rng.randint(*tgt.IMM_RANGES[imm_caps[c]]))
+                if caps[c] != "capture":
+                    env[c] = ("imm", rng.randint(*tgt.IMM_RANGES[caps[c]]))
                 else:
                     env[c] = rng.getrandbits(32)
             # each access reaches its own word: the base is what the offset
@@ -847,8 +838,8 @@ def assert_nodes_exactly_reachable(dag):
         n = stack.pop()
         if id(n) not in reach:
             reach.add(id(n))
-            stack += [op.node for op in n.ops if isinstance(op, isel.DagValue)]
-            stack += [v.node for v in (n.chain, n.ret_value) if v is not None]
+            stack += [op for op in n.ops if isinstance(op, isel.DagNode)]
+            stack += [v for v in (n.chain, n.ret_value) if v is not None]
     assert len(dag.nodes) == len(reach)
     assert {id(n) for n in dag.nodes} == reach
     assert [n.uid for n in dag.nodes] == sorted(n.uid for n in dag.nodes)
@@ -888,14 +879,6 @@ def test_stages_keep_reachable_nodes_and_select_leaves_its_input(
         cm = driver.compile_ir_text(text, "t", desc, tgt.parse_mattr(mattr),
                                     level)
         assert seen == ISEL_STAGES * len(cm.functions)
-
-
-def test_dag_values_compare_their_nodes_by_identity():
-    a, b = isel.DagNode("Constant", value=7), isel.DagNode("Constant", value=7)
-    assert isel.val(a) == isel.val(a) and hash(isel.val(a)) == hash(isel.val(a))
-    assert isel.val(a) != isel.val(b)
-    assert isel.val(a) != isel.ch(a)
-    assert len({isel.val(a), isel.val(b), isel.ch(a), isel.val(a)}) == 3
 
 
 def test_select_walks_the_dag_a_fixed_number_of_times(monkeypatch, desc):

@@ -110,6 +110,16 @@ pattern (add $a $b) => (FOO $a $c)
         tgt.load_target_desc(text)
 
 
+def test_a_pattern_target_takes_an_immediate_capture_within_its_role():
+    # a uimm5 capture fits imm12; the target's operands are checked on
+    # every load, also after the record is memoized
+    text = (f"extension I\n{_ADD_ADDI_SW}\n"
+            "pattern (sub (xor $a (uimm5 $b)) $c) => (ADDI $a $b)\n")
+    for _ in range(2):
+        pat = tgt.load_target_desc(text).patterns[0]
+        assert (pat.source.kind, pat.target.kind) == ("sub", "ADDI")
+
+
 def test_a_parsed_pattern_is_checked_against_each_description(desc):
     # the shipped description has parsed its records once already; the
     # same record in a description without SH1ADD is still rejected
@@ -124,6 +134,13 @@ _FOO = ("instr FOO fmt=R opcode=0b0110011 funct3=0b000 funct7=0b0000000 "
         "ops=rd,rs1,rs2")
 _LUI_FOO = ("instr FOO fmt=U opcode=0b0110111 ops=rd,imm20 "
             "sem=(shl $imm20 (const 12))")
+_SHIFT_FOO = "instr FOO fmt=I opcode=0b0010011 funct3=0b001 ops=rd,rs1,uimm5"
+_ADDI = "instr ADDI fmt=I opcode=0b0010011 funct3=0b000 ops=rd,rs1,imm12"
+_ADD_ADDI_SW = "\n".join([
+    "instr ADD fmt=R opcode=0b0110011 funct3=0b000 funct7=0b0000000 "
+    "ops=rd,rs1,rs2", _ADDI,
+    "instr SW fmt=S opcode=0b0100011 funct3=0b010 ops=rs2,rs1,imm12"])
+_XOR_SUB = "\npattern (sub (xor $a $b) $c) => "
 _BAD_RECORDS = {
     "unknown-kind": (_FOO + " sem=(nand $rs1 $rs2)",
                      "unknown sem node kind 'nand'"),
@@ -170,6 +187,44 @@ _BAD_RECORDS = {
     "nested-pattern-operands": (
         _FOO + "\npattern (sub (xor $a $b) $c) => (FOO (FOO $a) $c)",
         "pattern target FOO takes 2 operands, not 1"),
+    "r-without-funct7": (_FOO.replace(" funct7=0b0000000", ""),
+                         "format R needs funct7="),
+    "r4-without-funct2": (
+        "instr FOO fmt=R4 opcode=0b0110011 funct3=0b100 ops=rd,rs1,rs2,rs3",
+        "format R4 needs funct2="),
+    "shift-without-funct7": (_SHIFT_FOO, "format I with uimm5 needs funct7="),
+    "funct2-on-r": (_FOO.replace("ops=", "funct2=0b01 ops="),
+                    "format R has no funct2 field"),
+    "funct7-on-i-without-uimm5": (
+        _ADDI.replace("ops=", "funct7=0 ops="),
+        "format I without uimm5 has no funct7 field"),
+    "funct3-on-u": (_LUI_FOO.replace("ops=", "funct3=0 ops="),
+                    "format U has no funct3 field"),
+    "pattern-const-in-register-role": (
+        _ADD_ADDI_SW + _XOR_SUB + "(ADD $a (const 3))",
+        r"pattern target ADD: rs2 takes a register, not \(const 3\)"),
+    "pattern-nested-without-rd": (
+        _ADD_ADDI_SW + _XOR_SUB + "(ADD (SW $a $b (const 0)) $c)",
+        "pattern target ADD: rs1 takes a register, not SW, which writes "
+        "no rd"),
+    "pattern-root-without-rd": (
+        _ADD_ADDI_SW + _XOR_SUB + "(SW $a $b (const 0))",
+        "pattern target SW writes no rd, so it cannot give the value of "
+        "'sub'"),
+    "pattern-register-in-immediate-role": (
+        _ADD_ADDI_SW + _XOR_SUB + "(ADDI $a $b)",
+        r"ADDI: imm12 takes an immediate in \[-2048, 2047\], not register "
+        r"\$b"),
+    "pattern-const-out-of-range": (
+        _ADD_ADDI_SW + _XOR_SUB + "(ADDI $a (const 2048))",
+        r"ADDI: imm12 takes an immediate in \[-2048, 2047\], not "
+        r"\(const 2048\)"),
+    "pattern-instruction-in-immediate-role": (
+        _ADD_ADDI_SW + _XOR_SUB + "(ADDI $a (ADD $b $c))",
+        r"ADDI: imm12 takes an immediate in \[-2048, 2047\], not ADD$"),
+    "pattern-immediate-in-register-role": (
+        _ADD_ADDI_SW + "\npattern (sub (xor $a (uimm5 $b)) $c) => (ADD $a $b)",
+        r"ADD: rs2 takes a register, not uimm5 \$b"),
 }
 
 
