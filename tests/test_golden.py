@@ -1,7 +1,8 @@
 """Byte identity of emitted code: SHA-256 digests of `llc` asm and obj output
 for every corpus file under every --mattr, and for two large spilling
 functions, and of instruction selection's other outputs: the DAG dumped at
-each stage and the --debug-isel trace. A change meant to alter these
+each stage and the --debug-isel trace, and of the midend's `opt -O2` text
+with its pass statistics. A change meant to alter these
 outputs updates these constants and says which and why; any other change
 must leave them as they are."""
 
@@ -13,7 +14,7 @@ import pytest
 from rv32x import target as tgt
 from rv32x.driver import compile_ir_text, run_command
 
-from conftest import ALL_MATTRS, CORPUS, corpus_text
+from conftest import ALL_MATTRS, CORPUS, PKG_ROOT, corpus_text
 from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
                        gen_shift_pair_fn)
 
@@ -58,6 +59,13 @@ LARGE_DIGESTS = {
 ISEL_DUMPS_DIGEST = \
     "c90bb45887d5ca2bba8028241be1d38de1098789e1ce5acf838501eae087cb4c"
 DAG_STAGES = ("built", "legalized", "combined", "selected")
+
+# `opt --stats` (the -O2 text, then PassStats.render()) for every corpus
+# file, the bench's synthetic functions of 100-800 instructions at seeds 11
+# and 29, and outputs of the four fuzz generators at one seed
+OPT_DIGEST = \
+    "aa8ae4550cee9beb70c1993d750bb7d296465c401de24dac1ce9a91127524b29"
+SYNTH = PKG_ROOT.parent.parent / "perfbench" / "synth.py"
 
 
 def _digest(text: str, mattrs) -> str:
@@ -109,3 +117,31 @@ def test_isel_dumps_are_identical(desc):
             for line in cf.debug_lines:
                 h.update(f"[isel:{fname}] {line}\n".encode())
     assert h.hexdigest() == ISEL_DUMPS_DIGEST
+
+
+def _synth_gen_function():
+    # run the bench's generator source in a fresh namespace: no import
+    # machinery, so nothing is cached or written next to it
+    namespace: dict = {"__name__": "synth"}
+    exec(compile(SYNTH.read_text(), str(SYNTH), "exec"), namespace)
+    return namespace["gen_function"]
+
+
+def test_opt_output_is_identical():
+    texts = [corpus_text(p.name) for p in sorted(CORPUS.glob("*.ll"))]
+    gen_function = _synth_gen_function()
+    for seed in (11, 29):
+        rng = random.Random(seed)
+        texts += [gen_function(rng, f"synth{n}", n)
+                  for n in (100, 200, 400, 800)]
+    rng = random.Random(6000)
+    for i in range(20):
+        texts += [gen(rng, i)
+                  for gen in (gen_arith_fn, gen_memory_fn, gen_shift_pair_fn)]
+    texts += [gen_large_fn(rng, i, rng.randrange(100, 301)) for i in range(2)]
+    h = hashlib.sha256()
+    for text in texts:
+        code, out, err = run_command(["opt", "--stats", "-"], stdin_text=text)
+        assert code == 0, err
+        h.update(out.encode())
+    assert h.hexdigest() == OPT_DIGEST
