@@ -145,7 +145,14 @@ _RE_ATTRGROUP = re.compile(r"attributes\s+#(\d+)\s*=\s*{(.*)}")
 _RE_RESULT = re.compile(rf"^%({_NAME})\s*=\s*(.*)$")
 # instruction bodies, compiled once rather than looked up per line
 _RE_I64 = re.compile(r"\bi64\b")
-_RE_BINOP = re.compile(r"(\w+)\s+([^,]+),\s*(\S+)$")
+# a whole binop line in one match: result, opcode, type and both operands.
+# A wrap flag (nsw, nuw, exact) is skipped only while the text from it on
+# still holds a space, and the lookahead after the flags keeps the match
+# from giving back a flag it could skip and reading it as the type.
+_FLAG = r"(?:nsw|nuw|exact)(?=.* )\s"
+_RE_BINOP = re.compile(
+    rf"(?:%({_NAME})\s*=\s*)?({'|'.join(BINOPS)})\s+(?:{_FLAG}\s*)*"
+    rf"(?!{_FLAG})(\w+)\s+([^,]+),\s*(\S+)$")
 _RE_LOAD = re.compile(r"load\s+(\w+)\s*,\s*ptr\s+(\S+)")
 _RE_STORE = re.compile(r"store\s+(\w+)\s+([^,]+),\s*ptr\s+(\S+)")
 _RE_ALLOCA = re.compile(r"alloca\s+(\w+)")
@@ -376,6 +383,14 @@ class _Parser:
     def _parse_inst(self, line, lineno) -> Inst:
         if "i64" in line and _RE_I64.search(line):
             self.err("i64 unsupported", lineno)
+        m = _RE_BINOP.match(line)  # after the i64 check, which comes first
+        if m:
+            result, op, ty, a, b = m.groups()
+            if ty != I32:
+                self._parse_type(ty, lineno)
+                self.err(f"{op} requires i32 operands", lineno)
+            return Inst(op, result, (self._value(a, ty, lineno),
+                                     self._value(b, ty, lineno)), ty)
         result = None
         rest = line
         m = _RE_RESULT.match(line)
@@ -388,7 +403,7 @@ class _Parser:
         if op in ("tail", "call") or rest.startswith("call"):
             return self._parse_call(result, rest, lineno)
         if op in BINOPS:
-            return self._parse_binop(op, result, rest, lineno)
+            self.err(f"malformed {op}: {rest!r}", lineno)
         if op == "load":
             m = _RE_LOAD.match(rest)
             if not m:
@@ -423,20 +438,6 @@ class _Parser:
             ty = self._parse_type(m.group(1), lineno)
             return Inst("ret", None, (self._value(m.group(2), ty, lineno),), ty)
         self.err(f"unknown opcode {op!r}", lineno)
-
-    def _parse_binop(self, op, result, rest, lineno) -> Inst:
-        body = rest[len(op):].strip()
-        while " " in body and body.split(None, 1)[0] in ("nsw", "nuw", "exact"):
-            body = body.split(None, 1)[1]
-        m = _RE_BINOP.match(body)
-        if not m:
-            self.err(f"malformed {op}: {rest!r}", lineno)
-        ty = self._parse_type(m.group(1), lineno)
-        if ty != I32:
-            self.err(f"{op} requires i32 operands", lineno)
-        a = self._value(m.group(2), ty, lineno)
-        b = self._value(m.group(3), ty, lineno)
-        return Inst(op, result, (a, b), ty)
 
     def _parse_gep(self, result, rest, lineno) -> Inst:
         m = _RE_GEP.match(rest)
@@ -615,14 +616,19 @@ def _verify_function(fn: Function, gnames) -> list[str]:
                 note(idx, f"constant {v.const} out of 32-bit signed range")
 
     for idx, inst in enumerate(body):
-        for v in inst.operands:
-            check_use(idx, v)
+        ops = inst.operands
+        for v in ops:
+            # a temp of its defined type, the common case, needs no check
+            if v.kind != "temp" or types.get(v.name) != v.ty:
+                check_use(idx, v)
         op = inst.opcode
         if op in BINOPS or op in INTRINSICS:
             want = 2 if op in BINOPS else 3
-            if len(inst.operands) != want:
+            if len(ops) != want:
                 note(idx, f"{op} expects {want} operands")
-            elif any(o.ty != I32 for o in inst.operands) or inst.ty != I32:
+            # ops[-1] is an intrinsic's third operand
+            elif ops[0].ty != I32 or ops[1].ty != I32 or ops[-1].ty != I32 \
+                    or inst.ty != I32:
                 note(idx, f"{op} operates on i32 only")
         elif op == "load":
             if len(inst.operands) != 1 or inst.operands[0].ty != PTR:

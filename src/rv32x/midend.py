@@ -275,31 +275,22 @@ def _forward_load(load: Inst, prior_insts: list[Inst], defs) -> Value | None:
     return None
 
 
-def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]:
-    changed = False
-    defs = _def_map(body)
-    uses = _use_counts(body)
-    renames = _Renames()
-    out: list[Inst] = []
-
-    def emit(inst: Inst):
-        out.append(inst)
-        if inst.result is not None:
-            defs[inst.result] = inst
-
-    for idx, inst in enumerate(body):
-        inst = renames.inst(inst)
-
+def _combine(inst: Inst, prior: list[Inst], defs, uses,
+             stats: PassStats) -> Inst | Value:
+    """`inst` rewritten to its own fixpoint: an equivalent instruction, or
+    the value that replaces its result. The rules read only the definitions
+    of the operands, which come earlier and are already final. Each rewrite
+    moves a constant right, makes an or a funnel shift, or moves an operand
+    to an earlier definition, so the loop ends."""
+    while True:
         # store-to-load forwarding and load CSE over the fine alias lattice
         if inst.opcode == "load":
-            fwd = _forward_load(inst, out, defs)
-            if fwd is not None:
-                renames.add(inst.result, renames.value(fwd))
-                stats.bump("instcombine.insts-combined")
-                changed = True
-                continue
-            emit(inst)
-            continue
+            fwd = _forward_load(inst, prior, defs)
+            if fwd is None:
+                return inst
+            stats.bump("instcombine.insts-combined")
+            return fwd
+        before = inst
 
         # constant operand of a commutative op moves to the right
         if inst.opcode in ir.COMMUTATIVE and inst.operands[0].kind == "const" \
@@ -307,17 +298,14 @@ def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]
             inst = Inst(inst.opcode, inst.result,
                         (inst.operands[1], inst.operands[0]), inst.ty)
             stats.bump("instcombine.insts-combined")
-            changed = True
 
         # xor(xor(x, -1), -1) -> x
         if _is_not(inst):
             inner = defs.get(inst.operands[0].name) \
                 if inst.operands[0].kind == "temp" else None
             if inner is not None and _is_not(inner):
-                renames.add(inst.result, inner.operands[0])
                 stats.bump("instcombine.insts-combined")
-                changed = True
-                continue
+                return inner.operands[0]
 
         # and(xor(a, b), xor(b, -1)) -> and(a, xor(b, -1)), any commutation
         if inst.opcode == "and":
@@ -325,7 +313,6 @@ def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]
             if new is not None:
                 inst = new
                 stats.bump("instcombine.insts-combined")
-                changed = True
 
         # getelementptr chain folding and zero-offset folding
         if inst.opcode == "getelementptr":
@@ -337,12 +324,9 @@ def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]
                              const(off.const + basedef.operands[1].const)),
                             ir.PTR)
                 stats.bump("instcombine.insts-combined")
-                changed = True
             if inst.operands[1].const == 0:
-                renames.add(inst.result, inst.operands[0])
                 stats.bump("instcombine.insts-combined")
-                changed = True
-                continue
+                return inst.operands[0]
 
         # rotate recognition: or(shl(x,c1), lshr(x,c2)), c1+c2 == 32
         if inst.opcode == "or":
@@ -350,13 +334,9 @@ def _combine_once(body: list[Inst], stats: PassStats) -> tuple[list[Inst], bool]
             if new is not None:
                 inst = new
                 stats.bump("instcombine.insts-combined")
-                changed = True
 
-        emit(inst)
-
-    # every instruction was renamed above, and in SSA no use precedes the
-    # rename of its definition
-    return out, changed
+        if inst is before:
+            return inst
 
 
 def _combine_and_xor(inst: Inst, defs) -> Inst | None:
@@ -404,17 +384,26 @@ def _combine_funnel(inst: Inst, defs, uses) -> Inst | None:
     return Inst("fshr", inst.result, (x, x, const(c2)), ir.I32)
 
 
-def pass_inst_combine(fn: ir.Function, stats: PassStats,
-                      max_iterations: int = 32) -> ir.Function:
-    body = list(fn.body)
-    for _ in range(max_iterations):
-        body, changed = _combine_once(body, stats)
-        if not changed:
-            break
-    else:
-        raise PassError(f"instcombine did not reach a fixpoint in "
-                        f"{max_iterations} iterations on @{fn.name}")
-    return fn.with_body(_dce(body))
+def pass_inst_combine(fn: ir.Function, stats: PassStats) -> ir.Function:
+    """One in-order walk: each instruction is rewritten to its own fixpoint
+    when the walk reaches it, and the users of a changed value come later
+    in the same walk. The funnel rule's one-use test reads the use counts
+    taken before the walk: during the walk a shl or lshr result gains uses
+    only through renames, so a second walk would find no funnel this one
+    missed."""
+    uses = _use_counts(fn.body)
+    defs: dict[str, Inst] = {}
+    renames = _Renames()
+    out: list[Inst] = []
+    for inst in fn.body:
+        new = _combine(renames.inst(inst), out, defs, uses, stats)
+        if isinstance(new, Value):
+            renames.add(inst.result, new)
+            continue
+        out.append(new)
+        if new.result is not None:
+            defs[new.result] = new
+    return fn.with_body(_dce(out))
 
 
 # --------------------------------------------------------------------------

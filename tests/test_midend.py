@@ -5,6 +5,8 @@ import pytest
 from rv32x import ir, midend, sim
 
 from conftest import CORPUS, CORPUS_SHAPES, corpus_module, synth_args
+from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
+                       gen_shift_pair_fn)
 
 
 def run_pass(name, mod):
@@ -271,12 +273,38 @@ define i32 @f(i32 %a) {
     assert not any(i.opcode == "fshr" for i in out.body)
 
 
-def test_instcombine_fixpoint_within_ten_iterations():
-    for name in sorted(p.name for p in CORPUS.glob("*.ll")):
-        mod, _ = run_pass("sroa", corpus_module(name))
-        for fn in mod.functions:
-            midend.pass_inst_combine(fn, midend.PassStats(),
-                                     max_iterations=10)
+def test_instcombine_output_is_its_own_fixpoint():
+    # the and/xor rewrite exposes a second one on the same instruction,
+    # and one call makes both
+    chained = parse_fn("""
+define i32 @f(i32 %b, i32 %c) {
+  %x1 = xor i32 %c, %b
+  %x2 = xor i32 %x1, %b
+  %n = xor i32 %b, -1
+  %r = and i32 %x2, %n
+  ret i32 %r
+}
+""")
+    stats = midend.PassStats()
+    out = midend.pass_inst_combine(chained, stats)
+    assert [i.opcode for i in out.body] == ["xor", "and", "ret"]
+    assert out.body[1].operands == (ir.Value("arg", "c", ty="i32"),
+                                    ir.Value("temp", "n", ty="i32"))
+    assert stats.counters == {"instcombine.insts-combined": 2}
+
+    fns = [chained] + [
+        fn for p in sorted(CORPUS.glob("*.ll"))
+        for fn in run_pass("sroa", corpus_module(p.name))[0].functions]
+    rng = random.Random(21)
+    for idx in range(30):
+        for gen in (gen_arith_fn, gen_memory_fn, gen_shift_pair_fn):
+            fns.append(parse_fn(gen(rng, idx)))
+    fns += [parse_fn(gen_large_fn(rng, idx, 200)) for idx in range(2)]
+    for fn in fns:
+        once = midend.pass_inst_combine(fn, midend.PassStats())
+        stats = midend.PassStats()
+        assert midend.pass_inst_combine(once, stats).body == once.body
+        assert stats.counters == {}
 
 
 def test_instcombine_removes_forwardable_load():
