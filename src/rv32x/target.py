@@ -252,7 +252,8 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 def _parse_sexpr(text: str, where: str) -> PatNode:
     """Parse one s-expression. Lists are closed bottom-up on a stack; a bare
-    token is a capture ($x), except the payload of const and uimm5."""
+    token is a capture ($x), except the payload of const and uimm5. No
+    other immediate role captures: (imm12 $x) is rejected."""
     stack: list[list] = [[]]
     for tok in _TOKEN.findall(text):
         if tok == "(":
@@ -292,6 +293,9 @@ def _list_node(items: list, where: str) -> PatNode:
                 raise TargetError(f"{where}: const takes an integer literal, "
                                   f"not {args[0]!r}") from None
         return PatNode("uimm5", name=args[0].removeprefix("$"))
+    if head in IMM_RANGES:
+        raise TargetError(f"{where}: only uimm5 immediates can be captured, "
+                          f"not {head}")
     children = tuple([_capture(a) if isinstance(a, str) else a for a in args])
     if head == "not":
         if len(children) != 1:

@@ -222,6 +222,9 @@ _BAD_RECORDS = {
     "pattern-instruction-in-immediate-role": (
         _ADD_ADDI_SW + _XOR_SUB + "(ADDI $a (ADD $b $c))",
         r"ADDI: imm12 takes an immediate in \[-2048, 2047\], not ADD$"),
+    "pattern-imm12-capture": (
+        _ADD_ADDI_SW + "\npattern (sub $a (imm12 $b)) => (ADD $a $b)",
+        "only uimm5 immediates can be captured, not imm12"),
     "pattern-immediate-in-register-role": (
         _ADD_ADDI_SW + "\npattern (sub (xor $a (uimm5 $b)) $c) => (ADD $a $b)",
         r"ADD: rs2 takes a register, not uimm5 \$b"),
