@@ -43,6 +43,9 @@ def test_i64_rejected():
     with pytest.raises(ir.IrError, match="i64 unsupported"):
         ir.parse_ir("define i32 @t(i32 %a) {\n  %b = add i64 %a, 1\n"
                     "  ret i32 %a\n}")
+    with pytest.raises(ir.IrError, match="i64 unsupported"):
+        ir.parse_ir("define i32 @t(i32 %a) {\n  %b = add i32 %a, i64\n"
+                    "  ret i32 %a\n}")
 
 
 def test_lifetime_intrinsics_discarded():
