@@ -1,10 +1,10 @@
 """Byte identity of emitted code: SHA-256 digests of `llc` asm and obj output
 for every corpus file under every --mattr, and for two large spilling
-functions, and of instruction selection's other outputs: the DAG dumped at
-each stage and the --debug-isel trace, and of the midend's `opt -O2` text
-with its pass statistics. A change meant to alter these
-outputs updates these constants and says which and why; any other change
-must leave them as they are."""
+functions, of instruction selection's other outputs: the DAG dumped at each
+stage and the --debug-isel trace, and of the midend's `opt -O2` text with
+its pass statistics. A change meant to alter these outputs updates these
+constants and says which and why; any other change must leave them as they
+are."""
 
 import hashlib
 import random
