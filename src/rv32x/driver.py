@@ -306,13 +306,12 @@ def cmd_lit(args, stdin, stdout, stderr) -> int:
 
 def cmd_filecheck(args, stdin, stdout, stderr) -> int:
     from . import testkit
-    try:
-        with open(args.checkfile, "r", encoding="utf-8") as f:
-            check_text = f.read()
-    except OSError as e:
-        raise DriverError(str(e)) from None
+    if args.checkfile == "-":
+        raise DriverError("filecheck reads its input from stdin, so the "
+                          "check file must be a named file")
+    check_text, check_path = _read_input(args.checkfile, stdin)
     prefixes = tuple(p for p in args.check_prefixes.split(",") if p)
-    result = testkit.filecheck(stdin.read(), check_text, prefixes)
+    result = testkit.filecheck(stdin.read(), check_text, prefixes, check_path)
     if result.ok:
         return 0
     stderr.write(result.detail + "\n")

@@ -72,7 +72,8 @@ UNDEF = Value("undef", ty=I32)
 
 @dataclass(frozen=True)
 class Inst:
-    """One SSA instruction. `result` is None for store/ret.
+    """One SSA instruction. `result` is None for store/ret, which make no
+    value, and names the value of every other opcode.
 
     Operand conventions:
       binops/fshl/fshr  all-i32 operands, i32 result
@@ -140,19 +141,20 @@ _RE_GLOBAL = re.compile(
     rf"@({_NAME})\s*=\s*(?:[\w]+\s+)*global\s+(\w+)\s+(-?\d+|zeroinitializer)")
 _RE_STRUCT = re.compile(rf"%({_NAME})\s*=\s*type\s*{{(.*)}}")
 _RE_DEFINE = re.compile(rf"define\s+(.*?)(\w+)\s+@({_NAME})\s*\((.*)\)\s*(.*){{\s*$")
-_RE_LABEL = re.compile(rf"^({_NAME}):\s*(?:;.*)?$")
+_RE_LABEL = re.compile(rf"({_NAME}):$")
 _RE_ATTRGROUP = re.compile(r"attributes\s+#(\d+)\s*=\s*{(.*)}")
 _RE_RESULT = re.compile(rf"^%({_NAME})\s*=\s*(.*)$")
 # instruction bodies, compiled once rather than looked up per line
 _RE_I64 = re.compile(r"\bi64\b")
-# a whole binop line in one match: result, opcode, type and both operands.
-# A wrap flag (nsw, nuw, exact) is skipped only while the text from it on
-# still holds a space, and the lookahead after the flags keeps the match
-# from giving back a flag it could skip and reading it as the type.
-_FLAG = r"(?:nsw|nuw|exact)(?=.* )\s"
-_RE_BINOP = re.compile(
-    rf"(?:%({_NAME})\s*=\s*)?({'|'.join(BINOPS)})\s+(?:{_FLAG}\s*)*"
-    rf"(?!{_FLAG})(\w+)\s+([^,]+),\s*(\S+)$")
+# a binop's opcode, type and operands in one match, skipping wrap flags
+# (nsw, nuw, exact); the lookahead keeps a flag from being read as the type.
+# _RE_BINOP takes a whole named binop line, the common line, and
+# _RE_UNNAMED_BINOP a well-formed binop that lacks its name.
+_FLAG = r"(?:nsw|nuw|exact)\s"
+_BINOP = (rf"({'|'.join(BINOPS)})\s+(?:{_FLAG}\s*)*"
+          rf"(?!{_FLAG})(\w+)\s+([^,]+),\s*(\S+)$")
+_RE_BINOP = re.compile(rf"%({_NAME})\s*=\s*{_BINOP}")
+_RE_UNNAMED_BINOP = re.compile(_BINOP)
 _RE_LOAD = re.compile(r"load\s+(\w+)\s*,\s*ptr\s+(\S+)")
 _RE_STORE = re.compile(r"store\s+(\w+)\s+([^,]+),\s*ptr\s+(\S+)")
 _RE_ALLOCA = re.compile(r"alloca\s+(\w+)")
@@ -163,43 +165,37 @@ _RE_INT = re.compile(r"-?\d+")
 _RE_CALL = re.compile(r"(?:tail\s+)?call\s+(\w+)\s+@([\w.]+)\((.*)\)")
 _RE_FSH = re.compile(r"llvm\.(fshl|fshr)\.i32")
 _SKIP_PREFIXES = ("source_filename", "target datalayout", "target triple",
-                  "declare ", "!", ";")
+                  "declare ", "!")
 
 
-def _strip_comment(line: str) -> str:
-    # ';' starts a comment; the IR never contains string literals with ';'
-    # except inside attribute strings, which we do not need to preserve.
-    pos = line.find(";")
-    if pos >= 0:
-        return line[:pos]
-    return line
-
-
-def _split_inline_defines(text: str) -> list[tuple[int, str]]:
-    """(line number, text) per line, allowing whole functions written on
-    one line: define ... { inst }. Its pieces keep that line's number."""
-    lines = []
+def _lines(text: str):
+    """(line number, text) for each non-blank line, its comment cut and its
+    whitespace stripped. A whole function written on one line, define ...
+    { inst }, comes out in pieces that keep that line's number."""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        s = _strip_comment(raw).strip()
-        if s.startswith("define") and "{" in s and not s.endswith("{"):
-            head, rest = s.split("{", 1)
-            lines.append((lineno, head + "{"))
+        # ';' starts a comment; the IR never contains string literals with
+        # ';' except inside attribute strings, which we do not need to keep.
+        line = raw.split(";", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("define") and "{" in line and not line.endswith("{"):
+            head, rest = line.split("{", 1)
+            yield lineno, head + "{"
             rest = rest.strip()
             if rest.endswith("}"):
                 body = rest[:-1].strip()
                 if body:
-                    lines.append((lineno, body))
-                lines.append((lineno, "}"))
+                    yield lineno, body
+                yield lineno, "}"
             elif rest:
-                lines.append((lineno, rest))
+                yield lineno, rest
         else:
-            lines.append((lineno, raw))
-    return lines
+            yield lineno, line
 
 
 class _Parser:
     def __init__(self, text: str, source_name: str):
-        self.lines = _split_inline_defines(text)
+        self.lines = _lines(text)
         self.source_name = source_name
         self.globals: list[GlobalVar] = []
         self.functions: list[Function] = []
@@ -215,13 +211,8 @@ class _Parser:
         raise IrError(msg, lineno, col, self.source_name)
 
     def parse(self) -> Module:
-        i = 0
-        n = len(self.lines)
-        while i < n:
-            lineno, raw = self.lines[i]
-            line = _strip_comment(raw).strip()
-            i += 1
-            if not line or line.startswith(_SKIP_PREFIXES):
+        for lineno, line in self.lines:
+            if line.startswith(_SKIP_PREFIXES):
                 continue
             if line.startswith("attributes"):
                 m = _RE_ATTRGROUP.match(line)
@@ -237,7 +228,7 @@ class _Parser:
                 self._parse_struct(m, lineno)
                 continue
             if line.startswith("define"):
-                i = self._parse_function(line, lineno, i)
+                self._parse_function(line, lineno)
                 continue
             self.err(f"unrecognized top-level construct: {line!r}", lineno)
         self._apply_attr_groups()
@@ -282,8 +273,8 @@ class _Parser:
             self.err(f"unknown type {tok!r}", lineno)
         return tok
 
-    def _parse_function(self, header, start, i) -> int:
-        """The define on line `start`; its body starts at self.lines[i]."""
+    def _parse_function(self, header, start):
+        """The define on line `start`; its body is the lines that follow."""
         m = _RE_DEFINE.match(header)
         if not m:
             self.err(f"malformed define line: {header!r}", start)
@@ -307,12 +298,11 @@ class _Parser:
                 params.append((pname[1:], pty))
         self.params = dict(params)
         self.values = {}
-        insts, label, end = self._parse_body(name, start, i)
+        insts, label = self._parse_body(name, start)
         fn = Function(name, tuple(params), return_type, tuple(insts),
                       frozenset(attrs), label)
         self.functions.append(fn)
         self.pending_groups[name] = groups
-        return end
 
     def _apply_attr_groups(self):
         out = []
@@ -323,19 +313,15 @@ class _Parser:
             out.append(fn.with_attributes(tags))
         self.functions = out
 
-    def _parse_body(self, fname, start, i):
+    def _parse_body(self, fname, start):
         insts = []
         label = "entry"
         saw_label = False
-        n = len(self.lines)
-        while i < n:
-            lineno, raw = self.lines[i]
-            line = _strip_comment(raw).strip()
-            i += 1
-            if not line or "llvm.lifetime" in line:
+        for lineno, line in self.lines:
+            if "llvm.lifetime" in line:
                 continue  # lifetime markers carry no meaning here
             if line == "}":
-                return insts, label, i
+                return insts, label
             m = _RE_LABEL.match(line)
             if m:
                 if saw_label or insts:
@@ -385,25 +371,36 @@ class _Parser:
             self.err("i64 unsupported", lineno)
         m = _RE_BINOP.match(line)  # after the i64 check, which comes first
         if m:
-            result, op, ty, a, b = m.groups()
-            if ty != I32:
-                self._parse_type(ty, lineno)
-                self.err(f"{op} requires i32 operands", lineno)
-            return Inst(op, result, (self._value(a, ty, lineno),
-                                     self._value(b, ty, lineno)), ty)
-        result = None
-        rest = line
+            return self._binop(*m.groups(), lineno)
         m = _RE_RESULT.match(line)
-        if m:
-            result, rest = m.group(1), m.group(2).strip()
-            if not rest:
-                self.err(f"missing instruction after %{result} =", lineno)
-        op = rest.split(None, 1)[0]
+        result, rest = (m.group(1), m.group(2).strip()) if m else (None, line)
+        if not rest:
+            self.err(f"missing instruction after %{result} =", lineno)
+        inst = self._parse_op(result, rest, lineno)  # its shape errors first
+        # a line is named exactly when its instruction makes a value
+        if (result is None) != (inst.opcode in ("store", "ret")):
+            self.err(f"{inst.opcode} makes a value, so the line needs %name ="
+                     if result is None else f"{inst.opcode} makes no value, "
+                     f"so it cannot be named %{result}", lineno)
+        return inst
 
+    def _binop(self, result, op, ty, a, b, lineno) -> Inst:
+        if ty != I32:
+            self._parse_type(ty, lineno)
+            self.err(f"{op} requires i32 operands", lineno)
+        return Inst(op, result, (self._value(a, ty, lineno),
+                                 self._value(b, ty, lineno)), ty)
+
+    def _parse_op(self, result, rest, lineno) -> Inst:
+        op = rest.split(None, 1)[0]
         if op in ("tail", "call") or rest.startswith("call"):
             return self._parse_call(result, rest, lineno)
         if op in BINOPS:
-            self.err(f"malformed {op}: {rest!r}", lineno)
+            # a named binop line that _RE_BINOP did not take is malformed
+            m = result is None and _RE_UNNAMED_BINOP.match(rest)
+            if not m:
+                self.err(f"malformed {op}: {rest!r}", lineno)
+            return self._binop(None, *m.groups(), lineno)
         if op == "load":
             m = _RE_LOAD.match(rest)
             if not m:
@@ -430,7 +427,7 @@ class _Parser:
             ty = self._parse_type(m.group(1), lineno)
             return Inst("alloca", result, (), PTR, alloc_ty=ty)
         if op == "ret":
-            if rest.strip() == "ret void":
+            if rest == "ret void":
                 return Inst("ret", None, (), VOID)
             m = _RE_RET.match(rest)
             if not m:
@@ -450,8 +447,6 @@ class _Parser:
             t = part.split()
             if len(t) != 2 or not _RE_INT.fullmatch(t[1]):
                 self.err("getelementptr indices must be integer constants", lineno)
-            if t[0] == "i64":
-                self.err("i64 unsupported", lineno)
             indices.append(int(t[1]))
         offset = self._gep_offset(elem, indices, lineno)
         return Inst("getelementptr", result, (base, const(offset, I32)), PTR)

@@ -4,16 +4,16 @@ extensions.
 The catalog is loaded from a structured text file (see targets/rv32_xcrypt.desc)
 with one record per instruction and one per selection pattern, a line-for-line
 analog of a .td extension file. An instruction's `sem=` expression is its one
-definition of meaning: the loader compiles it once per format into closures
+definition of meaning: the loader compiles it once per record into closures
 over SEM_OPS that read their operands from the encoded word, which the
 simulator calls, and a `pattern <MNEMONIC>` record selects the instruction
 wherever the DAG has that shape. Every record kind is parsed once per
 process: a description loaded again from the same text reuses the frozen
-InstrDefs, sems and patterns of the first load, and only checks them against
-each other and indexes them. Encoding and decoding are
-bit-exact over the standard RV32 formats R/R4/I/S/U; shift-immediate
-instructions are I-format records that carry a funct7 region above the 5-bit
-shift amount.
+InstrDefs (each with its parsed and compiled sem) and patterns of the first
+load, and only checks them against each other and indexes them. Encoding and
+decoding are bit-exact over the standard RV32 formats R/R4/I/S/U;
+shift-immediate instructions are I-format records that carry a funct7 region
+above the 5-bit shift amount.
 """
 
 from __future__ import annotations
@@ -397,24 +397,6 @@ def _reg_shift(node: PatNode, fmt: str) -> int | None:
 # description loaded with that record.
 _INSTRS: dict[tuple[str, str], InstrDef] = {}
 
-# (sem text, format, operand roles) -> (sem tree, compiled sem): each
-# distinct sem is parsed, checked and compiled once. The format is part of
-# the key because the compiled sem reads its operands from the format's
-# fields.
-_SEMS: dict[tuple[str, str, tuple[str, ...]], tuple[PatNode, Callable]] = {}
-
-
-def _sem(text: str, fmt: str, ops: tuple[str, ...], where: str
-         ) -> tuple[PatNode, Callable]:
-    key = (text, fmt, ops)
-    if key not in _SEMS:
-        sem = _parse_sexpr(text, where)
-        roles = tuple(r for r in ops if r != "rd")
-        _check_sem(sem, roles, where)
-        _SEMS[key] = sem, _compile_sem(sem, fmt)
-    return _SEMS[key]
-
-
 def load_target_desc(text: str) -> TargetDesc:
     """Parse a target description. Raises TargetError on duplicate mnemonics,
     encoding collisions among any co-enablable defs, or malformed sems and
@@ -515,7 +497,11 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     except KeyError as e:
         raise TargetError(f"{where}: format {fmt} has no {e.args[0][1]} "
                           "field") from None
-    sem, run = _sem(sem_text, fmt, ops, where) if sem_text else (None, None)
+    sem = run = None
+    if sem_text:
+        sem = _parse_sexpr(sem_text, where)
+        _check_sem(sem, tuple(r for r in ops if r != "rd"), where)
+        run = _compile_sem(sem, fmt)
     if "opcode" not in kw:
         raise TargetError(f"{where}: missing opcode=")
     # the funct regions of the record's encoding, each given exactly when

@@ -217,6 +217,25 @@ def test_filecheck_subcommand(tmp_path):
     assert code == 1 and "hello" in err
 
 
+def test_filecheck_names_its_check_file(tmp_path):
+    check = tmp_path / "c.txt"
+    check.write_text("; CHECK: hello\n; CHECK-NEXT: world\n")
+    code, out, err = run_command(["filecheck", str(check)],
+                                 stdin_text="hello\nthere\n")
+    assert code == 1 and out == ""
+    assert err.startswith(f"{check}:2: CHECK-NEXT expected"), err
+
+
+def test_filecheck_of_a_check_file_that_is_not_utf8(tmp_path):
+    check = tmp_path / "c.txt"
+    check.write_bytes(b"\xff; CHECK: hello\n")
+    code, out, err = run_command(["filecheck", str(check)],
+                                 stdin_text="hello\n")
+    assert code == 1 and out == ""
+    assert err.startswith(f"rv32x: error: {check}: not UTF-8 text") \
+        and err.count("\n") == 1, err
+
+
 def test_missing_input_file():
     code, _, err = run_command(["llc", "/nonexistent/x.ll"])
     assert code == 1
@@ -418,12 +437,13 @@ def _params_sum(n: int) -> str:
     (["run", "-"], _params_sum(23), "@f: 23 parameters; at most 8"),
     (["lit", path("missing")], "", "no such test path"),
     (["update-checks", path("missing.ll")], "", "missing.ll"),
+    (["filecheck", "-"], "; CHECK: a\na\n", "check file must be a named file"),
 ], ids=["args-word", "args-empty", "args-wide", "args-negative", "mem-bytes",
         "mem-address", "mem-negative", "mem-no-colon", "obj-word-run",
         "obj-word-mc", "obj-reloc", "obj-wide-mc", "obj-wide-run",
         "bare-opcode", "bare-result", "args-missing", "params-9-llc",
         "params-9-run", "params-23-llc", "params-23-run", "lit-missing",
-        "update-checks-missing"])
+        "update-checks-missing", "filecheck-stdin"])
 def test_malformed_input_is_a_diagnosed_error(argv, stdin, named):
     code, out, err = run_command(argv, stdin_text=stdin)
     assert code == 1 and out == ""

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
-from rv32x import ir
+from rv32x import ir, midend
 
 from conftest import CORPUS, corpus_module, corpus_text
+from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
+                       gen_shift_pair_fn)
 
 
 def test_identity_one_liner():
@@ -48,6 +52,45 @@ def test_i64_rejected():
                     "  ret i32 %a\n}")
 
 
+def test_wrap_flags_separated_by_tabs():
+    spaced = ir.parse_ir("define i32 @f(i32 %a, i32 %b) {\n"
+                         "  %x = add nuw nsw i32 %a, %b\n  ret i32 %x\n}")
+    tabbed = ir.parse_ir("define i32 @f(i32 %a, i32 %b) {\n"
+                         "\t%x = add\tnuw\tnsw\ti32\t%a,%b\n\tret i32 %x\n}")
+    assert tabbed.functions == spaced.functions
+    # a flag is still never read as the type
+    with pytest.raises(ir.IrError, match="malformed add"):
+        ir.parse_ir("define i32 @f(i32 %a) {\n"
+                    "  %x = add\tnsw\t%a,%a\n  ret i32 %x\n}")
+
+
+@pytest.mark.parametrize("line,msg", [
+    ("add i32 %a, 1", "2:1: add makes a value, so the line needs %name ="),
+    ("add nsw i32 %a, 1", "2:1: add makes a value, so the line needs %name ="),
+    ("load i32, ptr %p", "2:1: load makes a value, so the line needs %name ="),
+    ("getelementptr i8, ptr %p, i32 4",
+     "2:1: getelementptr makes a value, so the line needs %name ="),
+    ("alloca i32", "2:1: alloca makes a value, so the line needs %name ="),
+    ("call i32 @llvm.fshl.i32(i32 %a, i32 %a, i32 3)",
+     "2:1: fshl makes a value, so the line needs %name ="),
+    ("%s = store i32 %a, ptr %p",
+     "2:1: store makes no value, so it cannot be named %s"),
+    ("%r = ret i32 %a", "2:1: ret makes no value, so it cannot be named %r"),
+    ("%r = ret void", "2:1: ret makes no value, so it cannot be named %r"),
+    # the shape is checked before the name
+    ("xor", "2:1: malformed xor: 'xor'"),
+    ("add ptr %p, 1", "2:1: add requires i32 operands"),
+    ("%s = store i32 %a", "2:1: malformed store: 'store i32 %a'"),
+    ("frob i32 %a", "2:1: unknown opcode 'frob'"),
+], ids=["binop", "binop-flag", "load", "gep", "alloca", "call", "store",
+        "ret", "ret-void", "bare-xor", "binop-ptr", "store-shape", "frob"])
+def test_a_line_is_named_exactly_when_it_makes_a_value(line, msg):
+    with pytest.raises(ir.IrError) as e:
+        ir.parse_ir(f"define void @f(i32 %a, ptr %p) {{\n  {line}\n"
+                    "  ret void\n}")
+    assert str(e.value) == "<stdin>:" + msg
+
+
 def test_lifetime_intrinsics_discarded():
     m = corpus_module("sbox_unopt.ll")
     assert all(i.opcode != "lifetime" for i in m.functions[0].body)
@@ -63,6 +106,21 @@ def test_roundtrip_fixed_point(name):
     assert m1.globals == m2.globals
     assert m1.functions == m2.functions
     assert ir.print_ir(m2) == text
+
+
+def test_generator_output_prints_back_to_itself():
+    """print_ir of every fuzz generator's output, as parsed and after -O2,
+    parses back to an equal module."""
+    rng = random.Random(7000)
+    texts = [gen(rng, i) for i in range(15)
+             for gen in (gen_arith_fn, gen_memory_fn, gen_shift_pair_fn)]
+    for text in texts + [gen_large_fn(rng, i, 150) for i in range(2)]:
+        m = ir.parse_ir(text)
+        opt, _ = midend.run_pipeline(m, midend.DEFAULT_PIPELINE)
+        for mod in (m, opt):
+            back = ir.parse_ir(ir.print_ir(mod))
+            assert (back.globals, back.functions) == \
+                (mod.globals, mod.functions), text
 
 
 def test_print_globals_before_functions():
@@ -115,6 +173,71 @@ def test_store_address_type_violation():
         )),))
     bad = ir.verify(m)
     assert any("store takes" in v for v in bad)
+
+
+A = ir.Value("arg", "a", ty=ir.I32)
+P = ir.Value("arg", "p", ty=ir.PTR)
+RET0 = ir.Inst("ret", None, (ir.const(0),), ir.I32)
+
+
+def _module(*body, params=(("a", ir.I32), ("p", ir.PTR)), ret=ir.I32,
+            globals_=()):
+    return ir.Module("t", globals_, (ir.Function("f", params, ret, body),))
+
+
+def _add(result, a, b):
+    return ir.Inst("add", result, (a, b), ir.I32)
+
+
+@pytest.mark.parametrize("mod,msg", [
+    (_module(RET0, globals_=(ir.GlobalVar("g"), ir.GlobalVar("g"))),
+     "duplicate global @g"),
+    (_module(RET0, globals_=(ir.GlobalVar("g", ir.PTR),)),
+     "global @g: value type must be i32"),
+    (_module(RET0, globals_=(ir.GlobalVar("f"),)), "duplicate symbol @f"),
+    (_module(RET0, params=(("a", ir.I32), ("a", ir.I32))),
+     "@f:-1: duplicate parameter %a"),
+    (_module(_add("x", A, A)), "@f:1: function must end with ret"),
+    (_module(), "@f:0: function must end with ret"),
+    (_module(RET0, RET0), "@f:0: ret must be the final instruction"),
+    (_module(RET0, ret=ir.VOID), "@f:0: ret void must not carry a value"),
+    (_module(ir.Inst("ret", None, (), ir.VOID)), "@f:0: ret must return i32"),
+    (_module(ir.Inst("ret", None, (P,), ir.PTR)), "@f:0: ret must return i32"),
+    (_module(_add("x", A, A), ir.Inst("load", "y", (ir.Value(
+        "temp", "x", ty=ir.PTR),), ir.I32), RET0),
+     "@f:1: %x used as ptr but defined as i32"),
+    (_module(_add("x", ir.Value("arg", "b", ty=ir.I32), A), RET0),
+     "@f:0: unknown argument %b"),
+    (_module(ir.Inst("load", "x", (ir.Value("global", "h", ty=ir.PTR),),
+                     ir.I32), RET0), "@f:0: unknown global @h"),
+    (_module(ir.Inst("ret", None, (ir.UNDEF,), ir.I32)),
+     "@f:0: undefined value read (poison from read-before-write)"),
+    (_module(ir.Inst("ret", None, (ir.const(1 << 31),), ir.I32)),
+     "@f:0: constant 2147483648 out of 32-bit signed range"),
+    (_module(ir.Inst("add", "x", (A,), ir.I32), RET0),
+     "@f:0: add expects 2 operands"),
+    (_module(ir.Inst("fshl", "x", (A, A), ir.I32), RET0),
+     "@f:0: fshl expects 3 operands"),
+    (_module(ir.Inst("load", "x", (A,), ir.I32), RET0),
+     "@f:0: load takes one ptr operand"),
+    (_module(ir.Inst("load", "x", (P,), ir.VOID), RET0),
+     "@f:0: load result must be i32 or ptr"),
+    (_module(ir.Inst("getelementptr", "q", (P, A), ir.PTR), RET0),
+     "@f:0: getelementptr takes (ptr base, constant byte offset)"),
+    (_module(ir.Inst("alloca", "s", (), ir.PTR, alloc_ty=ir.VOID), RET0),
+     "@f:0: alloca slot must be i32 or ptr"),
+    (_module(ir.Inst("frob", "x", (A,), ir.I32), RET0),
+     "@f:0: unknown opcode 'frob'"),
+], ids=["duplicate-global", "global-type", "duplicate-symbol",
+        "duplicate-parameter", "no-final-ret", "empty-body", "early-ret",
+        "ret-void-value", "ret-no-value", "ret-wrong-type", "type-mismatch",
+        "unknown-argument", "unknown-global", "undef-read", "constant-range",
+        "binop-operand-count", "intrinsic-operand-count", "load-operand",
+        "load-result", "gep-operands", "alloca-slot", "unknown-opcode"])
+def test_each_verifier_diagnostic(mod, msg):
+    """A malformed module for each verify() message that the tests around
+    this one do not produce, reporting exactly that message."""
+    assert ir.verify(mod) == [msg]
 
 
 def test_redefinition_violation():
