@@ -146,15 +146,14 @@ _RE_ATTRGROUP = re.compile(r"attributes\s+#(\d+)\s*=\s*{(.*)}")
 _RE_RESULT = re.compile(rf"^%({_NAME})\s*=\s*(.*)$")
 # instruction bodies, compiled once rather than looked up per line
 _RE_I64 = re.compile(r"\bi64\b")
-# a binop's opcode, type and operands in one match, skipping wrap flags
-# (nsw, nuw, exact); the lookahead keeps a flag from being read as the type.
-# _RE_BINOP takes a whole named binop line, the common line, and
-# _RE_UNNAMED_BINOP a well-formed binop that lacks its name.
+# a whole binop line in one match: result, opcode, type and both operands.
+# Wrap flags (nsw, nuw, exact) are skipped, and the lookahead after them
+# keeps a flag from being read as the type. The result is optional here;
+# _parse_inst's result rule then applies to binops as to every opcode.
 _FLAG = r"(?:nsw|nuw|exact)\s"
-_BINOP = (rf"({'|'.join(BINOPS)})\s+(?:{_FLAG}\s*)*"
-          rf"(?!{_FLAG})(\w+)\s+([^,]+),\s*(\S+)$")
-_RE_BINOP = re.compile(rf"%({_NAME})\s*=\s*{_BINOP}")
-_RE_UNNAMED_BINOP = re.compile(_BINOP)
+_RE_BINOP = re.compile(
+    rf"(?:%({_NAME})\s*=\s*)?({'|'.join(BINOPS)})\s+(?:{_FLAG}\s*)*"
+    rf"(?!{_FLAG})(\w+)\s+([^,]+),\s*(\S+)$")
 _RE_LOAD = re.compile(r"load\s+(\w+)\s*,\s*ptr\s+(\S+)")
 _RE_STORE = re.compile(r"store\s+(\w+)\s+([^,]+),\s*ptr\s+(\S+)")
 _RE_ALLOCA = re.compile(r"alloca\s+(\w+)")
@@ -371,36 +370,32 @@ class _Parser:
             self.err("i64 unsupported", lineno)
         m = _RE_BINOP.match(line)  # after the i64 check, which comes first
         if m:
-            return self._binop(*m.groups(), lineno)
-        m = _RE_RESULT.match(line)
-        result, rest = (m.group(1), m.group(2).strip()) if m else (None, line)
-        if not rest:
-            self.err(f"missing instruction after %{result} =", lineno)
-        inst = self._parse_op(result, rest, lineno)  # its shape errors first
-        # a line is named exactly when its instruction makes a value
+            result, op, ty, a, b = m.groups()
+            if ty != I32:
+                self._parse_type(ty, lineno)
+                self.err(f"{op} requires i32 operands", lineno)
+            inst = Inst(op, result, (self._value(a, ty, lineno),
+                                     self._value(b, ty, lineno)), ty)
+        else:
+            m = _RE_RESULT.match(line)
+            result, rest = (m.group(1), m.group(2).strip()) if m else (None, line)
+            if not rest:
+                self.err(f"missing instruction after %{result} =", lineno)
+            inst = self._parse_op(result, rest, lineno)
+        # shape errors above come first; then a line is named exactly when
+        # its instruction makes a value
         if (result is None) != (inst.opcode in ("store", "ret")):
             self.err(f"{inst.opcode} makes a value, so the line needs %name ="
                      if result is None else f"{inst.opcode} makes no value, "
                      f"so it cannot be named %{result}", lineno)
         return inst
 
-    def _binop(self, result, op, ty, a, b, lineno) -> Inst:
-        if ty != I32:
-            self._parse_type(ty, lineno)
-            self.err(f"{op} requires i32 operands", lineno)
-        return Inst(op, result, (self._value(a, ty, lineno),
-                                 self._value(b, ty, lineno)), ty)
-
     def _parse_op(self, result, rest, lineno) -> Inst:
         op = rest.split(None, 1)[0]
         if op in ("tail", "call") or rest.startswith("call"):
             return self._parse_call(result, rest, lineno)
         if op in BINOPS:
-            # a named binop line that _RE_BINOP did not take is malformed
-            m = result is None and _RE_UNNAMED_BINOP.match(rest)
-            if not m:
-                self.err(f"malformed {op}: {rest!r}", lineno)
-            return self._binop(None, *m.groups(), lineno)
+            self.err(f"malformed {op}: {rest!r}", lineno)
         if op == "load":
             m = _RE_LOAD.match(rest)
             if not m:
