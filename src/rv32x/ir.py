@@ -24,6 +24,9 @@ BINOPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
 COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor"})
 INTRINSICS = ("fshl", "fshr")
 OPCODES = BINOPS + INTRINSICS + ("alloca", "load", "store", "getelementptr", "ret")
+# The opcodes that make no value. The parser and the verifier both apply the
+# result rule: an instruction names a result exactly when it makes a value.
+NO_VALUE = frozenset({"store", "ret"})
 
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
@@ -382,9 +385,8 @@ class _Parser:
             if not rest:
                 self.err(f"missing instruction after %{result} =", lineno)
             inst = self._parse_op(result, rest, lineno)
-        # shape errors above come first; then a line is named exactly when
-        # its instruction makes a value
-        if (result is None) != (inst.opcode in ("store", "ret")):
+        # shape errors above come first; then the result rule
+        if (result is None) != (inst.opcode in NO_VALUE):
             self.err(f"{inst.opcode} makes a value, so the line needs %name ="
                      if result is None else f"{inst.opcode} makes no value, "
                      f"so it cannot be named %{result}", lineno)
@@ -646,6 +648,10 @@ def _verify_function(fn: Function, gnames) -> list[str]:
                 note(idx, f"ret must return {fn.return_type}")
         else:
             note(idx, f"unknown opcode {op!r}")
+        if (inst.result is None) != (op in NO_VALUE):
+            note(idx, f"{op} makes a value but names no result"
+                 if inst.result is None else
+                 f"{op} makes no value but is named %{inst.result}")
         if inst.result is not None:
             if inst.result in types or inst.result in gnames:
                 note(idx, f"redefinition of %{inst.result}")

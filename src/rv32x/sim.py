@@ -2,8 +2,8 @@
 
 The machine simulator executes encoded words against an architectural state
 (32 registers, pc, sparse little-endian byte memory, and the program's own
-words), each by calling its `sem=`, as the target description compiled it,
-on the word; JALR, the one jump, is implemented here. One loop,
+words), each by calling the function the target description generates from
+its `sem=` on the word; JALR, the one jump, is implemented here. One loop,
 `_execute`, runs every instruction: `run_function` runs it to halt and
 `step` runs one iteration of it.
 Functions follow the halt protocol: x1 starts at a sentinel return address
@@ -62,8 +62,10 @@ def mem_write32(mem: dict[int, int], addr: int, value: int):
     addr &= MASK32
     if addr & 3:
         raise SimTrap(f"misaligned word store at 0x{addr:08x}")
-    for i in range(4):
-        mem[addr + i] = (value >> (8 * i)) & 0xFF
+    mem[addr] = value & 0xFF
+    mem[addr + 1] = value >> 8 & 0xFF
+    mem[addr + 2] = value >> 16 & 0xFF
+    mem[addr + 3] = value >> 24 & 0xFF
 
 
 @dataclass
@@ -82,20 +84,32 @@ class SimState:
     def read(self, r: int) -> int:
         return 0 if r == 0 else self.regs[r]
 
+    # load and store are mem_read32 and mem_write32, inlined, in front of
+    # the program words: they run for every simulated LW and SW
     def load(self, addr: int) -> int:
         addr &= MASK32
-        i = addr - PROGRAM_BASE
-        if 0 <= i < 4 * len(self.program) and not i & 3:
-            return self.program[i >> 2]
-        return mem_read32(self.mem, addr)
+        if addr & 3:
+            raise SimTrap(f"misaligned word load at 0x{addr:08x}")
+        i = addr - PROGRAM_BASE >> 2
+        if 0 <= i < len(self.program):
+            return self.program[i]
+        get = self.mem.get
+        return (get(addr, 0) | get(addr + 1, 0) << 8
+                | get(addr + 2, 0) << 16 | get(addr + 3, 0) << 24)
 
     def store(self, addr: int, value: int):
         addr &= MASK32
-        i = addr - PROGRAM_BASE
-        if 0 <= i < 4 * len(self.program) and not i & 3:
-            self.program[i >> 2] = value & MASK32
-        else:
-            mem_write32(self.mem, addr, value)
+        if addr & 3:
+            raise SimTrap(f"misaligned word store at 0x{addr:08x}")
+        i = addr - PROGRAM_BASE >> 2
+        if 0 <= i < len(self.program):
+            self.program[i] = value & MASK32
+            return
+        mem = self.mem
+        mem[addr] = value & 0xFF
+        mem[addr + 1] = value >> 8 & 0xFF
+        mem[addr + 2] = value >> 16 & 0xFF
+        mem[addr + 3] = value >> 24 & 0xFF
 
 
 class TraceStep(NamedTuple):
@@ -119,7 +133,8 @@ def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
     """The one instruction loop: run up to `fuel` instructions of `ext` from
     state.pc, stopping after a jalr to the halt sentinel, and append each to
     `trace`. A word is fetched from the program by index (from memory
-    outside it), looked up, and executed by its compiled sem or as JALR.
+    outside it), looked up, and executed as JALR or by one call of its
+    instruction's generated `run`, which evaluates the sem and writes rd.
     Raises SimTrap on a misaligned pc, an undecodable or disabled word, an
     instruction without a sem, or a misaligned access. regs[0] stays zero."""
     regs, mem, program = state.regs, state.mem, state.program
@@ -137,11 +152,7 @@ def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
             raise SimTrap(f"undecodable word 0x{word:08x}", pc)
         run = d.run
         if run is not None:
-            value = run(state, regs, word)
-            if d.ops[0] == "rd":
-                rd = word >> d.fields[0].shift & 31
-                if rd:
-                    regs[rd] = value & MASK32
+            run(state, regs, word)
             append(_new_trace_step(TraceStep, (pc, word, d)))
             pc = (pc + 4) & MASK32
             continue

@@ -4,13 +4,14 @@ extensions.
 The catalog is loaded from a structured text file (see targets/rv32_xcrypt.desc)
 with one record per instruction and one per selection pattern, a line-for-line
 analog of a .td extension file. An instruction's `sem=` expression is its one
-definition of meaning: the loader compiles it once per record into closures
-over SEM_OPS that read their operands from the encoded word, which the
-simulator calls, and a `pattern <MNEMONIC>` record selects the instruction
-wherever the DAG has that shape. Every record kind is parsed once per
-process: a description loaded again from the same text reuses the frozen
-InstrDefs (each with its parsed and compiled sem) and patterns of the first
-load, and only checks them against each other and indexes them. Encoding and
+definition of meaning: the simulator runs it as one function per
+instruction, generated on first use from a fixed template per node kind
+(SEM_OPS is built from the same ones) and the word's field shifts and masks,
+and a `pattern <MNEMONIC>` record selects the instruction wherever the DAG
+has that shape. Every record kind is parsed once per process: a description
+loaded again from the same text reuses the frozen InstrDefs (each with its
+parsed sem and, once run, its function) and patterns of the first load, and
+only checks them against each other and indexes them. Encoding and
 decoding are bit-exact over the standard RV32 formats R/R4/I/S/U;
 shift-immediate instructions are I-format records that carry a funct7 region
 above the 5-bit shift amount.
@@ -19,7 +20,7 @@ above the 5-bit shift amount.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
@@ -127,10 +128,6 @@ class InstrDef:
     mask: int = 0
     match: int = 0
     fields: tuple[OperandField, ...] = ()  # one per role of `ops`
-    # the sem compiled: run(m, regs, word) computes it for the encoded
-    # `word`, reading register operands from `regs` and immediates from the
-    # word, with machine state m; None without a sem
-    run: Callable | None = field(default=None, compare=False, repr=False)
 
     @property
     def may_load(self) -> bool:
@@ -140,9 +137,9 @@ class InstrDef:
     def may_store(self) -> bool:
         return "mayStore" in self.flags
 
-    # Allocation and printing read these per instruction. They are computed
-    # on first use, once per process: every description loaded from the
-    # same record shares its InstrDef.
+    # Allocation, printing and the simulator read these per instruction.
+    # They are computed on first use, once per process: every description
+    # loaded from the same record shares its InstrDef.
     @cached_property
     def defines(self) -> bool:
         """ops[0] is rd, the one operand the instruction writes."""
@@ -166,6 +163,18 @@ class InstrDef:
         which loads through two registers and has no offset."""
         return (self.may_load or self.may_store or self.mnemonic == "JALR") \
             and "imm12" in self.ops
+
+    @cached_property
+    def run(self) -> Callable | None:
+        """The sem as one generated function, run(m, regs, word): it reads
+        its register operands from `regs` and its immediates from the
+        encoded `word`, loads and stores through machine state m, writes the
+        value to rd unless rd is x0, and returns it. None without a sem."""
+        if self.sem is None:
+            return None
+        scope = {"__builtins__": {}}
+        exec(_run_source(self), scope)
+        return scope["run"]
 
 
 class PatNode(NamedTuple):
@@ -314,79 +323,61 @@ _FIELDS = {"fmt", "opcode", "funct3", "funct7", "funct2", "ops", "asm", "sched"}
 _FLAGS = {"commutable": "isCommutable", "mayLoad": "mayLoad",
           "mayStore": "mayStore", "hasSideEffects": "hasSideEffects"}
 
-# What each `sem=` node kind computes. Operands are register values (unsigned
-# 32-bit) and immediates (signed); only the low 32 bits of a result are
-# defined, so kinds that read the upper bits mask first. `m` is the machine
-# state: load(addr) reads and store(addr, value) writes a memory word.
-SEM_OPS = {
-    "add": lambda m, a, b: a + b,
-    "sub": lambda m, a, b: a - b,
-    "mul": lambda m, a, b: a * b,
-    "and": lambda m, a, b: a & b,
-    "or": lambda m, a, b: a | b,
-    "xor": lambda m, a, b: a ^ b,
-    "shl": lambda m, a, b: a << (b & 31),
-    "srl": lambda m, a, b: (a & 0xFFFFFFFF) >> (b & 31),
-    "sra": lambda m, a, b: sext(a, 32) >> (b & 31),
-    "rotr": lambda m, a, b: ((a & 0xFFFFFFFF) >> (b & 31)
-                             | a << (32 - (b & 31))) & 0xFFFFFFFF,
-    "load": lambda m, a: m.load(a),
-    "store": lambda m, v, a: m.store(a, v),
+# What each `sem=` node kind computes, as a Python expression over its
+# operands {0} and {1}, each used once. Operands are register values
+# (unsigned 32-bit) and immediates (signed); only the low 32 bits of a result
+# are defined, so kinds that read the upper bits mask first. A rotate shifts
+# the low word written twice. `m` is the machine state: load(addr) reads and
+# store(addr, value) writes a memory word.
+_SEM_EXPRS = {
+    "add": "({0} + {1})",
+    "sub": "({0} - {1})",
+    "mul": "({0} * {1})",
+    "and": "({0} & {1})",
+    "or": "({0} | {1})",
+    "xor": "({0} ^ {1})",
+    "shl": "({0} << ({1} & 31))",
+    "srl": "(({0} & 0xFFFFFFFF) >> ({1} & 31))",
+    "sra": "((({0} & 0xFFFFFFFF ^ 0x80000000) - 0x80000000) >> ({1} & 31))",
+    "rotr": "(({0} & 0xFFFFFFFF) * 0x100000001 >> ({1} & 31) & 0xFFFFFFFF)",
+    "load": "m.load({0})",
+    "store": "m.store({1}, {0})",
 }
+# the same, one callable per kind: SEM_OPS[kind](m, *operands)
+SEM_OPS = {kind: eval(("lambda m, a, b: " if "{1}" in e else "lambda m, a: ")
+                      + e.format("a", "b")) for kind, e in _SEM_EXPRS.items()}
+
+# The function InstrDef.run generates: `v` is the sem's value and `d` the
+# number of its rd, which is never written when it is x0.
+_RUN_DEFINES = ("def run(m, r, w):\n    v = {}\n    d = w >> {} & 31\n"
+                "    if d:\n        r[d] = v & 0xFFFFFFFF\n    return v\n")
+_RUN = "def run(m, r, w):\n    return {}\n"
 
 
-def _compile_sem(node: PatNode, fmt: str) -> Callable:
-    """The sem as nested closures over SEM_OPS: run(m, regs, word), for an
-    instruction of format `fmt`. Each operand is read straight from the
-    word through its role's OperandField in that format: a register
-    operand is regs[word >> shift & 31], an immediate its field's value. A
-    node reads a register operand, or an immediate or constant second
-    operand, in its own closure rather than calling one for the leaf."""
+def _run_source(d: InstrDef) -> str:
+    """The source of `d.run`: the templates, the names m, r, w, v and d, and
+    integers (field shifts and masks, and `(const N)` values) alone."""
+    expr = _sem_expr(d.sem, d.fmt)
+    return (_RUN_DEFINES.format(expr, d.fields[0].shift) if d.defines
+            else _RUN.format(expr))
+
+
+def _sem_expr(node: PatNode, fmt: str) -> str:
+    """A sem tree as one expression over m, r and w, for format `fmt`. A
+    register operand is r[w >> shift & 31] and an immediate its
+    OperandField value, with the field's shifts and masks inlined."""
     if node.kind == "const":
-        c = node.value
-        return lambda m, r, w: c
+        return f"({node.value:d})"
     if node.kind == "capture":
         f = _OPERAND_FIELDS[fmt, node.name]
         if f.reg:
-            s = f.shift
-            return lambda m, r, w: r[w >> s & 31]
-        s, k, g, ls, lk = f.shift, f.mask, f.sign, f.lo_shift, f.lo_mask
-        return lambda m, r, w: ((w >> s & k | w >> ls & lk) ^ g) - g
-    op = SEM_OPS[node.kind]
-    a, b = (node.children + (None,))[:2]
-    i = _reg_shift(a, fmt)
-    if b is None:
-        if i is not None:
-            return lambda m, r, w: op(m, r[w >> i & 31])
-        f = _compile_sem(a, fmt)
-        return lambda m, r, w: op(m, f(m, r, w))
-    j = _reg_shift(b, fmt)
-    if i is not None:
-        if j is not None:
-            return lambda m, r, w: op(m, r[w >> i & 31], r[w >> j & 31])
-        if b.kind == "const":
-            c = b.value
-            return lambda m, r, w: op(m, r[w >> i & 31], c)
-        if b.kind == "capture":
-            f = _OPERAND_FIELDS[fmt, b.name]
-            s, k, g, ls, lk = f.shift, f.mask, f.sign, f.lo_shift, f.lo_mask
-            return lambda m, r, w: op(m, r[w >> i & 31],
-                                      ((w >> s & k | w >> ls & lk) ^ g) - g)
-        g = _compile_sem(b, fmt)
-        return lambda m, r, w: op(m, r[w >> i & 31], g(m, r, w))
-    f = _compile_sem(a, fmt)
-    if j is not None:
-        return lambda m, r, w: op(m, f(m, r, w), r[w >> j & 31])
-    g = _compile_sem(b, fmt)
-    return lambda m, r, w: op(m, f(m, r, w), g(m, r, w))
-
-
-def _reg_shift(node: PatNode, fmt: str) -> int | None:
-    """The shift of the register field `node` reads; None for any other
-    node."""
-    if node.kind == "capture" and _OPERAND_FIELDS[fmt, node.name].reg:
-        return _OPERAND_FIELDS[fmt, node.name].shift
-    return None
+            return f"r[w >> {f.shift:d} & 31]"
+        v = f"w >> {f.shift:d} & {f.mask:d}"
+        if f.lo_mask:
+            v += f" | w >> {f.lo_shift:d} & {f.lo_mask:d}"
+        return f"((({v}) ^ {f.sign:d}) - {f.sign:d})" if f.sign else f"({v})"
+    return _SEM_EXPRS[node.kind].format(*[_sem_expr(c, fmt)
+                                          for c in node.children])
 
 
 # Every record is parsed once per process, however often a description is
@@ -497,11 +488,10 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     except KeyError as e:
         raise TargetError(f"{where}: format {fmt} has no {e.args[0][1]} "
                           "field") from None
-    sem = run = None
+    sem = None
     if sem_text:
         sem = _parse_sexpr(sem_text, where)
         _check_sem(sem, tuple(r for r in ops if r != "rd"), where)
-        run = _compile_sem(sem, fmt)
     if "opcode" not in kw:
         raise TargetError(f"{where}: missing opcode=")
     # the funct regions of the record's encoding, each given exactly when
@@ -544,7 +534,6 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
         mask=mask,
         match=match,
         fields=fields,
-        run=run,
     )
 
 
@@ -569,7 +558,7 @@ def _check_sem(node: PatNode, roles: tuple[str, ...], where: str):
         return
     if node.kind not in SEM_OPS or node.oneuse:
         raise TargetError(f"{where}: unknown sem node kind {node.kind!r}")
-    if len(node.children) != (1 if node.kind == "load" else 2):
+    if len(node.children) != _SEM_EXPRS[node.kind].count("{"):
         raise TargetError(f"{where}: wrong operand count for {node.kind!r}")
     for c in node.children:
         _check_sem(c, roles, where)

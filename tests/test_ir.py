@@ -228,12 +228,18 @@ def _add(result, a, b):
      "@f:0: alloca slot must be i32 or ptr"),
     (_module(ir.Inst("frob", "x", (A,), ir.I32), RET0),
      "@f:0: unknown opcode 'frob'"),
+    # the parser's result rule holds for a module built in code too
+    (_module(_add(None, A, A), RET0),
+     "@f:0: add makes a value but names no result"),
+    (_module(ir.Inst("store", "s", (A, P), ir.VOID), RET0),
+     "@f:0: store makes no value but is named %s"),
 ], ids=["duplicate-global", "global-type", "duplicate-symbol",
         "duplicate-parameter", "no-final-ret", "empty-body", "early-ret",
         "ret-void-value", "ret-no-value", "ret-wrong-type", "type-mismatch",
         "unknown-argument", "unknown-global", "undef-read", "constant-range",
         "binop-operand-count", "intrinsic-operand-count", "load-operand",
-        "load-result", "gep-operands", "alloca-slot", "unknown-opcode"])
+        "load-result", "gep-operands", "alloca-slot", "unknown-opcode",
+        "unnamed-value", "named-store"])
 def test_each_verifier_diagnostic(mod, msg):
     """A malformed module for each verify() message that the tests around
     this one do not produce, reporting exactly that message."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -145,10 +146,63 @@ def _random_state(rng, memory: bool) -> sim.SimState:
     return state
 
 
+# register values where generated masking and sign extension could drift
+# from the sem tree; 31 and 0 are also the extreme shift and rotate amounts
+EDGE_VALUES = (0, 1, 31, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+
+
+def _address_roles(node) -> set[str]:
+    """The operand roles a sem reads as part of a memory address: the last
+    operand of a load or a store."""
+    caps = {}
+    if node.kind in ("load", "store"):
+        tgt._captures(node.children[-1], caps)
+    return set(caps).union(*map(_address_roles, node.children))
+
+
+def _edge_cases(d):
+    """Operands and a state for each combination of edge values of `d`'s
+    sources: each immediate at both ends of its IMM_RANGES range, each
+    register one of EDGE_VALUES. A register that forms an address instead
+    points, with the immediate added, at one of the words from 0x4000, which
+    hold EDGE_VALUES (every shipped address is a register plus at most one
+    immediate)."""
+    addr = _address_roles(d.sem)
+    slots = range(len(EDGE_VALUES))
+    choices = [tgt.IMM_RANGES[r] if r in tgt.IMM_RANGES
+               else slots if r in addr else EDGE_VALUES for r in d.sources]
+    regs = {"rd": 10, "rs1": 11, "rs2": 12, "rs3": 13}
+    for combo in itertools.product(*choices):
+        vals = dict(zip(d.sources, combo))
+        offset = sum(v for r, v in vals.items()
+                     if r in addr and r in tgt.IMM_RANGES)
+        state = sim.SimState()
+        for k, v in enumerate(EDGE_VALUES):
+            sim.mem_write32(state.mem, 0x4000 + 4 * k, v)
+        for r, v in vals.items():
+            if r in regs:
+                state.regs[regs[r]] = (0x4000 + 4 * v - offset if r in addr
+                                       else v) & sim.MASK32
+        ops = [MOp.preg(regs[r]) if r in regs else MOp.imm(vals[r])
+               for r in d.ops]
+        yield ops, state
+
+
 def test_step_agrees_with_sem_tree_for_every_instruction(desc):
     rng = random.Random(63)
     defs = [d for _, d in sorted(desc.instrs.items()) if d.sem is not None]
     assert {"LUI", "LW", "SW", "LXR"} <= {d.mnemonic for d in defs}
+
+    def agrees(d, ops, state):
+        word = tgt.encode(MachineInstr(d.mnemonic, ops), desc).word
+        sim.mem_write32(state.mem, state.pc, word)
+        want = sim.SimState(list(state.regs), state.pc, dict(state.mem))
+        sim.step(state, desc)
+        _reference_step(want, desc)
+        assert (state.regs, state.mem, state.pc) == \
+            (want.regs, want.mem, want.pc), (d.mnemonic, ops)
+
+    edge_trials = 0
     for d in defs:
         memory = d.may_load or d.may_store
         for trial in range(40):
@@ -159,14 +213,12 @@ def test_step_agrees_with_sem_tree_for_every_instruction(desc):
                 ops[0] = MOp.preg(0)
             elif d.ops[0] == "rd" and trial == 1 and d.ops[1] == "rs1":
                 ops[0] = ops[1]  # rd aliases a source
-            state = _random_state(rng, memory)
-            word = tgt.encode(MachineInstr(d.mnemonic, ops), desc).word
-            sim.mem_write32(state.mem, state.pc, word)
-            want = sim.SimState(list(state.regs), state.pc, dict(state.mem))
-            sim.step(state, desc)
-            _reference_step(want, desc)
-            assert (state.regs, state.mem, state.pc) == \
-                (want.regs, want.mem, want.pc), (d.mnemonic, ops)
+            agrees(d, ops, _random_state(rng, memory))
+        for ops, state in _edge_cases(d):
+            agrees(d, ops, state)
+            edge_trials += 1
+    # every combination, in every format: R, R4, I, U (LUI) and S (SW)
+    assert edge_trials == 15 * 36 + 2 * 216 + 10 * 12 + 2 + 72
 
 
 def test_reloaded_description_runs_identically(desc):
@@ -252,6 +304,19 @@ def test_misaligned_word_access_traps(desc):
     sim.mem_write32(st.mem, st.pc, word)
     with pytest.raises(sim.SimTrap, match="misaligned"):
         sim.step(st, desc)
+
+
+@pytest.mark.parametrize("addr", [0x4002, sim.PROGRAM_BASE + 2])
+def test_misaligned_word_store_traps(desc, addr):
+    """A misaligned SW traps, in data memory and inside the program."""
+    a0, a1 = MOp.preg(10), MOp.preg(11)
+    program = [tgt.encode(MachineInstr(mnemonic, ops), desc).word
+               for mnemonic, ops in (("SW", [a0, a1, MOp.imm(0)]),
+                                     ("JALR", [MOp.preg(0), MOp.preg(1),
+                                               MOp.imm(0)]))]
+    with pytest.raises(sim.SimTrap,
+                       match=f"^misaligned word store at 0x{addr:08x}$"):
+        sim.run_function(program, [7, addr], {}, desc=desc)
 
 
 def test_undecodable_word_traps(desc):

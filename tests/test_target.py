@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import io
 import random
+import tokenize
 import weakref
 
 import pytest
@@ -316,6 +319,48 @@ def test_a_loaded_description_is_immutable():
     with pytest.raises(AttributeError):
         desc.by_opcode[0x33].append(add)
     assert all(type(slot) is tuple for slot in desc.by_opcode.values())
+
+
+def test_generated_sem_source_holds_no_record_text(monkeypatch):
+    """The source each instruction's `run` is generated from holds only the
+    templates' tokens, the parameter and local names and integer literals,
+    and is generated only for a sem that _check_sem has accepted, on first
+    use rather than at load."""
+    monkeypatch.setattr(tgt, "_INSTRS", {})  # parse every record afresh
+    accepted, sources = [], []
+    check_sem, run_source = tgt._check_sem, tgt._run_source
+
+    def recording_check_sem(node, *args):
+        check_sem(node, *args)
+        accepted.append(node)
+
+    def recording_run_source(d):
+        assert any(node is d.sem for node in accepted), d.mnemonic
+        sources.append(run_source(d))
+        return sources[-1]
+
+    monkeypatch.setattr(tgt, "_check_sem", recording_check_sem)
+    monkeypatch.setattr(tgt, "_run_source", recording_run_source)
+    desc = tgt.load_default_desc()
+    assert sources == []
+    defs = [d for d in desc.instrs.values() if d.sem is not None]
+    assert all(callable(d.run) for d in defs) and len(sources) == len(defs)
+    names = {"def", "run", "m", "r", "w", "v", "d", "if", "return", "load",
+             "store"}
+    kinds = {tokenize.NAME, tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE,
+             tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    for d, source in zip(defs, sources):
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type in kinds, (d.mnemonic, tok)
+            if tok.type == tokenize.NAME:
+                assert tok.string in names, (d.mnemonic, tok)
+            elif tok.type == tokenize.NUMBER:
+                assert type(ast.literal_eval(tok.string)) is int, d.mnemonic
+    # a sem that _check_sem rejects never reaches the generator
+    for sem in ("(__import__ $rs1 $rs2)", "(add $rs1 $rd)"):
+        with pytest.raises(tgt.TargetError):
+            tgt.load_target_desc(f"extension I\n{_FOO} sem={sem}\n")
+    assert len(sources) == len(defs)
 
 
 def test_every_instruction_but_jalr_has_a_sem(desc):
