@@ -16,7 +16,12 @@ Selection reads the generic DAG without changing it and builds a new graph
 of machine nodes. It consults imperative hooks at their root node kinds
 first, then declarative patterns from the target description by descending
 priority, which select every instruction, loads and stores with their
-address offsets included; there are no fallbacks. A register operand that
+address offsets included; there are no fallbacks. Each pattern runs as one
+function generated from it on first use, its selector: it matches the
+source at a node, checks that the loads and stores it covers are adjacent
+on the chain, and makes the target's machine nodes. Selectors are shared by
+every description that has the pattern, and the table of them by root kind
+is built once per description and extension set. A register operand that
 is a constant or a HI leaf is materialized where it is used: a constant as
 its shortest sequence, HI(g) as `lui %hi(g)`, each once per node. An imm12
 operand matches LO(g) as `%lo(g)`. Scheduling is a deterministic Kahn
@@ -27,8 +32,9 @@ from __future__ import annotations
 
 import copy
 import heapq
+import weakref
 from collections import defaultdict
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import ir
 from . import target as tgt
@@ -247,10 +253,7 @@ def legalize(dag: SelDag, desc: tgt.TargetDesc,
     and expands to shifts otherwise; a global address g becomes
     add(HI(g), LO(g)). Replacements are collected, each read through those
     before it, and applied in one sweep."""
-    # the operand leaves of each enabled pattern that covers a rotate alone
-    rotates = [p.source.children for p in desc.patterns
-               if p.ext in ext and p.source.kind == "rotr"
-               and not any(c.children for c in p.source.children)]
+    rotates = _selectors(desc, ext).rotates
     repl: dict[DagNode, DagNode] = {}
     rots, globs = [], []
     for n in list(dag.nodes):
@@ -278,10 +281,10 @@ def legalize(dag: SelDag, desc: tgt.TargetDesc,
             rots.append(rot)
 
     for n in rots:
-        x, amt = (_follow(repl, v) for v in n.ops)
-        # leaves only: _match_ops needs no selection state to match them
-        if any(_match_ops(None, pat, (x, amt), {}, []) for pat in rotates):
+        # a rotate of two leaves needs no selection state to match
+        if any(sel(None, n) for sel in rotates):
             continue
+        x, amt = n.ops  # each was read through `repl` when n was made
         if amt.kind == "Constant":
             c = amt.value & 31
             if c == 0:
@@ -328,12 +331,7 @@ class SelectCtx:
         self.covers: dict[DagNode, DagNode] = {}
         self.refd: set[DagNode] = set()
         self.uses: dict[DagNode, int] = defaultdict(int)
-        # enabled patterns by root node kind, highest priority first; the
-        # sort is stable, so equal priorities keep their record order
-        self.patterns: dict[str, list[tgt.SelPattern]] = {}
-        for p in sorted((p for p in desc.patterns if p.ext in ext),
-                        key=lambda p: -p.priority):
-            self.patterns.setdefault(p.source.kind, []).append(p)
+        self.selectors = _selectors(desc, ext).by_kind
 
     def debug(self, msg: str):
         self.debug_lines.append(msg)
@@ -367,6 +365,13 @@ class SelectCtx:
                     node = self.make_machine(mn, [node, node])
         self._materialized[v] = node
         return node
+
+    def splice(self, mems: list[DagNode], machine: DagNode):
+        """`machine` takes the place of the run of `mems` on the chain."""
+        mems = _chain_order(mems)
+        machine.chain = mems[0].chain
+        self.refd.add(machine.chain)
+        self.covers[mems[-1]] = machine
 
 
 def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
@@ -413,7 +418,7 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     base = a.ops[0]
     addi = ctx.make_machine("ADDI", [ctx.reg_operand(base), MOp.imm(16)])
     lxr = ctx.make_machine("LXR", [ctx.reg_operand(base), addi])
-    _splice_chains(ctx, [a, b], lxr)
+    ctx.splice([a, b], lxr)
     say("  -> emitting ADDI + LXR")
     return lxr
 
@@ -435,113 +440,227 @@ def _chain_adjacent(mems: list[DagNode]) -> bool:
     return True
 
 
-def _splice_chains(ctx: SelectCtx, mems: list[DagNode], machine: DagNode):
-    """`machine` takes the place of the run of `mems` on the chain."""
-    mems = _chain_order(mems)
-    machine.chain = mems[0].chain
-    ctx.refd.add(machine.chain)
-    ctx.covers[mems[-1]] = machine
+# --------------------------------------------------------------------------
+# Pattern selectors
+# --------------------------------------------------------------------------
+
+class _Selectors(NamedTuple):
+    """The selectors of a description's patterns under one extension set."""
+
+    # root kind -> the selectors of the enabled patterns, highest priority
+    # first; the sort is stable, so equal priorities keep their record order
+    by_kind: dict[str, tuple[Callable, ...]]
+    # the selectors of the enabled patterns that cover a rotate of two leaves
+    rotates: tuple[Callable, ...]
 
 
-def _match(ctx: SelectCtx, pat: tgt.PatNode, node: DagNode, binds: dict,
-           covered: list, is_root: bool) -> bool:
-    """Match the operation `pat` at `node`, adding its captures to `binds`
-    and the loads and stores it covers to `covered`. A failed match may
-    leave partial additions; the caller discards them, or restores both
-    before a commutative retry."""
-    kind = pat.kind
-    if node.kind != kind:
-        return False
-    children, ops = pat.children, node.ops
-    if len(ops) != len(children):
-        return False
-    if not is_root and (kind == "load" or pat.oneuse) and ctx.uses[node] != 1:
-        return False
-    if kind == "load" or kind == "store":
-        covered.append(node)
-    if kind in ir.COMMUTATIVE and len(children) == 2:
-        saved, n_covered = binds.copy(), len(covered)
-        if _match_ops(ctx, children, ops, binds, covered):
-            return True
-        binds.clear()
-        binds.update(saved)
-        del covered[n_covered:]
-        ops = ops[::-1]
-    return _match_ops(ctx, children, ops, binds, covered)
+# description -> extension set -> its selectors; weak, so that a dropped
+# description is freed at once
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# (source, target, source_order of each target instruction) -> the selector
+# generated for it, shared by every description that has such a pattern
+_SELECTORS: dict[tuple, Callable] = {}
 
 
-def _match_ops(ctx: SelectCtx, children, ops, binds: dict,
-               covered: list) -> bool:
-    """Match each pattern child at the operand in the same place. Leaves
-    are matched here; operations recurse into _match."""
-    for pat, node in zip(children, ops):
-        kind = pat.kind
-        if kind == "capture":
-            if binds.setdefault(pat.name, node) is not node:
-                return False
-        elif kind == "const":
-            if node.kind != "Constant" or \
-                    tgt.sext(node.value, 32) != pat.value:
-                return False
-        elif kind in tgt.IMM_RANGES:
-            if node.kind == "Constant":
-                imm = tgt.sext(node.value, 32)
-                if not tgt.fits(kind, imm):
-                    return False
-                binds[pat.name] = MOp.imm(imm)
-            elif node.kind == "LO" and kind == "imm12":
-                binds[pat.name] = MOp.sym(node.value, "lo12")
+def _selectors(desc: tgt.TargetDesc, ext: frozenset[str]) -> _Selectors:
+    """The table of `desc` under `ext`, built on first use."""
+    by_ext = _TABLES.setdefault(desc, {})
+    table = by_ext.get(ext)
+    if table is None:
+        by_kind: dict[str, list[Callable]] = {}
+        rotates = []
+        for p in sorted((p for p in desc.patterns if p.ext in ext),
+                        key=lambda p: -p.priority):
+            sel = pattern_selector(p, desc)
+            by_kind.setdefault(p.source.kind, []).append(sel)
+            if p.source.kind == "rotr" and \
+                    not any(c.children for c in p.source.children):
+                rotates.append(sel)
+        table = by_ext[ext] = _Selectors(
+            {kind: tuple(sels) for kind, sels in by_kind.items()},
+            tuple(rotates))
+    return table
+
+
+def pattern_selector(p: tgt.SelPattern, desc: tgt.TargetDesc) -> Callable:
+    """The function `select(ctx, n)` generated for `p` on first use. It
+    matches p's source at the generic node n, which has the source's kind,
+    and returns the machine node made in ctx that covers n, or None. With
+    ctx None it makes nothing and returns n if p matches, which reads no
+    selection state when the source's operands are leaves."""
+    orders = tuple(desc.instr(t.kind).source_order
+                   for t in _instructions(p.target))
+    key = (p.source, p.target, orders)
+    sel = _SELECTORS.get(key)
+    if sel is None:
+        scope = {"__builtins__": {}, "len": len, "repr": repr, "MOp": MOp,
+                 "adjacent": _chain_adjacent}
+        where = f"<pattern {p.source.kind} -> {p.target.kind}>"
+        exec(compile(_selector_source(p, orders), where, "exec"), scope)
+        sel = _SELECTORS[key] = scope["select"]
+    return sel
+
+
+def _instructions(target: tgt.PatNode) -> list[tgt.PatNode]:
+    """The instruction nodes of a pattern target, in preorder."""
+    out = [target]
+    for c in target.children:
+        if c.kind != "capture" and c.kind != "const":
+            out += _instructions(c)
+    return out
+
+
+# a Constant's value read as a signed 32-bit integer, as tgt.sext reads it
+_SEXT = "({}.value & 4294967295 ^ 2147483648) - 2147483648"
+
+
+def _selector_source(p: tgt.SelPattern, orders: tuple) -> str:
+    """The source of p's selector; see _SelectorSource."""
+    w = _SelectorSource(p.source)
+    match = w.operation(p.source, "n", None, ())
+    mems = [w.at[path] if path else "n" for path in w.mems]
+    lines = ["def select(ctx, n):", f"    if not ({match}):",
+             "        return None"]
+    if len(mems) > 1:
+        lines += [f"    if not adjacent([{', '.join(mems)}]):",
+                  "        return None"]
+    lines += ["    if ctx is None:", "        return n",
+              "    reg = ctx.reg_operand", "    make = ctx.make_machine"]
+    m = w.emit(p.target, iter(orders), lines)
+    if mems:
+        lines.append(f"    ctx.splice([{', '.join(mems)}], {m})")
+    msg = f"pattern {p.source.kind} -> {p.target.kind} matched at "
+    lines += [f"    ctx.debug({msg!r} + repr(n))", f"    return {m}"]
+    return "\n".join(lines) + "\n"
+
+
+class _SelectorSource:
+    """Writes one pattern's selector as the interpreter of pattern trees
+    that it replaced would run it. The match is one expression. Commutative
+    operands are tried in order, then swapped: `A or B`, so that once an
+    inner node matches, its order is kept. A capture binds at its first
+    occurrence in the source, which is the same in either order, and a
+    repeated one must be the same node. Every name is chosen here: fixed
+    ones, and v1, v2, ... for the nodes at source positions, the captures
+    and the machine nodes made. Kinds and mnemonics enter as repr'd
+    strings and constants as integers."""
+
+    def __init__(self, source: tgt.PatNode):
+        self.nvars = 0
+        self.at: dict[tuple, str] = {}  # source position -> its variable
+        self.captures: dict[str, str] = {}  # capture name -> its variable
+        self.first: dict[str, tuple] = {}  # capture name -> first position
+        self.imms: set[str] = set()  # names that some immediate binds
+        self.mems: list[tuple] = []  # positions of the loads and stores
+        self._survey(source, ())
+
+    def _survey(self, node: tgt.PatNode, path: tuple):
+        if node.kind == "capture" or node.kind in tgt.IMM_RANGES:
+            self.first.setdefault(node.name, path)
+            if node.kind != "capture":
+                self.imms.add(node.name)
+        elif node.kind == "load" or node.kind == "store":
+            self.mems.append(path)
+        for i, c in enumerate(node.children):
+            self._survey(c, path + (i,))
+
+    def fresh(self) -> str:
+        self.nvars += 1
+        return f"v{self.nvars}"
+
+    def var(self, table: dict, key) -> str:
+        v = table.get(key)
+        if v is None:
+            v = table[key] = self.fresh()
+        return v
+
+    def operation(self, pat: tgt.PatNode, v: str, slot: str | None,
+                  path: tuple) -> str:
+        """True when the node in `slot`, kept in `v`, matches `pat`; at the
+        root (slot None) the node is `n`, of pat's kind, and any number of
+        users may read it."""
+        kids = pat.children
+        ops = self.var(self.at, path + ("ops",))
+        tests = [] if slot is None else \
+            [f"({v} := {slot}).kind == {pat.kind!r}"]
+        tests.append(f"len({ops} := {v}.ops) == {len(kids):d}")
+        if slot is not None and (pat.kind == "load" or pat.oneuse):
+            tests.append(f"ctx.uses[{v}] == 1")
+        slots = [f"{ops}[{i:d}]" for i in range(len(kids))]
+        operands = self.operands(kids, slots, path)
+        if pat.kind in ir.COMMUTATIVE and len(kids) == 2:
+            swapped = self.operands(kids, slots[::-1], path)
+            operands = [f"({' and '.join(operands)} or "
+                        f"{' and '.join(swapped)})"]
+        return " and ".join(tests + operands)
+
+    def operands(self, kids, slots: list[str], path: tuple) -> list[str]:
+        tests = []
+        for i, (c, slot) in enumerate(zip(kids, slots)):
+            at = path + (i,)
+            if c.kind == "capture":
+                v = self.var(self.captures, c.name)
+                tests.append(f"({v} := {slot})" if self.first[c.name] == at
+                             else f"{slot} is {v}")
+                continue
+            t = self.var(self.at, at)
+            if c.kind == "const":
+                tests.append(f"(({t} := {slot}).kind == 'Constant' and "
+                             f"{_SEXT.format(t)} == {c.value:d})")
+            elif c.kind in tgt.IMM_RANGES:
+                v = self.var(self.captures, c.name)
+                imm = self.var(self.at, at + ("imm",))
+                lo, hi = tgt.IMM_RANGES[c.kind]
+                test = (f"({t} := {slot}).kind == 'Constant' and {lo:d} <= "
+                        f"({imm} := {_SEXT.format(t)}) <= {hi:d} and "
+                        f"({v} := MOp.imm({imm}))")
+                if c.kind == "imm12":  # and LO(g) as %lo(g)
+                    test += (f" or {t}.kind == 'LO' and "
+                             f"({v} := MOp.sym({t}.value, 'lo12'))")
+                tests.append(f"({test})")
             else:
-                return False
-        elif not _match(ctx, pat, node, binds, covered, False):
-            return False
-    return True
+                tests.append(self.operation(c, t, slot, at))
+        return tests
 
-
-def _emit_target(ctx: SelectCtx, pat: tgt.PatNode, binds: dict) -> DagNode:
-    """Make the machine nodes of `pat`, inner instructions first. Captured
-    register operands are then materialized in register order, rs1 first,
-    so that a store's base is made before the value it stores."""
-    ops = []
-    for c in pat.children:
-        if c.kind == "capture":
-            ops.append(binds[c.name])
-        elif c.kind == "const":
-            ops.append(MOp.imm(c.value))
-        else:
-            ops.append(_emit_target(ctx, c, binds))
-    for i in ctx.desc.instr(pat.kind).source_order:
-        if type(ops[i]) is DagNode:
-            ops[i] = ctx.reg_operand(ops[i])
-    return ctx.make_machine(pat.kind, ops)
-
-
-def _try_patterns(ctx: SelectCtx, node: DagNode) -> DagNode | None:
-    for pat in ctx.patterns.get(node.kind, ()):
-        binds: dict = {}
-        covered: list[DagNode] = []
-        if not _match(ctx, pat.source, node, binds, covered, True):
-            continue
-        if covered and not _chain_adjacent(covered):
-            continue
-        new = _emit_target(ctx, pat.target, binds)
-        if covered:
-            _splice_chains(ctx, covered, new)
-        ctx.debug(f"pattern {pat.source.kind} -> {pat.target.kind} "
-                  f"matched at {node!r}")
-        return new
-    return None
+    def emit(self, node: tgt.PatNode, orders, lines: list[str]) -> str:
+        """Make the machine nodes of target `node`, inner instructions
+        first. Its register operands are then materialized in register
+        order, rs1 first, so that a store's base is made before the value
+        it stores. Returns the variable of the node made."""
+        order = next(orders)  # preorder, as _instructions lists them
+        args, nodes = [], []  # each operand, and whether it is a DagNode
+        for c in node.children:
+            if c.kind == "capture":
+                args.append(self.captures[c.name])
+                nodes.append(c.name not in self.imms)
+            elif c.kind == "const":
+                args.append(f"MOp.imm({c.value:d})")
+                nodes.append(False)
+            else:
+                args.append(self.emit(c, orders, lines))
+                nodes.append(True)
+        for i in order:
+            if nodes[i]:
+                r = self.fresh()
+                lines.append(f"    {r} = reg({args[i]})")
+                args[i] = r
+        m = self.fresh()
+        lines.append(f"    {m} = make({node.kind!r}, [{', '.join(args)}])")
+        return m
 
 
 def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
     """Select one generic node by hook, else by pattern; returns the machine
     node for its value."""
     hook = HOOKS.get(node.kind)
-    new = hook(ctx, node) if hook is not None else None
-    if new is None:
-        new = _try_patterns(ctx, node)
-    if new is not None:
-        return new
+    if hook is not None:
+        new = hook(ctx, node)
+        if new is not None:
+            return new
+    for sel in ctx.selectors.get(node.kind, ()):
+        new = sel(ctx, node)
+        if new is not None:
+            return new
     # name the disabled instructions that would have covered the node
     needs = {f"{p.target.kind} requires extension {p.ext}": None
              for p in ctx.desc.patterns

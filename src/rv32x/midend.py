@@ -238,11 +238,11 @@ def _use_counts(body) -> Counter[str]:
                    if op.kind == "temp")
 
 
-def _dce(body) -> list[Inst]:
-    """Drop pure instructions (loads included) whose results are unused. One
-    backward pass: a dropped instruction gives up its operands' uses before
-    the walk reaches their definitions, so a dead chain goes at once."""
-    uses = _use_counts(body)
+def _dce(body, uses: Counter[str]) -> list[Inst]:
+    """Drop pure instructions (loads included) whose results are unused;
+    `uses` holds the use counts of `body`, and is spent. One backward pass:
+    a dropped instruction gives up its operands' uses before the walk
+    reaches their definitions, so a dead chain goes at once."""
     kept = []
     for inst in reversed(body):
         if inst.result is not None and not uses.get(inst.result) \
@@ -390,20 +390,30 @@ def pass_inst_combine(fn: ir.Function, stats: PassStats) -> ir.Function:
     in the same walk. The funnel rule's one-use test reads the use counts
     taken before the walk: during the walk a shl or lshr result gains uses
     only through renames, so a second walk would find no funnel this one
-    missed."""
+    missed. A copy of them follows the walk, so that it counts the uses of
+    the output for _dce: an instruction that the walk changes or drops
+    gives up its operands' uses, and its rewrite takes its own."""
     uses = _use_counts(fn.body)
+    out_uses = uses.copy()
     defs: dict[str, Inst] = {}
     renames = _Renames()
     out: list[Inst] = []
     for inst in fn.body:
         new = _combine(renames.inst(inst), out, defs, uses, stats)
-        if isinstance(new, Value):
-            renames.add(inst.result, new)
-            continue
+        if new is not inst:
+            for op in inst.operands:
+                if op.kind == "temp":
+                    out_uses[op.name] -= 1
+            if isinstance(new, Value):
+                renames.add(inst.result, new)
+                continue
+            for op in new.operands:
+                if op.kind == "temp":
+                    out_uses[op.name] += 1
         out.append(new)
         if new.result is not None:
             defs[new.result] = new
-    return fn.with_body(_dce(out))
+    return fn.with_body(_dce(out, out_uses))
 
 
 # --------------------------------------------------------------------------

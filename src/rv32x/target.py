@@ -211,11 +211,12 @@ class SelPattern(NamedTuple):
     priority: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetDesc:
     """A loaded description. It is immutable, so one can be shared by every
     command of a process: the mappings are read-only views and the
-    sequences are tuples."""
+    sequences are tuples. It compares and hashes by identity, so that
+    selection can keep tables per description without holding it."""
 
     instrs: Mapping[str, InstrDef]
     patterns: tuple[SelPattern, ...]  # in record order

@@ -1,7 +1,11 @@
+import ast
 import collections
+import io
 import itertools
 import random
+import re
 import sys
+import tokenize
 
 import pytest
 
@@ -14,6 +18,7 @@ from conftest import (ALL_MATTRS, CORPUS_SHAPES, PKG_ROOT, assert_runs_like_ir,
                       histogram)
 from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
                        gen_shift_pair_fn)
+from test_golden import _synth_gen_function
 
 
 def build(name, fname=None, opt=False):
@@ -716,6 +721,320 @@ def test_every_pattern_agrees_with_simulator(desc):
         ["LW", "LW", "SW", "SW"]
 
 
+# --------------------------------------------------------------------------
+# generated selectors against a reference matcher
+# --------------------------------------------------------------------------
+
+def _match(uses, pat, node, binds, covered, is_root):
+    """Reference: the pattern-tree interpreter that selection ran before
+    it generated a selector per pattern. Match the operation `pat` at
+    `node`, adding its captures to `binds` and the loads and stores it
+    covers to `covered`. A failed match may leave partial additions; the
+    caller discards them, or restores both before a commutative retry."""
+    kind = pat.kind
+    if node.kind != kind:
+        return False
+    children, ops = pat.children, node.ops
+    if len(ops) != len(children):
+        return False
+    if not is_root and (kind == "load" or pat.oneuse) and uses[node] != 1:
+        return False
+    if kind == "load" or kind == "store":
+        covered.append(node)
+    if kind in ir.COMMUTATIVE and len(children) == 2:
+        saved, n_covered = binds.copy(), len(covered)
+        if _match_ops(uses, children, ops, binds, covered):
+            return True
+        binds.clear()
+        binds.update(saved)
+        del covered[n_covered:]
+        ops = ops[::-1]
+    return _match_ops(uses, children, ops, binds, covered)
+
+
+def _match_ops(uses, children, ops, binds, covered):
+    """Match each pattern child at the operand in the same place. Leaves
+    are matched here; operations recurse into _match."""
+    for pat, node in zip(children, ops):
+        kind = pat.kind
+        if kind == "capture":
+            if binds.setdefault(pat.name, node) is not node:
+                return False
+        elif kind == "const":
+            if node.kind != "Constant" or \
+                    tgt.sext(node.value, 32) != pat.value:
+                return False
+        elif kind in tgt.IMM_RANGES:
+            if node.kind == "Constant":
+                imm = tgt.sext(node.value, 32)
+                if not tgt.fits(kind, imm):
+                    return False
+                binds[pat.name] = MOp.imm(imm)
+            elif node.kind == "LO" and kind == "imm12":
+                binds[pat.name] = MOp.sym(node.value, "lo12")
+            else:
+                return False
+        elif not _match(uses, pat, node, binds, covered, False):
+            return False
+    return True
+
+
+def _emit_target(ctx, pat, binds, desc):
+    """Reference: make the machine nodes of `pat`, inner instructions
+    first, then materialize its register operands in register order."""
+    ops = []
+    for c in pat.children:
+        if c.kind == "capture":
+            ops.append(binds[c.name])
+        elif c.kind == "const":
+            ops.append(MOp.imm(c.value))
+        else:
+            ops.append(_emit_target(ctx, c, binds, desc))
+    for i in desc.instr(pat.kind).source_order:
+        if type(ops[i]) is isel.DagNode:
+            ops[i] = ctx.reg_operand(ops[i])
+    return ctx.make_machine(pat.kind, ops)
+
+
+class _Probe:
+    """Stands in for a SelectCtx and logs what is done with it: each
+    operand materialized, each machine node made, the loads and stores
+    spliced and the debug line. A machine node logs as its place in the
+    log, so that two logs compare."""
+
+    def __init__(self, uses):
+        self.uses = uses
+        self.log = []
+
+    def reg_operand(self, v):
+        self.log.append(("reg", self.plain(v)))
+        return v
+
+    def make_machine(self, mnemonic, ops, chain=None):
+        self.log.append(("make", mnemonic, [self.plain(op) for op in ops]))
+        return isel.DagNode(mnemonic, ops, uid=len(self.log), is_machine=True)
+
+    def splice(self, mems, machine):
+        self.log.append(("splice", sorted(n.uid for n in mems),
+                         self.plain(machine)))
+
+    def debug(self, msg):
+        self.log.append(("debug", msg))
+
+    @staticmethod
+    def plain(op):
+        return ("made", op.uid) if getattr(op, "is_machine", False) else op
+
+
+def _reference_outcome(p, node, uses, desc):
+    """What the reference does with pattern `p` at `node`: None, or the
+    probe's log of the cover it makes. The log shows the binds as the
+    target reads them and the loads and stores covered."""
+    binds, covered = {}, []
+    if not _match(uses, p.source, node, binds, covered, True):
+        return None
+    order = sorted(covered, key=lambda n: n.uid)
+    if any(later.chain is not earlier
+           for earlier, later in zip(order, order[1:])):
+        return None
+    probe = _Probe(uses)
+    m = _emit_target(probe, p.target, binds, desc)
+    if covered:
+        probe.splice(covered, m)
+    probe.debug(f"pattern {p.source.kind} -> {p.target.kind} "
+                f"matched at {node!r}")
+    return probe.log + [("return", probe.plain(m))]
+
+
+def _generated_outcome(p, node, uses, desc):
+    probe = _Probe(uses)
+    m = isel.pattern_selector(p, desc)(probe, node)
+    if m is None:
+        assert probe.log == [], p  # a selector that fails makes nothing
+        return None
+    return probe.log + [("return", probe.plain(m))]
+
+
+def _compare_selectors(dag, desc, ext, seen):
+    """At every generic node of `dag`, each enabled pattern of its kind
+    gives the same outcome through its selector as through the reference,
+    and the selection table lists the selectors in priority order."""
+    uses = collections.Counter()  # value users, the return's included
+    for n in dag.nodes:
+        uses.update(n.ops)
+    if dag.root.ret_value is not None:
+        uses[dag.root.ret_value] += 1
+    enabled = sorted((p for p in desc.patterns if p.ext in ext),
+                     key=lambda p: -p.priority)
+    table = isel._selectors(desc, ext)
+    for n in dag.nodes:
+        pats = [p for p in enabled if p.source.kind == n.kind]
+        assert list(table.by_kind.get(n.kind, ())) == \
+            [isel.pattern_selector(p, desc) for p in pats]
+        for p in pats:
+            want = _reference_outcome(p, n, uses, desc)
+            assert _generated_outcome(p, n, uses, desc) == want, (p, n)
+            seen["matched" if want else "failed"] += 1
+            if want and n.kind in ir.COMMUTATIVE and \
+                    n.ops[0].kind == "Constant":
+                seen["constant on the left"] += 1
+        if n.kind == "rotr":  # legalize's test, without selection state
+            for p in pats:
+                if not any(c.children for c in p.source.children):
+                    sel = isel.pattern_selector(p, desc)
+                    assert bool(sel(None, n)) == bool(
+                        _match(uses, p.source, n, {}, [], True)), (p, n)
+                    seen["rotate tests"] += 1
+
+
+# Patterns that the shipped description lacks, for the comparison alone
+# (selection does not run them): a capture repeated in one commutative node
+# and across two, an immediate capture repeated (the later one binds), a
+# name captured as a register and then as an immediate and the other way
+# round, loads at two depths, two loads of one address, and capture names
+# that are not identifiers. WIDE_IR gives each of them a node to match, but
+# the one that can never match, and two loads apart on the chain.
+_WIDE_PATTERNS = """
+pattern (add $a $a) => (SLLI $a (const 1))
+pattern (or (and $a $b) (and $b $a)) => (AND $a $b)
+pattern (add (shl $a (uimm5 $n)) (shl $b (uimm5 $n))) => (SLLI (ADD $a $b) $n)
+pattern (add (sub $a $n) (uimm5 $n)) => (ADDI $a $n)
+pattern (add (uimm5 $n) (sub $a $n)) => (ADD $a $n)
+pattern (xor (load $a) (xor (load $b) $c)) => (XOR (LXR $a $b) $c)
+pattern (xor (load $a) (load $a)) => (LXR $a $a)
+pattern (sub $a.b $c") => (SUB $a.b $c")
+"""
+
+WIDE_IR = """
+define i32 @wide(ptr %p, i32 %a, i32 %b) {
+  %d = add i32 %a, %a
+  %s1 = shl i32 %a, 3
+  %s2 = shl i32 %b, 3
+  %s3 = shl i32 %b, 4
+  %e1 = add i32 %s1, %s2
+  %e2 = add i32 %s2, %s3
+  %x = and i32 %a, %b
+  %y = and i32 %b, %a
+  %o = or i32 %x, %y
+  %u = sub i32 %a, %b
+  %v = add i32 %u, 7
+  %w = add i32 9, %u
+  %l1 = load i32, ptr %p
+  %q = getelementptr i8, ptr %p, i32 4
+  %l2 = load i32, ptr %q
+  %z1 = xor i32 %l2, %b
+  %z2 = xor i32 %l1, %z1
+  %l3 = load i32, ptr %q
+  %l4 = load i32, ptr %q
+  %z3 = xor i32 %l3, %l4
+  %l5 = load i32, ptr %p
+  %t = getelementptr i8, ptr %p, i32 8
+  store i32 %a, ptr %t
+  %l6 = load i32, ptr %q
+  %z4 = xor i32 %l5, %l6
+  %r1 = xor i32 %d, %e1
+  %r2 = xor i32 %r1, %e2
+  %r3 = xor i32 %r2, %o
+  %r4 = xor i32 %r3, %v
+  %r5 = xor i32 %r4, %w
+  %r6 = xor i32 %r5, %z2
+  %r7 = xor i32 %r6, %z3
+  %r8 = xor i32 %r7, %z4
+  ret i32 %r8
+}
+"""
+
+
+def test_generated_selectors_agree_with_the_reference_matcher(
+        monkeypatch, desc):
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    wide = tgt.load_target_desc(text + _WIDE_PATTERNS)  # under Xcrypt
+    seen = collections.Counter()
+    real_select = isel.select
+
+    def checked(dag, desc, ext):
+        out = real_select(dag, desc, ext)
+        # select leaves dag as it is
+        _compare_selectors(dag, desc, ext, seen)
+        _compare_selectors(dag, wide, ext, collections.Counter())
+        return out
+
+    monkeypatch.setattr(isel, "select", checked)
+    cases = [(corpus_text(name), mattr, level)
+             for name in sorted(CORPUS_SHAPES) for mattr in ALL_MATTRS
+             for level in ("O0", "O2")
+             if not (name == "sbox_unopt.ll" and level == "O0")]  # allocas
+    full = "+zba,+zbb,+xcrypt"
+    rng = random.Random(11)
+    gen_synth = _synth_gen_function()
+    cases += [(gen_synth(rng, f"synth{n}", n), mattr, "O2")
+              for n in (100, 200, 400) for mattr in (None, full)]
+    cases += [(gen_large_fn(random.Random(n), n, n), mattr, level)
+              for n in (100, 200) for mattr in (None, full)
+              for level in ("O0", "O2")]
+    rng = random.Random(24)
+    cases += [(text, mattr, level)
+              for text in [gen_shift_pair_fn(rng, i) for i in range(4)]
+              + [WIDE_IR]
+              for mattr in ALL_MATTRS for level in ("O0", "O2")]
+    for text, mattr, level in cases:
+        driver.compile_ir_text(text, "t", desc, tgt.parse_mattr(mattr), level)
+    # -O0 keeps constants on the left, so commutative retries happen
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+# the names a selector's source may hold besides v1, v2, ...
+_SELECTOR_NAMES = {"def", "select", "ctx", "n", "if", "not", "return", "None",
+                   "and", "or", "is", "len", "repr", "MOp", "imm", "sym",
+                   "kind", "ops", "value", "uses", "adjacent", "reg", "make",
+                   "reg_operand", "make_machine", "splice", "debug"}
+
+
+def _assert_generated_only(source):
+    """`source` holds the fixed names, v1, v2, ..., integer literals and
+    string literals: nothing of a record's text runs as code."""
+    kinds = {tokenize.NAME, tokenize.NUMBER, tokenize.STRING, tokenize.OP,
+             tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        assert tok.type in kinds, (tok, source)
+        if tok.type == tokenize.NAME:
+            assert tok.string in _SELECTOR_NAMES or \
+                re.fullmatch(r"v[1-9][0-9]*", tok.string), (tok, source)
+        elif tok.type == tokenize.NUMBER:
+            assert type(ast.literal_eval(tok.string)) is int, (tok, source)
+        elif tok.type == tokenize.STRING:
+            assert type(ast.literal_eval(tok.string)) is str, (tok, source)
+
+
+@pytest.fixture
+def selector_sources(monkeypatch):
+    """Generate every selector afresh and record its source."""
+    sources = []
+    real = isel._selector_source
+
+    def recording(p, orders):
+        sources.append(real(p, orders))
+        return sources[-1]
+
+    monkeypatch.setattr(isel, "_SELECTORS", {})
+    monkeypatch.setattr(isel, "_selector_source", recording)
+    return sources
+
+
+def test_generated_selector_source_holds_no_record_text(selector_sources):
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    desc = tgt.load_target_desc(text + _WIDE_PATTERNS)
+    assert selector_sources == []  # loading generates nothing
+    table = isel._selectors(desc, frozenset(tgt.ALL_EXTENSIONS))
+    assert len(selector_sources) == len(desc.patterns)
+    for source in selector_sources:
+        _assert_generated_only(source)
+    for sels in table.by_kind.values():
+        for sel in sels:
+            assert sel.__globals__["__builtins__"] == {}
+
+
 # Zbkb's andn (funct7 0b0100000, funct3 0b111), added as text only
 ANDN_DESC = """
 instr ANDN fmt=R opcode=0b0110011 funct3=0b111 funct7=0b0100000 ops=rd,rs1,rs2 asm=andn sem=(and $rs1 (not $rs2))
@@ -791,6 +1110,41 @@ def test_new_rotate_is_one_desc_edit():
     _, base = mnemonics(None)
     assert "RORX" not in base and {"SLL", "SRL", "OR"} <= set(base)
     assert mnemonics("+zbb")[1] == ["ROR", "JALR"]
+
+
+# capture names that are not identifiers, some of them code
+_ODD_NAMES = ["a;x=1", "a.b", 'a"', "a'", "a\\", "__import__", "n", "ctx",
+              "v1", "len", "a+b", "f()", "a,b", "{a}", "a:=1"]
+
+
+@pytest.mark.parametrize("name", _ODD_NAMES)
+def test_an_odd_capture_name_selects_or_is_rejected(name, selector_sources):
+    """A pattern whose capture name is not an identifier either selects
+    as its record says or is rejected, with its line named; its name never
+    becomes code."""
+    # ANDN without its own pattern: only this record selects it
+    andn = ANDN_DESC.strip().splitlines()[0]
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text() + andn + "\n"
+    record = f"pattern (and ${name} (not $b)) => (ANDN ${name} $b)"
+    line = len((text + record).splitlines())
+    try:
+        desc = tgt.load_target_desc(text + record)  # under extension Xcrypt
+    except tgt.TargetError as e:
+        assert str(e).startswith(f"line {line}: "), e
+        return
+    assert desc.patterns[-1].source.children[0].name == name
+    cm = driver.compile_ir_text(ANDN_IR, "andn.ll", desc,
+                                tgt.parse_mattr("+xcrypt"))
+    mf = cm.functions["andn"].mf
+    assert [mi.mnemonic for mi in mf.instrs] == ["ANDN", "JALR"]
+    fn = ir.parse_ir(ANDN_IR).functions[0]
+    rng = random.Random(5)
+    inputs = [([rng.getrandbits(32), rng.getrandbits(32)], {})
+              for _ in range(16)]
+    assert_runs_like_ir(fn, mf, desc, inputs)
+    assert selector_sources
+    for source in selector_sources:
+        _assert_generated_only(source)
 
 
 # --------------------------------------------------------------------------

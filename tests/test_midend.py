@@ -307,6 +307,29 @@ define i32 @f(i32 %b, i32 %c) {
         assert stats.counters == {}
 
 
+def test_instcombine_counts_the_uses_of_its_output(monkeypatch):
+    # the counts the walk carries to _dce are those of its output, as a
+    # fresh count over it reads them
+    checked = []
+    real_dce = midend._dce
+
+    def dce(body, uses):
+        assert all(n >= 0 for n in uses.values()), uses
+        assert +uses == midend._use_counts(body)
+        checked.append(body)
+        return real_dce(body, uses)
+
+    monkeypatch.setattr(midend, "_dce", dce)
+    rng = random.Random(22)
+    texts = [p.read_text() for p in sorted(CORPUS.glob("*.ll"))]
+    texts += [gen(rng, idx) for idx in range(20)
+              for gen in (gen_arith_fn, gen_memory_fn, gen_shift_pair_fn)]
+    texts += [gen_large_fn(rng, idx, 200) for idx in range(2)]
+    for text in texts:
+        midend.run_pipeline(ir.parse_ir(text), midend.DEFAULT_PIPELINE)
+    assert len(checked) >= len(texts)
+
+
 def test_instcombine_removes_forwardable_load():
     fn = parse_fn("""
 define i32 @f(ptr %p, ptr %q) {
@@ -348,7 +371,7 @@ define i32 @f(ptr %p, i32 %a) {
 }
 """)
     # %z uses %y uses %x uses the load: each is dead only once its user is
-    kept = midend._dce(fn.body)
+    kept = midend._dce(fn.body, midend._use_counts(fn.body))
     assert [i.opcode for i in kept] == ["add", "store", "store", "ret"]
     assert kept[0].result == "k"
 

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 
+from rv32x import driver, isel
 from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
@@ -295,6 +296,18 @@ def test_a_dropped_description_is_freed_at_once():
     ref = weakref.ref(desc)
     del desc
     assert ref() is None
+    # nor once it has compiled: the selection table kept for it holds
+    # generated selectors, which hold no description, and goes with it
+    tables = len(isel._TABLES)
+    desc = tgt.load_default_desc()
+    driver.compile_ir_text("define i32 @f(i32 %a) {\n  %b = add i32 %a, 1\n"
+                           "  ret i32 %b\n}\n", "f.ll", desc,
+                           tgt.parse_mattr("+zba,+zbb,+xcrypt"))
+    assert len(isel._TABLES) == tables + 1
+    ref = weakref.ref(desc)
+    del desc
+    assert ref() is None
+    assert len(isel._TABLES) == tables
 
 
 def test_a_loaded_description_is_immutable():
