@@ -45,11 +45,11 @@ class CompiledModule:
     global_addrs: dict[str, int]
 
 
-def compile_function(fn: ir.Function, mod: ir.Module, desc: tgt.TargetDesc,
+def compile_function(fn: ir.Function, desc: tgt.TargetDesc,
                      ext: frozenset[str],
                      want_dots: bool = False) -> CompiledFunction:
     dots = {}
-    dag = isel.build_dag(fn, mod)
+    dag = isel.build_dag(fn)
     if want_dots:
         dots["built"] = isel.emit_dot(dag, "built")
     isel.legalize(dag, desc, ext)
@@ -77,7 +77,7 @@ def compile_ir_text(text: str, source: str, desc: tgt.TargetDesc,
         raise DriverError(f"unknown optimization level {opt_level!r}")
     funcs = {}
     for fn in mod.functions:
-        funcs[fn.name] = compile_function(fn, mod, desc, ext, want_dots)
+        funcs[fn.name] = compile_function(fn, desc, ext, want_dots)
     return CompiledModule(mod, funcs, sim.assign_global_addrs(mod))
 
 

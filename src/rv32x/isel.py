@@ -157,7 +157,7 @@ class SelDag:
 # Build
 # --------------------------------------------------------------------------
 
-def build_dag(fn: ir.Function, mod: ir.Module) -> SelDag:
+def build_dag(fn: ir.Function) -> SelDag:
     """One node per IR instruction; loads/stores on a linear chain."""
     dag = SelDag(fn.name)
     chain = dag.entry

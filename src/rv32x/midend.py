@@ -96,6 +96,11 @@ def _def_map(body) -> dict[str, Inst]:
     return {i.result: i for i in body if i.result is not None}
 
 
+def _wrap(offset: int) -> int:
+    """A byte offset as the signed 32-bit value that addresses wrap to."""
+    return (offset + 0x80000000 & 0xFFFFFFFF) - 0x80000000
+
+
 def resolve_addr(addr: Value, defs: dict[str, Inst]):
     """Resolve an address to (base Value, byte offset) through gep chains."""
     off = 0
@@ -107,7 +112,7 @@ def resolve_addr(addr: Value, defs: dict[str, Inst]):
         off += d.operands[1].const
         addr = d.operands[0]
         seen += 1
-    return addr, off
+    return addr, _wrap(off)
 
 
 def _same_addr(a: Value, b: Value, defs) -> bool:
@@ -319,10 +324,9 @@ def _combine(inst: Inst, prior: list[Inst], defs, uses,
             base, off = inst.operands
             basedef = defs.get(base.name) if base.kind == "temp" else None
             if basedef is not None and basedef.opcode == "getelementptr":
+                total = _wrap(off.const + basedef.operands[1].const)
                 inst = Inst("getelementptr", inst.result,
-                            (basedef.operands[0],
-                             const(off.const + basedef.operands[1].const)),
-                            ir.PTR)
+                            (basedef.operands[0], const(total)), ir.PTR)
                 stats.bump("instcombine.insts-combined")
             if inst.operands[1].const == 0:
                 stats.bump("instcombine.insts-combined")

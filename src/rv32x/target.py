@@ -2,17 +2,17 @@
 extensions.
 
 The catalog is loaded from a structured text file (see targets/rv32_xcrypt.desc)
-with one record per instruction and one per selection pattern, a line-for-line
-analog of a .td extension file. An instruction's `sem=` expression is its one
-definition of meaning: the simulator runs it as one function per
-instruction, generated on first use from a fixed template per node kind
-(SEM_OPS is built from the same ones) and the word's field shifts and masks,
-and a `pattern <MNEMONIC>` record selects the instruction wherever the DAG
-has that shape. Every record kind is parsed once per process: a description
-loaded again from the same text reuses the frozen InstrDefs (each with its
-parsed sem and, once run, its function) and patterns of the first load, and
-only checks them against each other and indexes them. Encoding and
-decoding are bit-exact over the standard RV32 formats R/R4/I/S/U;
+with one record per instruction, a line-for-line analog of a .td extension
+file. An instruction's `sem=` expression is its one definition of meaning:
+the simulator runs it as one function per instruction, generated on first
+use from a fixed template per node kind (SEM_OPS is built from the same ones)
+and the word's field shifts and masks; it is the pattern that selects the
+instruction, and it says whether the instruction reads or writes memory.
+Every record kind is parsed once per process: a description loaded again
+from the same text reuses the frozen InstrDefs (each with its parsed sem,
+its pattern and, once run, its function) and `pattern` records of the first
+load, and only checks them against each other and indexes them. Encoding
+and decoding are bit-exact over the standard RV32 formats R/R4/I/S/U;
 shift-immediate instructions are I-format records that carry a funct7 region
 above the 5-bit shift amount.
 """
@@ -119,7 +119,6 @@ class InstrDef:
     funct7: int | None = None   # also the shamt-region for I-format shifts
     funct2: int | None = None   # R4 only
     ops: tuple[str, ...] = ()   # roles: rd rs1 rs2 rs3 imm12 imm20 uimm5
-    flags: frozenset[str] = frozenset()
     ext: str = "I"
     sched: tuple[str, ...] = ()  # parsed and stored, never used for ordering
     sem: PatNode | None = None  # meaning over the source operand roles
@@ -129,17 +128,33 @@ class InstrDef:
     match: int = 0
     fields: tuple[OperandField, ...] = ()  # one per role of `ops`
 
-    @property
+    # Loading, allocation, printing and the simulator read these per
+    # instruction. They are computed on first use, once per process: every
+    # description loaded from the same record shares its InstrDef.
+    @cached_property
     def may_load(self) -> bool:
-        return "mayLoad" in self.flags
+        """Its sem reads memory: a load anywhere in it."""
+        return self.sem is not None and _loads(self.sem)
 
-    @property
+    @cached_property
     def may_store(self) -> bool:
-        return "mayStore" in self.flags
+        """Its sem writes memory: a store, which is only ever the root."""
+        return self.sem is not None and self.sem.kind == "store"
 
-    # Allocation, printing and the simulator read these per instruction.
-    # They are computed on first use, once per process: every description
-    # loaded from the same record shares its InstrDef.
+    @cached_property
+    def pattern(self) -> SelPattern | None:
+        """Its sem as the pattern that selects it, under its extension: an
+        immediate operand matches a constant in its role's range, and the
+        target takes the source operands in record order. None without a
+        sem or with an imm20 operand, which is not matched."""
+        if self.sem is None or "imm20" in self.ops:
+            return None
+        roles = self.sources
+        src = _imm_matcher(self.sem) if IMM_RANGES.keys() & set(roles) \
+            else self.sem
+        return SelPattern(src, PatNode(self.mnemonic, tuple(
+            [_ROLE_CAPTURES[r] for r in roles])), self.ext, src.size())
+
     @cached_property
     def defines(self) -> bool:
         """ops[0] is rd, the one operand the instruction writes."""
@@ -320,9 +335,6 @@ _VALID_ROLES = {"rd", "rs1", "rs2", "rs3", *IMM_RANGES}
 _ROLE_CAPTURES = {r: PatNode("capture", name=r) for r in _VALID_ROLES}
 # the `key=value` fields of an instr record, sem= aside
 _FIELDS = {"fmt", "opcode", "funct3", "funct7", "funct2", "ops", "asm", "sched"}
-# flag tokens and the names InstrDef.flags stores them under
-_FLAGS = {"commutable": "isCommutable", "mayLoad": "mayLoad",
-          "mayStore": "mayStore", "hasSideEffects": "hasSideEffects"}
 
 # What each `sem=` node kind computes, as a Python expression over its
 # operands {0} and {1}, each used once. Operands are register values
@@ -388,11 +400,18 @@ def _sem_expr(node: PatNode, fmt: str) -> str:
 # (instr record text, extension) -> its InstrDef, shared by every
 # description loaded with that record.
 _INSTRS: dict[tuple[str, str], InstrDef] = {}
+# (pattern record text, extension) -> its pattern and its source's captures;
+# the instructions of its target, and the operands they are given, are
+# checked against each description.
+_PATTERNS: dict[tuple[str, str], tuple[SelPattern, dict[str, str]]] = {}
+
 
 def load_target_desc(text: str) -> TargetDesc:
     """Parse a target description. Raises TargetError on duplicate mnemonics,
     encoding collisions among any co-enablable defs, or malformed sems and
-    patterns. The tables are built here and frozen once, at the end."""
+    patterns. Each instruction's own pattern takes its record's place among
+    the `pattern` records. The tables are built here and frozen once, at
+    the end."""
     instrs: dict[str, InstrDef] = {}
     by_asm: dict[str, InstrDef] = {}
     patterns: list[SelPattern] = []
@@ -415,11 +434,11 @@ def load_target_desc(text: str) -> TargetDesc:
                 raise TargetError(f"{where}: duplicate mnemonic {d.mnemonic}")
             instrs[d.mnemonic] = d
             by_asm.setdefault(d.asm, d)
+            if d.pattern is not None:
+                patterns.append(d.pattern)
             continue
         if line.startswith("pattern "):
-            src, tgt, size = _pattern(line[len("pattern "):].strip(),
-                                      instrs, where)
-            patterns.append(SelPattern(src, tgt, ext, size))
+            patterns.append(_pattern(line, ext, instrs, where))
             continue
         raise TargetError(f"{where}: unrecognized record {line!r}")
     return TargetDesc(MappingProxyType(instrs), tuple(patterns),
@@ -427,41 +446,26 @@ def load_target_desc(text: str) -> TargetDesc:
                       MappingProxyType(_index_encodings(instrs)))
 
 
-# pattern record -> ((source, target, size), source captures). A `pattern
-# SRC => TGT` is keyed by its text, and its captures are checked with its
-# parse; the instructions of its target, and the operands they are given,
-# are checked against each description. A `pattern MNEMONIC` is keyed by the
-# instruction's operand roles and sem as well, which it is built from, and
-# keeps no captures.
-_PATTERNS: dict[tuple, tuple[tuple[PatNode, PatNode, int],
-                             dict[str, str] | None]] = {}
-
-
-def _pattern(body: str, instrs: dict[str, InstrDef], where: str
-             ) -> tuple[PatNode, PatNode, int]:
-    explicit = "=>" in body
-    d = None if explicit else instrs.get(body)
-    key = (body, None if d is None else (d.ops, d.sem))
-    hit = _PATTERNS.get(key)
+def _pattern(line: str, ext: str, instrs: dict[str, InstrDef], where: str
+             ) -> SelPattern:
+    hit = _PATTERNS.get((line, ext))
     if hit is None:
-        caps = None
-        if explicit:
-            src_text, _, tgt_text = body.partition("=>")
-            src = _parse_sexpr(src_text, where)
-            tgt = _parse_sexpr(tgt_text, where)
-            caps = _check_captures(src, tgt, where)
-        else:
-            src, tgt = _sem_pattern(body, instrs, where)
-        hit = _PATTERNS[key] = (src, tgt, src.size()), caps
-    parsed, caps = hit
-    if explicit:  # its target names instructions of this description
-        src, tgt, _ = parsed
-        d = _check_target(tgt, caps, instrs, where)
-        if not d.defines and src.kind != "store":
-            raise TargetError(f"{where}: pattern target {d.mnemonic} writes "
-                              f"no rd, so it cannot give the value of "
-                              f"{src.kind!r}")
-    return parsed
+        src_text, arrow, tgt_text = line[len("pattern "):].partition("=>")
+        if not arrow:
+            raise TargetError(f"{where}: a pattern record is SRC => TGT; an "
+                              "instruction is selected by its sem= alone")
+        src = _parse_sexpr(src_text, where)
+        tgt = _parse_sexpr(tgt_text, where)
+        caps = _check_captures(src, tgt, where)
+        hit = _PATTERNS[line, ext] = SelPattern(src, tgt, ext, src.size()), caps
+    p, caps = hit
+    # its target names instructions of this description
+    d = _check_target(p.target, caps, instrs, where)
+    if not d.defines and p.source.kind != "store":
+        raise TargetError(f"{where}: pattern target {d.mnemonic} writes no "
+                          f"rd, so it cannot give the value of "
+                          f"{p.source.kind!r}")
+    return p
 
 
 def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
@@ -469,20 +473,16 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     toks = line.split()
     mnemonic = toks[1]
     kw = {}
-    flags = set()
     for tok in toks[2:]:
         key, eq, value = tok.partition("=")
-        if eq and key in _FIELDS:
-            kw[key] = value
-        elif tok in _FLAGS:
-            flags.add(_FLAGS[tok])
-        else:
+        if not eq or key not in _FIELDS:
             raise TargetError(f"{where}: unknown token {tok!r}")
+        kw[key] = value
     fmt = kw.get("fmt")
     if fmt not in FORMATS:
         raise TargetError(f"{where}: bad format {fmt!r}")
     ops = tuple(kw["ops"].split(",")) if kw.get("ops") else ()
-    if not _VALID_ROLES.issuperset(ops):
+    if not _VALID_ROLES.issuperset(ops) or len(set(ops)) < len(ops):
         raise TargetError(f"{where}: bad operand roles {ops}")
     try:
         fields = tuple([_OPERAND_FIELDS[fmt, r] for r in ops])
@@ -493,6 +493,11 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     if sem_text:
         sem = _parse_sexpr(sem_text, where)
         _check_sem(sem, tuple(r for r in ops if r != "rd"), where)
+        if sem.kind == "store" and "rd" in ops:
+            raise TargetError(f"{where}: a store sem writes memory, not rd")
+        if sem.kind != "store" and ops[:1] != ("rd",):
+            raise TargetError(f"{where}: sem {sem.kind!r} gives a value, so "
+                              "ops= starts with rd")
     if "opcode" not in kw:
         raise TargetError(f"{where}: missing opcode=")
     # the funct regions of the record's encoding, each given exactly when
@@ -528,7 +533,6 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
         funct7=funct7,
         funct2=funct2,
         ops=ops,
-        flags=frozenset(flags),
         ext=ext,
         sched=tuple(kw["sched"].split(",")) if kw.get("sched") else (),
         sem=sem,
@@ -562,23 +566,9 @@ def _check_sem(node: PatNode, roles: tuple[str, ...], where: str):
     if len(node.children) != _SEM_EXPRS[node.kind].count("{"):
         raise TargetError(f"{where}: wrong operand count for {node.kind!r}")
     for c in node.children:
+        if c.kind == "store":
+            raise TargetError(f"{where}: a store is only ever a sem's root")
         _check_sem(c, roles, where)
-
-
-def _sem_pattern(mnemonic: str, instrs: dict[str, InstrDef], where: str):
-    """`pattern MNEMONIC`: the instruction's sem is the source, and the
-    target takes the source operands in record order."""
-    d = instrs.get(mnemonic)
-    if d is None or d.sem is None:
-        raise TargetError(f"{where}: pattern {mnemonic}: no instruction "
-                          f"{mnemonic} with a sem")
-    if "imm20" in d.ops:
-        raise TargetError(f"{where}: pattern {mnemonic}: only imm12 and "
-                          "uimm5 immediates can be matched")
-    roles = [r for r in d.ops if r != "rd"]
-    target = PatNode(d.mnemonic, tuple([_ROLE_CAPTURES[r] for r in roles]))
-    src = _imm_matcher(d.sem) if IMM_RANGES.keys() & roles else d.sem
-    return src, target
 
 
 def _imm_matcher(node: PatNode) -> PatNode:
@@ -589,6 +579,10 @@ def _imm_matcher(node: PatNode) -> PatNode:
         return node
     return PatNode(node.kind, tuple([_imm_matcher(c) for c in node.children]),
                    oneuse=node.oneuse)
+
+
+def _loads(node: PatNode) -> bool:
+    return node.kind == "load" or any(_loads(c) for c in node.children)
 
 
 def _captures(node: PatNode, out: dict[str, str]):

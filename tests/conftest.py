@@ -77,8 +77,8 @@ def optimized(name: str) -> ir.Module:
     return mod
 
 
-def compile_fn(fn, mod, desc, mattr=None):
-    cf = driver.compile_function(fn, mod, desc, tgt.parse_mattr(mattr))
+def compile_fn(fn, desc, mattr=None):
+    cf = driver.compile_function(fn, desc, tgt.parse_mattr(mattr))
     return cf.mf, cf.debug_lines
 
 
@@ -88,7 +88,7 @@ def compile_corpus(name: str, desc, mattr=None, fname=None):
     mod = corpus_module(name)
     fname = fname or mod.functions[0].name
     opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
-    cf = driver.compile_function(opt.function(fname), opt, desc,
+    cf = driver.compile_function(opt.function(fname), desc,
                                  tgt.parse_mattr(mattr))
     return mod, fname, cf.mf, cf.asm
 

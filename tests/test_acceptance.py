@@ -138,7 +138,7 @@ def test_criterion_6_sh1add_one_use(desc):
 
 def _isel_debug(name, desc):
     mod = corpus_module(name)
-    mf, debug = compile_fn(mod.functions[0], mod, desc, "+xcrypt")
+    mf, debug = compile_fn(mod.functions[0], desc, "+xcrypt")
     return mf, "\n".join(debug)
 
 

@@ -39,7 +39,7 @@ def test_lxr_demo_exact_output(desc):
 
 def test_returned_second_argument_moves_to_a0(desc):
     mod = ir.parse_ir("define i32 @f(i32 %a, i32 %b) {\n  ret i32 %b\n}")
-    mf, _ = compile_fn(mod.functions[0], mod, desc, None)
+    mf, _ = compile_fn(mod.functions[0], desc, None)
     asm = codegen.print_asm(mf, desc)
     assert "mv\ta0, a1" in asm
     words = codegen.emit_words(mf, desc, {})
@@ -69,7 +69,7 @@ def _many_live_values_fn(n: int) -> ir.Module:
 def test_spilling_preserves_semantics(desc):
     mod = _many_live_values_fn(40)
     fn = mod.functions[0]
-    mf, _ = compile_fn(fn, mod, desc, None)
+    mf, _ = compile_fn(fn, desc, None)
     assert mf.frame_size > 0  # 40 simultaneously-live values must spill
     asm = codegen.print_asm(mf, desc)
     assert "addi\tsp, sp, -" in asm
@@ -86,7 +86,7 @@ def test_allocation_builds_intervals_once(monkeypatch, desc):
     monkeypatch.setattr(codegen, "_live_ranges",
                         lambda *args: calls.append(args) or real(*args))
     mod = _many_live_values_fn(40)
-    mf, _ = compile_fn(mod.functions[0], mod, desc, None)
+    mf, _ = compile_fn(mod.functions[0], desc, None)
     assert mf.frame_size > 0
     assert len(calls) == 1
 
@@ -280,7 +280,7 @@ def test_scan_decides_as_the_reference_on_large_functions(monkeypatch, desc,
     mod = ir.parse_ir(gen_large_fn(random.Random(size), size, size))
     opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
     for mattr in (None, "+zba,+zbb,+xcrypt"):
-        compile_fn(opt.functions[0], opt, desc, mattr)
+        compile_fn(opt.functions[0], desc, mattr)
     monkeypatch.undo()
     assert len(seen) == 2
     for mf in seen:
@@ -369,7 +369,7 @@ def test_random_synthetic_blocks_survive_allocation(desc):
         n = rng.randrange(2, 34)
         mod = _many_live_values_fn(n)
         fn = mod.functions[0]
-        mf, _ = compile_fn(fn, mod, desc, None)
+        mf, _ = compile_fn(fn, desc, None)
         assert_runs_like_ir(fn, mf, desc, [make_ptr_args(rng, 1, n)])
 
 
@@ -420,7 +420,7 @@ def test_ret_prints_as_alias(desc):
 
 def test_empty_void_function_is_label_plus_ret(desc):
     mod = ir.parse_ir("define void @nop() {\n  ret void\n}")
-    mf, _ = compile_fn(mod.functions[0], mod, desc, None)
+    mf, _ = compile_fn(mod.functions[0], desc, None)
     assert codegen.print_asm(mf, desc) == "nop:\n\tret\n"
 
 
@@ -573,9 +573,8 @@ def test_print_parse_compile_composition(desc):
                                          midend.DEFAULT_PIPELINE)
             reparsed = ir.parse_ir(ir.print_ir(opt), name)
             for fn in opt.functions:
-                mf1, _ = compile_fn(fn, opt, desc, mattr)
-                mf2, _ = compile_fn(reparsed.function(fn.name), reparsed,
-                                    desc, mattr)
+                mf1, _ = compile_fn(fn, desc, mattr)
+                mf2, _ = compile_fn(reparsed.function(fn.name), desc, mattr)
                 assert codegen.print_asm(mf1, desc) == \
                     codegen.print_asm(mf2, desc), (name, mattr)
 
@@ -591,6 +590,6 @@ define i32 @f(i32 %a, i32 %b) {
   ret i32 %z
 }
 """)
-    mf, _ = compile_fn(mod.functions[0], mod, desc, None)
+    mf, _ = compile_fn(mod.functions[0], desc, None)
     asm = codegen.print_asm(mf, desc)
     assert not any(r.startswith("s") for r in used_regs(asm))

@@ -149,7 +149,7 @@ def test_fuzz_arith_functions(seed, desc):
         opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
         inputs = int_inputs(rng, mod.functions[0], 8)
         for mattr in ALL_MATTRS:
-            mf, _ = compile_fn(opt.functions[0], opt, desc, mattr)
+            mf, _ = compile_fn(opt.functions[0], desc, mattr)
             assert_runs_like_ir(mod.functions[0], mf, desc, inputs)
 
 
@@ -161,7 +161,7 @@ def test_fuzz_memory_functions(seed, desc):
         mod = ir.parse_ir(text, f"fuzzm{seed}_{idx}")
         opt, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
         for mattr in (None, "+zba,+zbb,+xcrypt"):
-            mf, _ = compile_fn(opt.functions[0], opt, desc, mattr)
+            mf, _ = compile_fn(opt.functions[0], desc, mattr)
             inputs = [make_ptr_args(rng, 1, 8) for _ in range(6)]
             assert_runs_like_ir(mod.functions[0], mf, desc, inputs)
 

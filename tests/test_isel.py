@@ -27,7 +27,7 @@ def build(name, fname=None, opt=False):
         from rv32x import midend
         mod, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
     fn = mod.function(fname) if fname else mod.functions[0]
-    return isel.build_dag(fn, mod), mod
+    return isel.build_dag(fn), mod
 
 
 # --------------------------------------------------------------------------
@@ -61,7 +61,7 @@ define i32 @f() {
 }
 """
     mod = ir.parse_ir(text)
-    dag = isel.build_dag(mod.functions[0], mod)
+    dag = isel.build_dag(mod.functions[0])
     nodes = dag.live_nodes()
     assert sum(1 for n in nodes if n.kind == "load") == 2
     assert sum(1 for n in nodes if n.kind == "GlobalAddress") == 1
@@ -73,7 +73,7 @@ def test_node_count_matches_ir_walk():
     for name in ("sbox.ll", "madd.ll", "rori.ll", "mul6.ll"):
         mod = corpus_module(name)
         fn = mod.functions[0]
-        dag = isel.build_dag(fn, mod)
+        dag = isel.build_dag(fn)
         consts = set()
         globs = set()
         for inst in fn.body:
@@ -263,7 +263,7 @@ define i32 @f(i32 %a, i32 %b) {
 }
 """
     mod = ir.parse_ir(text)
-    dag = isel.build_dag(mod.functions[0], mod)
+    dag = isel.build_dag(mod.functions[0])
     with pytest.raises(isel.IselError, match="funnel shift"):
         isel.legalize(dag, desc, tgt.parse_mattr(None))
 
@@ -277,7 +277,7 @@ define i32 @f(ptr %p) {
 }
 """
     mod = ir.parse_ir(text)
-    mf, _ = compile_fn(mod.functions[0], mod, desc_cache, None)
+    mf, _ = compile_fn(mod.functions[0], desc_cache, None)
     asm = codegen.print_asm(mf, desc_cache)
     assert "-4(" in asm
     words = codegen.emit_words(mf, desc_cache, {})
@@ -296,7 +296,7 @@ define i32 @f(i32 %a) {
 """
     mod = ir.parse_ir(text)
     for mattr in (None, "+zbb", "+xcrypt"):
-        mf, _ = compile_fn(mod.functions[0], mod, desc, mattr)
+        mf, _ = compile_fn(mod.functions[0], desc, mattr)
         words = codegen.emit_words(mf, desc, {})
         rng = random.Random(71)
         for _ in range(64):
@@ -314,7 +314,7 @@ define i32 @f(i32 %a) {
 }
 """
     mod = ir.parse_ir(text)
-    dag = isel.build_dag(mod.functions[0], mod)
+    dag = isel.build_dag(mod.functions[0])
     isel.legalize(dag, desc, tgt.parse_mattr("+zbb"))
     rot = [n for n in dag.live_nodes() if n.kind == "rotr"]
     assert len(rot) == 1
@@ -352,7 +352,7 @@ def test_mul_by_ten_and_eighteen(desc):
                 f"  %m = mul i32 %x, {k}\n  %a = add i32 %m, %y\n"
                 f"  ret i32 %a\n}}")
         mod = ir.parse_ir(text)
-        mf, _ = compile_fn(mod.functions[0], mod, desc_cache, "+zba")
+        mf, _ = compile_fn(mod.functions[0], desc_cache, "+zba")
         h = histogram(codegen.print_asm(mf, desc_cache))
         assert h.get("sh1add") == 1 and h.get(inner) == 1
 
@@ -369,7 +369,7 @@ define i32 @f(i32 %x, i32 %b, i32 %c) {{
 }}
 """
         mod = ir.parse_ir(text)
-        mf, _ = compile_fn(mod.functions[0], mod, desc, "+xcrypt")
+        mf, _ = compile_fn(mod.functions[0], desc, "+xcrypt")
         assert histogram(codegen.print_asm(mf, desc)).get("naxor") == 1
 
 
@@ -398,10 +398,10 @@ define i32 @f(i32 %a, i32 %n) {
 """
     mod = ir.parse_ir(text)
     fn = mod.functions[0]
-    mf, _ = compile_fn(fn, mod, desc, "+zbb")
+    mf, _ = compile_fn(fn, desc, "+zbb")
     assert histogram(codegen.print_asm(mf, desc)).get("ror") == 1
     # Xcrypt's ROTI takes only an immediate amount, so the rotate expands
-    mf, _ = compile_fn(fn, mod, desc, "+xcrypt")
+    mf, _ = compile_fn(fn, desc, "+xcrypt")
     h = histogram(codegen.print_asm(mf, desc))
     assert "ror" not in h and "roti" not in h
     assert h.get("sll") == 1 and h.get("srl") == 1 and h.get("or") == 1
@@ -466,7 +466,7 @@ def test_selection_at_immediate_boundaries(desc, op):
                               f"  %r = {op} i32 {operands}\n"
                               f"  ret i32 %r\n}}\n")
             fn = mod.functions[0]
-            mf, _ = compile_fn(fn, mod, desc)
+            mf, _ = compile_fn(fn, desc)
             if ri is not None and bounds[0] <= c <= bounds[1]:
                 want = [ri]
             else:
@@ -488,7 +488,7 @@ define i32 @f(ptr %p, ptr %q) {
 }
 """
     mod = ir.parse_ir(text)
-    mf, _ = compile_fn(mod.functions[0], mod, desc, "+xcrypt")
+    mf, _ = compile_fn(mod.functions[0], desc, "+xcrypt")
     h = histogram(codegen.print_asm(mf, desc))
     assert "lxr" not in h and h.get("lw") == 2
 
@@ -506,7 +506,7 @@ define i32 @f(ptr %p, ptr %q, i32 %v) {
 }
 """
     mod = ir.parse_ir(text)
-    mf, _ = compile_fn(mod.functions[0], mod, desc, "+xcrypt")
+    mf, _ = compile_fn(mod.functions[0], desc, "+xcrypt")
     h = histogram(codegen.print_asm(mf, desc))
     assert "lxr" not in h
     # semantics check under aliasing p == q
@@ -522,7 +522,7 @@ define i32 @f(ptr %p, ptr %q, i32 %v) {
 
 def _debug_compile(name, mattr, desc):
     mod = corpus_module(name)
-    return compile_fn(mod.functions[0], mod, desc, mattr)
+    return compile_fn(mod.functions[0], desc, mattr)
 
 
 def test_hook_no_match_on_independent_pointers(desc):
@@ -1038,7 +1038,6 @@ def test_generated_selector_source_holds_no_record_text(selector_sources):
 # Zbkb's andn (funct7 0b0100000, funct3 0b111), added as text only
 ANDN_DESC = """
 instr ANDN fmt=R opcode=0b0110011 funct3=0b111 funct7=0b0100000 ops=rd,rs1,rs2 asm=andn sem=(and $rs1 (not $rs2))
-pattern ANDN
 """
 
 ANDN_IR = """
@@ -1075,7 +1074,6 @@ def test_new_instruction_is_one_desc_edit():
 # a register rotate in the custom-0 opcode space, added as text only
 RORX_DESC = """
 instr RORX fmt=R opcode=0b0001011 funct3=0b101 funct7=0b0000000 ops=rd,rs1,rs2 asm=rorx sem=(rotr $rs1 $rs2)
-pattern RORX
 """
 
 RORX_IR = """
@@ -1168,14 +1166,14 @@ def test_dot_export(desc):
 def test_dot_empty_function():
     text = "define void @f() {\n  ret void\n}"
     mod = ir.parse_ir(text)
-    dag = isel.build_dag(mod.functions[0], mod)
+    dag = isel.build_dag(mod.functions[0])
     dot = isel.emit_dot(dag)
     assert dot.count("label=") == 2  # EntryToken + ret
 
 
 def test_post_select_sbox_dot_has_five_naxors(desc):
     mod = corpus_module("sbox.ll")
-    cf = driver.compile_function(mod.functions[0], mod, desc,
+    cf = driver.compile_function(mod.functions[0], desc,
                                  tgt.parse_mattr("+xcrypt"), want_dots=True)
     assert cf.dots["selected"].count('label="NAXOR') == 5
 

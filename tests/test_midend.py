@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from rv32x import ir, midend, sim
+from rv32x import driver, ir, midend, sim
+from rv32x import target as tgt
 
-from conftest import CORPUS, CORPUS_SHAPES, corpus_module, synth_args
+from conftest import (CORPUS, CORPUS_SHAPES, assert_runs_like_ir,
+                      corpus_module, synth_args)
 from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
                        gen_shift_pair_fn)
 
@@ -241,6 +243,44 @@ define i32 @f(ptr %p) {
     out = midend.pass_inst_combine(fn, midend.PassStats())
     geps = [i for i in out.body if i.opcode == "getelementptr"]
     assert len(geps) == 1 and geps[0].operands[1].const == 16
+
+
+# gep offsets that sum past 2^31: the addresses wrap at 32 bits, so the
+# folded offset and the offsets DSE compares wrap too. The second chain
+# lands back on %p, so its first store is read before it is overwritten.
+GEP_WRAP = {"fold": """
+define i32 @f(ptr %p) {
+  %a = getelementptr i8, ptr %p, i32 2147483647
+  %b = getelementptr i8, ptr %a, i32 1
+  store i32 7, ptr %b
+  %v = load i32, ptr %b
+  ret i32 %v
+}
+""", "dse": """
+define i32 @f(ptr %p) {
+  %a = getelementptr i8, ptr %p, i32 2147483647
+  %b = getelementptr i8, ptr %a, i32 2147483647
+  %c = getelementptr i8, ptr %b, i32 2
+  store i32 1, ptr %c
+  %v = load i32, ptr %p
+  store i32 2, ptr %c
+  ret i32 %v
+}
+"""}
+
+
+@pytest.mark.parametrize("name", list(GEP_WRAP))
+def test_gep_offsets_wrap_at_32_bits(desc, name):
+    text = GEP_WRAP[name]
+    fn = parse_fn(text)
+    inputs = [([0x4000], {0x4000: 0x5A})]
+    dse, _ = run_pass("dse", ir.parse_ir(text))
+    assert len([i for i in dse.functions[0].body if i.opcode == "store"]) \
+        == len([i for i in fn.body if i.opcode == "store"])
+    for src, level in ((text, "O0"), (text, "O2"), (ir.print_ir(dse), "O0")):
+        cm = driver.compile_ir_text(src, "gep.ll", desc,
+                                    tgt.parse_mattr(None), level)
+        assert_runs_like_ir(fn, cm.functions["f"].mf, desc, inputs)
 
 
 def test_instcombine_funnel_shift_recognition():

@@ -158,12 +158,19 @@ _BAD_RECORDS = {
                             r"\$rd is not a source operand"),
     "arity": (_FOO + " sem=(load $rs1 $rs2)",
               "wrong operand count for 'load'"),
-    "pattern-without-sem": (_FOO + "\npattern FOO",
-                            "no instruction FOO with a sem"),
-    "pattern-unknown-instruction": (_FOO + " sem=(add $rs1 $rs2)\npattern BAR",
-                                    "no instruction BAR"),
-    "pattern-imm20": (_LUI_FOO + "\npattern FOO",
-                      "only imm12 and uimm5 immediates"),
+    "pattern-without-target": (_FOO + " sem=(add $rs1 $rs2)\npattern FOO",
+                               "a pattern record is SRC => TGT"),
+    "value-sem-without-rd": (
+        "instr FOO fmt=R4 opcode=0b0110011 funct3=0b100 funct2=0b10 "
+        "ops=rs1,rs2,rs3 sem=(xor (add $rs1 $rs2) $rs3)",
+        "sem 'xor' gives a value, so ops= starts with rd"),
+    "store-sem-with-rd": (_ADDI + " sem=(store $rs1 $imm12)",
+                          "a store sem writes memory, not rd"),
+    "nested-store": (_FOO + " sem=(add (store $rs1 $rs2) $rs1)",
+                     "a store is only ever a sem's root"),
+    "repeated-role": (_FOO.replace("rd,rs1,rs2", "rd,rd,rs2")
+                      + " sem=(add $rs2 $rs2)",
+                      r"bad operand roles \('rd', 'rd', 'rs2'\)"),
     "funct3-too-wide": (_FOO.replace("funct3=0b000", "funct3=0b1000"),
                         "opcode or funct value too wide"),
     "funct7-too-wide": (_FOO.replace("funct7=0b0000000", "funct7=0b10000000"),
