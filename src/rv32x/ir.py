@@ -208,6 +208,8 @@ class _Parser:
         # the current function's operands by type and token; a Value is
         # immutable, so every use of a name shares one
         self.values: dict[str, dict[str, Value]] = {}
+        # function name -> the lines of its define, body and closing brace
+        self.lines_of: dict[str, list[int]] = {}
 
     def err(self, msg, lineno, col=1):
         raise IrError(msg, lineno, col, self.source_name)
@@ -317,12 +319,15 @@ class _Parser:
 
     def _parse_body(self, fname, start):
         insts = []
+        lines = [start]
         label = "entry"
         saw_label = False
         for lineno, line in self.lines:
             if "llvm.lifetime" in line:
                 continue  # lifetime markers carry no meaning here
             if line == "}":
+                lines.append(lineno)
+                self.lines_of.setdefault(fname, lines)
                 return insts, label
             m = _RE_LABEL.match(line)
             if m:
@@ -333,6 +338,7 @@ class _Parser:
                 saw_label = True
                 continue
             insts.append(self._parse_inst(line, lineno))
+            lines.append(lineno)
         self.err(f"unterminated function @{fname}", start)
 
     def _value(self, tok, ty, lineno) -> Value:
@@ -484,11 +490,16 @@ class _Parser:
 
 
 def parse_ir(text: str, source_name: str = "<stdin>") -> Module:
-    """Parse IR text into a verified Module. Raises IrError with position."""
-    mod = _Parser(text, source_name).parse()
+    """Parse IR text into a verified Module. Raises IrError with position;
+    a failed verify is reported at the line of its first violation."""
+    parser = _Parser(text, source_name)
+    mod = parser.parse()
     bad = verify(mod)
     if bad:
-        raise IrError("verification failed: " + "; ".join(bad))
+        at = re.match(r"@([^:]+):(-?\d+): ", bad[0])
+        line = parser.lines_of[at[1]][int(at[2]) + 1] if at else 0
+        raise IrError("verification failed: " + "; ".join(bad), line, 1,
+                      source_name)
     return mod
 
 

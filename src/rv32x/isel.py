@@ -138,8 +138,6 @@ class SelDag:
 
     def live_nodes(self) -> list[DagNode]:
         """Nodes reachable from the root, in creation order: one walk."""
-        if self.root is None:
-            return list(self.nodes)
         seen = {self.root}
         stack = [self.root]
         while stack:
@@ -384,8 +382,6 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
         return None
     say = ctx.debug
     say(f"xor-loads hook: inspecting {node!r}")
-    if len(node.ops) != 2:
-        return None
     a, b = node.ops
     if not (a.kind == "load" and b.kind == "load"):
         say("  [1] both operands are loads: no")

@@ -12,9 +12,10 @@ Every record kind is parsed once per process: a description loaded again
 from the same text reuses the frozen InstrDefs (each with its parsed sem,
 its pattern and, once run, its function) and `pattern` records of the first
 load, and only checks them against each other and indexes them. Encoding
-and decoding are bit-exact over the standard RV32 formats R/R4/I/S/U;
-shift-immediate instructions are I-format records that carry a funct7 region
-above the 5-bit shift amount.
+and decoding are bit-exact over the standard RV32 formats R/R4/I/S/U. A
+record's operands, and the bits it fixes, are its format's regions
+(`_regions`): a shift immediate, an I-format record with a uimm5, holds a
+funct7 region above its 5-bit shift amount.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ def fits(role: str, value: int) -> bool:
     return lo <= value <= hi
 
 
-# Field layouts, msb/lsb inclusive, from which each operand role's
-# OperandField is derived. Every format covers bits 31..0 disjointly.
+# The regions of each format's words, msb/lsb inclusive. A region named for
+# an operand role holds that operand, and S's imm_hi and imm_lo hold imm12's
+# bits 11..5 and 4..0; opcode and the funct regions hold the values the
+# record gives, which every word of the instruction has. Every format covers
+# bits 31..0 disjointly.
 FORMATS = {
     "R": (("funct7", 31, 25), ("rs2", 24, 20), ("rs1", 19, 15),
           ("funct3", 14, 12), ("rd", 11, 7), ("opcode", 6, 0)),
@@ -53,6 +57,20 @@ FORMATS = {
           ("funct3", 14, 12), ("imm_lo", 11, 7), ("opcode", 6, 0)),
     "U": (("imm20", 31, 12), ("rd", 11, 7), ("opcode", 6, 0)),
 }
+
+SLOT_MASK = 0x707F  # the opcode and funct3 bits, which index by_opcode
+
+
+def _regions(fmt: str, ops: tuple[str, ...]) -> dict[str, tuple[int, int]]:
+    """A record's regions by name, as (lsb, mask): its format's, except in
+    a shift immediate (I with uimm5), whose imm12 is a fixed funct7 over its
+    upper seven bits and the shift amount in the five below."""
+    regions = {name: (lo, (1 << hi - lo + 1) - 1)
+               for name, hi, lo in FORMATS[fmt]}
+    if fmt == "I" and "uimm5" in ops:
+        lsb, _ = regions.pop("imm12")
+        regions["funct7"], regions["uimm5"] = (lsb + 5, 0x7F), (lsb, 0x1F)
+    return regions
 
 
 class TargetError(Exception):
@@ -84,40 +102,24 @@ class OperandField(NamedTuple):
         return (v ^ self.sign) - self.sign
 
 
-def _operand_fields() -> dict[tuple[str, str], OperandField]:
-    """The field of each operand role in each format that has one."""
-    table = {}
-    for fmt, layout in FORMATS.items():
-        span = {name: (lo, (1 << (hi - lo + 1)) - 1) for name, hi, lo in layout}
-        for role in ("rd", "rs1", "rs2", "rs3"):
-            if role in span:
-                table[fmt, role] = OperandField(True, *span[role])
-        if "imm20" in span:
-            table[fmt, "imm20"] = OperandField(False, *span["imm20"])
-        if "imm12" in span:  # a shift amount is imm12's low five bits
-            lsb, mask = span["imm12"]
-            table[fmt, "imm12"] = OperandField(False, lsb, mask, 0x800)
-            table[fmt, "uimm5"] = OperandField(False, lsb, 31)
-        if "imm_hi" in span:
-            (hi_lsb, hi_mask), (lo_lsb, lo_mask) = span["imm_hi"], span["imm_lo"]
-            width = lo_mask.bit_length()
-            table[fmt, "imm12"] = OperandField(
-                False, hi_lsb - width, hi_mask << width, 0x800, lo_lsb, lo_mask)
-    return table
-
-
-_OPERAND_FIELDS = _operand_fields()
+def _field(role: str, regions: dict[str, tuple[int, int]]) -> OperandField:
+    """Where operand `role` sits among a record's regions; KeyError when it
+    has none. An immediate with a signed range sign-extends from its top
+    bit, and S's imm12 is imm_hi over imm_lo."""
+    sign = -IMM_RANGES.get(role, (0,))[0]
+    if role == "imm12" and "imm_hi" in regions:
+        hi_lsb, hi_mask = regions["imm_hi"]
+        lo_lsb, lo_mask = regions["imm_lo"]
+        width = lo_mask.bit_length()
+        return OperandField(False, hi_lsb - width, hi_mask << width, sign,
+                            lo_lsb, lo_mask)
+    return OperandField(role not in IMM_RANGES, *regions[role], sign)
 
 
 @dataclass(frozen=True)
 class InstrDef:
     mnemonic: str           # catalog name, e.g. "SH1ADD"
     asm: str                # printed mnemonic, e.g. "sh1add"
-    fmt: str                # R | R4 | I | S | U
-    opcode: int
-    funct3: int | None = None
-    funct7: int | None = None   # also the shamt-region for I-format shifts
-    funct2: int | None = None   # R4 only
     ops: tuple[str, ...] = ()   # roles: rd rs1 rs2 rs3 imm12 imm20 uimm5
     ext: str = "I"
     sched: tuple[str, ...] = ()  # parsed and stored, never used for ordering
@@ -236,8 +238,8 @@ class TargetDesc:
     instrs: Mapping[str, InstrDef]
     patterns: tuple[SelPattern, ...]  # in record order
     by_asm: Mapping[str, InstrDef]  # printed name
-    # defs by opcode | funct3 << 12, the word's bits under SLOT_MASK; U-format
-    # defs sit in all eight funct3 slots
+    # defs by the word's bits under SLOT_MASK; a def that leaves some of them
+    # open (U has no funct3) sits in every slot they can fill
     by_opcode: Mapping[int, tuple[InstrDef, ...]]
 
     def instr(self, mnemonic: str) -> InstrDef:
@@ -333,8 +335,10 @@ def _list_node(items: list, where: str) -> PatNode:
 _VALID_ROLES = {"rd", "rs1", "rs2", "rs3", *IMM_RANGES}
 # one capture leaf per operand role, shared by every tree that names it
 _ROLE_CAPTURES = {r: PatNode("capture", name=r) for r in _VALID_ROLES}
-# the `key=value` fields of an instr record, sem= aside
-_FIELDS = {"fmt", "opcode", "funct3", "funct7", "funct2", "ops", "asm", "sched"}
+# the `key=value` fields of an instr record, sem= aside; the _FIXED ones
+# give the values of the regions named for them
+_FIXED = ("opcode", "funct3", "funct7", "funct2")
+_FIELDS = {"fmt", "ops", "asm", "sched", *_FIXED}
 
 # What each `sem=` node kind computes, as a Python expression over its
 # operands {0} and {1}, each used once. Operands are register values
@@ -370,26 +374,26 @@ _RUN = "def run(m, r, w):\n    return {}\n"
 def _run_source(d: InstrDef) -> str:
     """The source of `d.run`: the templates, the names m, r, w, v and d, and
     integers (field shifts and masks, and `(const N)` values) alone."""
-    expr = _sem_expr(d.sem, d.fmt)
+    expr = _sem_expr(d.sem, dict(zip(d.ops, d.fields)))
     return (_RUN_DEFINES.format(expr, d.fields[0].shift) if d.defines
             else _RUN.format(expr))
 
 
-def _sem_expr(node: PatNode, fmt: str) -> str:
-    """A sem tree as one expression over m, r and w, for format `fmt`. A
-    register operand is r[w >> shift & 31] and an immediate its
-    OperandField value, with the field's shifts and masks inlined."""
+def _sem_expr(node: PatNode, fields: dict[str, OperandField]) -> str:
+    """A sem tree as one expression over m, r and w, given the field of each
+    operand role. A register operand is r[w >> shift & 31] and an immediate
+    its OperandField value, with the field's shifts and masks inlined."""
     if node.kind == "const":
         return f"({node.value:d})"
     if node.kind == "capture":
-        f = _OPERAND_FIELDS[fmt, node.name]
+        f = fields[node.name]
         if f.reg:
             return f"r[w >> {f.shift:d} & 31]"
         v = f"w >> {f.shift:d} & {f.mask:d}"
         if f.lo_mask:
             v += f" | w >> {f.lo_shift:d} & {f.lo_mask:d}"
         return f"((({v}) ^ {f.sign:d}) - {f.sign:d})" if f.sign else f"({v})"
-    return _SEM_EXPRS[node.kind].format(*[_sem_expr(c, fmt)
+    return _SEM_EXPRS[node.kind].format(*[_sem_expr(c, fields)
                                           for c in node.children])
 
 
@@ -484,11 +488,15 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     ops = tuple(kw["ops"].split(",")) if kw.get("ops") else ()
     if not _VALID_ROLES.issuperset(ops) or len(set(ops)) < len(ops):
         raise TargetError(f"{where}: bad operand roles {ops}")
+    regions = _regions(fmt, ops)
+    form = f"format {fmt}"
+    if fmt == "I":
+        form += " with uimm5" if "uimm5" in ops else " without uimm5"
     try:
-        fields = tuple([_OPERAND_FIELDS[fmt, r] for r in ops])
+        fields = tuple([_field(r, regions) for r in ops])
     except KeyError as e:
-        raise TargetError(f"{where}: format {fmt} has no {e.args[0][1]} "
-                          "field") from None
+        raise TargetError(f"{where}: {form} has no {e.args[0]} field") \
+            from None
     sem = None
     if sem_text:
         sem = _parse_sexpr(sem_text, where)
@@ -500,38 +508,27 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
                               "ops= starts with rd")
     if "opcode" not in kw:
         raise TargetError(f"{where}: missing opcode=")
-    # the funct regions of the record's encoding, each given exactly when
-    # it exists: funct3 but in U, funct7 in R and in shift immediates (I
-    # with uimm5), funct2 in R4
-    shift = fmt == "I" and "uimm5" in ops
-    for key, has in (("funct3", fmt != "U"), ("funct7", fmt == "R" or shift),
-                     ("funct2", fmt == "R4")):
-        if has != (key in kw):
-            form = f"format {fmt}" + (" with uimm5" if shift else
-                                      " without uimm5" if fmt == "I" else "")
-            raise TargetError(f"{where}: {form} needs {key}=" if has else
-                              f"{where}: {form} has no {key} field")
-    opcode, funct3, funct7, funct2 = (
-        _int_field(kw, k, where)
-        for k in ("opcode", "funct3", "funct7", "funct2"))
-    # fixed bits: opcode and the funct regions
-    mask, match = 0x7F, opcode
-    if funct3 is not None:
-        mask, match = mask | 0x7 << 12, match | funct3 << 12
-    if funct7 is not None:
-        mask, match = mask | 0x7F << 25, match | funct7 << 25
-    elif funct2 is not None:
-        mask, match = mask | 0x3 << 25, match | funct2 << 25
-    if match & ~mask:
-        raise TargetError(f"{where}: opcode or funct value too wide")
+    # the fixed bits: the record gives a value for each region named for a
+    # _FIXED key, and for no other
+    for key in _FIXED:
+        if (key in regions) != (key in kw):
+            raise TargetError(f"{where}: {form} needs {key}=" if key in
+                              regions else f"{where}: {form} has no {key} field")
+    mask = match = 0
+    for key in _FIXED:
+        if key in kw:
+            try:
+                value = int(kw[key], 0)
+            except ValueError:
+                raise TargetError(f"{where}: {key}={kw[key]} is not an "
+                                  "integer") from None
+            lsb, ones = regions[key]
+            if value & ~ones:
+                raise TargetError(f"{where}: opcode or funct value too wide")
+            mask, match = mask | ones << lsb, match | value << lsb
     return InstrDef(
         mnemonic=mnemonic,
         asm=kw.get("asm", mnemonic.lower()),
-        fmt=fmt,
-        opcode=opcode,
-        funct3=funct3,
-        funct7=funct7,
-        funct2=funct2,
         ops=ops,
         ext=ext,
         sched=tuple(kw["sched"].split(",")) if kw.get("sched") else (),
@@ -540,16 +537,6 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
         match=match,
         fields=fields,
     )
-
-
-def _int_field(kw: dict[str, str], key: str, where: str) -> int | None:
-    if key not in kw:
-        return None
-    try:
-        return int(kw[key], 0)
-    except ValueError:
-        raise TargetError(f"{where}: {key}={kw[key]} is not an integer") \
-            from None
 
 
 def _check_sem(node: PatNode, roles: tuple[str, ...], where: str):
@@ -665,13 +652,19 @@ def _collide(a: InstrDef, b: InstrDef) -> bool:
 
 def _index_encodings(instrs: dict[str, InstrDef]
                      ) -> dict[int, tuple[InstrDef, ...]]:
-    """The by_opcode table. Defs can only collide within one (opcode,
-    funct3) slot, so each def is checked against the defs of its own
-    slots."""
+    """The by_opcode table. Defs can only collide within one slot, so each
+    def is checked against the defs of its own slots: the one its match
+    gives, and, for each slot bit its mask leaves open, the same with that
+    bit set."""
     slots: dict[int, list[InstrDef]] = {}
     for d in instrs.values():
-        for funct3 in range(8) if d.fmt == "U" else (d.funct3,):
-            slot = slots.setdefault(d.opcode | funct3 << 12, [])
+        keys, free = [d.match & SLOT_MASK], SLOT_MASK & ~d.mask
+        while free:
+            bit = free & -free
+            keys += [k | bit for k in keys]
+            free ^= bit
+        for key in keys:
+            slot = slots.setdefault(key, [])
             for other in slot:
                 if _collide(other, d):
                     raise TargetError(f"encoding collision between "
@@ -694,28 +687,26 @@ class EncodedWord(NamedTuple):
     reloc: tuple[str, str] | None = None  # (kind "hi20"|"lo12", symbol)
 
 
-def _op_value(op: MOp, role: str, d: InstrDef):
+def _reloc(op: MOp, role: str, d: InstrDef) -> tuple[str, str]:
+    """The relocation an operand that encode cannot place as it is stands
+    for; any other such operand is a TargetError."""
     kind, val, reloc = op
     if kind == "vreg":
         raise TargetError(f"{d.mnemonic}: virtual register in encoder")
     if role in ("rd", "rs1", "rs2", "rs3"):
         if kind != "preg":
             raise TargetError(f"{d.mnemonic}: {role} must be a register")
-        if not 0 <= val < 32:
-            raise TargetError(f"{d.mnemonic}: no register x{val}")
-        return val
+        raise TargetError(f"{d.mnemonic}: no register x{val}")
     if kind == "sym":
         want = "imm20" if reloc == "hi20" else "imm12"
         if role != want:
             raise TargetError(f"{d.mnemonic}: {reloc} relocation is only "
                               f"valid on {want} operands")
-        return None  # relocation, field stays zero
+        return reloc, val
     if kind != "imm":
         raise TargetError(f"{d.mnemonic}: {role} must be an immediate")
-    if not fits(role, val):
-        what = "shift amount" if role == "uimm5" else "immediate"
-        raise TargetError(f"{d.mnemonic}: {what} {val} out of {role} range")
-    return val
+    what = "shift amount" if role == "uimm5" else "immediate"
+    raise TargetError(f"{d.mnemonic}: {what} {val} out of {role} range")
 
 
 def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
@@ -729,18 +720,14 @@ def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
     for role, f, op in zip(d.ops, d.fields, mi.ops):
         kind, v, _ = op
         # a register in a register field or an immediate in range goes in
-        # as it is; _op_value diagnoses the rest, or finds a relocation
+        # as it is; anything else is a relocation, whose field stays zero,
+        # or an error
         if not (kind == "preg" and f.reg and 0 <= v < 32
                 or kind == "imm" and not f.reg and fits(role, v)):
-            v = _op_value(op, role, d)
-            if v is None:
-                reloc = (op.reloc, op.val)
-                continue
+            reloc = _reloc(op, role, d)
+            continue
         word |= (v & f.mask) << f.shift | (v & f.lo_mask) << f.lo_shift
     return EncodedWord(word, reloc)
-
-
-SLOT_MASK = 0x707F  # the opcode and funct3 bits
 
 
 def lookup(word: int, desc: TargetDesc, ext: frozenset[str]) -> InstrDef | None:

@@ -410,6 +410,68 @@ def _params_sum(n: int) -> str:
             "  ret i32 %s\n}\n")
 
 
+def _in_f(body, pre=""):
+    """`pre`, then a function of (i32 %a, ptr %p) whose body starts with
+    `body`, on line 2 when `pre` is empty."""
+    return (f"{pre}define i32 @f(i32 %a, ptr %p) {{\n{body}\n"
+            "  ret i32 %a\n}\n")
+
+
+_STRUCT = "%s = type { i32, i32 }\n"
+_FSHL = "  %x = call i32 @llvm.fshl.i32"
+# IR the parser rejects, each with the position and text of its error
+_BAD_IR = {
+    "attributes": ("attributes #0 nounwind\n",
+                   "1:1: malformed attributes line"),
+    "top-level": ("frob\n", "1:1: unrecognized top-level construct: 'frob'"),
+    "global": ("@g = global\n", "1:1: malformed global: '@g = global'"),
+    "global-i64": ("@g = global i64 0\n", "1:1: i64 unsupported"),
+    "global-i8": ("@g = global i8 0\n",
+                  "1:1: global g: only i32 globals are supported"),
+    "struct-i64": ("%s = type { i32, i64 }\n", "1:1: i64 unsupported"),
+    "struct-i8": ("%s = type { i32, i8 }\n",
+                  "1:1: struct %s: only i32 members are supported"),
+    "define": ("define i32 f(i32 %a) {\n  ret i32 %a\n}\n",
+               "1:1: malformed define line"),
+    "unnamed-parameter": ("define i32 @f(i32) {\n  ret i32 0\n}\n",
+                          "1:1: unnamed parameter in @f"),
+    "unterminated": ("define i32 @f(i32 %a) {\n  ret i32 %a\n",
+                     "1:1: unterminated function @f"),
+    "operand": (_in_f("  %x = add i32 %a, foo"), "2:1: bad operand 'foo'"),
+    "call-untyped": (_in_f(_FSHL + "(i32 %a, %a, i32 1)"),
+                     "2:1: expected typed operand, got ' %a'"),
+    "load": (_in_f("  %x = load i32 %p"), "2:1: malformed load"),
+    "alloca": (_in_f("  %x = alloca"), "2:1: malformed alloca"),
+    "ret": ("define i32 @f(i32 %a) {\n  ret\n}\n", "2:1: malformed ret"),
+    "gep": (_in_f("  %q = getelementptr i32 %p"),
+            "2:1: malformed getelementptr"),
+    "call": (_in_f("  %x = call @foo"), "2:1: malformed call"),
+    "load-void": (_in_f("  %x = load void, ptr %p"), "2:1: load of void"),
+    "gep-variable-index": (
+        _in_f("  %q = getelementptr i32, ptr %p, i32 %a"),
+        "2:1: getelementptr indices must be integer constants"),
+    "gep-unknown-struct": (
+        _in_f("  %q = getelementptr %t, ptr %p, i32 0, i32 0"),
+        "2:1: unknown struct type %t"),
+    "gep-struct-one-index": (
+        _in_f("  %q = getelementptr %s, ptr %p, i32 0", _STRUCT),
+        "3:1: struct getelementptr needs exactly two indices"),
+    "gep-struct-member": (
+        _in_f("  %q = getelementptr %s, ptr %p, i32 0, i32 2", _STRUCT),
+        "3:1: struct member index 2 out of range"),
+    "gep-scalar-two-indices": (
+        _in_f("  %q = getelementptr i32, ptr %p, i32 0, i32 1"),
+        "2:1: scalar getelementptr needs exactly one index"),
+    "gep-i16": (_in_f("  %q = getelementptr i16, ptr %p, i32 1"),
+                "2:1: unsupported getelementptr element type i16"),
+    "call-foo": (_in_f("  %x = call i32 @foo(i32 %a)"),
+                 "2:1: only fshl/fshr/lifetime intrinsic calls are "
+                 "supported, got @foo"),
+    "fshl-two-operands": (_in_f(_FSHL + "(i32 %a, i32 %a)"),
+                          "2:1: llvm.fshl.i32 takes three operands"),
+}
+
+
 @pytest.mark.parametrize("argv,stdin,named", [
     (["run", path("rori.ll"), "--args=zz"], "", "'zz'"),
     (["run", path("rori.ll"), "--args=1,,2"], "", "''"),
@@ -438,16 +500,31 @@ def _params_sum(n: int) -> str:
     (["lit", path("missing")], "", "no such test path"),
     (["update-checks", path("missing.ll")], "", "missing.ll"),
     (["filecheck", "-"], "; CHECK: a\na\n", "check file must be a named file"),
+    (["mc", "--assemble", "-"], "lw a0\n", "lw: expected 'reg, imm(base)'"),
+    (["mc", "--assemble", "-"], "lw a0, 4[a1]\n",
+     "lw: bad memory operand '4[a1]'"),
+    (["mc", "--assemble", "-"], "add a0, a1\n",
+     "add: expected 3 operands, got 2"),
+    (["run", "-"], "0x00200067\n", "pc=0x00000002: misaligned pc"),
+    (["run", path("identity.ll"), "--entry=nope"], "",
+     "no entry function 'nope'"),
+    *[([cmd, "-"], text, f"<stdin>:{named}")
+      for text, named in _BAD_IR.values() for cmd in ("opt", "llc")],
 ], ids=["args-word", "args-empty", "args-wide", "args-negative", "mem-bytes",
         "mem-address", "mem-negative", "mem-no-colon", "obj-word-run",
         "obj-word-mc", "obj-reloc", "obj-wide-mc", "obj-wide-run",
         "bare-opcode", "bare-result", "args-missing", "params-9-llc",
         "params-9-run", "params-23-llc", "params-23-run", "lit-missing",
-        "update-checks-missing", "filecheck-stdin"])
+        "update-checks-missing", "filecheck-stdin", "mc-memory-operand",
+        "mc-memory-brackets", "mc-operand-count", "run-misaligned-pc",
+        "run-ir-entry", *[f"{cmd}-{name}" for name in _BAD_IR
+                          for cmd in ("opt", "llc")]])
 def test_malformed_input_is_a_diagnosed_error(argv, stdin, named):
+    # rejected: exit 1, nothing on stdout, and one error line
     code, out, err = run_command(argv, stdin_text=stdin)
     assert code == 1 and out == ""
     assert err.startswith("rv32x: error:") and named in err, err
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("data,named", [

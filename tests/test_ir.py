@@ -294,6 +294,24 @@ def test_position_of_a_one_line_define(text, where):
     assert str(e.value) == where
 
 
+@pytest.mark.parametrize("text, where", [
+    ("define i32 @foo(i32 %a, i32 %b) {\n  %x = add i32 %a, %b\n"
+     "  %y = and i32 %x, %a\n\n  ; comment\n  ret i32 %xor\n}\n",
+     "6:1: verification failed: @foo:2: use before def: %xor"),
+    ("@g = global i32 0\ndefine i32 @f(i32 %a, i32 %a) {\n  ret i32 %a\n}",
+     "2:1: verification failed: @f:-1: duplicate parameter %a"),
+    ("define i32 @f(i32 %a) {\n  %x = add i32 %a, 1\n}\n",
+     "3:1: verification failed: @f:1: function must end with ret"),
+], ids=["instruction", "parameter", "past-the-body"])
+def test_a_verifier_violation_reports_its_source_line(text, where):
+    """A function's violation is reported at the line of the instruction
+    it names, its define or its closing brace, not at the body index."""
+    with pytest.raises(ir.IrError) as e:
+        ir.parse_ir(text)
+    assert str(e.value) == "<stdin>:" + where
+    assert e.value.line == int(where.split(":")[0])
+
+
 def test_parse_error_carries_position():
     try:
         ir.parse_ir("define i32 @f(i32 %a) {\n  %x = add i37 %a, 1\n"

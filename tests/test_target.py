@@ -27,6 +27,50 @@ def oracle_pack(fields: dict[str, tuple[int, int, int]]) -> int:
     return word
 
 
+# The RISC-V unprivileged ISA manual's base formats, for words written from
+# its field values (RV32I, M, Zba and Zbb chapters), not from the .desc.
+_OP, _OP_IMM, _LOAD, _STORE = 0b0110011, 0b0010011, 0b0000011, 0b0100011
+_LUI, _JALR = 0b0110111, 0b1100111
+
+
+def _r(funct7, rs2, rs1, funct3, rd, opcode=_OP):
+    return oracle_pack({"funct7": (funct7, 31, 25), "rs2": (rs2, 24, 20),
+                        "rs1": (rs1, 19, 15), "funct3": (funct3, 14, 12),
+                        "rd": (rd, 11, 7), "opcode": (opcode, 6, 0)})
+
+
+def _i(imm, rs1, funct3, rd, opcode=_OP_IMM):
+    return oracle_pack({"imm[11:0]": (imm & 0xFFF, 31, 20),
+                        "rs1": (rs1, 19, 15), "funct3": (funct3, 14, 12),
+                        "rd": (rd, 11, 7), "opcode": (opcode, 6, 0)})
+
+
+def _shift(imm_11_5, shamt, rs1, funct3, rd):
+    """I-type with imm[11:5] fixed and the shift amount in imm[4:0]."""
+    return _i(imm_11_5 << 5 | shamt, rs1, funct3, rd)
+
+
+def _s(imm, rs2, rs1, funct3=0b010):
+    imm &= 0xFFF
+    return oracle_pack({"imm[11:5]": (imm >> 5, 31, 25), "rs2": (rs2, 24, 20),
+                        "rs1": (rs1, 19, 15), "funct3": (funct3, 14, 12),
+                        "imm[4:0]": (imm & 0x1F, 11, 7),
+                        "opcode": (_STORE, 6, 0)})
+
+
+def _u(imm20, rd, opcode=_LUI):
+    return oracle_pack({"imm[31:12]": (imm20, 31, 12), "rd": (rd, 11, 7),
+                        "opcode": (opcode, 6, 0)})
+
+
+def _fixed(funct7, funct3, opcode=_OP, funct7_mask=0x7F):
+    """(mask, match) of an R word's funct7, funct3 and opcode, and of an I
+    shift's, whose imm[11:5] is funct7. R4's funct2 is funct7's low two
+    bits: funct7_mask 0b11."""
+    return (_r(funct7_mask, 0, 0, 0b111, 0, 0x7F),
+            _r(funct7, 0, 0, funct3, 0, opcode))
+
+
 def test_format_layouts_disjoint_and_complete():
     for name, fields in tgt.FORMATS.items():
         seen = set()
@@ -53,23 +97,21 @@ def test_catalog_contents(desc):
             "LW", "SW", "JALR"}
     assert base <= set(desc.instrs)
     assert desc.instrs["MUL"].ext == "M"
-    mla = desc.instrs["MLA"]
-    assert (mla.fmt, mla.funct2, mla.funct3) == ("R4", 0b10, 0b100)
-    assert mla.asm == "mla"
-    nax = desc.instrs["NAXOR"]
-    assert (nax.funct2, nax.funct3) == (0b11, 0b100)
-    sh1 = desc.instrs["SH1ADD"]
-    assert (sh1.funct7, sh1.funct3) == (0b0010000, 0b010)
-    assert (desc.instrs["SH2ADD"].funct3, desc.instrs["SH3ADD"].funct3) == \
-        (0b100, 0b110)
-    ror = desc.instrs["ROR"]
-    assert (ror.funct7, ror.funct3) == (0b0110000, 0b101)
-    shl = desc.instrs["SHLXOR"]
-    assert (shl.funct7, shl.funct3) == (0b0011000, 0b111)
-    lxr = desc.instrs["LXR"]
-    assert (lxr.funct7, lxr.funct3) == (0b0011011, 0b101)
-    assert lxr.may_load
-    assert desc.instrs["ROTI"].funct3 == 0b101
+
+    def fixed(mnemonic):
+        return desc.instrs[mnemonic].mask, desc.instrs[mnemonic].match
+
+    assert fixed("MLA") == _fixed(0b10, 0b100, funct7_mask=0b11)
+    assert desc.instrs["MLA"].asm == "mla"
+    assert fixed("NAXOR") == _fixed(0b11, 0b100, funct7_mask=0b11)
+    assert fixed("SH1ADD") == _fixed(0b0010000, 0b010)
+    assert fixed("SH2ADD") == _fixed(0b0010000, 0b100)
+    assert fixed("SH3ADD") == _fixed(0b0010000, 0b110)
+    assert fixed("ROR") == _fixed(0b0110000, 0b101)
+    assert fixed("SHLXOR") == _fixed(0b0011000, 0b111)
+    assert fixed("LXR") == _fixed(0b0011011, 0b101)
+    assert desc.instrs["LXR"].may_load
+    assert fixed("ROTI") == _fixed(0b0011000, 0b101, _OP_IMM)
     assert desc.instrs["MLA"].sched == ("WriteIMul", "ReadIMul", "ReadIMul")
 
 
@@ -239,6 +281,16 @@ _BAD_RECORDS = {
     "pattern-immediate-in-register-role": (
         _ADD_ADDI_SW + "\npattern (sub (xor $a (uimm5 $b)) $c) => (ADD $a $b)",
         r"ADD: rs2 takes a register, not uimm5 \$b"),
+    "unbalanced-close": (_FOO + " sem=(add $rs1 $rs2))", r"unbalanced '\)'"),
+    "two-expressions": (_FOO + " sem=(add $rs1 $rs2) (sub $rs1 $rs2)",
+                        "expected one balanced expression"),
+    "const-two-literals": (_FOO + " sem=(add $rs1 (const 1 2))",
+                           "const takes one literal"),
+    "not-two-operands": (_FOO + " sem=(not $rs1 $rs2)",
+                         "not takes one operand"),
+    "unknown-extension": ("extension Zzz", "unknown extension 'Zzz'"),
+    "unrecognized-record": ("frob FOO", "unrecognized record 'frob FOO'"),
+    "unknown-format": (_FOO.replace("fmt=R", "fmt=Q"), "bad format 'Q'"),
 }
 
 
@@ -273,7 +325,7 @@ def test_a_reload_parses_no_instr_record(monkeypatch):
     with pytest.raises(TypeError):
         second.instrs["ADD"] = first.instrs["SUB"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        second.instrs["ADD"].opcode = 0
+        second.instrs["ADD"].match = 0
     assert all(second.instrs[m] is d for m, d in first.instrs.items())
     assert second.patterns == first.patterns
 
@@ -434,6 +486,71 @@ def test_every_instruction_with_a_sem_is_selectable_in_its_extension(desc):
 def test_add_x0_encodes_to_0x33(desc):
     w = tgt.encode(MachineInstr("ADD", [MOp.preg(0)] * 3), desc)
     assert w.word == 0x00000033
+
+
+# standard words, each written with the manual's layouts above
+RA, SP, S0, A0, A1, A2 = 1, 2, 8, 10, 11, 12
+SPEC_WORDS = {  # asm: (mnemonic, operand values in `ops` order, word)
+    "addi a0, a0, 1": ("ADDI", (A0, A0, 1), _i(1, A0, 0b000, A0)),
+    "addi sp, sp, -16": ("ADDI", (SP, SP, -16), _i(-16, SP, 0b000, SP)),
+    "xori a0, a1, -1": ("XORI", (A0, A1, -1), _i(-1, A1, 0b100, A0)),
+    "ori a0, a0, 255": ("ORI", (A0, A0, 255), _i(255, A0, 0b110, A0)),
+    "andi a0, a1, 2047": ("ANDI", (A0, A1, 2047), _i(2047, A1, 0b111, A0)),
+    "slli a0, a0, 1": ("SLLI", (A0, A0, 1), _shift(0, 1, A0, 0b001, A0)),
+    "srli a0, a1, 31": ("SRLI", (A0, A1, 31), _shift(0, 31, A1, 0b101, A0)),
+    "srai a0, a0, 3": ("SRAI", (A0, A0, 3),
+                       _shift(0b0100000, 3, A0, 0b101, A0)),
+    "lw ra, 12(sp)": ("LW", (RA, SP, 12), _i(12, SP, 0b010, RA, _LOAD)),
+    "lw a0, -4(s0)": ("LW", (A0, S0, -4), _i(-4, S0, 0b010, A0, _LOAD)),
+    "jalr zero, 0(ra)": ("JALR", (0, RA, 0), _i(0, RA, 0b000, 0, _JALR)),
+    "add a0, a0, a1": ("ADD", (A0, A0, A1), _r(0, A1, A0, 0b000, A0)),
+    "sub a0, a1, a2": ("SUB", (A0, A1, A2),
+                       _r(0b0100000, A2, A1, 0b000, A0)),
+    "sll a0, a0, a1": ("SLL", (A0, A0, A1), _r(0, A1, A0, 0b001, A0)),
+    "srl a0, a0, a1": ("SRL", (A0, A0, A1), _r(0, A1, A0, 0b101, A0)),
+    "sra a0, a0, a1": ("SRA", (A0, A0, A1),
+                       _r(0b0100000, A1, A0, 0b101, A0)),
+    "xor a0, a0, a1": ("XOR", (A0, A0, A1), _r(0, A1, A0, 0b100, A0)),
+    "or a0, a0, a1": ("OR", (A0, A0, A1), _r(0, A1, A0, 0b110, A0)),
+    "and a0, a0, a1": ("AND", (A0, A0, A1), _r(0, A1, A0, 0b111, A0)),
+    "sw a0, 4(a1)": ("SW", (A0, A1, 4), _s(4, A0, A1)),
+    "sw ra, -4(sp)": ("SW", (RA, SP, -4), _s(-4, RA, SP)),
+    "lui a0, 0x12345": ("LUI", (A0, 0x12345), _u(0x12345, A0)),
+    "lui a0, 0xfffff": ("LUI", (A0, 0xFFFFF), _u(0xFFFFF, A0)),
+    "mul a0, a0, a1": ("MUL", (A0, A0, A1), _r(0b0000001, A1, A0, 0b000, A0)),
+    "sh1add a0, a0, a1": ("SH1ADD", (A0, A0, A1),
+                          _r(0b0010000, A1, A0, 0b010, A0)),
+    "sh2add a0, a0, a1": ("SH2ADD", (A0, A0, A1),
+                          _r(0b0010000, A1, A0, 0b100, A0)),
+    "sh3add a0, a0, a1": ("SH3ADD", (A0, A0, A1),
+                          _r(0b0010000, A1, A0, 0b110, A0)),
+    "ror a0, a0, a1": ("ROR", (A0, A0, A1), _r(0b0110000, A1, A0, 0b101, A0)),
+    "rori a0, a0, 7": ("RORI", (A0, A0, 7),
+                       _shift(0b0110000, 7, A0, 0b101, A0)),
+}
+
+
+def test_spec_words_match_the_manual_layouts():
+    # the oracle's layouts give the words quoted in the manual and by
+    # standard assemblers
+    assert SPEC_WORDS["addi a0, a0, 1"][2] == 0x00150513
+    assert SPEC_WORDS["sw a0, 4(a1)"][2] == 0x00a5a223
+    assert SPEC_WORDS["ror a0, a0, a1"][2] == 0x60b55533
+    assert SPEC_WORDS["addi sp, sp, -16"][2] == 0xff010113
+    assert SPEC_WORDS["jalr zero, 0(ra)"][2] == 0x00008067
+
+
+@pytest.mark.parametrize("asm", list(SPEC_WORDS))
+def test_shipped_encoding_is_the_spec_word(desc, asm):
+    mnemonic, values, word = SPEC_WORDS[asm]
+    d = desc.instrs[mnemonic]
+    ops = [MOp.preg(v) if role in ("rd", "rs1", "rs2") else MOp.imm(v)
+           for role, v in zip(d.ops, values)]
+    assert tgt.encode(MachineInstr(mnemonic, ops), desc).word == word
+    back = tgt.decode(word, desc, frozenset(tgt.ALL_EXTENSIONS))
+    assert back.mnemonic == mnemonic
+    assert [(o.kind, o.val) for o in back.ops] == [(o.kind, o.val)
+                                                   for o in ops]
 
 
 def test_naxor_field_level_oracle(desc):
