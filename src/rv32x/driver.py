@@ -98,12 +98,6 @@ def _read_input(path: str | None, stdin: io.TextIOBase) -> tuple[str, str]:
         raise DriverError(f"{name}: not UTF-8 text: {e}") from None
 
 
-def _opt_level(args) -> str:
-    if getattr(args, "O0", False):
-        return "O0"
-    return "O2"
-
-
 def _default_desc() -> tgt.TargetDesc:
     global _desc
     if _desc is None:
@@ -121,7 +115,7 @@ def cmd_opt(args, stdin, stdout, stderr) -> int:
     mod = ir.parse_ir(text, source)
     if args.passes is not None:
         pipeline = tuple(p for p in args.passes.split(",") if p)
-    elif getattr(args, "O0", False):
+    elif args.O0:
         pipeline = ()
     else:
         pipeline = midend.DEFAULT_PIPELINE
@@ -136,7 +130,7 @@ def cmd_llc(args, stdin, stdout, stderr) -> int:
     text, source = _read_input(args.input, stdin)
     desc = _default_desc()
     ext = _mattr(args)
-    cm = compile_ir_text(text, source, desc, ext, _opt_level(args),
+    cm = compile_ir_text(text, source, desc, ext, "O0" if args.O0 else "O2",
                          want_dots=args.emit == "dot")
     if args.debug_isel:
         for fname, cf in cm.functions.items():
@@ -261,7 +255,8 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
                       default=len(words))
             words = words[begin:end]
     else:
-        cm = compile_ir_text(text, source, desc, ext, _opt_level(args))
+        cm = compile_ir_text(text, source, desc, ext,
+                             "O0" if args.O0 else "O2")
         mod = cm.module
         entry = args.entry or (mod.functions[0].name if mod.functions else None)
         if entry is None or entry not in cm.functions:

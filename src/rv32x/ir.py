@@ -33,19 +33,19 @@ INT32_MAX = (1 << 31) - 1
 
 
 class IrError(Exception):
-    """Parse or structural error, carrying a source position."""
+    """Parse or structural error, carrying its source line; the column is
+    always printed as 1."""
 
-    def __init__(self, msg, line=0, col=0, source=""):
+    def __init__(self, msg, line=0, source=""):
         super().__init__(msg)
         self.msg = msg
         self.line = line
-        self.col = col
         self.source = source
 
     def __str__(self):
         prefix = f"{self.source}:" if self.source else ""
         if self.line:
-            return f"{prefix}{self.line}:{self.col}: {self.msg}"
+            return f"{prefix}{self.line}:1: {self.msg}"
         return f"{prefix} {self.msg}" if prefix else self.msg
 
 
@@ -211,8 +211,8 @@ class _Parser:
         # function name -> the lines of its define, body and closing brace
         self.lines_of: dict[str, list[int]] = {}
 
-    def err(self, msg, lineno, col=1):
-        raise IrError(msg, lineno, col, self.source_name)
+    def err(self, msg, lineno):
+        raise IrError(msg, lineno, self.source_name)
 
     def parse(self) -> Module:
         for lineno, line in self.lines:
@@ -295,6 +295,8 @@ class _Parser:
         if paramstr.strip():
             for p in paramstr.split(","):
                 toks = p.split()
+                if not toks:
+                    self.err(f"empty parameter in @{name}", start)
                 pty = self._parse_type(toks[0], start)
                 pname = toks[-1]
                 if not pname.startswith("%"):
@@ -498,7 +500,7 @@ def parse_ir(text: str, source_name: str = "<stdin>") -> Module:
     if bad:
         at = re.match(r"@([^:]+):(-?\d+): ", bad[0])
         line = parser.lines_of[at[1]][int(at[2]) + 1] if at else 0
-        raise IrError("verification failed: " + "; ".join(bad), line, 1,
+        raise IrError("verification failed: " + "; ".join(bad), line,
                       source_name)
     return mod
 

@@ -13,17 +13,17 @@ stage leaves `SelDag.nodes` as exactly the nodes reachable from the root;
 combine and legalize collect their rewrites and apply them in one sweep.
 
 Selection reads the generic DAG without changing it and builds a new graph
-of machine nodes. It consults imperative hooks at their root node kinds
-first, then declarative patterns from the target description by descending
-priority, which select every instruction, loads and stores with their
-address offsets included; there are no fallbacks. Each pattern runs as one
-function generated from it on first use, its selector: it matches the
-source at a node, checks that the loads and stores it covers are adjacent
-on the chain, and makes the target's machine nodes. Selectors are shared by
-every description that has the pattern, and the table of them by root kind
-is built once per description and extension set. A register operand that
-is a constant or a HI leaf is materialized where it is used: a constant as
-its shortest sequence, HI(g) as `lui %hi(g)`, each once per node. An imm12
+of machine nodes. At an xor it consults the LXR hook first, then
+declarative patterns from the target description by descending priority,
+which select every instruction, loads and stores with their address offsets
+included; there are no fallbacks. Each pattern runs as one function
+generated from it on first use, its selector: it matches the source at a
+node, checks that the loads and stores it covers are adjacent on the chain,
+and makes the target's machine nodes. Selectors are shared by every
+description that has the pattern, and the table of them by root kind is
+built once per description and extension set. A register operand that is a
+constant or a HI leaf is materialized where it is used: a constant as its
+shortest sequence, HI(g) as `lui %hi(g)`, each once per node. An imm12
 operand matches LO(g) as `%lo(g)`. Scheduling is a deterministic Kahn
 linearization of the machine graph ordered by node creation.
 """
@@ -136,8 +136,9 @@ class SelDag:
         self.nodes.append(n)
         return n
 
-    def live_nodes(self) -> list[DagNode]:
-        """Nodes reachable from the root, in creation order: one walk."""
+    def prune(self):
+        """Keep the nodes reachable from the root, in creation order: one
+        walk."""
         seen = {self.root}
         stack = [self.root]
         while stack:
@@ -145,10 +146,7 @@ class SelDag:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        return [n for n in self.nodes if n in seen]
-
-    def prune(self):
-        self.nodes = self.live_nodes()
+        self.nodes = [n for n in self.nodes if n in seen]
 
 
 # --------------------------------------------------------------------------
@@ -331,9 +329,6 @@ class SelectCtx:
         self.uses: dict[DagNode, int] = defaultdict(int)
         self.selectors = _selectors(desc, ext).by_kind
 
-    def debug(self, msg: str):
-        self.debug_lines.append(msg)
-
     def make_machine(self, mnemonic: str, ops, chain=None) -> DagNode:
         d = self.desc.instr(mnemonic)
         if d.ext not in self.ext:
@@ -356,11 +351,9 @@ class SelectCtx:
             for mn, imm in tgt.materialize_imm(v.value, self.ext):
                 if mn == "LUI":
                     node = self.make_machine("LUI", [MOp.imm(imm)])
-                elif mn == "ADDI":
+                else:  # ADDI: Zba's shortcut is never shorter on RV32
                     src = MOp.preg(X0) if node is None else node
                     node = self.make_machine("ADDI", [src, MOp.imm(imm)])
-                else:
-                    node = self.make_machine(mn, [node, node])
         self._materialized[v] = node
         return node
 
@@ -380,7 +373,7 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     """
     if "Xcrypt" not in ctx.ext:
         return None
-    say = ctx.debug
+    say = ctx.debug_lines.append
     say(f"xor-loads hook: inspecting {node!r}")
     a, b = node.ops
     if not (a.kind == "load" and b.kind == "load"):
@@ -417,10 +410,6 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
     ctx.splice([a, b], lxr)
     say("  -> emitting ADDI + LXR")
     return lxr
-
-
-# imperative matchers by root node kind, consulted before declarative patterns
-HOOKS = {"xor": hook_xor_dependent_loads}
 
 
 def _chain_order(nodes: list[DagNode]) -> list[DagNode]:
@@ -489,7 +478,7 @@ def pattern_selector(p: tgt.SelPattern, desc: tgt.TargetDesc) -> Callable:
     key = (p.source, p.target, orders)
     sel = _SELECTORS.get(key)
     if sel is None:
-        scope = {"__builtins__": {}, "len": len, "repr": repr, "MOp": MOp,
+        scope = {"__builtins__": {}, "len": len, "MOp": MOp,
                  "adjacent": _chain_adjacent}
         where = f"<pattern {p.source.kind} -> {p.target.kind}>"
         exec(compile(_selector_source(p, orders), where, "exec"), scope)
@@ -525,8 +514,7 @@ def _selector_source(p: tgt.SelPattern, orders: tuple) -> str:
     m = w.emit(p.target, iter(orders), lines)
     if mems:
         lines.append(f"    ctx.splice([{', '.join(mems)}], {m})")
-    msg = f"pattern {p.source.kind} -> {p.target.kind} matched at "
-    lines += [f"    ctx.debug({msg!r} + repr(n))", f"    return {m}"]
+    lines.append(f"    return {m}")
     return "\n".join(lines) + "\n"
 
 
@@ -646,16 +634,17 @@ class _SelectorSource:
 
 
 def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
-    """Select one generic node by hook, else by pattern; returns the machine
-    node for its value."""
-    hook = HOOKS.get(node.kind)
-    if hook is not None:
-        new = hook(ctx, node)
+    """Select one generic node by the LXR hook, else by pattern; returns the
+    machine node for its value."""
+    if node.kind == "xor":
+        new = hook_xor_dependent_loads(ctx, node)
         if new is not None:
             return new
     for sel in ctx.selectors.get(node.kind, ()):
         new = sel(ctx, node)
         if new is not None:
+            ctx.debug_lines.append(
+                f"pattern {node.kind} -> {new.kind} matched at {node!r}")
             return new
     # name the disabled instructions that would have covered the node
     needs = {f"{p.target.kind} requires extension {p.ext}": None
@@ -667,8 +656,8 @@ def _select_node(ctx: SelectCtx, node: DagNode) -> DagNode:
 
 def select(dag: SelDag, desc: tgt.TargetDesc,
            ext: frozenset[str]) -> tuple[SelDag, list[str]]:
-    """Cover every generic node with machine nodes: hooks first, then
-    declarative patterns by priority (maximal munch).
+    """Cover every generic node with machine nodes: the LXR hook first,
+    then declarative patterns by priority (maximal munch).
 
     `dag` is left as it is, and one-use tests read its use counts, taken
     once. Nodes are visited consumers first; a node is skipped when no
@@ -828,7 +817,6 @@ def emit_dot(dag: SelDag, stage_label: str = "") -> str:
     """Graphviz rendering: solid value edges, dashed chain edges."""
     lines = [f'digraph "{dag.name}{":" + stage_label if stage_label else ""}" {{']
     nodes = dag.nodes
-    names = {id(n): f"n{n.uid}" for n in nodes}
 
     def label(n: DagNode) -> str:
         extra = ""
@@ -841,15 +829,14 @@ def emit_dot(dag: SelDag, stage_label: str = "") -> str:
         return f"{n.kind}{extra}:{n.vt}"
 
     for n in nodes:
-        lines.append(f'  {names[id(n)]} [label="{label(n)}"];')
+        lines.append(f'  n{n.uid} [label="{label(n)}"];')
     for n in nodes:
         for op in n.ops:
             if type(op) is DagNode:
-                lines.append(f"  {names[id(op)]} -> {names[id(n)]};")
+                lines.append(f"  n{op.uid} -> n{n.uid};")
         if n.chain is not None:
-            lines.append(f"  {names[id(n.chain)]} -> {names[id(n)]} "
-                         f"[style=dashed];")
+            lines.append(f"  n{n.chain.uid} -> n{n.uid} [style=dashed];")
         if n.ret_value is not None:
-            lines.append(f"  {names[id(n.ret_value)]} -> {names[id(n)]};")
+            lines.append(f"  n{n.ret_value.uid} -> n{n.uid};")
     lines.append("}")
     return "\n".join(lines) + "\n"

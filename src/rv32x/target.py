@@ -475,6 +475,9 @@ def _pattern(line: str, ext: str, instrs: dict[str, InstrDef], where: str
 def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     line, _, sem_text = line.partition(" sem=")  # sem= comes last
     toks = line.split()
+    if len(toks) < 2 or "=" in toks[1]:
+        raise TargetError(f"{where}: an instr record starts with its "
+                          "mnemonic")
     mnemonic = toks[1]
     kw = {}
     for tok in toks[2:]:
@@ -500,7 +503,14 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
     sem = None
     if sem_text:
         sem = _parse_sexpr(sem_text, where)
-        _check_sem(sem, tuple(r for r in ops if r != "rd"), where)
+        roles = tuple(r for r in ops if r != "rd")
+        _check_sem(sem, roles, where)
+        read: dict[str, str] = {}
+        _captures(sem, read)
+        for r in roles:
+            if r not in read:  # its own pattern would emit it unbound
+                raise TargetError(f"{where}: sem never reads source operand "
+                                  f"${r}")
         if sem.kind == "store" and "rd" in ops:
             raise TargetError(f"{where}: a store sem writes memory, not rd")
         if sem.kind != "store" and ops[:1] != ("rd",):

@@ -14,7 +14,7 @@ import pathlib
 import re
 import shlex
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 SUITE = "rv32x"
@@ -206,7 +206,6 @@ class LitReport:
     passed: int = 0
     failed: int = 0
     text: str = ""
-    failures: list[str] = field(default_factory=list)
 
 
 def discover_tests(paths) -> list[str]:
@@ -268,7 +267,6 @@ def run_lit(paths, executor, verbose: bool = False) -> LitReport:
             report.passed += 1
         else:
             report.failed += 1
-            report.failures.append(f"{t}: {detail}")
             if verbose and detail:
                 lines.extend("    " + l for l in detail.splitlines())
     elapsed = time.monotonic() - started

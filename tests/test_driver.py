@@ -435,6 +435,8 @@ _BAD_IR = {
                "1:1: malformed define line"),
     "unnamed-parameter": ("define i32 @f(i32) {\n  ret i32 0\n}\n",
                           "1:1: unnamed parameter in @f"),
+    "empty-parameter": ("define i32 @f(i32 %a, , i32 %b) {\n"
+                        "  ret i32 %a\n}\n", "1:1: empty parameter in @f"),
     "unterminated": ("define i32 @f(i32 %a) {\n  ret i32 %a\n",
                      "1:1: unterminated function @f"),
     "operand": (_in_f("  %x = add i32 %a, foo"), "2:1: bad operand 'foo'"),

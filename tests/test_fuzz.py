@@ -2,17 +2,24 @@
 every extension set, then simulator-vs-interpreter comparison. Catches
 interactions the hand-written corpus cannot: patterns nested inside each
 other, canonicalization flips feeding the matchers, materialized constants as
-pattern operands."""
+pattern operands. Then mutation fuzz: inputs a few edits away from the
+corpus, the description, the lit asm and object text must each give a result
+or exactly one clean error."""
 
+import collections
+import functools
 import itertools
 import random
+import re
 
 import pytest
 
 from rv32x import driver, ir, midend
 from rv32x import target as tgt
 
-from conftest import ALL_MATTRS, assert_runs_like_ir, compile_fn, make_ptr_args
+from conftest import (ALL_MATTRS, CORPUS_SHAPES, LIT_TESTS, PKG_ROOT,
+                      assert_runs_like_ir, compile_fn, corpus_text,
+                      make_ptr_args)
 
 BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
 CONST_POOL = [-1, 0, 1, 2, 3, 6, 10, 16, 30, 31, 127, 2047, -2048,
@@ -181,3 +188,167 @@ def test_fuzz_large_functions_spill_and_run_like_ir(seed, desc):
         mf = cm.functions[fn0.name].mf
         assert mf.frame_size > 0, (mattr, level)  # every value live: spills
         assert_runs_like_ir(fn0, mf, desc, inputs)
+
+
+# --------------------------------------------------------------------------
+# Mutation fuzz: the two-outcome contract on malformed input
+# --------------------------------------------------------------------------
+
+# a number (decimal or hex, with its sign), a word with its sigil, or one
+# other character
+_TOKEN = re.compile(r"-?\d\w*|[%@$]?[\w.]+|\S")
+# out of range for a 32-bit value, an imm12, a uimm5, or just inside
+_WIDE = ["2147483648", "4294967296", "-2147483649", "2147483647",
+         "-2147483648", "0xffffffff", "0x100000000", "2048", "-2049", "4095",
+         "32", "-1", "0"]
+_FULL = "+zba,+zbb,+xcrypt"
+_FUEL = "--fuel=1000"  # a mutated jump can loop; straight-line code cannot
+
+
+def _token_class(tok: str) -> str:
+    if tok[0] in "%@$":
+        return tok[0]
+    if re.match(r"-?\d", tok):
+        return "number"
+    return "word" if tok[0].isalnum() or tok[0] == "_" else "mark"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """`text` with one to three edits: a line duplicated, dropped or swapped
+    with another; a token deleted; a number replaced by one out of range; a
+    token replaced by another of its class (opcode, type, keyword, name or
+    mark) from the same text."""
+    lines = text.split("\n")
+    pool = collections.defaultdict(list)
+    for tok in _TOKEN.findall(text):
+        pool[_token_class(tok)].append(tok)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        edit = rng.randrange(6)
+        if edit == 0:
+            lines.insert(i, lines[i])
+        elif edit == 1 and len(lines) > 1:
+            del lines[i]
+        elif edit == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            toks = list(_TOKEN.finditer(lines[i]))
+            if not toks:
+                continue
+            if edit == 4:  # prefer a number
+                toks = [m for m in toks
+                        if _token_class(m[0]) == "number"] or toks
+            k = rng.randrange(len(toks))
+            start, end = toks[k].start(), toks[k].end()
+            if edit == 3:  # a token, or it and the next, as `i32 %b`
+                end = toks[min(k + rng.randrange(2), len(toks) - 1)].end()
+                new = ""
+            elif edit == 4:
+                new = rng.choice(_WIDE)
+            else:  # an earlier edit may have made a token of a new class
+                new = rng.choice(pool[_token_class(toks[k][0])] or [""])
+            lines[i] = lines[i][:start] + new + lines[i][end:]
+    return "\n".join(lines)
+
+
+def run_contract(argv, text):
+    """Run one command on `text`: it exits 0, or 1 with exactly one error
+    line; an exception escaping run_command fails the test."""
+    try:
+        code, out, err = driver.run_command(argv, text)
+    except Exception as e:
+        pytest.fail(f"{argv} raised {e!r} on:\n{text}")
+    assert code == 0 or code == 1 and err.startswith("rv32x: error:") \
+        and err.count("\n") == 1, (argv, code, err, text)
+    return code, out, err
+
+
+def _records(text: str, comment: str) -> str:
+    """`text` without its comment lines, where an edit tests nothing."""
+    return "\n".join(line for line in text.split("\n")
+                     if not line.lstrip().startswith(comment))
+
+
+def _ir_mutant(rng, texts, monkeypatch) -> bool:
+    """opt and llc at -O0 and -O2 keep the contract, -O2 accepts what -O0
+    accepts, and what a first function of i32 parameters prints when run at
+    -O0 it prints at -O2. (A load that traps at -O0 may be dead, and
+    deleted, at -O2.) True when it ran."""
+    text = mutate(rng, rng.choice(texts))
+    run_contract(["opt", "-"], text)
+    flags = ["--mattr=" + (rng.choice(ALL_MATTRS) or "")]
+    o0, _, _ = run_contract(["llc", "-O0", *flags, "-"], text)
+    o2, _, _ = run_contract(["llc", "-O2", *flags, "-"], text)
+    assert not (o0 == 0 and o2 != 0), ("-O2 rejects what -O0 accepts", text)
+    if o0 != 0:
+        return False
+    fn = ir.parse_ir(text).functions[0]
+    if any(ty != ir.I32 for _, ty in fn.params):
+        return False
+    flags.append("--args=" + ",".join(str(3 + 7 * i)
+                                      for i in range(len(fn.params))))
+    ran = [run_contract(["run", level, *flags, "-"], text)
+           for level in ("-O0", "-O2")]
+    assert ran[0][0] != 0 or ran[1] == ran[0], (ran, text)
+    return True
+
+
+def _desc_mutant(rng, texts, monkeypatch) -> bool:
+    """A description either is a TargetError or compiles every corpus file
+    to words or to one clean error. True when it loaded."""
+    try:
+        desc = tgt.load_target_desc(mutate(rng, texts[0]))
+    except tgt.TargetError:
+        return False
+    monkeypatch.setattr(driver, "_desc", desc)  # as if the shipped one
+    for text in _corpus():
+        run_contract(["llc", "--emit=obj", "--mattr=" + _FULL, "-"], text)
+    return True
+
+
+def _asm_mutant(rng, texts, monkeypatch) -> bool:
+    """mc assembles to text, encodings or words, or to one clean error.
+    True when it assembled."""
+    text = mutate(rng, texts[0])
+    for flags in ([], ["--show-encoding"], ["--emit=obj"]):
+        code, _, _ = run_contract(
+            ["mc", "--assemble", *flags, "--mattr=" + _FULL, "-"], text)
+    return code == 0
+
+
+def _obj_mutant(rng, texts, monkeypatch) -> bool:
+    """mc disassembles object text and run simulates it, or each gives one
+    clean error. True when it ran."""
+    text = mutate(rng, rng.choice(texts))
+    run_contract(["mc", "--disassemble", "--mattr=" + _FULL, "-"], text)
+    code, _, _ = run_contract(["run", "--mattr=" + _FULL, _FUEL, "-"], text)
+    return code == 0
+
+
+@functools.cache
+def _corpus() -> tuple[str, ...]:
+    return tuple(corpus_text(name) for name in sorted(CORPUS_SHAPES))
+
+
+def _mutated_inputs():
+    """Each kind of input: its texts, its mutant count and its check."""
+    desc = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    asm = (LIT_TESTS / "mc" / "crypt.s").read_text()
+    objs = [driver.run_command(["llc", "--emit=obj", "--mattr=" + _FULL,
+                                "-"], text)[1] for text in _corpus()]
+    return {"ir": ([_records(t, ";") for t in _corpus()], 600, _ir_mutant),
+            "desc": ([_records(desc, ";")], 200, _desc_mutant),
+            "asm": ([_records(asm, "#")], 400, _asm_mutant),
+            "obj": (objs, 800, _obj_mutant)}
+
+
+@pytest.mark.parametrize("kind", ["ir", "desc", "asm", "obj"])
+def test_mutants_end_in_a_result_or_one_clean_error(kind, monkeypatch):
+    # ROADMAP aim 3's two outcomes, on inputs one to three edits away from
+    # the corpus, the shipped description, the lit asm and llc's object
+    # text. The counts keep the four under 2 s; a longer search raises them
+    texts, count, check = _mutated_inputs()[kind]
+    rng = random.Random(28)
+    accepted = sum(check(rng, texts, monkeypatch) for _ in range(count))
+    assert 0 < accepted < count, accepted  # both outcomes are reached

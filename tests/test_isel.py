@@ -37,17 +37,17 @@ def build(name, fname=None, opt=False):
 
 def test_build_madd_dag_shape():
     dag, _ = build("madd.ll")
-    kinds = [n.kind for n in dag.live_nodes()]
+    kinds = [n.kind for n in dag.nodes]
     assert "mul" in kinds and "add" in kinds and "store" in kinds
     # the mul feeds the add which feeds a store, all on one chain
-    addn = next(n for n in dag.live_nodes() if n.kind == "add")
+    addn = next(n for n in dag.nodes if n.kind == "add")
     assert any(isinstance(op, isel.DagNode) and op.kind == "mul"
                for op in addn.ops)
 
 
 def test_build_ret_only():
     dag, _ = build("identity.ll")
-    kinds = sorted(n.kind for n in dag.live_nodes())
+    kinds = sorted(n.kind for n in dag.nodes)
     assert kinds == ["EntryToken", "Register", "ret"]
 
 
@@ -63,7 +63,7 @@ define i32 @f() {
 """
     mod = ir.parse_ir(text)
     dag = isel.build_dag(mod.functions[0])
-    nodes = dag.live_nodes()
+    nodes = dag.nodes
     assert sum(1 for n in nodes if n.kind == "load") == 2
     assert sum(1 for n in nodes if n.kind == "GlobalAddress") == 1
 
@@ -86,15 +86,15 @@ def test_node_count_matches_ir_walk():
             if inst.opcode == "getelementptr":
                 consts.add(inst.operands[1].const & 0xFFFFFFFF)
         want = len(fn.body) + len(consts) + len(globs) + len(fn.params) + 1
-        assert len(dag.live_nodes()) == want, name
+        assert len(dag.nodes) == want, name
 
 
 def test_chain_threads_memory_ops():
     dag, _ = build("sbox.ll")
-    mems = [n for n in dag.live_nodes() if n.kind in ("load", "store")]
+    mems = [n for n in dag.nodes if n.kind in ("load", "store")]
     assert mems
     mems.sort(key=lambda n: n.uid)
-    assert dag.live_nodes()[0].kind == "EntryToken"
+    assert dag.nodes[0].kind == "EntryToken"
     prev = dag.entry
     for m in mems:
         assert m.chain is not None and m.chain is prev
@@ -131,9 +131,9 @@ def test_combine_merges_duplicate_constants():
 def test_combine_post_legalize_is_noop_on_minimal_dag(desc):
     dag, _ = build("shlxor.ll")
     isel.legalize(dag, desc, tgt.parse_mattr("+xcrypt"))
-    before = [(n.uid, n.kind) for n in dag.live_nodes()]
+    before = [(n.uid, n.kind) for n in dag.nodes]
     isel.combine(dag)
-    assert [(n.uid, n.kind) for n in dag.live_nodes()] == before
+    assert [(n.uid, n.kind) for n in dag.nodes] == before
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_combine_post_legalize_is_noop_on_minimal_dag(desc):
 def test_global_address_becomes_add_lo_hi(desc):
     dag, _ = build("madd.ll")
     isel.legalize(dag, desc, tgt.parse_mattr(None))
-    store = next(n for n in dag.live_nodes() if n.kind == "store")
+    store = next(n for n in dag.nodes if n.kind == "store")
     addr = store.ops[1]
     assert addr.kind == "add"
     assert addr.ops[0].kind == "HI"
@@ -234,13 +234,13 @@ def test_global_address_used_as_a_value(desc, mattr, level):
 def test_rotr_kept_legal_under_zbb(desc):
     dag, _ = build("rori.ll", opt=True)
     isel.legalize(dag, desc, tgt.parse_mattr("+zbb"))
-    assert any(n.kind == "rotr" for n in dag.live_nodes())
+    assert any(n.kind == "rotr" for n in dag.nodes)
 
 
 def test_rotr_expands_without_rotate_support(desc):
     dag, _ = build("rori.ll", opt=True)
     isel.legalize(dag, desc, tgt.parse_mattr(None))
-    kinds = [n.kind for n in dag.live_nodes()]
+    kinds = [n.kind for n in dag.nodes]
     assert "rotr" not in kinds
     assert "shl" in kinds and "srl" in kinds and "or" in kinds
 
@@ -317,7 +317,7 @@ define i32 @f(i32 %a) {
     mod = ir.parse_ir(text)
     dag = isel.build_dag(mod.functions[0])
     isel.legalize(dag, desc, tgt.parse_mattr("+zbb"))
-    rot = [n for n in dag.live_nodes() if n.kind == "rotr"]
+    rot = [n for n in dag.nodes if n.kind == "rotr"]
     assert len(rot) == 1
 
 
@@ -799,9 +799,9 @@ def _emit_target(ctx, pat, binds, desc):
 
 class _Probe:
     """Stands in for a SelectCtx and logs what is done with it: each
-    operand materialized, each machine node made, the loads and stores
-    spliced and the debug line. A machine node logs as its place in the
-    log, so that two logs compare."""
+    operand materialized, each machine node made and the loads and stores
+    spliced. A machine node logs as its place in the log, so that two logs
+    compare."""
 
     def __init__(self, uses):
         self.uses = uses
@@ -818,9 +818,6 @@ class _Probe:
     def splice(self, mems, machine):
         self.log.append(("splice", sorted(n.uid for n in mems),
                          self.plain(machine)))
-
-    def debug(self, msg):
-        self.log.append(("debug", msg))
 
     @staticmethod
     def plain(op):
@@ -842,8 +839,6 @@ def _reference_outcome(p, node, uses, desc):
     m = _emit_target(probe, p.target, binds, desc)
     if covered:
         probe.splice(covered, m)
-    probe.debug(f"pattern {p.source.kind} -> {p.target.kind} "
-                f"matched at {node!r}")
     return probe.log + [("return", probe.plain(m))]
 
 
@@ -986,9 +981,9 @@ def test_generated_selectors_agree_with_the_reference_matcher(
 
 # the names a selector's source may hold besides v1, v2, ...
 _SELECTOR_NAMES = {"def", "select", "ctx", "n", "if", "not", "return", "None",
-                   "and", "or", "is", "len", "repr", "MOp", "imm", "sym",
-                   "kind", "ops", "value", "uses", "adjacent", "reg", "make",
-                   "reg_operand", "make_machine", "splice", "debug"}
+                   "and", "or", "is", "len", "MOp", "imm", "sym", "kind",
+                   "ops", "value", "uses", "adjacent", "reg", "make",
+                   "reg_operand", "make_machine", "splice"}
 
 
 def _assert_generated_only(source):

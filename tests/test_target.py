@@ -291,6 +291,12 @@ _BAD_RECORDS = {
     "unknown-extension": ("extension Zzz", "unknown extension 'Zzz'"),
     "unrecognized-record": ("frob FOO", "unrecognized record 'frob FOO'"),
     "unknown-format": (_FOO.replace("fmt=R", "fmt=Q"), "bad format 'Q'"),
+    "unread-register": (_FOO + " sem=(rotr $rs1 $rs1)",
+                        r"sem never reads source operand \$rs2"),
+    "unread-immediate": (_ADDI + " sem=(add $rs1 $rs1)",
+                         r"sem never reads source operand \$imm12"),
+    "instr-without-mnemonic": ("instr sem=(add $rs1 $rs2)",
+                               "an instr record starts with its mnemonic"),
 }
 
 
