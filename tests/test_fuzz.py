@@ -331,24 +331,31 @@ def _corpus() -> tuple[str, ...]:
     return tuple(corpus_text(name) for name in sorted(CORPUS_SHAPES))
 
 
-def _mutated_inputs():
-    """Each kind of input: its texts, its mutant count and its check."""
-    desc = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
-    asm = (LIT_TESTS / "mc" / "crypt.s").read_text()
-    objs = [driver.run_command(["llc", "--emit=obj", "--mattr=" + _FULL,
-                                "-"], text)[1] for text in _corpus()]
-    return {"ir": ([_records(t, ";") for t in _corpus()], 600, _ir_mutant),
-            "desc": ([_records(desc, ";")], 200, _desc_mutant),
-            "asm": ([_records(asm, "#")], 400, _asm_mutant),
-            "obj": (objs, 800, _obj_mutant)}
+def _mutated_texts(kind: str) -> list[str]:
+    """The texts that mutants of `kind` are made from."""
+    if kind == "ir":
+        return [_records(text, ";") for text in _corpus()]
+    if kind == "desc":
+        path = PKG_ROOT / "targets" / "rv32_xcrypt.desc"
+        return [_records(path.read_text(), ";")]
+    if kind == "asm":
+        return [_records((LIT_TESTS / "mc" / "crypt.s").read_text(), "#")]
+    return [driver.run_command(["llc", "--emit=obj", "--mattr=" + _FULL, "-"],
+                               text)[1] for text in _corpus()]
 
 
-@pytest.mark.parametrize("kind", ["ir", "desc", "asm", "obj"])
+# kind -> mutant count and check; the counts keep the four under 2 s, and a
+# longer search raises them
+MUTANTS = {"ir": (600, _ir_mutant), "desc": (200, _desc_mutant),
+           "asm": (400, _asm_mutant), "obj": (800, _obj_mutant)}
+
+
+@pytest.mark.parametrize("kind", list(MUTANTS))
 def test_mutants_end_in_a_result_or_one_clean_error(kind, monkeypatch):
     # ROADMAP aim 3's two outcomes, on inputs one to three edits away from
-    # the corpus, the shipped description, the lit asm and llc's object
-    # text. The counts keep the four under 2 s; a longer search raises them
-    texts, count, check = _mutated_inputs()[kind]
+    # the corpus, the shipped description, the lit asm and llc's object text
+    count, check = MUTANTS[kind]
+    texts = _mutated_texts(kind)
     rng = random.Random(28)
     accepted = sum(check(rng, texts, monkeypatch) for _ in range(count))
     assert 0 < accepted < count, accepted  # both outcomes are reached
