@@ -51,9 +51,9 @@ class IrError(Exception):
 
 @dataclass(frozen=True)
 class Value:
-    """An operand: instruction result, argument, global ref, constant or undef."""
+    """An operand: instruction result, argument, global ref or constant."""
 
-    kind: str  # "temp" | "arg" | "global" | "const" | "undef"
+    kind: str  # "temp" | "arg" | "global" | "const"
     name: str = ""
     const: int = 0
     ty: str = I32
@@ -61,16 +61,11 @@ class Value:
     def __repr__(self):
         if self.kind == "const":
             return f"{self.const}"
-        if self.kind == "undef":
-            return "undef"
         return self.name
 
 
 def const(v: int, ty: str = I32) -> Value:
     return Value("const", const=v, ty=ty)
-
-
-UNDEF = Value("undef", ty=I32)
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,6 @@ class Function:
 @dataclass(frozen=True)
 class GlobalVar:
     name: str
-    value_type: str = I32
     initializer: int = 0
 
 
@@ -255,7 +249,7 @@ class _Parser:
             self.err(f"global {name}: only i32 globals are supported", lineno)
         value = 0 if init == "zeroinitializer" else int(init)
         self._check_const(value, lineno)
-        self.globals.append(GlobalVar(name, I32, value))
+        self.globals.append(GlobalVar(name, value))
 
     def _parse_struct(self, m, lineno):
         name, body = m.group(1), m.group(2)
@@ -360,8 +354,6 @@ class _Parser:
             return Value("temp", name, ty=ty)
         if tok.startswith("@"):
             return Value("global", tok[1:], ty=PTR)
-        if tok == "undef":
-            return Value("undef", ty=ty)
         try:
             v = int(tok)
         except ValueError:
@@ -514,8 +506,6 @@ def _fmt_value(v: Value) -> str:
         return str(v.const)
     if v.kind == "global":
         return "@" + v.name
-    if v.kind == "undef":
-        return "undef"
     return "%" + v.name
 
 
@@ -576,8 +566,6 @@ def verify(mod: Module) -> list[str]:
             bad.append(f"duplicate global @{g.name}")
         seen.add(g.name)
         gnames.add(g.name)
-        if g.value_type != I32:
-            bad.append(f"global @{g.name}: value type must be i32")
     for fn in mod.functions:
         if fn.name in seen:
             bad.append(f"duplicate symbol @{fn.name}")
@@ -614,8 +602,6 @@ def _verify_function(fn: Function, gnames) -> list[str]:
         elif v.kind == "global":
             if v.name not in gnames:
                 note(idx, f"unknown global @{v.name}")
-        elif v.kind == "undef":
-            note(idx, "undefined value read (poison from read-before-write)")
         elif v.kind == "const":
             if not (INT32_MIN <= v.const <= INT32_MAX):
                 note(idx, f"constant {v.const} out of 32-bit signed range")

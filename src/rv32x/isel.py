@@ -180,8 +180,6 @@ def build_dag(fn: ir.Function) -> SelDag:
             if v.name not in globs:
                 globs[v.name] = dag.new("GlobalAddress", value=v.name, vt="ptr")
             return globs[v.name]
-        if v.kind == "undef":
-            raise IselError("undef value reached instruction selection")
         return env[v.name]
 
     for inst in fn.body:

@@ -136,7 +136,9 @@ def _diff_addr(a: Value, b: Value, defs) -> bool:
 # --------------------------------------------------------------------------
 
 def pass_sroa(fn: ir.Function, stats: PassStats) -> ir.Function:
-    """Promote allocas whose only uses are direct loads and stores."""
+    """Promote allocas whose only uses are direct loads and stores. A load
+    from a slot before any store to it reads 0, as ir_interpret reads it: a
+    load of unwritten memory may read any value."""
     body = fn.body
     promotable: set[str] = set()
     for inst in body:
@@ -154,7 +156,7 @@ def pass_sroa(fn: ir.Function, stats: PassStats) -> ir.Function:
         return fn
 
     renames = _Renames()
-    current: dict[str, Value] = {a: ir.UNDEF for a in promotable}
+    current: dict[str, Value] = {}  # slot -> its last stored value
     store_counts = {a: 0 for a in promotable}
     out = []
     for inst in body:
@@ -163,7 +165,8 @@ def pass_sroa(fn: ir.Function, stats: PassStats) -> ir.Function:
             continue
         if inst.opcode == "load" and inst.operands[0].kind == "temp" \
                 and inst.operands[0].name in promotable:
-            renames.add(inst.result, current[inst.operands[0].name])
+            slot = inst.operands[0].name
+            renames.add(inst.result, current.get(slot) or ir.const(0, inst.ty))
             continue
         if inst.opcode == "store" and inst.operands[1].kind == "temp" \
                 and inst.operands[1].name in promotable:
@@ -426,10 +429,10 @@ def pass_inst_combine(fn: ir.Function, stats: PassStats) -> ir.Function:
 
 def compute_ranks(fn: ir.Function) -> dict[str, tuple[int, int]]:
     """(rank, order) of each argument and instruction result, by name.
-    Constants and undef rank 0, globals 1, argument i ranks i+3, an
-    instruction result 1 + max(operand ranks). The order is the position
-    of the definition, arguments first. Argument and result names are
-    distinct, as the verifier requires."""
+    Constants rank 0, globals 1, argument i ranks i+3, an instruction
+    result 1 + max(operand ranks). The order is the position of the
+    definition, arguments first. Argument and result names are distinct, as
+    the verifier requires."""
     ranks = {name: (i + 3, i) for i, (name, _) in enumerate(fn.params)}
     first = len(fn.params)
     for i, inst in enumerate(fn.body):
@@ -519,12 +522,10 @@ def pass_attr(fn: ir.Function, stats: PassStats, which: str) -> ir.Function:
         tags.add("mustprogress")
     elif which == "globalopt":
         tags.add("local_unnamed_addr")
-    elif which == "postorder":
+    else:  # "postorder": PASSES passes only these three names
         tags |= {"norecurse", "nosync", "nounwind", "willreturn"}
         if _stores_resolve(fn):
             tags.add("nofree")
-    else:
-        raise PassError(f"unknown attribute pass {which!r}")
     return fn.with_attributes(tags)
 
 

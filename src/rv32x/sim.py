@@ -254,8 +254,6 @@ def ir_interpret(fn: ir.Function, args: list[int],
                 return global_addrs[v.name]
             except KeyError:
                 raise InterpError(f"no address for global @{v.name}") from None
-        if v.kind == "undef":
-            raise InterpError("read of undefined value")
         return env[v.name]
 
     ret = None

@@ -5,9 +5,9 @@ The catalog is loaded from a structured text file (see targets/rv32_xcrypt.desc)
 with one record per instruction, a line-for-line analog of a .td extension
 file. An instruction's `sem=` expression is its one definition of meaning:
 the simulator runs it as one function per instruction, generated on first
-use from a fixed template per node kind (SEM_OPS is built from the same ones)
-and the word's field shifts and masks; it is the pattern that selects the
-instruction, and it says whether the instruction reads or writes memory.
+use from a fixed template per node kind and the word's field shifts and
+masks; it is the pattern that selects the instruction, and it says whether
+the instruction reads or writes memory.
 Every record kind is parsed once per process: a description loaded again
 from the same text reuses the frozen InstrDefs (each with its parsed sem,
 its pattern and, once run, its function) and `pattern` records of the first
@@ -360,9 +360,6 @@ _SEM_EXPRS = {
     "load": "m.load({0})",
     "store": "m.store({1}, {0})",
 }
-# the same, one callable per kind: SEM_OPS[kind](m, *operands)
-SEM_OPS = {kind: eval(("lambda m, a, b: " if "{1}" in e else "lambda m, a: ")
-                      + e.format("a", "b")) for kind, e in _SEM_EXPRS.items()}
 
 # The function InstrDef.run generates: `v` is the sem's value and `d` the
 # number of its rd, which is never written when it is x0.
@@ -550,7 +547,8 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
 
 
 def _check_sem(node: PatNode, roles: tuple[str, ...], where: str):
-    """A sem is built from SEM_OPS kinds, constants and source operands."""
+    """A sem is built from _SEM_EXPRS kinds, constants and source
+    operands."""
     if node.kind == "capture":
         if node.name not in roles:
             raise TargetError(f"{where}: sem operand ${node.name} is not a "
@@ -558,7 +556,7 @@ def _check_sem(node: PatNode, roles: tuple[str, ...], where: str):
         return
     if node.kind == "const":
         return
-    if node.kind not in SEM_OPS or node.oneuse:
+    if node.kind not in _SEM_EXPRS or node.oneuse:
         raise TargetError(f"{where}: unknown sem node kind {node.kind!r}")
     if len(node.children) != _SEM_EXPRS[node.kind].count("{"):
         raise TargetError(f"{where}: wrong operand count for {node.kind!r}")

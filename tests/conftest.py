@@ -142,6 +142,62 @@ def assert_runs_like_ir(fn, mf, desc, inputs, gaddrs=None):
         assert got_mem == want_mem, f"@{fn.name}{args}: memory diverged"
 
 
+def eval_pattern(node: tgt.PatNode, env, mem):
+    """A pattern source or a sem, evaluated node by node: the reference for
+    what the target's expression templates generate, and so written apart
+    from them. `env` maps capture names to values and `mem` is byte memory.
+    Returns the 32-bit result, or None for a store."""
+    M = 0xFFFFFFFF
+    if node.kind == "capture" or node.kind in tgt.IMM_RANGES:
+        return env[node.name] & M
+    if node.kind == "const":
+        return node.value & M
+    args = [eval_pattern(c, env, mem) for c in node.children]
+    if node.kind == "add":
+        return (args[0] + args[1]) & M
+    if node.kind == "sub":
+        return (args[0] - args[1]) & M
+    if node.kind == "mul":
+        return (args[0] * args[1]) & M
+    if node.kind == "xor":
+        return args[0] ^ args[1]
+    if node.kind == "and":
+        return args[0] & args[1]
+    if node.kind == "or":
+        return args[0] | args[1]
+    if node.kind == "shl":
+        return (args[0] << (args[1] & 31)) & M
+    if node.kind == "srl":
+        return args[0] >> (args[1] & 31)
+    if node.kind == "sra":
+        return (sim.s32(args[0]) >> (args[1] & 31)) & M
+    if node.kind == "rotr":
+        return sim.rotr32(args[0], args[1])
+    if node.kind == "load":
+        return sim.mem_read32(mem, args[0])
+    if node.kind == "store":
+        sim.mem_write32(mem, args[1], args[0])
+        return None
+    raise AssertionError(f"no evaluator for {node.kind}")
+
+
+def interpreted(mod: ir.Module, args) -> str | None:
+    """What `run` prints for the first function of `mod` on `args`, as
+    sim.ir_interpret gives it with the globals placed and seeded as `run`
+    places and seeds them; None when the interpreter traps."""
+    fn = mod.functions[0]
+    addrs = sim.assign_global_addrs(mod)
+    try:
+        a0, mem = sim.ir_interpret(fn, args, sim.seed_globals(mod, addrs),
+                                   addrs)
+    except sim.SimTrap:
+        return None
+    lines = [] if fn.return_type == ir.VOID else [f"a0 = {a0}"]
+    lines += [f"@{g.name} = {sim.mem_read32(mem, addrs[g.name])}"
+              for g in mod.globals]
+    return "".join(line + "\n" for line in lines)
+
+
 def differential_run(name: str, desc, mattr, trials: int, seed: int = 7
                      ) -> int:
     """Compare ir_interpret against the simulator on the compiled function.

@@ -4,12 +4,12 @@ import sys
 
 import pytest
 
-from rv32x import codegen, driver, sim
+from rv32x import codegen, driver, ir, sim
 from rv32x import target as tgt
 from rv32x.driver import main, run_command
 
 from conftest import CORPUS, CORPUS_SHAPES, LIT_TESTS, corpus_text, \
-    synth_args
+    interpreted, synth_args
 
 
 def path(name):
@@ -65,6 +65,49 @@ def test_staged_pipeline_composition_identity():
     _, asm_direct, _ = run_command(["llc", path("sbox_unopt.ll"), "-O2",
                                     "--mattr=+xcrypt", "--emit=asm"])
     assert asm_staged == asm_direct
+
+
+def test_opt_O0_runs_no_pass():
+    code, out, _ = run_command(["opt", "-O0", path("sbox_unopt.ll")])
+    assert code == 0
+    assert out == ir.print_ir(ir.parse_ir(corpus_text("sbox_unopt.ll"),
+                                          path("sbox_unopt.ll")))
+    assert "alloca" in out
+
+
+# a slot that one load reads before any store: an i32, and a ptr that a
+# second load then reads through
+_READ_BEFORE_STORE = {
+    "i32": ("  %p = alloca i32\n  %v = load i32, ptr %p\n"
+            "  %r = add i32 %v, %a\n  store i32 %r, ptr %p\n  ret i32 %r\n"),
+    "ptr": ("  %p = alloca ptr\n  %q = load ptr, ptr %p\n"
+            "  %v = load i32, ptr %q\n  %r = add i32 %v, %a\n  ret i32 %r\n"),
+}
+
+
+@pytest.mark.parametrize("slot", list(_READ_BEFORE_STORE))
+def test_a_slot_read_before_its_store_runs_like_ir(slot):
+    """sroa reads such a slot as 0, the value ir_interpret reads from it,
+    whether run compiles at -O2 or runs opt -O2's output at -O0."""
+    text = "define i32 @f(i32 %a) {\n" + _READ_BEFORE_STORE[slot] + "}\n"
+    want = interpreted(ir.parse_ir(text), [5])
+    assert want == "a0 = 5\n"
+    assert run_command(["run", "-O2", "--args=5", "-"], text) == (0, want, "")
+    code, optimized, _ = run_command(["opt", "-O2", "-"], text)
+    assert code == 0 and "alloca" not in optimized
+    assert run_command(["run", "-O0", "--args=5", "-"], optimized) == \
+        (0, want, "")
+
+
+@pytest.mark.parametrize("token", ["undef", "poison"])
+def test_undef_and_poison_are_not_operands(token):
+    text = ("define i32 @f(i32 %a) {\n"
+            f"  %r = add i32 %a, {token}\n  ret i32 %r\n}}\n")
+    err = f"rv32x: error: <stdin>:2:1: bad operand '{token}'\n"
+    for cmd in ("opt", "llc", "run"):
+        for level in ("-O0", "-O2"):
+            argv = [cmd, level, "-", *(["--args=1"] if cmd == "run" else [])]
+            assert run_command(argv, text) == (1, "", err)
 
 
 def test_run_madd_writes_436():
@@ -543,6 +586,18 @@ def test_update_checks_of_a_bad_file_is_a_diagnosed_error(tmp_path, data,
     code, out, err = run_command(["update-checks", str(p)])
     assert code == 1 and out == ""
     assert err.startswith("rv32x: error:") and named in err, err
+
+
+def test_update_checks_reports_each_file(tmp_path):
+    shipped = (LIT_TESTS / "llc" / "shlxor.ll").read_text()
+    p = tmp_path / "shlxor.ll"
+    p.write_text(shipped)
+    assert run_command(["update-checks", str(p)]) == \
+        (0, f"unchanged: {p}\n", "")
+    p.write_text(shipped.replace("shlxor a0, a0, a1", "add a0, a0, a1"))
+    assert run_command(["update-checks", str(p), str(p)]) == \
+        (0, f"updated: {p}\nunchanged: {p}\n", "")
+    assert p.read_text() == shipped
 
 
 @pytest.mark.parametrize("cmd", ["llc", "opt", "run", "mc"])

@@ -19,7 +19,7 @@ from rv32x import target as tgt
 
 from conftest import (ALL_MATTRS, CORPUS_SHAPES, LIT_TESTS, PKG_ROOT,
                       assert_runs_like_ir, compile_fn, corpus_text,
-                      make_ptr_args)
+                      interpreted, make_ptr_args)
 
 BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
 CONST_POOL = [-1, 0, 1, 2, 3, 6, 10, 16, 30, 31, 127, 2047, -2048,
@@ -272,9 +272,10 @@ def _records(text: str, comment: str) -> str:
 
 def _ir_mutant(rng, texts, monkeypatch) -> bool:
     """opt and llc at -O0 and -O2 keep the contract, -O2 accepts what -O0
-    accepts, and what a first function of i32 parameters prints when run at
-    -O0 it prints at -O2. (A load that traps at -O0 may be dead, and
-    deleted, at -O2.) True when it ran."""
+    accepts, and a first function of i32 parameters, run at either level,
+    prints what ir_interpret gives, as -O0 and -O2 both do when -O0 runs.
+    (A load that traps may be dead, and deleted, at -O2.) True when it
+    ran."""
     text = mutate(rng, rng.choice(texts))
     run_contract(["opt", "-"], text)
     flags = ["--mattr=" + (rng.choice(ALL_MATTRS) or "")]
@@ -283,14 +284,19 @@ def _ir_mutant(rng, texts, monkeypatch) -> bool:
     assert not (o0 == 0 and o2 != 0), ("-O2 rejects what -O0 accepts", text)
     if o0 != 0:
         return False
-    fn = ir.parse_ir(text).functions[0]
-    if any(ty != ir.I32 for _, ty in fn.params):
+    mod = ir.parse_ir(text)
+    params = mod.functions[0].params if mod.functions else None
+    if params is None or any(ty != ir.I32 for _, ty in params):
         return False
-    flags.append("--args=" + ",".join(str(3 + 7 * i)
-                                      for i in range(len(fn.params))))
+    args = [3 + 7 * i for i in range(len(params))]
+    flags.append("--args=" + ",".join(map(str, args)))
+    want = interpreted(mod, args)
     ran = [run_contract(["run", level, *flags, "-"], text)
            for level in ("-O0", "-O2")]
     assert ran[0][0] != 0 or ran[1] == ran[0], (ran, text)
+    for level, (code, out, _) in zip(("-O0", "-O2"), ran):
+        assert code != 0 or out == want or want is None and level == "-O2", \
+            (level, out, want, text)
     return True
 
 

@@ -192,8 +192,6 @@ def _add(result, a, b):
 @pytest.mark.parametrize("mod,msg", [
     (_module(RET0, globals_=(ir.GlobalVar("g"), ir.GlobalVar("g"))),
      "duplicate global @g"),
-    (_module(RET0, globals_=(ir.GlobalVar("g", ir.PTR),)),
-     "global @g: value type must be i32"),
     (_module(RET0, globals_=(ir.GlobalVar("f"),)), "duplicate symbol @f"),
     (_module(RET0, params=(("a", ir.I32), ("a", ir.I32))),
      "@f:-1: duplicate parameter %a"),
@@ -210,8 +208,6 @@ def _add(result, a, b):
      "@f:0: unknown argument %b"),
     (_module(ir.Inst("load", "x", (ir.Value("global", "h", ty=ir.PTR),),
                      ir.I32), RET0), "@f:0: unknown global @h"),
-    (_module(ir.Inst("ret", None, (ir.UNDEF,), ir.I32)),
-     "@f:0: undefined value read (poison from read-before-write)"),
     (_module(ir.Inst("ret", None, (ir.const(1 << 31),), ir.I32)),
      "@f:0: constant 2147483648 out of 32-bit signed range"),
     (_module(ir.Inst("add", "x", (A,), ir.I32), RET0),
@@ -233,10 +229,10 @@ def _add(result, a, b):
      "@f:0: add makes a value but names no result"),
     (_module(ir.Inst("store", "s", (A, P), ir.VOID), RET0),
      "@f:0: store makes no value but is named %s"),
-], ids=["duplicate-global", "global-type", "duplicate-symbol",
+], ids=["duplicate-global", "duplicate-symbol",
         "duplicate-parameter", "no-final-ret", "empty-body", "early-ret",
         "ret-void-value", "ret-no-value", "ret-wrong-type", "type-mismatch",
-        "unknown-argument", "unknown-global", "undef-read", "constant-range",
+        "unknown-argument", "unknown-global", "constant-range",
         "binop-operand-count", "intrinsic-operand-count", "load-operand",
         "load-result", "gep-operands", "alloca-slot", "unknown-opcode",
         "unnamed-value", "named-store"])
@@ -244,6 +240,25 @@ def test_each_verifier_diagnostic(mod, msg):
     """A malformed module for each verify() message that the tests around
     this one do not produce, reporting exactly that message."""
     assert ir.verify(mod) == [msg]
+
+
+def test_a_define_line_may_carry_the_first_instruction():
+    text = ("define i32 @f(i32 %a) { %x = add i32 %a, 1\n"
+            "  %y = xor i32 %x, %a\n  ret i32 %y\n}\n")
+    fn = ir.parse_ir(text).functions[0]
+    assert [inst.result for inst in fn.body] == ["x", "y", None]
+    # the first instruction keeps the define's line
+    with pytest.raises(ir.IrError) as e:
+        ir.parse_ir(text.replace("%a, 1", "%b, 1"))
+    assert str(e.value) == ("<stdin>:1:1: verification failed: "
+                            "@f:0: use before def: %b")
+
+
+def test_a_block_label_other_than_entry_prints_and_round_trips():
+    mod = ir.parse_ir("define i32 @f(i32 %a) {\nstart:\n  ret i32 %a\n}\n")
+    printed = ir.print_ir(mod)
+    assert "{\nstart:\n  ret i32 %a\n}" in printed
+    assert ir.parse_ir(printed) == mod
 
 
 def test_redefinition_violation():

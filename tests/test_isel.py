@@ -16,7 +16,7 @@ from rv32x.mir import MOp, MachineInstr
 
 from conftest import (ALL_MATTRS, CORPUS_SHAPES, PKG_ROOT, assert_runs_like_ir,
                       compile_corpus, compile_fn, corpus_module, corpus_text,
-                      histogram)
+                      eval_pattern, histogram)
 from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
                        gen_shift_pair_fn)
 from test_golden import _synth_gen_function
@@ -605,43 +605,6 @@ def test_extension_monotonicity(desc):
 # pattern/semantics agreement
 # --------------------------------------------------------------------------
 
-def _eval_pattern(node: tgt.PatNode, env, mem):
-    M = 0xFFFFFFFF
-    if node.kind == "capture":
-        return env[node.name]
-    if node.kind == "const":
-        return node.value & M
-    if node.kind in tgt.IMM_RANGES:
-        return env[node.name] & M
-    args = [_eval_pattern(c, env, mem) for c in node.children]
-    if node.kind == "add":
-        return (args[0] + args[1]) & M
-    if node.kind == "sub":
-        return (args[0] - args[1]) & M
-    if node.kind == "mul":
-        return (args[0] * args[1]) & M
-    if node.kind == "xor":
-        return args[0] ^ args[1]
-    if node.kind == "and":
-        return args[0] & args[1]
-    if node.kind == "or":
-        return args[0] | args[1]
-    if node.kind == "shl":
-        return (args[0] << (args[1] & 31)) & M
-    if node.kind == "srl":
-        return args[0] >> (args[1] & 31)
-    if node.kind == "sra":
-        return (tgt.sext(args[0], 32) >> (args[1] & 31)) & M
-    if node.kind == "rotr":
-        return sim.rotr32(args[0], args[1])
-    if node.kind == "load":
-        return sim.mem_read32(mem, args[0])
-    if node.kind == "store":
-        sim.mem_write32(mem, args[1], args[0])
-        return None
-    raise AssertionError(f"no evaluator for {node.kind}")
-
-
 def _run_target_tree(node: tgt.PatNode, env, mem, desc):
     """Execute the machine-instruction tree bottom-up in the simulator.
     Returns the root's result (None for a store) and the memory after."""
@@ -712,7 +675,7 @@ def test_every_pattern_agrees_with_simulator(desc):
             src_env = {c: (env[c][1] if isinstance(env[c], tuple) else env[c])
                        for c in env}
             want_mem = dict(mem)
-            want = _eval_pattern(pat.source, src_env, want_mem)
+            want = eval_pattern(pat.source, src_env, want_mem)
             got, got_mem = _run_target_tree(pat.target, env, mem, desc)
             assert (got, got_mem) == (want, want_mem), \
                 (pat.source.kind, pat.target.kind, trial)

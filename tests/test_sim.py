@@ -8,7 +8,7 @@ from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
 from conftest import ALL_MATTRS, CORPUS_SHAPES, compile_corpus, \
-    corpus_module, differential_run, synth_args
+    corpus_module, differential_run, eval_pattern, synth_args
 from test_target import _random_operands
 
 
@@ -111,26 +111,17 @@ def test_x0_stays_zero_under_fuzzed_instructions(desc):
         assert state.read(0) == 0
 
 
-def _eval_sem(node, env, state):
-    """A sem tree walked node by node, as the simulator did before sems
-    were compiled: the reference for the compiled ones. `env` maps operand
-    roles to register contents and immediates."""
-    if not node.children:
-        return node.value if node.kind == "const" else env[node.name]
-    return tgt.SEM_OPS[node.kind](
-        state, *[_eval_sem(k, env, state) for k in node.children])
-
-
 def _reference_step(state, desc):
-    """One instruction through decode and the sem tree."""
+    """One instruction through decode and the sem tree, evaluated by the
+    reference evaluator, which shares no code with the generated `run`."""
     mi = tgt.decode(sim.mem_read32(state.mem, state.pc), desc,
                     frozenset(tgt.ALL_EXTENSIONS))
     d = desc.instrs[mi.mnemonic]
     env = {role: state.read(op.val) if op.kind == "preg" else op.val
            for role, op in zip(d.ops, mi.ops)}
-    value = _eval_sem(d.sem, env, state)
+    value = eval_pattern(d.sem, env, state.mem)
     if d.ops[0] == "rd" and mi.ops[0].val:
-        state.regs[mi.ops[0].val] = value & sim.MASK32
+        state.regs[mi.ops[0].val] = value
     state.pc += 4
 
 
@@ -240,10 +231,12 @@ def test_reloaded_description_runs_identically(desc):
             word = tgt.encode(MachineInstr(name, ops), desc).word
             env = {role: base.read(op.val) if op.kind == "preg" else op.val
                    for role, op in zip(d.ops, ops) if role != "rd"}
-            got = [d.run(states[0], states[0].regs, word),
-                   d2.run(states[1], states[1].regs, word),
-                   _eval_sem(d2.sem, env, states[2])]
-            assert got[0] == got[1] == got[2], name
+            # run returns the sem's value before its upper bits are dropped
+            got = [None if v is None else v & sim.MASK32 for v in (
+                d.run(states[0], states[0].regs, word),
+                d2.run(states[1], states[1].regs, word))]
+            want = eval_pattern(d2.sem, env, states[2].mem)
+            assert got == [want, want], name
             assert states[0].mem == states[1].mem == states[2].mem, name
 
 
@@ -362,6 +355,22 @@ def test_program_words_are_memory(desc):
     assert trace[2].word == addi_42
 
 
+def test_jalr_writes_the_return_address_to_a_nonzero_rd(desc):
+    """JALR jumps to rs1 + imm12 with bit 0 cleared and writes pc + 4 to
+    an rd other than x0."""
+    def word(mnemonic, *ops):
+        return tgt.encode(MachineInstr(mnemonic, list(ops)), desc).word
+    zero, a0, a1, a2 = MOp.preg(0), MOp.preg(10), MOp.preg(11), MOp.preg(12)
+    program = [word("JALR", a1, a2, MOp.imm(9)),  # to word 2: 0x1009 & ~1
+               word("ADDI", a0, zero, MOp.imm(99)),  # jumped over
+               word("ADD", a0, a1, zero),
+               word("JALR", zero, MOp.preg(1), MOp.imm(0))]
+    got, _, trace = sim.run_function(program, [0, 0, sim.PROGRAM_BASE],
+                                     {}, desc=desc)
+    assert got == sim.PROGRAM_BASE + 4
+    assert [s.pc - sim.PROGRAM_BASE for s in trace] == [0, 8, 12]
+
+
 def test_run_function_identity(desc):
     _, _, mf, _ = compile_corpus("identity.ll", desc, None)
     words = codegen.emit_words(mf, desc, {})
@@ -390,13 +399,6 @@ def test_ir_interpret_identity():
     mod = corpus_module("identity.ll")
     r, mem = sim.ir_interpret(mod.functions[0], [41])
     assert r == 41 and mem == {}
-
-
-def test_ir_interpret_undef_read_errors():
-    fn = ir.Function("f", (), "i32", (
-        ir.Inst("ret", None, (ir.UNDEF,), "i32"),))
-    with pytest.raises(sim.InterpError, match="undefined value"):
-        sim.ir_interpret(fn, [])
 
 
 def test_fshr_equals_rotate_oracle():
