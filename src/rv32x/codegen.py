@@ -261,17 +261,6 @@ def print_asm(mf: MachineFunction, desc: tgt.TargetDesc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def mnemonic_histogram(asm: str) -> dict[str, int]:
-    hist: dict[str, int] = {}
-    for line in asm.splitlines():
-        line = line.strip()
-        if not line or line.endswith(":") or line.startswith(("#", ";", ".")):
-            continue
-        mn = line.split()[0]
-        hist[mn] = hist.get(mn, 0) + 1
-    return hist
-
-
 # --------------------------------------------------------------------------
 # Assembly parsing (the `mc --assemble` front half)
 # --------------------------------------------------------------------------

@@ -274,9 +274,10 @@ def cmd_run(args, stdin, stdout, stderr) -> int:
     except sim.SimTrap as e:
         raise DriverError(f"trap: {e}") from None
     if args.trace:
-        for stepi in trace:
-            text = codegen.format_instr(stepi.mi, desc, aliases=False)
-            stdout.write(f"0x{stepi.pc:08x}: {text}\n")
+        for pc, word, d in trace:
+            text = codegen.format_instr(tgt.machine_instr(word, d), desc,
+                                        aliases=False)
+            stdout.write(f"0x{pc:08x}: {text}\n")
     if returns:
         stdout.write(f"a0 = {a0}\n")
     if mod is not None:

@@ -5,7 +5,9 @@ The machine simulator executes encoded words against an architectural state
 words), each by calling the function the target description generates from
 its `sem=` on the word; JALR, the one jump, is implemented here. One loop,
 `_execute`, runs every instruction: `run_function` runs it to halt and
-`step` runs one iteration of it.
+`step` runs one iteration of it. A word is decoded once per description and
+extension set (`target.decoded`), and the trace is plain (pc, word, InstrDef)
+tuples.
 Functions follow the halt protocol: x1 starts at a sentinel return address
 and a `jalr` to the sentinel stops execution. The IR interpreter is the
 midend's twin: it evaluates a verified function directly with two's-complement
@@ -15,11 +17,9 @@ wrapping, so any pass or lowering can be differentially checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from . import ir
 from . import target as tgt
-from .mir import MachineInstr
 
 MASK32 = 0xFFFFFFFF
 HALT_SENTINEL = 0xDEAD0000
@@ -36,12 +36,6 @@ def u32(x: int) -> int:
 def s32(x: int) -> int:
     x &= MASK32
     return x - 0x100000000 if x & 0x80000000 else x
-
-
-def rotr32(x: int, n: int) -> int:
-    n &= 31
-    x &= MASK32
-    return u32((x >> n) | (x << (32 - n)))
 
 
 class SimTrap(Exception):
@@ -112,34 +106,24 @@ class SimState:
         mem[addr + 3] = value >> 24 & 0xFF
 
 
-class TraceStep(NamedTuple):
-    """One executed instruction: its address, word and definition. The
-    decoded instruction, `mi`, is built when it is read."""
-
-    pc: int
-    word: int
-    d: tgt.InstrDef
-
-    @property
-    def mi(self) -> MachineInstr:
-        return tgt.machine_instr(self.word, self.d)
-
-
-_new_trace_step = tuple.__new__  # TraceStep(...) without its Python-level __new__
+# one executed instruction: its pc, its word and the InstrDef it decoded to
+TraceEntry = tuple[int, int, tgt.InstrDef]
 
 
 def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
-             fuel: int, trace: list[TraceStep]):
+             fuel: int, trace: list[TraceEntry]):
     """The one instruction loop: run up to `fuel` instructions of `ext` from
     state.pc, stopping after a jalr to the halt sentinel, and append each to
     `trace`. A word is fetched from the program by index (from memory
-    outside it), looked up, and executed as JALR or by one call of its
+    outside it), decoded through the memo of `desc` under `ext`, looked up
+    only when the memo lacks it, and executed as JALR or by one call of its
     instruction's generated `run`, which evaluates the sem and writes rd.
     Raises SimTrap on a misaligned pc, an undecodable or disabled word, an
     instruction without a sem, or a misaligned access. regs[0] stays zero."""
     regs, mem, program = state.regs, state.mem, state.program
     size = len(program)
-    lookup = tgt.lookup
+    memo = tgt.decoded(desc, ext)
+    known = memo.get
     append = trace.append
     pc = state.pc
     for _ in range(fuel):
@@ -147,13 +131,16 @@ def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
             raise SimTrap("misaligned pc", pc)
         i = (pc - PROGRAM_BASE) >> 2
         word = program[i] if 0 <= i < size else mem_read32(mem, pc)
-        d = lookup(word, desc, ext)
+        d = known(word)
         if d is None:
-            raise SimTrap(f"undecodable word 0x{word:08x}", pc)
+            d = tgt.lookup(word, desc, ext)
+            if d is None:
+                raise SimTrap(f"undecodable word 0x{word:08x}", pc)
+            memo[word] = d
         run = d.run
         if run is not None:
             run(state, regs, word)
-            append(_new_trace_step(TraceStep, (pc, word, d)))
+            append((pc, word, d))
             pc = (pc + 4) & MASK32
             continue
         if d.mnemonic != "JALR":
@@ -162,7 +149,7 @@ def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
         dest = (regs[base] + offset) & MASK32 & ~1
         if rd:
             regs[rd] = (pc + 4) & MASK32
-        append(_new_trace_step(TraceStep, (pc, word, d)))
+        append((pc, word, d))
         pc = dest
         if dest == HALT_SENTINEL:
             state.halted = True
@@ -171,10 +158,10 @@ def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
 
 
 def step(state: SimState, desc: tgt.TargetDesc,
-         ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)) -> TraceStep:
+         ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)) -> TraceEntry:
     """Execute one instruction: one iteration of the loop run_function
-    runs."""
-    trace: list[TraceStep] = []
+    runs. Returns its trace entry."""
+    trace: list[TraceEntry] = []
     _execute(state, desc, ext, 1, trace)
     return trace[0]
 
@@ -184,7 +171,7 @@ def run_function(program: list[int], args: list[int],
                  fuel: int = DEFAULT_FUEL,
                  desc: tgt.TargetDesc | None = None,
                  ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)
-                 ) -> tuple[int, dict[int, int], list[TraceStep]]:
+                 ) -> tuple[int, dict[int, int], list[TraceEntry]]:
     """Load encoded words at PROGRAM_BASE, seed a0.. with args and x1 with
     the halt sentinel, and run to halt, at most `fuel` instructions, with the
     instructions of `ext`. Returns (a0, final memory, trace). The stack
@@ -206,7 +193,7 @@ def run_function(program: list[int], args: list[int],
     state.regs[2] = STACK_TOP
     for i, a in enumerate(args):
         state.regs[10 + i] = u32(a)
-    trace: list[TraceStep] = []
+    trace: list[TraceEntry] = []
     _execute(state, desc, ext, fuel, trace)
     if not state.halted:
         raise SimTrap(f"fuel exhausted after {fuel} steps", state.pc)

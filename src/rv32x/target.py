@@ -21,6 +21,7 @@ funct7 region above its 5-bit shift amount.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -418,9 +419,10 @@ def load_target_desc(text: str) -> TargetDesc:
     patterns: list[SelPattern] = []
     ext = "I"
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split(";")[0].strip()
-        if not line:
+        line = raw.lstrip()
+        if not line or line[0] == ";":  # blank or comment
             continue
+        line = line.split(";")[0].rstrip()
         where = f"line {lineno}"
         if line.startswith("extension "):
             ext = line.split()[1]
@@ -745,6 +747,18 @@ def lookup(word: int, desc: TargetDesc, ext: frozenset[str]) -> InstrDef | None:
         if word & d.mask == d.match and d.ext in ext:
             return d
     return None
+
+
+# description -> extension set -> word -> what lookup gave it; weak, so
+# that a dropped description is freed at once, and its memo with it
+_DECODED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def decoded(desc: TargetDesc, ext: frozenset[str]) -> dict[int, InstrDef]:
+    """The memo of lookup's answers for `desc` under `ext`, kept as long as
+    `desc` lives. Its user stores each word that decodes, and only those:
+    lookup stays the definition, and an unknown word is looked up again."""
+    return _DECODED.setdefault(desc, {}).setdefault(ext, {})
 
 
 def machine_instr(word: int, d: InstrDef) -> MachineInstr:

@@ -94,7 +94,22 @@ def compile_corpus(name: str, desc, mattr=None, fname=None):
 
 
 def histogram(asm: str) -> dict[str, int]:
-    return codegen.mnemonic_histogram(asm)
+    """How often each mnemonic occurs in assembly text."""
+    hist: dict[str, int] = {}
+    for line in asm.splitlines():
+        line = line.strip()
+        if not line or line.endswith(":") or line.startswith(("#", ";", ".")):
+            continue
+        mn = line.split()[0]
+        hist[mn] = hist.get(mn, 0) + 1
+    return hist
+
+
+def rotr32(x: int, n: int) -> int:
+    """x rotated right by n mod 32 bits, the reference for every rotate."""
+    n &= 31
+    x &= sim.MASK32
+    return (x >> n | x << (32 - n)) & sim.MASK32
 
 
 def make_ptr_args(rng: random.Random, n_ptrs: int, words_each: int = 5):
@@ -172,7 +187,7 @@ def eval_pattern(node: tgt.PatNode, env, mem):
     if node.kind == "sra":
         return (sim.s32(args[0]) >> (args[1] & 31)) & M
     if node.kind == "rotr":
-        return sim.rotr32(args[0], args[1])
+        return rotr32(args[0], args[1])
     if node.kind == "load":
         return sim.mem_read32(mem, args[0])
     if node.kind == "store":

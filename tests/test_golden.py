@@ -1,8 +1,8 @@
 """Byte identity of emitted code: SHA-256 digests of `llc` asm and obj output
 for every corpus file under every --mattr, and for two large spilling
 functions, of instruction selection's other outputs: the DAG dumped at each
-stage and the --debug-isel trace, and of the midend's `opt -O2` text with
-its pass statistics. A change meant to alter these outputs updates these
+stage and the --debug-isel trace, of the midend's `opt -O2` text with its
+pass statistics, and of what `run --trace` prints. A change meant to alter these outputs updates these
 constants and says which and why; any other change must leave them as they
 are."""
 
@@ -14,7 +14,8 @@ import pytest
 from rv32x import target as tgt
 from rv32x.driver import compile_ir_text, run_command
 
-from conftest import ALL_MATTRS, CORPUS, PKG_ROOT, corpus_text
+from conftest import (ALL_MATTRS, CORPUS, CORPUS_SHAPES, PKG_ROOT,
+                      corpus_text, synth_args)
 from test_fuzz import (gen_arith_fn, gen_large_fn, gen_memory_fn,
                        gen_shift_pair_fn)
 
@@ -66,6 +67,12 @@ DAG_STAGES = ("built", "legalized", "combined", "selected")
 OPT_DIGEST = \
     "aa8ae4550cee9beb70c1993d750bb7d296465c401de24dac1ce9a91127524b29"
 SYNTH = PKG_ROOT.parent.parent / "perfbench" / "synth.py"
+
+# `run --trace` (each executed instruction, a0 and the globals) for every
+# corpus file under every --mattr, on arguments and memory drawn from
+# Random(7000) in file order
+RUN_TRACE_DIGEST = \
+    "046a795e7ac85bab5a432cd11473facf3c024b5aa2e621f9046b4c40041f2151"
 
 
 def _digest(text: str, mattrs) -> str:
@@ -145,3 +152,34 @@ def test_opt_output_is_identical():
         assert code == 0, err
         h.update(out.encode())
     assert h.hexdigest() == OPT_DIGEST
+
+
+def _mem_flags(mem: dict[int, int]) -> list[str]:
+    """`--mem` flags for byte memory, one per run of consecutive bytes."""
+    flags, start, data = [], None, b""
+    for addr in sorted(mem):
+        if start is None or addr != start + len(data):
+            if data:
+                flags.append(f"--mem=0x{start:x}:{data.hex()}")
+            start, data = addr, b""
+        data += bytes([mem[addr]])
+    if data:
+        flags.append(f"--mem=0x{start:x}:{data.hex()}")
+    return flags
+
+
+def test_run_trace_output_is_identical():
+    rng = random.Random(7000)
+    h = hashlib.sha256()
+    for name, (fname, n_ptrs, n_ints) in sorted(CORPUS_SHAPES.items()):
+        args, mem = synth_args(rng, n_ptrs, n_ints)
+        argv = ["run", "--trace", f"--entry={fname}", "-"] + _mem_flags(mem)
+        if args:
+            argv.append("--args=" + ",".join(map(str, args)))
+        for mattr in ALL_MATTRS:
+            code, out, err = run_command(
+                argv + ([f"--mattr={mattr}"] if mattr else []),
+                stdin_text=corpus_text(name))
+            assert code == 0, err
+            h.update(out.encode())
+    assert h.hexdigest() == RUN_TRACE_DIGEST

@@ -7,8 +7,8 @@ from rv32x import codegen, ir, sim
 from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
-from conftest import ALL_MATTRS, CORPUS_SHAPES, compile_corpus, \
-    corpus_module, differential_run, eval_pattern, synth_args
+from conftest import ALL_MATTRS, CORPUS_SHAPES, PKG_ROOT, compile_corpus, \
+    corpus_module, differential_run, eval_pattern, rotr32, synth_args
 from test_target import _random_operands
 
 
@@ -241,16 +241,15 @@ def test_reloaded_description_runs_identically(desc):
 
 
 @pytest.mark.parametrize("mattr", ALL_MATTRS)
-def test_trace_steps_decode_like_decode(mattr, desc, monkeypatch):
-    """Each TraceStep decodes its word on demand exactly as decode does,
-    and the trace has one entry per executed instruction, each looked up
-    once."""
+def test_trace_steps_decode_like_decode(mattr, monkeypatch):
+    """Each trace entry (pc, word, d) holds what lookup gives its word, and
+    decodes as decode does; the trace has one entry per executed
+    instruction; lookup runs at most once per distinct word of a
+    description and extension set."""
+    desc = tgt.load_default_desc()
     ext = tgt.parse_mattr(mattr)
-    steps = []
-    real_lookup = tgt.lookup
-    monkeypatch.setattr(tgt, "lookup",
-                        lambda *a: steps.append(1) or real_lookup(*a))
     rng = random.Random(64)
+    inputs = []
     for name, (fname, n_ptrs, n_ints) in sorted(CORPUS_SHAPES.items()):
         mod = corpus_module(name)
         gaddrs = sim.assign_global_addrs(mod)
@@ -258,13 +257,96 @@ def test_trace_steps_decode_like_decode(mattr, desc, monkeypatch):
         words = codegen.emit_words(mf, desc, gaddrs)
         args, mem = synth_args(rng, n_ptrs, n_ints)
         mem.update(sim.seed_globals(mod, gaddrs))
-        steps.clear()
-        _, _, trace = sim.run_function(words, args, mem, desc=desc, ext=ext)
-        assert len(trace) == len(steps) == len(words), name
-        for s in trace:
-            assert s.word == words[(s.pc - sim.PROGRAM_BASE) // 4]
-            assert s.mi == tgt.decode(s.word, desc, ext), (name, s.pc)
-            assert s.mi.mnemonic == s.d.mnemonic
+        inputs.append((name, words, args, mem))
+    looked_up = []
+    real_lookup = tgt.lookup
+    monkeypatch.setattr(tgt, "lookup",
+                        lambda w, *a: looked_up.append(w) or real_lookup(w, *a))
+    runs = [(name, words, sim.run_function(words, args, mem, desc=desc,
+                                           ext=ext)[2])
+            for name, words, args, mem in inputs]
+    monkeypatch.undo()
+    # nothing had run on desc, so each word run was looked up, once
+    assert len(looked_up) == len(set(looked_up))
+    assert set(looked_up) == {w for _, words, _ in runs for w in words}
+    for name, words, trace in runs:
+        assert len(trace) == len(words), name
+        for pc, word, d in trace:
+            assert word == words[(pc - sim.PROGRAM_BASE) // 4]
+            assert d is tgt.lookup(word, desc, ext), (name, pc)
+            mi = tgt.machine_instr(word, d)
+            assert mi == tgt.decode(word, desc, ext), (name, pc)
+            assert mi.mnemonic == d.mnemonic
+
+
+def _word(desc, mnemonic, *ops):
+    return tgt.encode(MachineInstr(mnemonic, list(ops)), desc).word
+
+
+def _ret(desc):
+    return _word(desc, "JALR", MOp.preg(0), MOp.preg(1), MOp.imm(0))
+
+
+def test_a_second_run_looks_nothing_up(monkeypatch):
+    desc = tgt.load_default_desc()
+    _, _, mf, _ = compile_corpus("sbox.ll", desc, "+xcrypt")
+    words = codegen.emit_words(mf, desc, {})
+    args, mem = synth_args(random.Random(3), 1, 0)
+    calls = []
+    real_lookup = tgt.lookup
+    monkeypatch.setattr(tgt, "lookup",
+                        lambda *a: calls.append(1) or real_lookup(*a))
+    first = sim.run_function(words, args, dict(mem), desc=desc)
+    assert len(calls) == len(set(words))
+    calls.clear()
+    second = sim.run_function(words, args, dict(mem), desc=desc)
+    assert calls == []
+    assert first == second
+
+
+def test_the_memo_is_kept_per_extension_set(desc):
+    """A +zbb word runs under +zbb and traps under base, whichever ran
+    first."""
+    a0, a1 = MOp.preg(10), MOp.preg(11)
+    program = [_word(desc, "ROR", a0, a0, a1), _ret(desc)]
+    zbb, base = tgt.parse_mattr("+zbb"), tgt.parse_mattr(None)
+    for _ in range(2):
+        got, _, _ = sim.run_function(program, [0x12345678, 8], {}, desc=desc,
+                                     ext=zbb)
+        assert got == rotr32(0x12345678, 8)
+        with pytest.raises(sim.SimTrap, match="undecodable word"):
+            sim.run_function(program, [0x12345678, 8], {}, desc=desc,
+                             ext=base)
+
+
+def test_the_memo_is_kept_per_description(desc):
+    """One word, three descriptions: the shipped one runs it as ADD, one
+    with ADD's and SUB's funct7 swapped runs it as SUB, and one without
+    ROR does not decode a ROR word. Each runs its own, in any order."""
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    lines = text.splitlines(keepends=True)
+    swapped = "".join(
+        line.replace("funct7=0b0000000", "funct7=0b0100000")
+        if line.startswith("instr ADD ") else
+        line.replace("funct7=0b0100000", "funct7=0b0000000")
+        if line.startswith("instr SUB ") else line for line in lines)
+    no_ror = "".join(line for line in lines
+                     if not line.startswith("instr ROR "))
+    swapped, no_ror = tgt.load_target_desc(swapped), \
+        tgt.load_target_desc(no_ror)
+    a0, a1 = MOp.preg(10), MOp.preg(11)
+    add = [_word(desc, "ADD", a0, a0, a1), _ret(desc)]
+    ror = [_word(desc, "ROR", a0, a0, a1), _ret(desc)]
+    base = tgt.parse_mattr(None)
+    assert tgt.lookup(add[0], swapped, base).mnemonic == "SUB"
+    for _ in range(2):
+        for d, want in ((desc, 7 + 5), (swapped, 7 - 5)):
+            got, _, _ = sim.run_function(add, [7, 5], {}, desc=d)
+            assert got == want
+        got, _, _ = sim.run_function(ror, [1, 1], {}, desc=desc)
+        assert got == 0x80000000
+        with pytest.raises(sim.SimTrap, match="undecodable word"):
+            sim.run_function(ror, [1, 1], {}, desc=no_ror)
 
 
 def test_program_over_seeded_memory_traps(desc):
@@ -352,7 +434,7 @@ def test_program_words_are_memory(desc):
                                        {}, desc=desc)
     assert got == (42 + program[0]) & sim.MASK32
     assert mem == {}
-    assert trace[2].word == addi_42
+    assert trace[2][1] == addi_42
 
 
 def test_jalr_writes_the_return_address_to_a_nonzero_rd(desc):
@@ -368,7 +450,7 @@ def test_jalr_writes_the_return_address_to_a_nonzero_rd(desc):
     got, _, trace = sim.run_function(program, [0, 0, sim.PROGRAM_BASE],
                                      {}, desc=desc)
     assert got == sim.PROGRAM_BASE + 4
-    assert [s.pc - sim.PROGRAM_BASE for s in trace] == [0, 8, 12]
+    assert [pc - sim.PROGRAM_BASE for pc, _, _ in trace] == [0, 8, 12]
 
 
 def test_run_function_identity(desc):
@@ -376,7 +458,7 @@ def test_run_function_identity(desc):
     words = codegen.emit_words(mf, desc, {})
     got, _, trace = sim.run_function(words, [7], {})
     assert got == 7
-    assert len(trace) == 1 and trace[0].mi.mnemonic == "JALR"
+    assert len(trace) == 1 and trace[0][2].mnemonic == "JALR"
 
 
 def test_run_function_too_many_args(desc):
@@ -392,7 +474,7 @@ def test_trace_is_bounded_and_descriptive(desc):
     _, _, trace = sim.run_function(words, [], sim.seed_globals(mod, g),
                                     desc=desc)
     assert len(trace) == len(words)
-    assert any(s.mi.mnemonic == "MLA" for s in trace)
+    assert any(d.mnemonic == "MLA" for _, _, d in trace)
 
 
 def test_ir_interpret_identity():
@@ -410,7 +492,7 @@ define i32 @f(i32 %x) {
 """).functions[0]
     for x in range(1 << 16):
         r, _ = sim.ir_interpret(fn, [x])
-        assert r == sim.rotr32(x, 2)
+        assert r == rotr32(x, 2)
 
 
 def test_sbox_cross_build_equivalence(desc):

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 
-from rv32x import driver, isel
+from rv32x import driver, isel, sim
 from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
@@ -373,6 +373,20 @@ def test_a_dropped_description_is_freed_at_once():
     del desc
     assert ref() is None
     assert len(isel._TABLES) == tables
+    # nor once it has run: the decode memo kept for it holds InstrDefs,
+    # which hold no description, and goes with it
+    memos = len(tgt._DECODED)
+    desc = tgt.load_default_desc()
+    nop = tgt.encode(MachineInstr("ADDI", [MOp.preg(0), MOp.preg(0),
+                                           MOp.imm(0)]), desc).word
+    ret = tgt.encode(MachineInstr("JALR", [MOp.preg(0), MOp.preg(1),
+                                           MOp.imm(0)]), desc).word
+    assert sim.run_function([nop, ret], [5], {}, desc=desc)[0] == 5
+    assert len(tgt._DECODED) == memos + 1
+    ref = weakref.ref(desc)
+    del desc
+    assert ref() is None
+    assert len(tgt._DECODED) == memos
 
 
 def test_a_loaded_description_is_immutable():
