@@ -24,6 +24,10 @@ BINOPS = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
 COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor"})
 INTRINSICS = ("fshl", "fshr")
 OPCODES = BINOPS + INTRINSICS + ("alloca", "load", "store", "getelementptr", "ret")
+# The operation kind each binop and intrinsic computes, as the sem language
+# and the selection DAG name it: the two shifts right are named for their fill.
+SEM_KIND = {**{op: op for op in BINOPS + INTRINSICS},
+            "lshr": "srl", "ashr": "sra"}
 # The opcodes that make no value. The parser and the verifier both apply the
 # result rule: an instruction names a result exactly when it makes a value.
 NO_VALUE = frozenset({"store", "ret"})
@@ -526,11 +530,9 @@ def _fmt_inst(inst: Inst) -> str:
                 f"i32 {ops[1].const}")
     if op == "alloca":
         return f"%{inst.result} = alloca {inst.alloc_ty}"
-    if op == "ret":
-        if not ops:
-            return "ret void"
-        return f"ret {ops[0].ty} {_fmt_value(ops[0])}"
-    raise IrError(f"cannot print opcode {op!r}")
+    if not ops:  # ret
+        return "ret void"
+    return f"ret {ops[0].ty} {_fmt_value(ops[0])}"
 
 
 def print_ir(mod: Module) -> str:

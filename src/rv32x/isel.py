@@ -40,8 +40,6 @@ from . import ir
 from . import target as tgt
 from .mir import MOp, MachineInstr, MachineFunction, X0, RA, A0
 
-_IR_TO_DAG = {"lshr": "srl", "ashr": "sra"}
-
 # generic kinds that legally remain after selection (they emit no instruction)
 NON_INSTR_KINDS = {"EntryToken", "Register"}
 # generic kinds that selection never covers on their own: their users
@@ -184,11 +182,9 @@ def build_dag(fn: ir.Function) -> SelDag:
 
     for inst in fn.body:
         op = inst.opcode
-        if op in ir.BINOPS:
-            env[inst.result] = dag.new(_IR_TO_DAG.get(op, op), [
-                operand(inst.operands[0]), operand(inst.operands[1])])
-        elif op in ir.INTRINSICS:
-            env[inst.result] = dag.new(op, [operand(o) for o in inst.operands])
+        if op in ir.SEM_KIND:
+            env[inst.result] = dag.new(ir.SEM_KIND[op],
+                                       [operand(o) for o in inst.operands])
         elif op == "getelementptr":
             env[inst.result] = dag.new("add", [
                 operand(inst.operands[0]), constant(inst.operands[1].const)],
@@ -200,18 +196,13 @@ def build_dag(fn: ir.Function) -> SelDag:
             chain = dag.new("store", [operand(inst.operands[0]),
                                       operand(inst.operands[1])],
                             chain=chain, vt="none")
-        elif op == "ret":
-            n = dag.new("ret", [], chain=chain, vt="none")
-            if inst.operands:
-                n.ret_value = operand(inst.operands[0])
-            dag.root = n
         elif op == "alloca":
             raise IselError("alloca reached instruction selection; "
                             "run the optimization pipeline first")
-        else:
-            raise IselError(f"cannot build DAG node for opcode {op!r}")
-    if dag.root is None:
-        raise IselError(f"@{fn.name}: no return")
+        else:  # ret, which ends the body
+            dag.root = dag.new("ret", [], chain=chain, vt="none")
+            if inst.operands:
+                dag.root.ret_value = operand(inst.operands[0])
     dag.prune()  # values nothing uses, as at -O0
     return dag
 
@@ -349,7 +340,7 @@ class SelectCtx:
             for mn, imm in tgt.materialize_imm(v.value, self.ext):
                 if mn == "LUI":
                     node = self.make_machine("LUI", [MOp.imm(imm)])
-                else:  # ADDI: Zba's shortcut is never shorter on RV32
+                else:  # ADDI
                     src = MOp.preg(X0) if node is None else node
                     node = self.make_machine("ADDI", [src, MOp.imm(imm)])
         self._materialized[v] = node

@@ -12,6 +12,13 @@ Functions follow the halt protocol: x1 starts at a sentinel return address
 and a `jalr` to the sentinel stops execution. The IR interpreter is the
 midend's twin: it evaluates a verified function directly with two's-complement
 wrapping, so any pass or lowering can be differentially checked against it.
+
+`OPS` is the reference meaning of every operation, one function per sem kind
+(load and store aside) and per IR intrinsic: the IR interpreter evaluates
+each IR operation through it, and the tests evaluate sems through it. The
+simulator runs the expression templates of `target._SEM_EXPRS`, its
+independent twin, so comparing a simulated run with `ir_interpret` sets two
+definitions of each operation against each other.
 """
 
 from __future__ import annotations
@@ -36,6 +43,26 @@ def u32(x: int) -> int:
 def s32(x: int) -> int:
     x &= MASK32
     return x - 0x100000000 if x & 0x80000000 else x
+
+
+# What each operation computes from unsigned 32-bit operands, as an unsigned
+# 32-bit result: the sem kinds but load and store, which read and write
+# memory, and the IR's funnel shifts. A shift or rotate amount is read mod 32.
+OPS = {
+    "add": lambda a, b: (a + b) & MASK32,
+    "sub": lambda a, b: (a - b) & MASK32,
+    "mul": lambda a, b: (a * b) & MASK32,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: (a << (b & 31)) & MASK32,
+    "srl": lambda a, b: a >> (b & 31),
+    "sra": lambda a, b: (s32(a) >> (b & 31)) & MASK32,
+    "rotr": lambda a, b: (a >> (b & 31) | a << (32 - (b & 31))) & MASK32,
+    # the high word of a:b shifted left, the low word of a:b shifted right
+    "fshl": lambda a, b, c: (a << (c & 31) | b >> (32 - (c & 31))) & MASK32,
+    "fshr": lambda a, b, c: (a << (32 - (c & 31)) | b >> (c & 31)) & MASK32,
+}
 
 
 class SimTrap(Exception):
@@ -219,8 +246,8 @@ def ir_interpret(fn: ir.Function, args: list[int],
                  ) -> tuple[int | None, dict[int, int]]:
     """Directly evaluate a verified single-block function.
 
-    i32 values wrap in two's complement; shift amounts use the low five bits,
-    matching the hardware. Returns (return value or None, final memory);
+    Each arithmetic, bitwise and funnel-shift operation is its OPS entry,
+    read through ir.SEM_KIND. Returns (return value or None, final memory);
     alloca storage is function-local and excluded from the final memory.
     """
     global_addrs = global_addrs or {}
@@ -246,35 +273,12 @@ def ir_interpret(fn: ir.Function, args: list[int],
     ret = None
     for inst in fn.body:
         op = inst.opcode
-        if op in ir.BINOPS:
-            a, b = val(inst.operands[0]), val(inst.operands[1])
-            if op == "add":
-                r = a + b
-            elif op == "sub":
-                r = a - b
-            elif op == "mul":
-                r = a * b
-            elif op == "and":
-                r = a & b
-            elif op == "or":
-                r = a | b
-            elif op == "xor":
-                r = a ^ b
-            elif op == "shl":
-                r = a << (b & 31)
-            elif op == "lshr":
-                r = a >> (b & 31)
-            else:  # ashr
-                r = s32(a) >> (b & 31)
-            env[inst.result] = u32(r)
-        elif op in ("fshl", "fshr"):
-            a, b, c = (val(o) for o in inst.operands)
-            s = c & 31
-            if op == "fshl":
-                r = (a << s) | (b >> (32 - s)) if s else a
-            else:
-                r = (a << (32 - s)) | (b >> s) if s else b
-            env[inst.result] = u32(r)
+        kind = ir.SEM_KIND.get(op)
+        if kind is not None:
+            ops = inst.operands
+            a, b, f = val(ops[0]), val(ops[1]), OPS[kind]
+            env[inst.result] = (f(a, b) if len(ops) == 2
+                                else f(a, b, val(ops[2])))
         elif op == "load":
             env[inst.result] = mem_read32(mem, val(inst.operands[0]))
         elif op == "store":
@@ -285,12 +289,8 @@ def ir_interpret(fn: ir.Function, args: list[int],
             env[inst.result] = next_slot
             alloca_cells.append(next_slot)
             next_slot += 4
-        elif op == "ret":
-            if inst.operands:
-                ret = val(inst.operands[0])
-            break
-        else:
-            raise InterpError(f"cannot interpret opcode {op!r}")
+        elif inst.operands:  # the ret that ends the body
+            ret = val(inst.operands[0])
     for cell in alloca_cells:
         for i in range(4):
             mem.pop(cell + i, None)

@@ -786,34 +786,19 @@ def split_hi_lo(addr: int) -> tuple[int, int]:
     return hi, lo
 
 
-def _base_seq(val: int) -> list[tuple[str, int | None]]:
+def materialize_imm(value: int, ext: frozenset[str] = frozenset({"I"}),
+                    zba_threshold: int = 2) -> list[tuple[str, int]]:
+    """Instruction sequence leaving `value` in a register: ADDI alone, LUI
+    alone, or LUI then ADDI, as (mnemonic, immediate) entries.
+
+    `ext` and `zba_threshold` are read by nothing. They are the inputs of
+    the upstream Zba shortcut (value/3, /5 or /9, then one SHnADD, tried
+    when the base sequence is longer than the threshold and kept when
+    strictly shorter), which no RV32 value takes at any threshold: the
+    base sequence is at most two instructions, the shortcut at least two.
+    """
+    val = sext(value, 32)
     if fits("imm12", val):
         return [("ADDI", val)]
     hi, lo = split_hi_lo(val)
-    seq: list[tuple[str, int | None]] = [("LUI", hi)]
-    if lo:
-        seq.append(("ADDI", lo))
-    return seq
-
-
-def materialize_imm(value: int, ext: frozenset[str] = frozenset({"I"}),
-                    zba_threshold: int = 2) -> list[tuple[str, int | None]]:
-    """Instruction sequence leaving `value` in a register.
-
-    Entries are (mnemonic, immediate); SH*ADD entries carry no immediate and
-    mean `shNadd rd, rd, rd`. The Zba shortcut replaces the base sequence only
-    when the base sequence is longer than `zba_threshold` and the shortcut is
-    strictly shorter, mirroring the upstream guard (threshold 2). On RV32 the
-    base sequence never exceeds two instructions and the shortcut is at least
-    two, so the shortcut never replaces it, at any threshold.
-    """
-    val = sext(value, 32)
-    res = _base_seq(val)
-    if "Zba" in ext and len(res) > zba_threshold:
-        for div, op in ((3, "SH1ADD"), (5, "SH2ADD"), (9, "SH3ADD")):
-            if val % div == 0:
-                tmp = _base_seq(val // div) + [(op, None)]
-                if len(tmp) < len(res):
-                    res = tmp
-                break
-    return res
+    return [("LUI", hi), ("ADDI", lo)] if lo else [("LUI", hi)]

@@ -107,9 +107,7 @@ def histogram(asm: str) -> dict[str, int]:
 
 def rotr32(x: int, n: int) -> int:
     """x rotated right by n mod 32 bits, the reference for every rotate."""
-    n &= 31
-    x &= sim.MASK32
-    return (x >> n | x << (32 - n)) & sim.MASK32
+    return sim.OPS["rotr"](x & sim.MASK32, n)
 
 
 def make_ptr_args(rng: random.Random, n_ptrs: int, words_each: int = 5):
@@ -158,42 +156,21 @@ def assert_runs_like_ir(fn, mf, desc, inputs, gaddrs=None):
 
 
 def eval_pattern(node: tgt.PatNode, env, mem):
-    """A pattern source or a sem, evaluated node by node: the reference for
-    what the target's expression templates generate, and so written apart
-    from them. `env` maps capture names to values and `mem` is byte memory.
-    Returns the 32-bit result, or None for a store."""
-    M = 0xFFFFFFFF
+    """A pattern source or a sem, evaluated node by node through sim.OPS:
+    the reference for what the target's expression templates generate, and
+    so written apart from them. `env` maps capture names to values and
+    `mem` is byte memory. Returns the 32-bit result, or None for a store."""
     if node.kind == "capture" or node.kind in tgt.IMM_RANGES:
-        return env[node.name] & M
+        return env[node.name] & sim.MASK32
     if node.kind == "const":
-        return node.value & M
+        return node.value & sim.MASK32
     args = [eval_pattern(c, env, mem) for c in node.children]
-    if node.kind == "add":
-        return (args[0] + args[1]) & M
-    if node.kind == "sub":
-        return (args[0] - args[1]) & M
-    if node.kind == "mul":
-        return (args[0] * args[1]) & M
-    if node.kind == "xor":
-        return args[0] ^ args[1]
-    if node.kind == "and":
-        return args[0] & args[1]
-    if node.kind == "or":
-        return args[0] | args[1]
-    if node.kind == "shl":
-        return (args[0] << (args[1] & 31)) & M
-    if node.kind == "srl":
-        return args[0] >> (args[1] & 31)
-    if node.kind == "sra":
-        return (sim.s32(args[0]) >> (args[1] & 31)) & M
-    if node.kind == "rotr":
-        return rotr32(args[0], args[1])
     if node.kind == "load":
         return sim.mem_read32(mem, args[0])
     if node.kind == "store":
         sim.mem_write32(mem, args[1], args[0])
         return None
-    raise AssertionError(f"no evaluator for {node.kind}")
+    return sim.OPS[node.kind](*args)
 
 
 def interpreted(mod: ir.Module, args) -> str | None:

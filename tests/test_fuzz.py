@@ -21,7 +21,6 @@ from conftest import (ALL_MATTRS, CORPUS_SHAPES, LIT_TESTS, PKG_ROOT,
                       assert_runs_like_ir, compile_fn, corpus_text,
                       interpreted, make_ptr_args)
 
-BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr"]
 CONST_POOL = [-1, 0, 1, 2, 3, 6, 10, 16, 30, 31, 127, 2047, -2048,
               4097, 12291, 0x7FFFFFFF, -0x80000000]
 LARGE_CELLS = 8  # words gen_large_fn reaches through %p
@@ -33,7 +32,7 @@ def gen_arith_fn(rng: random.Random, idx: int) -> str:
     vals = [f"%a{i}" for i in range(nargs)]
     lines = [f"define i32 @fz{idx}({params}) {{"]
     for n in range(rng.randrange(1, 13)):
-        op = rng.choice(BINOPS)
+        op = rng.choice(ir.BINOPS)
 
         def operand():
             if rng.random() < 0.3:
@@ -111,7 +110,7 @@ def gen_large_fn(rng: random.Random, idx: int, size: int) -> str:
         if r < 0.25:
             lines.append(f"  {res} = load i32, ptr {rng.choice(addrs)}")
         else:
-            op = rng.choice(BINOPS)
+            op = rng.choice(ir.BINOPS)
             if op in ("shl", "lshr", "ashr"):
                 b = str(rng.randrange(1, 32))
             elif rng.random() < 0.25:

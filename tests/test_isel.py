@@ -496,25 +496,29 @@ define i32 @f(ptr %p, ptr %q) {
 
 def test_lxr_not_folded_across_intervening_store(desc):
     # a store between the two loads blocks the fold: the fused LXR would
-    # move the first load past the store
-    text = """
-define i32 @f(ptr %p, ptr %q, i32 %v) {
+    # move the first load past the store. At %p+16 the loads have the
+    # hook's shape, and the hook rejects their places on the chain.
+    for second in ("%q", "%p16"):
+        text = f"""
+define i32 @f(ptr %p, ptr %q, i32 %v) {{
+  %p16 = getelementptr i8, ptr %p, i32 16
   %a = load i32, ptr %p
   store i32 %v, ptr %p
-  %b = load i32, ptr %q
+  %b = load i32, ptr {second}
   %x = xor i32 %a, %b
   ret i32 %x
-}
+}}
 """
-    mod = ir.parse_ir(text)
-    mf, _ = compile_fn(mod.functions[0], desc, "+xcrypt")
-    h = histogram(codegen.print_asm(mf, desc))
-    assert "lxr" not in h
-    # semantics check under aliasing p == q
-    mem = {}
-    sim.mem_write32(mem, 0x4000, 0xAAAA5555)
-    assert_runs_like_ir(mod.functions[0], mf, desc,
-                        [([0x4000, 0x4000, 0x1234], mem)])
+        mod = ir.parse_ir(text)
+        mf, debug = compile_fn(mod.functions[0], desc, "+xcrypt")
+        h = histogram(codegen.print_asm(mf, desc))
+        assert "lxr" not in h
+        # semantics check under aliasing p == q
+        mem = {}
+        sim.mem_write32(mem, 0x4000, 0xAAAA5555)
+        assert_runs_like_ir(mod.functions[0], mf, desc,
+                            [([0x4000, 0x4000, 0x1234], mem)])
+    assert "  loads are not adjacent on the chain, not folding" in debug
 
 
 # --------------------------------------------------------------------------
@@ -1067,6 +1071,18 @@ def test_new_rotate_is_one_desc_edit():
     _, base = mnemonics(None)
     assert "RORX" not in base and {"SLL", "SRL", "OR"} <= set(base)
     assert mnemonics("+zbb")[1] == ["ROR", "JALR"]
+
+
+def test_a_pattern_listed_before_its_targets_extension_is_diagnosed():
+    """A pattern is enabled with the extension it is listed under, and its
+    target needs its own: one under I that makes MUL matches a mul under
+    -m, and selection rejects it there, naming the extension."""
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    desc = tgt.load_target_desc(
+        text + "extension I\npattern (mul $a $b) => (MUL $a $b)\n")
+    with pytest.raises(isel.IselError, match="^MUL requires extension M$"):
+        driver.compile_ir_text(corpus_text("mul6.ll"), "mul6.ll", desc,
+                               tgt.parse_mattr("-m"))
 
 
 # capture names that are not identifiers, some of them code

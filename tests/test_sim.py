@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -10,6 +11,14 @@ from rv32x.mir import MOp, MachineInstr
 from conftest import ALL_MATTRS, CORPUS_SHAPES, PKG_ROOT, compile_corpus, \
     corpus_module, differential_run, eval_pattern, rotr32, synth_args
 from test_target import _random_operands
+
+
+def _word(desc, mnemonic, *ops):
+    return tgt.encode(MachineInstr(mnemonic, list(ops)), desc).word
+
+
+def _ret(desc):
+    return _word(desc, "JALR", MOp.preg(0), MOp.preg(1), MOp.imm(0))
 
 
 def exec_one(desc, mnemonic, ops, regs=None, mem=None):
@@ -279,14 +288,6 @@ def test_trace_steps_decode_like_decode(mattr, monkeypatch):
             assert mi.mnemonic == d.mnemonic
 
 
-def _word(desc, mnemonic, *ops):
-    return tgt.encode(MachineInstr(mnemonic, list(ops)), desc).word
-
-
-def _ret(desc):
-    return _word(desc, "JALR", MOp.preg(0), MOp.preg(1), MOp.imm(0))
-
-
 def test_a_second_run_looks_nothing_up(monkeypatch):
     desc = tgt.load_default_desc()
     _, _, mf, _ = compile_corpus("sbox.ll", desc, "+xcrypt")
@@ -349,15 +350,25 @@ def test_the_memo_is_kept_per_description(desc):
             sim.run_function(ror, [1, 1], {}, desc=no_ror)
 
 
+def test_an_instruction_without_a_sem_traps(desc):
+    """A record with no sem= that is not JALR has no meaning to run."""
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    bare = tgt.load_target_desc(
+        text + "instr BARE fmt=R opcode=0b0001011 funct3=0b000 "
+        "funct7=0b0000000 ops=rd,rs1,rs2\n")
+    a0 = MOp.preg(10)
+    program = [_word(bare, "BARE", a0, a0, a0), _ret(desc)]
+    with pytest.raises(sim.SimTrap,
+                       match="^pc=0x00001000: no semantics for BARE$"):
+        sim.run_function(program, [1], {}, desc=bare)
+
+
 def test_program_over_seeded_memory_traps(desc):
     # 1102 words reach past GLOBAL_BASE: without the check the program
     # silently overwrote the word seeded there
-    nop = tgt.encode(MachineInstr(
-        "ADDI", [MOp.preg(0), MOp.preg(0), MOp.imm(0)]), desc).word
-    lw = tgt.encode(MachineInstr(
-        "LW", [MOp.preg(10), MOp.preg(10), MOp.imm(0)]), desc).word
-    ret = tgt.encode(MachineInstr(
-        "JALR", [MOp.preg(0), MOp.preg(1), MOp.imm(0)]), desc).word
+    nop = _word(desc, "ADDI", MOp.preg(0), MOp.preg(0), MOp.imm(0))
+    lw = _word(desc, "LW", MOp.preg(10), MOp.preg(10), MOp.imm(0))
+    ret = _ret(desc)
     mem = {}
     sim.mem_write32(mem, sim.GLOBAL_BASE, 1234)
     with pytest.raises(sim.SimTrap, match="program at 0x00001000..0x00002138 "
@@ -374,8 +385,7 @@ def test_misaligned_word_access_traps(desc):
         sim.mem_read32({}, 0x4002)
     st = sim.SimState()
     st.regs[11] = 0x4001
-    word = tgt.encode(MachineInstr(
-        "LW", [MOp.preg(10), MOp.preg(11), MOp.imm(0)]), desc).word
+    word = _word(desc, "LW", MOp.preg(10), MOp.preg(11), MOp.imm(0))
     sim.mem_write32(st.mem, st.pc, word)
     with pytest.raises(sim.SimTrap, match="misaligned"):
         sim.step(st, desc)
@@ -385,10 +395,7 @@ def test_misaligned_word_access_traps(desc):
 def test_misaligned_word_store_traps(desc, addr):
     """A misaligned SW traps, in data memory and inside the program."""
     a0, a1 = MOp.preg(10), MOp.preg(11)
-    program = [tgt.encode(MachineInstr(mnemonic, ops), desc).word
-               for mnemonic, ops in (("SW", [a0, a1, MOp.imm(0)]),
-                                     ("JALR", [MOp.preg(0), MOp.preg(1),
-                                               MOp.imm(0)]))]
+    program = [_word(desc, "SW", a0, a1, MOp.imm(0)), _ret(desc)]
     with pytest.raises(sim.SimTrap,
                        match=f"^misaligned word store at 0x{addr:08x}$"):
         sim.run_function(program, [7, addr], {}, desc=desc)
@@ -403,15 +410,12 @@ def test_undecodable_word_traps(desc):
 
 def test_fuel_exhaustion(desc):
     # an infinite loop: jalr x0, 0(a0) with a0 pointing at itself
-    loop = tgt.encode(MachineInstr(
-        "JALR", [MOp.preg(0), MOp.preg(10), MOp.imm(0)]), desc).word
+    loop = _word(desc, "JALR", MOp.preg(0), MOp.preg(10), MOp.imm(0))
     with pytest.raises(sim.SimTrap, match="fuel exhausted after 100 steps"):
         sim.run_function([loop], [sim.PROGRAM_BASE], {}, fuel=100, desc=desc)
     # fuel counts instructions: n of them run to halt on fuel n
-    nop = tgt.encode(MachineInstr(
-        "ADDI", [MOp.preg(0), MOp.preg(0), MOp.imm(0)]), desc).word
-    ret = tgt.encode(MachineInstr(
-        "JALR", [MOp.preg(0), MOp.preg(1), MOp.imm(0)]), desc).word
+    nop = _word(desc, "ADDI", MOp.preg(0), MOp.preg(0), MOp.imm(0))
+    ret = _ret(desc)
     got, _, trace = sim.run_function([nop, ret], [5], {}, fuel=2, desc=desc)
     assert got == 5 and len(trace) == 2
     with pytest.raises(sim.SimTrap, match="fuel exhausted after 1 steps"):
@@ -421,8 +425,7 @@ def test_fuel_exhaustion(desc):
 def test_program_words_are_memory(desc):
     """A store into the program changes what executes later, a load from
     it reads code, and neither shows in the returned memory."""
-    def word(mnemonic, *ops):
-        return tgt.encode(MachineInstr(mnemonic, list(ops)), desc).word
+    word = functools.partial(_word, desc)
     a0, a1, a2 = MOp.preg(10), MOp.preg(11), MOp.preg(12)
     addi_42 = word("ADDI", a0, MOp.preg(0), MOp.imm(42))
     program = [word("SW", a0, a1, MOp.imm(8)),  # word 2 := a0
@@ -440,8 +443,7 @@ def test_program_words_are_memory(desc):
 def test_jalr_writes_the_return_address_to_a_nonzero_rd(desc):
     """JALR jumps to rs1 + imm12 with bit 0 cleared and writes pc + 4 to
     an rd other than x0."""
-    def word(mnemonic, *ops):
-        return tgt.encode(MachineInstr(mnemonic, list(ops)), desc).word
+    word = functools.partial(_word, desc)
     zero, a0, a1, a2 = MOp.preg(0), MOp.preg(10), MOp.preg(11), MOp.preg(12)
     program = [word("JALR", a1, a2, MOp.imm(9)),  # to word 2: 0x1009 & ~1
                word("ADDI", a0, zero, MOp.imm(99)),  # jumped over
@@ -481,6 +483,31 @@ def test_ir_interpret_identity():
     mod = corpus_module("identity.ll")
     r, mem = sim.ir_interpret(mod.functions[0], [41])
     assert r == 41 and mem == {}
+
+
+@pytest.mark.parametrize("text,args,error,match", [
+    ("define i32 @f(i32 %a) {\n  ret i32 %a\n}\n", [], sim.InterpError,
+     "^@f takes 1 arguments$"),
+    ("@g = global i32 5\ndefine i32 @f() {\n  %v = load i32, ptr @g\n"
+     "  ret i32 %v\n}\n", [], sim.InterpError, "^no address for global @g$"),
+    ("define void @f(ptr %p) {\n  %q = getelementptr i8, ptr %p, i32 2\n"
+     "  store i32 1, ptr %q\n  ret void\n}\n", [0x4000], sim.SimTrap,
+     "^misaligned word store at 0x00004002$"),
+], ids=["argument-count", "global-address", "misaligned-store"])
+def test_ir_interpret_rejects_what_it_cannot_run(text, args, error, match):
+    fn = ir.parse_ir(text).functions[0]
+    with pytest.raises(error, match=match):
+        sim.ir_interpret(fn, args)
+
+
+def test_ops_gives_every_operation_one_meaning():
+    """sim.OPS holds each sem kind but load and store, and the IR's
+    intrinsics, and every IR binop and intrinsic reaches it through
+    ir.SEM_KIND: no kind or opcode lands without its reference."""
+    assert set(sim.OPS) == \
+        set(tgt._SEM_EXPRS) - {"load", "store"} | set(ir.INTRINSICS)
+    assert {ir.SEM_KIND[op] for op in ir.BINOPS + ir.INTRINSICS} <= \
+        set(sim.OPS)
 
 
 def test_fshr_equals_rotate_oracle():

@@ -787,5 +787,7 @@ def test_parse_mattr():
     assert tgt.parse_mattr("+zba,+xcrypt") == \
         frozenset({"I", "M", "Zba", "Xcrypt"})
     assert tgt.parse_mattr("-m") == frozenset({"I"})
+    assert tgt.parse_mattr("+zba,,+zbb") == \
+        frozenset({"I", "M", "Zba", "Zbb"})  # an empty token is skipped
     with pytest.raises(tgt.TargetError, match="unknown feature"):
         tgt.parse_mattr("+avx")
