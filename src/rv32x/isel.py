@@ -40,12 +40,11 @@ from . import ir
 from . import target as tgt
 from .mir import MOp, MachineInstr, MachineFunction, X0, RA, A0
 
-# generic kinds that legally remain after selection (they emit no instruction)
-NON_INSTR_KINDS = {"EntryToken", "Register"}
-# generic kinds that selection never covers on their own: their users
-# consume them, materializing constants and HI as register operands and
-# matching constants and LO as immediates
-_LEAF_KINDS = NON_INSTR_KINDS | {"Constant", "HI", "LO"}
+# generic kinds that selection never covers on their own: EntryToken and
+# Register remain after it (they emit no instruction), and users consume the
+# rest, materializing constants and HI as register operands and matching
+# constants and LO as immediates
+_LEAF_KINDS = {"EntryToken", "Register", "Constant", "HI", "LO"}
 
 
 class IselError(Exception):
@@ -378,10 +377,7 @@ def hook_xor_dependent_loads(ctx: SelectCtx, node: DagNode) -> DagNode | None:
         say("  [3] add base equals first load address: no")
         return None
     say("  [3] add base equals first load address: yes")
-    addend = addr2.ops[1]
-    if addend.kind != "Constant":
-        say("  [4] second addend is a constant: no")
-        return None
+    addend = addr2.ops[1]  # a gep offset or a global's LO: always a constant
     say("  [4] second addend is a constant: yes")
     if (addend.value & 0xFFFFFFFF) != 16:
         say(f"  [5] constant equals 16: no ({addend.value})")
@@ -707,8 +703,6 @@ def _resolve(ctx: SelectCtx, root: DagNode) -> SelDag:
         m = covers.get(v)
         if m is not None:
             return m
-        if v.kind not in NON_INSTR_KINDS:
-            raise IselError(f"selection left generic node {v!r}")
         leaves.add(v)
         return v
 
@@ -757,8 +751,6 @@ def schedule(dag: SelDag) -> MachineFunction:
             indeg[s] -= 1
             if not indeg[s]:
                 heapq.heappush(ready, s.uid)
-    if len(linear) != len(nodes):
-        raise IselError("cycle in selection DAG")
 
     mf = MachineFunction(dag.name)
     vreg_of: dict[DagNode, MOp] = {}  # each result's operand, for every use

@@ -351,9 +351,7 @@ def _combine_and_xor(inst: Inst, defs) -> Inst | None:
         xop, nop = inst.operands[xi], inst.operands[ni]
         if xop.kind != "temp" or nop.kind != "temp":
             continue
-        xdef, ndef = defs.get(xop.name), defs.get(nop.name)
-        if xdef is None or ndef is None:
-            continue
+        xdef, ndef = defs[xop.name], defs[nop.name]
         if not (_is_not(ndef) and xdef.opcode == "xor" and not _is_not(xdef)):
             continue
         b = ndef.operands[0]
@@ -369,8 +367,8 @@ def _combine_funnel(inst: Inst, defs, uses) -> Inst | None:
     for op in inst.operands:
         if op.kind != "temp":
             return None
-        d = defs.get(op.name)
-        if d is None or d.opcode not in ("shl", "lshr") \
+        d = defs[op.name]
+        if d.opcode not in ("shl", "lshr") \
                 or d.operands[1].kind != "const":
             return None
         if d.opcode == "shl":
@@ -450,11 +448,10 @@ def compute_ranks(fn: ir.Function) -> dict[str, tuple[int, int]]:
 
 
 def _operand_key(v: Value, ranks: dict[str, tuple[int, int]]) -> tuple:
-    """Constants first, by value, then globals, then by (rank, order)."""
+    """Constants first, by value, then by (rank, order). A binop's operands
+    are i32, so never a global."""
     if v.kind == "const":
         return (0, -1, v.const)
-    if v.kind == "global":
-        return (1, -1)
     return ranks.get(v.name, (1, 0))
 
 

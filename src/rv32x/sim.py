@@ -102,9 +102,6 @@ class SimState:
     halted: bool = False
     program: list[int] = field(default_factory=list)
 
-    def read(self, r: int) -> int:
-        return 0 if r == 0 else self.regs[r]
-
     # load and store are mem_read32 and mem_write32, inlined, in front of
     # the program words: they run for every simulated LW and SW
     def load(self, addr: int) -> int:

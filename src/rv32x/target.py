@@ -123,7 +123,6 @@ class InstrDef:
     asm: str                # printed mnemonic, e.g. "sh1add"
     ops: tuple[str, ...] = ()   # roles: rd rs1 rs2 rs3 imm12 imm20 uimm5
     ext: str = "I"
-    sched: tuple[str, ...] = ()  # parsed and stored, never used for ordering
     sem: PatNode | None = None  # meaning over the source operand roles
     # the bits every encoding fixes, and their values: a word is this
     # instruction when word & mask == match
@@ -339,7 +338,7 @@ _ROLE_CAPTURES = {r: PatNode("capture", name=r) for r in _VALID_ROLES}
 # the `key=value` fields of an instr record, sem= aside; the _FIXED ones
 # give the values of the regions named for them
 _FIXED = ("opcode", "funct3", "funct7", "funct2")
-_FIELDS = {"fmt", "ops", "asm", "sched", *_FIXED}
+_FIELDS = {"fmt", "ops", "asm", *_FIXED}
 
 # What each `sem=` node kind computes, as a Python expression over its
 # operands {0} and {1}, each used once. Operands are register values
@@ -540,7 +539,6 @@ def _parse_instr(line: str, ext: str, where: str) -> InstrDef:
         asm=kw.get("asm", mnemonic.lower()),
         ops=ops,
         ext=ext,
-        sched=tuple(kw["sched"].split(",")) if kw.get("sched") else (),
         sem=sem,
         mask=mask,
         match=match,
@@ -704,9 +702,7 @@ def _reloc(op: MOp, role: str, d: InstrDef) -> tuple[str, str]:
     if kind == "vreg":
         raise TargetError(f"{d.mnemonic}: virtual register in encoder")
     if role in ("rd", "rs1", "rs2", "rs3"):
-        if kind != "preg":
-            raise TargetError(f"{d.mnemonic}: {role} must be a register")
-        raise TargetError(f"{d.mnemonic}: no register x{val}")
+        raise TargetError(f"{d.mnemonic}: {role} must be a register")
     if kind == "sym":
         want = "imm20" if reloc == "hi20" else "imm12"
         if role != want:
@@ -732,7 +728,7 @@ def encode(mi: MachineInstr, desc: TargetDesc) -> EncodedWord:
         # a register in a register field or an immediate in range goes in
         # as it is; anything else is a relocation, whose field stays zero,
         # or an error
-        if not (kind == "preg" and f.reg and 0 <= v < 32
+        if not (kind == "preg" and f.reg
                 or kind == "imm" and not f.reg and fits(role, v)):
             reloc = _reloc(op, role, d)
             continue

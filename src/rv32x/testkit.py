@@ -365,7 +365,7 @@ def _split_functions(asm: str) -> dict[str, list[str]]:
             continue
         if current is not None and line.strip():
             out[current].append(line.strip())
-        elif not line.strip():
+        else:  # a blank line ends the function
             current = None
     return out
 

@@ -129,17 +129,29 @@ def _check_allocation(mf, out, desc) -> int:
     """Walk the allocated code next to the vreg code and track what each
     register and each spill slot holds: every operand must read the vreg or
     incoming register value it names, and the return value must reach a0.
+    A move (an ADDI of 0) gives its def the value it reads; the allocator
+    drops one whose def takes the register it reads, so a move with no
+    matching move in the allocated code is taken as dropped, and the reads
+    of its def check that the value is where they look.
     Returns the number of reloads."""
-    sp, a0 = MOp.preg(codegen.SP), MOp.preg(A0)
+    sp, a0, zero = MOp.preg(codegen.SP), MOp.preg(A0), MOp.imm(0)
     held = {r: ("in", r) for r in range(32)}  # allocated code's registers
     named = dict(held)  # the vreg code's physical registers
+    copied = {}  # a move's vreg -> the value it reads
     slots = {}
     reloads = 0
     a0_carries_result = mf.ret_vreg is None and any(
         a0 in mi.ops for mi in mf.instrs)
+
+    def value(op):
+        if op.kind == "preg":
+            return named[op.val]
+        return copied.get(op.val, ("vreg", op.val))
+
     it = iter(out.instrs)
+    got = None
     for j, mi in enumerate(mf.instrs):
-        got = next(it)
+        got = got or next(it)
         while True:  # spill code, and the return value's move to a0
             if got.mnemonic in ("LW", "SW") and got.ops[1] == sp:
                 off = got.ops[2].val
@@ -156,10 +168,19 @@ def _check_allocation(mf, out, desc) -> int:
             else:
                 break
             got = next(it)
+        move = mi.mnemonic == "ADDI" and mi.ops[2] == zero
+        if move and not (got.mnemonic == "ADDI" and got.ops[2] == zero
+                         and held[got.ops[1].val] == value(mi.ops[1])):
+            if mi.ops[0].kind == "vreg":  # dropped: a self-move
+                copied[mi.ops[0].val] = value(mi.ops[1])
+            else:
+                named[mi.ops[0].val] = value(mi.ops[1])
+            continue
         assert (got.mnemonic, got.is_ret) == (mi.mnemonic, mi.is_ret), \
             (j, got, mi)
         if mi.is_ret and mf.ret_vreg is not None:
-            assert held[A0] == ("vreg", mf.ret_vreg), (mf.name, held[A0])
+            assert held[A0] == value(MOp.vreg(mf.ret_vreg)), \
+                (mf.name, held[A0])
         elif mi.is_ret and a0_carries_result:
             assert held[A0] == named[A0], (mf.name, held[A0])
         defines = desc.instr(mi.mnemonic).defines
@@ -168,7 +189,7 @@ def _check_allocation(mf, out, desc) -> int:
                 continue
             if want.kind == "vreg":
                 assert have.kind == "preg" and \
-                    held[have.val] == ("vreg", want.val), (j, s, got, mi)
+                    held[have.val] == value(want), (j, s, got, mi)
             elif want.kind == "preg":
                 assert have == want and held[want.val] == named[want.val], \
                     (j, s, got, mi)
@@ -178,10 +199,13 @@ def _check_allocation(mf, out, desc) -> int:
             want, have = mi.ops[0], got.ops[0]
             assert have.kind == "preg" and have.val in codegen.ALLOC_ORDER \
                 or have == want, (j, got, mi)
+            new = value(mi.ops[1]) if move else (
+                ("vreg", want.val) if want.kind == "vreg" else ("def", j))
             if want.kind == "vreg":
-                held[have.val] = ("vreg", want.val)
+                copied[want.val] = held[have.val] = new
             else:
-                held[have.val] = named[want.val] = ("def", j)
+                held[have.val] = named[want.val] = new
+        got = None
     assert next(it, None) is None
     assert out.frame_size % 16 == 0 and out.frame_size >= 4 * len(slots)
     return reloads
@@ -189,7 +213,7 @@ def _check_allocation(mf, out, desc) -> int:
 
 def _rewritten(mf, assign):
     """The allocated code of a function that does not spill, under the
-    assignment `assign`."""
+    assignment `assign`, without the moves it makes self-moves."""
     reg = {MOp.vreg(v): MOp.preg(r) for v, r in assign.items()}
     out = []
     for mi in mf.instrs:
@@ -198,8 +222,10 @@ def _rewritten(mf, assign):
             out.append(MachineInstr("ADDI", [MOp.preg(A0),
                                              reg[MOp.vreg(mf.ret_vreg)],
                                              MOp.imm(0)]))
-        out.append(MachineInstr(mi.mnemonic, [reg.get(op, op)
-                                              for op in mi.ops], mi.is_ret))
+        ops = [reg.get(op, op) for op in mi.ops]
+        if not (mi.mnemonic == "ADDI" and ops[0] == ops[1]
+                and ops[2] == MOp.imm(0)):
+            out.append(MachineInstr(mi.mnemonic, ops, mi.is_ret))
     return out
 
 
@@ -388,9 +414,9 @@ def test_prologue_epilogue_rules(desc):
     assert "sp" not in asm  # leaf with no frame gets nothing
     mf = MachineFunction("f", [MachineInstr(
         "JALR", [MOp.preg(0), MOp.preg(1), MOp.imm(0)], is_ret=True)],
-        frame_size=4)
+        frame_size=16)  # allocation rounds a frame to 16 bytes
     out = codegen.insert_prologue_epilogue(mf)
-    assert out.frame_size == 16  # 16-byte alignment
+    assert out.frame_size == 16
     asm = codegen.print_asm(out, desc)
     assert "addi\tsp, sp, -16" in asm and "addi\tsp, sp, 16" in asm
     assert asm.index("-16") < asm.index("sp, 16")
@@ -507,6 +533,12 @@ def test_relocation_on_a_word_without_its_field_is_an_error(desc):
                                             MOp.imm(1)]), desc).word
     with pytest.raises(codegen.CodegenError, match="no imm20 field"):
         codegen.resolve_words([addi], [(0, "hi20", "g")], desc, {"g": 0x2000})
+
+
+def test_relocation_on_a_word_that_does_not_decode_is_an_error(desc):
+    with pytest.raises(codegen.CodegenError, match="cannot decode word 1"):
+        codegen.resolve_words([0x13, 0xFFFFFFFF], [(1, "lo12", "g")], desc,
+                              {"g": 0x2000})
 
 
 def test_parse_asm_aliases_and_mem_operands(desc):

@@ -99,6 +99,28 @@ def test_a_slot_read_before_its_store_runs_like_ir(slot):
         (0, want, "")
 
 
+# an add of 0 that allocation turns into a self-move, and what llc prints
+_SELF_MOVES = {
+    "one-argument": ("define i32 @f(i32 %a) {\n  %r = add i32 %a, 0\n"
+                     "  ret i32 %r\n}\n", "f:\n\tret\n", "7"),
+    "two-arguments": ("define i32 @f(i32 %a, i32 %b) {\n"
+                      "  %r = add i32 %b, 0\n  %s = xor i32 %r, %a\n"
+                      "  ret i32 %s\n}\n", "f:\n\txor\ta0, a0, a1\n\tret\n",
+                      "6,3"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SELF_MOVES))
+def test_an_add_of_zero_leaves_no_self_move(name):
+    """`mv a0, a0` and `mv a1, a1` are dropped, and the code still runs
+    like ir_interpret."""
+    text, asm, args = _SELF_MOVES[name]
+    assert run_command(["llc", "-O2", "-"], text) == (0, asm, "")
+    want = interpreted(ir.parse_ir(text), [int(a) for a in args.split(",")])
+    assert run_command(["run", "-O2", f"--args={args}", "-"], text) == \
+        (0, want, "")
+
+
 @pytest.mark.parametrize("token", ["undef", "poison"])
 def test_undef_and_poison_are_not_operands(token):
     text = ("define i32 @f(i32 %a) {\n"
@@ -130,6 +152,18 @@ def test_run_mem_flag():
                                 "--mem=0x4000:0f000000f0000000"])
     assert code == 0
     assert f"a0 = {0x0F ^ 0xF0}" in out
+    # an empty part, as after a trailing ';', places nothing
+    assert run_command(["run", path("lxr.ll"), "--mattr=+xcrypt",
+                        "--args=0x4000,0x4004",
+                        "--mem=0x4000:0f000000;;0x4004:f0000000;"]) == \
+        (code, out, "")
+
+
+def test_compile_ir_text_rejects_an_unknown_level(desc):
+    with pytest.raises(driver.DriverError, match="unknown optimization "
+                                                 "level 'O3'"):
+        driver.compile_ir_text(corpus_text("rori.ll"), "rori.ll", desc,
+                               tgt.parse_mattr(None), "O3")
 
 
 def test_i64_input_is_a_diagnosed_error():
@@ -480,6 +514,8 @@ _BAD_IR = {
                           "1:1: unnamed parameter in @f"),
     "empty-parameter": ("define i32 @f(i32 %a, , i32 %b) {\n"
                         "  ret i32 %a\n}\n", "1:1: empty parameter in @f"),
+    "one-line-empty-body": ("define i32 @f() {}\n", "1:1: verification "
+                            "failed: @f:0: function must end with ret"),
     "unterminated": ("define i32 @f(i32 %a) {\n  ret i32 %a\n",
                      "1:1: unterminated function @f"),
     "operand": (_in_f("  %x = add i32 %a, foo"), "2:1: bad operand 'foo'"),

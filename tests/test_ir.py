@@ -28,6 +28,8 @@ def test_parameters_resolve_per_function_with_declared_type():
     add, ret = m.function("g").body
     assert add.operands[0] == ir.Value("arg", "b", ty="i32")
     assert ret.operands[0] == ir.Value("temp", "a", ty="i32")
+    with pytest.raises(KeyError, match="h"):
+        m.function("h")
 
 
 def test_optimized_sbox_shape():

@@ -539,6 +539,35 @@ define i32 @f(ptr %p, i32 %x, i32 %y) {
     assert sum(1 for i in out.body if i.opcode == "store") == 1
 
 
+def test_dse_keeps_a_store_a_loaded_pointer_may_read():
+    # %s escapes into memory, so sroa keeps it, and %q is read back from
+    # memory: neither address is a gep, and %q may be %s, so the store of 7
+    # must survive the later store of 9 at -O2
+    text = """
+define i32 @f(ptr %p, ptr %pp) {
+  %s = alloca i32
+  store ptr %s, ptr %p
+  %q = load ptr, ptr %pp
+  store i32 7, ptr %s
+  %v = load i32, ptr %q
+  store i32 9, ptr %s
+  ret i32 %v
+}
+"""
+    mod = ir.parse_ir(text)
+    out, _ = midend.run_pipeline(mod, midend.DEFAULT_PIPELINE)
+    fn = out.functions[0]
+    assert [i.operands[0] for i in fn.body if i.opcode == "store"][1:] == \
+        [ir.const(7), ir.const(9)]
+    mem = {}
+    sim.mem_write32(mem, 0x4010, 0x4020)
+    sim.mem_write32(mem, 0x4020, 5)
+    for args in ([0x4000, 0x4000], [0x4000, 0x4010]):  # %q is %s, or not
+        want = sim.ir_interpret(mod.functions[0], args, dict(mem))
+        assert sim.ir_interpret(fn, args, dict(mem)) == want
+        assert want[0] == (7 if args[0] == args[1] else 5)
+
+
 def test_dse_idempotent_on_corpus():
     mod = _sbox_at_dse_stage()
     once, _ = run_pass("dse", mod)

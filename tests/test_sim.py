@@ -117,7 +117,6 @@ def test_x0_stays_zero_under_fuzzed_instructions(desc):
         except sim.SimTrap:
             continue  # misaligned access from random registers
         assert state.regs[0] == 0
-        assert state.read(0) == 0
 
 
 def _reference_step(state, desc):
@@ -126,7 +125,7 @@ def _reference_step(state, desc):
     mi = tgt.decode(sim.mem_read32(state.mem, state.pc), desc,
                     frozenset(tgt.ALL_EXTENSIONS))
     d = desc.instrs[mi.mnemonic]
-    env = {role: state.read(op.val) if op.kind == "preg" else op.val
+    env = {role: state.regs[op.val] if op.kind == "preg" else op.val
            for role, op in zip(d.ops, mi.ops)}
     value = eval_pattern(d.sem, env, state.mem)
     if d.ops[0] == "rd" and mi.ops[0].val:
@@ -238,7 +237,7 @@ def test_reloaded_description_runs_identically(desc):
             ops = [MOp.imm(4 * rng.randrange(8)) if op.kind == "imm" else op
                    for op in _random_operands(rng, d)]
             word = tgt.encode(MachineInstr(name, ops), desc).word
-            env = {role: base.read(op.val) if op.kind == "preg" else op.val
+            env = {role: base.regs[op.val] if op.kind == "preg" else op.val
                    for role, op in zip(d.ops, ops) if role != "rd"}
             # run returns the sem's value before its upper bits are dropped
             got = [None if v is None else v & sim.MASK32 for v in (

@@ -112,7 +112,6 @@ def test_catalog_contents(desc):
     assert fixed("LXR") == _fixed(0b0011011, 0b101)
     assert desc.instrs["LXR"].may_load
     assert fixed("ROTI") == _fixed(0b0011000, 0b101, _OP_IMM)
-    assert desc.instrs["MLA"].sched == ("WriteIMul", "ReadIMul", "ReadIMul")
 
 
 def test_duplicate_mnemonic_rejected():
@@ -664,6 +663,13 @@ def test_imm_range_errors(desc):
     with pytest.raises(tgt.TargetError, match="virtual register"):
         tgt.encode(MachineInstr("ADD", [MOp.vreg(1), MOp.preg(1),
                                         MOp.preg(2)]), desc)
+
+
+def test_encode_checks_what_a_caller_hands_it(desc):
+    with pytest.raises(tgt.TargetError, match="ADD: expected 3 operands"):
+        tgt.encode(MachineInstr("ADD", [MOp.preg(1), MOp.preg(2)]), desc)
+    with pytest.raises(tgt.TargetError, match="unknown instruction 'FROB'"):
+        tgt.encode(MachineInstr("FROB", []), desc)
 
 
 # --------------------------------------------------------------------------

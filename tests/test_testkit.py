@@ -173,3 +173,71 @@ def test_update_checks_refuses_nondeterminism(tmp_path):
 
     with pytest.raises(testkit.TestkitError, match="nondeterministic"):
         testkit.update_checks(str(p), executor=flaky)
+
+    def longer(argv, stdin_text=""):  # the second run adds lines
+        calls["n"] += 1
+        return 0, "f:\n\tret\n" * calls["n"], ""
+
+    calls["n"] = 0
+    with pytest.raises(testkit.TestkitError, match="lengths differ: 8 vs 16"):
+        testkit.update_checks(str(p), executor=longer)
+
+
+_F = "define i32 @f(i32 %a) {\n  ret i32 %a\n}\n"
+
+
+@pytest.mark.parametrize("text,named", [
+    ("; RUN: llc < %s \\\n" + _F,
+     ":2: RUN continuation must itself be a RUN: line"),
+    (_F + "; RUN: llc < %s \\\n", ": dangling RUN continuation"),
+], ids=["continuation-without-run", "dangling-continuation"])
+def test_lit_rejects_a_broken_run_continuation(tmp_path, text, named):
+    p = tmp_path / "t.ll"
+    p.write_text(text)
+    assert run_command(["lit", str(p)]) == \
+        (1, "", f"rv32x: error: {p}{named}\n")
+
+
+def test_lit_fails_a_less_than_without_a_file(tmp_path):
+    # a failing test prints its detail only under -v
+    p = tmp_path / "t.ll"
+    p.write_text("; RUN: llc <\n" + _F)
+    code, out, err = run_command(["lit", str(p)])
+    assert (code, err) == (1, "") and f"FAIL: rv32x :: {p} (1 of 1)\n" in out
+    assert "RUN:" not in out
+    code, out, err = run_command(["lit", "-v", str(p)])
+    assert (code, err) == (1, "")
+    assert "    malformed RUN line: '<' needs a file operand\n" in out
+
+
+def test_run_one_test_fails_a_file_without_run_lines(tmp_path):
+    p = tmp_path / "t.ll"
+    p.write_text(_F)
+    assert testkit.run_one_test(str(p), run_command) == (False, "no RUN lines")
+
+
+def test_update_checks_leaves_a_run_line_without_filecheck(tmp_path):
+    p = tmp_path / "t.ll"
+    p.write_text("; RUN: llc < %s\n" + _F)
+    assert run_command(["update-checks", str(p)]) == \
+        (0, f"unchanged: {p}\n", "")
+    assert p.read_text() == "; RUN: llc < %s\n" + _F
+
+
+def test_update_checks_writes_a_block_per_function(tmp_path):
+    p = tmp_path / "t.ll"
+    g = ("define i32 @g(i32 %a, i32 %b) {\n  %x = xor i32 %a, %b\n"
+         "  ret i32 %x\n}\n")
+    p.write_text("; RUN: llc < %s | filecheck %s\n" + _F + g)
+    assert run_command(["update-checks", str(p)]) == \
+        (0, f"updated: {p}\n", "")
+    assert p.read_text() == (
+        "; RUN: llc < %s | filecheck %s\n"
+        "define i32 @f(i32 %a) {\n; CHECK-LABEL: f:\n; CHECK-NEXT: ret\n"
+        "  ret i32 %a\n}\n"
+        "define i32 @g(i32 %a, i32 %b) {\n; CHECK-LABEL: g:\n"
+        "; CHECK-NEXT: xor a0, a0, a1\n; CHECK-NEXT: ret\n"
+        "  %x = xor i32 %a, %b\n  ret i32 %x\n}\n")
+    assert run_command(["lit", str(p)])[0] == 0
+    assert run_command(["update-checks", str(p)]) == \
+        (0, f"unchanged: {p}\n", "")
