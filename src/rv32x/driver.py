@@ -55,9 +55,6 @@ def compile_function(fn: ir.Function, desc: tgt.TargetDesc,
     isel.legalize(dag, desc, ext)
     if want_dots:
         dots["legalized"] = isel.emit_dot(dag, "legalized")
-    isel.combine(dag)
-    if want_dots:
-        dots["combined"] = isel.emit_dot(dag, "combined")
     dag, debug_lines = isel.select(dag, desc, ext)
     if want_dots:
         dots["selected"] = isel.emit_dot(dag, "selected")
@@ -362,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common_compile(sp)
     sp.add_argument("--emit", choices=("asm", "obj", "dot"), default="asm")
     sp.add_argument("--dag-stage", dest="dag_stage", default="selected",
-                    choices=("built", "legalized", "combined", "selected"))
+                    choices=("built", "legalized", "selected"))
     sp.add_argument("--debug-isel", dest="debug_isel", action="store_true",
                     help="print selection hook decisions")
     sp.set_defaults(fn=cmd_llc)
@@ -435,8 +432,7 @@ def _run(argv: list[str], stdin) -> tuple[int, str, str]:
     try:
         code = args.fn(args, stdin, out, err)
     except (ir.IrError, tgt.TargetError, midend.PassError, isel.IselError,
-            codegen.CodegenError, codegen.AsmError, sim.InterpError,
-            DriverError) as e:
+            codegen.CodegenError, codegen.AsmError, DriverError) as e:
         err.write(f"{PROG}: error: {e}\n")
         return 1, out.getvalue(), err.getvalue()
     return code, out.getvalue(), err.getvalue()

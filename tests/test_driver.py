@@ -456,12 +456,15 @@ def test_help_documents_every_flag():
 
 def test_removed_isel_options_are_usage_errors():
     # the Zba threshold changed no output, combined1 printed the built DAG,
-    # and combined2 is now the one combined stage
+    # combined2 became the one combined stage, and that printed the
+    # legalized DAG again once legalize made no duplicate constant
     for argv in (["llc", path("madd.ll"), "--zba-threshold=1"],
                  ["llc", path("madd.ll"), "--emit=dot",
                   "--dag-stage=combined1"],
                  ["llc", path("madd.ll"), "--emit=dot",
-                  "--dag-stage=combined2"]):
+                  "--dag-stage=combined2"],
+                 ["llc", path("madd.ll"), "--emit=dot",
+                  "--dag-stage=combined"]):
         code, out, err = run_command(argv)
         assert code == 2 and out == "", argv
         assert "rv32x: error:" in err, err

@@ -58,8 +58,8 @@ LARGE_DIGESTS = {
 # generated functions under base and all extensions at -O0 and -O2 (at -O0
 # dead values reach the DAG)
 ISEL_DUMPS_DIGEST = \
-    "c90bb45887d5ca2bba8028241be1d38de1098789e1ce5acf838501eae087cb4c"
-DAG_STAGES = ("built", "legalized", "combined", "selected")
+    "e1fbed4ca8493c3fc9301a30080d73aa998b404b647537a14ed4fa62f1441006"
+DAG_STAGES = ("built", "legalized", "selected")
 
 # `opt --stats` (the -O2 text, then PassStats.render()) for every corpus
 # file, the bench's synthetic functions of 100-800 instructions at seeds 11

@@ -105,29 +105,6 @@ def test_chain_threads_memory_ops():
 # combine
 # --------------------------------------------------------------------------
 
-def test_combine_drops_orphan_constant():
-    dag = isel.SelDag("t")
-    ret = dag.new("ret", [], chain=dag.entry, vt="none")
-    dag.root = ret
-    dag.new("Constant", value=0)  # orphan
-    isel.combine(dag)
-    assert all(n.kind != "Constant" for n in dag.nodes)
-
-
-def test_combine_merges_duplicate_constants():
-    dag = isel.SelDag("t")
-    c1 = dag.new("Constant", value=4)
-    c2 = dag.new("Constant", value=4)
-    add = dag.new("add", [c1, c2])
-    ret = dag.new("ret", [], chain=dag.entry, vt="none")
-    ret.ret_value = add
-    dag.root = ret
-    isel.combine(dag)
-    consts = [n for n in dag.nodes if n.kind == "Constant"]
-    assert len(consts) == 1
-    assert add.ops[0] is add.ops[1]
-
-
 def test_combine_post_legalize_is_noop_on_minimal_dag(desc):
     dag, _ = build("shlxor.ll")
     isel.legalize(dag, desc, tgt.parse_mattr("+xcrypt"))
@@ -1164,7 +1141,8 @@ def test_post_select_sbox_dot_has_five_naxors(desc):
 
 def assert_nodes_exactly_reachable(dag):
     """`dag.nodes` holds each node reachable from the root once, in
-    creation order, and no other node."""
+    creation order, and no other node; it holds one Constant node per
+    value, the one `dag.consts` names."""
     reach, stack = set(), [dag.root]
     while stack:
         n = stack.pop()
@@ -1175,6 +1153,9 @@ def assert_nodes_exactly_reachable(dag):
     assert len(dag.nodes) == len(reach)
     assert {id(n) for n in dag.nodes} == reach
     assert [n.uid for n in dag.nodes] == sorted(n.uid for n in dag.nodes)
+    consts = [n for n in dag.nodes if n.kind == "Constant"]
+    assert len({n.value for n in consts}) == len(consts)
+    assert dag.consts == {n.value: n for n in consts}
 
 
 def dag_edges(dag):
@@ -1182,7 +1163,17 @@ def dag_edges(dag):
                       for n in dag.nodes]
 
 
-ISEL_STAGES = ["build_dag", "legalize", "combine", "select"]
+ISEL_STAGES = ["build_dag", "legalize", "select"]
+
+# two rotates left by 3: legalize makes each a rotate right by 29 and, under
+# base, expands it to shifts by 3 and 29; each value must stay one node
+TWO_ROTATES = """define i32 @two_rotates(i32 %x, i32 %y) {
+  %a = call i32 @llvm.fshl.i32(i32 %x, i32 %x, i32 3)
+  %b = call i32 @llvm.fshl.i32(i32 %y, i32 %y, i32 3)
+  %r = xor i32 %a, %b
+  ret i32 %r
+}
+"""
 
 
 def test_stages_keep_reachable_nodes_and_select_leaves_its_input(
@@ -1205,17 +1196,24 @@ def test_stages_keep_reachable_nodes_and_select_leaves_its_input(
     generated = [gen(rng, i) for i in range(6)
                  for gen in (gen_arith_fn, gen_memory_fn, gen_shift_pair_fn)]
     cases = [(corpus_text(name), "O2") for name in sorted(CORPUS_SHAPES)]
-    cases += [(text, level) for text in generated for level in ("O0", "O2")]
+    cases += [(text, level) for text in generated + [TWO_ROTATES]
+              for level in ("O0", "O2")]
+    fn = ir.parse_ir(TWO_ROTATES).functions[0]
+    rotate_inputs = [([x, y], {}) for x, y in
+                     [(0, 0), (1, 0x80000000), (0x12345678, 0xDEADBEEF)]]
     for (text, level), mattr in itertools.product(cases, ALL_MATTRS):
         seen.clear()
         cm = driver.compile_ir_text(text, "t", desc, tgt.parse_mattr(mattr),
                                     level)
         assert seen == ISEL_STAGES * len(cm.functions)
+        if text is TWO_ROTATES:
+            assert_runs_like_ir(fn, cm.functions[fn.name].mf, desc,
+                                rotate_inputs)
 
 
 def test_select_walks_the_dag_a_fixed_number_of_times(monkeypatch, desc):
     # a full walk per selected node made select quadratic in function size;
-    # a sweep per rewrite would do the same to combine and legalize
+    # a sweep per rewrite would do the same to legalize
     walks = collections.Counter()  # whole-DAG walks per stage
     reads = collections.Counter()  # edge reads per node in the running stage
     stage = None
@@ -1251,12 +1249,12 @@ def test_select_walks_the_dag_a_fixed_number_of_times(monkeypatch, desc):
 
     monkeypatch.setattr(isel, "_operands", operands)
     monkeypatch.setattr(isel.SelDag, "prune", prune)
-    for name in ("combine", "legalize", "select"):
+    for name in ("legalize", "select"):
         monkeypatch.setattr(isel, name, counted(name, getattr(isel, name)))
 
     def stage_walks(size, mattr):
         # rotates, one per 50 instructions, and a global, so that legalize
-        # rewrites; 8 and 24, so that combine merges the rotates' amounts
+        # rewrites; 8 and 24, so that legalize reuses the rotates' amounts
         text = gen_large_fn(random.Random(size), size, size)
         head, ret = text.rsplit("\n  ret i32 ", 1)
         acc = ret.split("\n")[0]
@@ -1276,7 +1274,7 @@ def test_select_walks_the_dag_a_fixed_number_of_times(monkeypatch, desc):
 
     for mattr in (None, "+zba,+zbb,+xcrypt"):
         small, large = stage_walks(100, mattr), stage_walks(400, mattr)
-        assert sorted(small) == ["combine", "legalize", "select"]
+        assert sorted(small) == ["legalize", "select"]
         assert all(small.values()) and small == large, (small, large)
 
 
