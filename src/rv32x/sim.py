@@ -8,6 +8,19 @@ its `sem=` on the word; JALR, the one jump, is implemented here. One loop,
 `step` runs one iteration of it. A word is decoded once per description and
 extension set (`target.decoded`), and the trace is plain (pc, word, InstrDef)
 tuples.
+A program's first run goes word by word, so a program run once never pays
+for translating it. From its second run under the same words and extension
+set on, the loop runs each block of it with one call: a block is the
+longest stretch of words with a sem, at most BLOCK_WORDS (64, because
+Python's compiler takes memory with the size of the function: run-synth's
+programs as whole functions raised its peak memory by a sixth), and ends
+before a JALR or a word that does not decode, which run on their own. Its
+function is the instructions' sems in order, generated with register
+numbers and immediates inlined, and the loop appends the block's prebuilt
+trace entries, immutable tuples shared by every run. A store that writes
+the program sets `SimState.written`; the block returns right after it, and
+the loop translates the new words. Translations are kept per (words,
+extension set), for every description that decodes the words alike.
 Functions follow the halt protocol: x1 starts at a sentinel return address
 and a `jalr` to the sentinel stops execution. The IR interpreter is the
 midend's twin: it evaluates a verified function directly with two's-complement
@@ -94,13 +107,15 @@ class SimState:
     """Registers, pc and memory. The program's words sit in `program`, from
     PROGRAM_BASE, and not in the byte memory: fetch reads them by index, and
     load and store reach them as memory words, so a store into the program
-    changes what executes later."""
+    changes what executes later. Such a store sets `written`, which tells
+    the loop that the program's translation no longer holds."""
 
     regs: list[int] = field(default_factory=lambda: [0] * 32)
     pc: int = PROGRAM_BASE
     mem: dict[int, int] = field(default_factory=dict)
     halted: bool = False
     program: list[int] = field(default_factory=list)
+    written: bool = False
 
     # load and store are mem_read32 and mem_write32, inlined, in front of
     # the program words: they run for every simulated LW and SW
@@ -122,6 +137,7 @@ class SimState:
         i = addr - PROGRAM_BASE >> 2
         if 0 <= i < len(self.program):
             self.program[i] = value & MASK32
+            self.written = True
             return
         mem = self.mem
         mem[addr] = value & 0xFF
@@ -133,58 +149,183 @@ class SimState:
 # one executed instruction: its pc, its word and the InstrDef it decoded to
 TraceEntry = tuple[int, int, tgt.InstrDef]
 
+# The most words one block runs. Without it, compiling each run-synth
+# program (290 to 720 words) as one function raised the bench's peak memory
+# by 17%, most of it Python's compiler; with it, by 3%.
+BLOCK_WORDS = 64
+# The most programs, translated or run once, that are remembered. Each bench
+# workload runs at most 55 distinct programs; a translation keeps about
+# 0.25 KB per word.
+MAX_TRANSLATIONS = 64
+
+
+class _Translation(dict):
+    """One program's words under one extension set, what each decodes to
+    (None for a word that does not), and its blocks by start index, each
+    built the first time the loop reaches it. A block is the longest
+    stretch of words with a sem from its start, at most BLOCK_WORDS, and
+    ends before a JALR or a word that does not decode or has no sem; it is
+    kept as (run, length, trace entries, instructions run before each line
+    of run), and as None where no such word starts one."""
+
+    def __init__(self, words: tuple[int, ...], defs: list,
+                 memo: dict[int, tgt.InstrDef]):
+        super().__init__()
+        self.words, self.defs = words, defs
+        # the decode memo last seen to give `defs`: held, it stays the memo
+        # of one description and extension set, and it does not hold the
+        # description
+        self.memo = memo
+
+    def __missing__(self, i: int):
+        words, defs = self.words, self.defs
+        end = i
+        while (end < len(words) and end - i < BLOCK_WORDS
+               and defs[end] is not None and defs[end].sem is not None):
+            end += 1
+        block = None
+        if end > i:
+            source, ran = tgt._block_source(list(zip(words[i:end],
+                                                     defs[i:end])))
+            scope = {"__builtins__": {}}
+            exec(source, scope)
+            block = (scope["run"], end - i, tuple(
+                [(PROGRAM_BASE + 4 * j, words[j], defs[j])
+                 for j in range(i, end)]), ran)
+        self[i] = block
+        return block
+
+
+# (program words, extension set) -> None after the program's first run, its
+# _Translation from the second on; past MAX_TRANSLATIONS the oldest goes.
+# A translation holds InstrDefs, generated functions and a decode memo,
+# never a description: every description that decodes its words alike
+# shares it.
+_TRANSLATIONS: dict[tuple[tuple[int, ...], frozenset[str]],
+                    _Translation | None] = {}
+
+
+def _decode_all(words: tuple[int, ...], desc: tgt.TargetDesc,
+                ext: frozenset[str], memo: dict[int, tgt.InstrDef]) -> list:
+    """What each word decodes to under `desc` and `ext`, None for a word
+    that does not, through their decode memo `memo`."""
+    for word in set(words).difference(memo):
+        d = tgt.lookup(word, desc, ext)
+        if d is not None:
+            memo[word] = d
+    return list(map(memo.get, words))
+
+
+def _translation(program: list[int], desc: tgt.TargetDesc,
+                 ext: frozenset[str], again: bool = False
+                 ) -> _Translation | None:
+    """The translation of `program` under `ext`, made on its second run, or
+    at once when `again`. None on its first run, and when `desc` decodes a
+    word of it otherwise than the translation does: then it runs word by
+    word."""
+    key = (tuple(program), ext)
+    trans = _TRANSLATIONS.get(key)
+    if trans is not None:
+        memo = tgt.decoded(desc, ext)
+        if trans.memo is not memo:
+            if _decode_all(key[0], desc, ext, memo) != trans.defs:
+                return None
+            trans.memo = memo
+        return trans
+    if key in _TRANSLATIONS or again:
+        memo = tgt.decoded(desc, ext)
+        trans = _Translation(key[0], _decode_all(key[0], desc, ext, memo),
+                             memo)
+    _TRANSLATIONS[key] = trans
+    if len(_TRANSLATIONS) > MAX_TRANSLATIONS:
+        del _TRANSLATIONS[next(iter(_TRANSLATIONS))]
+    return trans
+
 
 def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
-             fuel: int, trace: list[TraceEntry]):
+             fuel: int, trace: list[TraceEntry],
+             trans: _Translation | None = None):
     """The one instruction loop: run up to `fuel` instructions of `ext` from
     state.pc, stopping after a jalr to the halt sentinel, and append each to
-    `trace`. A word is fetched from the program by index (from memory
-    outside it), decoded through the memo of `desc` under `ext`, looked up
-    only when the memo lacks it, and executed as JALR or by one call of its
-    instruction's generated `run`, which evaluates the sem and writes rd.
-    Raises SimTrap on a misaligned pc, an undecodable or disabled word, an
-    instruction without a sem, or a misaligned access. regs[0] stays zero."""
+    `trace`; state.pc is left at the next instruction, or at the one that
+    trapped. Given the program's translation, a pc in the program at which
+    a block starts runs the block with one call, unless fewer than its
+    length of instructions remain, and the block's prebuilt trace entries
+    are appended. When the block, or any store, wrote the program, the loop
+    re-translates from the new words. Any other instruction, and every one
+    without a translation, runs on its own: its word is fetched from the
+    program by index (from memory outside it), decoded through the memo of
+    `desc` under `ext`, looked up only when the memo lacks it, and executed
+    as JALR or by one call of its instruction's generated `run`, which
+    evaluates the sem and writes rd. Raises SimTrap on a misaligned pc, an
+    undecodable or disabled word, an instruction without a sem, or a
+    misaligned access. regs[0] stays zero."""
     regs, mem, program = state.regs, state.mem, state.program
     size = len(program)
     memo = tgt.decoded(desc, ext)
     known = memo.get
-    append = trace.append
+    append, extend = trace.append, trace.extend
     pc = state.pc
-    for _ in range(fuel):
-        if pc & 3:
-            raise SimTrap("misaligned pc", pc)
-        i = (pc - PROGRAM_BASE) >> 2
-        word = program[i] if 0 <= i < size else mem_read32(mem, pc)
-        d = known(word)
-        if d is None:
-            d = tgt.lookup(word, desc, ext)
+    left = fuel
+    try:
+        while left:
+            if pc & 3:
+                raise SimTrap("misaligned pc", pc)
+            i = (pc - PROGRAM_BASE) >> 2
+            if trans is not None and 0 <= i < size:
+                if state.written:
+                    state.written = False
+                    trans = _translation(program, desc, ext, again=True)
+                    continue
+                block = trans[i]
+                if block is not None:
+                    run, n, entries, ran = block
+                    if n <= left:
+                        try:
+                            k = run(state, regs)
+                        except SimTrap as e:
+                            k = ran[e.__traceback__.tb_next.tb_lineno]
+                            extend(entries[:k])
+                            pc += 4 * k
+                            raise
+                        extend(entries if k == n else entries[:k])
+                        pc += 4 * k
+                        left -= k
+                        continue
+                    trans = None  # the fuel left runs out within the block
+            word = program[i] if 0 <= i < size else mem_read32(mem, pc)
+            d = known(word)
             if d is None:
-                raise SimTrap(f"undecodable word 0x{word:08x}", pc)
-            memo[word] = d
-        run = d.run
-        if run is not None:
-            run(state, regs, word)
+                d = tgt.lookup(word, desc, ext)
+                if d is None:
+                    raise SimTrap(f"undecodable word 0x{word:08x}", pc)
+                memo[word] = d
+            left -= 1
+            run = d.run
+            if run is not None:
+                run(state, regs, word)
+                append((pc, word, d))
+                pc = (pc + 4) & MASK32
+                continue
+            if d.mnemonic != "JALR":
+                raise SimTrap(f"no semantics for {d.mnemonic}", pc)
+            rd, base, offset = [f.value(word) for f in d.fields]
+            dest = (regs[base] + offset) & MASK32 & ~1
+            if rd:
+                regs[rd] = (pc + 4) & MASK32
             append((pc, word, d))
-            pc = (pc + 4) & MASK32
-            continue
-        if d.mnemonic != "JALR":
-            raise SimTrap(f"no semantics for {d.mnemonic}", pc)
-        rd, base, offset = [f.value(word) for f in d.fields]
-        dest = (regs[base] + offset) & MASK32 & ~1
-        if rd:
-            regs[rd] = (pc + 4) & MASK32
-        append((pc, word, d))
-        pc = dest
-        if dest == HALT_SENTINEL:
-            state.halted = True
-            break
-    state.pc = pc
+            pc = dest
+            if dest == HALT_SENTINEL:
+                state.halted = True
+                break
+    finally:
+        state.pc = pc
 
 
 def step(state: SimState, desc: tgt.TargetDesc,
          ext: frozenset[str] = frozenset(tgt.ALL_EXTENSIONS)) -> TraceEntry:
-    """Execute one instruction: one iteration of the loop run_function
-    runs. Returns its trace entry."""
+    """Execute one instruction, on its own: one iteration of the loop
+    run_function runs, never a block. Returns its trace entry."""
     trace: list[TraceEntry] = []
     _execute(state, desc, ext, 1, trace)
     return trace[0]
@@ -218,7 +359,8 @@ def run_function(program: list[int], args: list[int],
     for i, a in enumerate(args):
         state.regs[10 + i] = u32(a)
     trace: list[TraceEntry] = []
-    _execute(state, desc, ext, fuel, trace)
+    _execute(state, desc, ext, fuel, trace,
+             _translation(state.program, desc, ext))
     if not state.halted:
         raise SimTrap(f"fuel exhausted after {fuel} steps", state.pc)
     mem = {a: b for a, b in state.mem.items()

@@ -6,8 +6,10 @@ with one record per instruction, a line-for-line analog of a .td extension
 file. An instruction's `sem=` expression is its one definition of meaning:
 the simulator runs it as one function per instruction, generated on first
 use from a fixed template per node kind and the word's field shifts and
-masks; it is the pattern that selects the instruction, and it says whether
-the instruction reads or writes memory.
+masks, and, in a program run again, as one statement of a block's function,
+from the same templates with the word's operands inlined; it is the pattern
+that selects the instruction, and it says whether the instruction reads or
+writes memory.
 Every record kind is parsed once per process: a description loaded again
 from the same text reuses the frozen InstrDefs (each with its parsed sem,
 its pattern and, once run, its function) and `pattern` records of the first
@@ -366,6 +368,13 @@ _SEM_EXPRS = {
 _RUN_DEFINES = ("def run(m, r, w):\n    v = {}\n    d = w >> {} & 31\n"
                 "    if d:\n        r[d] = v & 0xFFFFFFFF\n    return v\n")
 _RUN = "def run(m, r, w):\n    return {}\n"
+# The statements one instruction of a block (sim._execute) runs as, its rd
+# and operands inlined: the write of an rd other than x0, or the value alone;
+# after a store, the number of instructions run so far is returned when the
+# store wrote the program, whose words then no longer say what runs next.
+_BLOCK_DEFINES = "    r[{}] = {} & 0xFFFFFFFF\n"
+_BLOCK_VALUE = "    v = {}\n"
+_BLOCK_STORED = "    if m.written:\n        return {}\n"
 
 
 def _run_source(d: InstrDef) -> str:
@@ -376,21 +385,48 @@ def _run_source(d: InstrDef) -> str:
             else _RUN.format(expr))
 
 
-def _sem_expr(node: PatNode, fields: dict[str, OperandField]) -> str:
-    """A sem tree as one expression over m, r and w, given the field of each
-    operand role. A register operand is r[w >> shift & 31] and an immediate
-    its OperandField value, with the field's shifts and masks inlined."""
+def _block_source(block: list[tuple[int, InstrDef]]) -> tuple[str, list[int]]:
+    """The source of one function run(m, r) that runs the (word, InstrDef)
+    pairs of `block`, each with a sem, in order, and returns how many ran;
+    and, per source line, how many instructions ran before it. Like
+    `_run_source`, it holds only the templates, the names m, r, v and
+    written, and integers: here the words' register numbers and immediates
+    too."""
+    lines = ["def run(m, r):\n"]
+    ran = [0, 0]  # by line number, which counts from 1
+    for k, (word, d) in enumerate(block):
+        expr = _sem_expr(d.sem, dict(zip(d.ops, d.fields)), word)
+        rd = d.fields[0].value(word) if d.defines else 0
+        lines.append(_BLOCK_DEFINES.format(rd, expr) if rd
+                     else _BLOCK_VALUE.format(expr))
+        ran.append(k)
+        if d.may_store:
+            lines.append(_BLOCK_STORED.format(k + 1))
+            ran += [k + 1, k + 1]
+    lines.append(f"    return {len(block):d}\n")
+    return "".join(lines), ran
+
+
+def _sem_expr(node: PatNode, fields: dict[str, OperandField],
+              word: int | None = None) -> str:
+    """A sem tree as one expression over m and r, given the field of each
+    operand role. An operand is spelled one of two ways. Read from the word
+    w, a register is r[w >> shift & 31] and an immediate its OperandField
+    value, with the field's shifts and masks inlined. Given the `word`, a
+    register is r[N] and an immediate (N), N the number the field holds."""
     if node.kind == "const":
         return f"({node.value:d})"
     if node.kind == "capture":
         f = fields[node.name]
+        if word is not None:
+            return f"r[{f.value(word):d}]" if f.reg else f"({f.value(word):d})"
         if f.reg:
             return f"r[w >> {f.shift:d} & 31]"
         v = f"w >> {f.shift:d} & {f.mask:d}"
         if f.lo_mask:
             v += f" | w >> {f.lo_shift:d} & {f.lo_mask:d}"
         return f"((({v}) ^ {f.sign:d}) - {f.sign:d})" if f.sign else f"({v})"
-    return _SEM_EXPRS[node.kind].format(*[_sem_expr(c, fields)
+    return _SEM_EXPRS[node.kind].format(*[_sem_expr(c, fields, word)
                                           for c in node.children])
 
 

@@ -1,15 +1,18 @@
 import functools
 import itertools
 import random
+import weakref
 
 import pytest
 
-from rv32x import codegen, ir, sim
+from rv32x import codegen, driver, ir, sim
 from rv32x import target as tgt
 from rv32x.mir import MOp, MachineInstr
 
 from conftest import ALL_MATTRS, CORPUS_SHAPES, PKG_ROOT, compile_corpus, \
-    corpus_module, differential_run, eval_pattern, rotr32, synth_args
+    corpus_module, differential_run, eval_pattern, make_ptr_args, rotr32, \
+    synth_args
+from test_golden import _synth_gen_function
 from test_target import _random_operands
 
 
@@ -476,6 +479,232 @@ def test_trace_is_bounded_and_descriptive(desc):
                                     desc=desc)
     assert len(trace) == len(words)
     assert any(d.mnemonic == "MLA" for _, _, d in trace)
+
+
+# --------------------------------------------------------------------------
+# Blocks: from a program's second run on, each straight-line stretch of it
+# runs as one generated function
+# --------------------------------------------------------------------------
+
+FULL = "+zba,+zbb,+xcrypt"
+PROGRAMS = ([(name, mattr) for name in sorted(CORPUS_SHAPES)
+             for mattr in ALL_MATTRS]
+            + [(f"synth-n{n}", mattr) for n in (100, 200)
+               for mattr in (None, FULL)])
+
+
+@pytest.fixture
+def fresh_translations(monkeypatch):
+    """No program has run before the test: each one's first run is its
+    first."""
+    monkeypatch.setattr(sim, "_TRANSLATIONS", {})
+
+
+@functools.cache
+def _program(name: str, mattr):
+    """A corpus file's, or a bench synthetic function's, words under
+    `mattr`, with seeded arguments and memory, and its extension set."""
+    desc = tgt.load_default_desc()
+    ext = tgt.parse_mattr(mattr)
+    rng = random.Random(f"{name}/{mattr}")
+    if name.startswith("synth-n"):
+        n = int(name[len("synth-n"):])
+        text = _synth_gen_function()(random.Random(11), f"synth{n}", n)
+        cm = driver.compile_ir_text(text, name, desc, ext)
+        words = codegen.emit_words(cm.functions[f"synth{n}"].mf, desc, {})
+        args, mem = make_ptr_args(rng, 1, 8)
+        return words, args + [rng.getrandbits(32) for _ in range(2)], mem, \
+            ext
+    fname, n_ptrs, n_ints = CORPUS_SHAPES[name]
+    mod = corpus_module(name)
+    gaddrs = sim.assign_global_addrs(mod)
+    _, _, mf, _ = compile_corpus(name, desc, mattr, fname)
+    args, mem = synth_args(rng, n_ptrs, n_ints)
+    mem.update(sim.seed_globals(mod, gaddrs))
+    return codegen.emit_words(mf, desc, gaddrs), args, mem, ext
+
+
+def _start(words, args, mem) -> sim.SimState:
+    """The state run_function starts `words` on `args` and `mem` from."""
+    state = sim.SimState(mem=dict(mem), program=list(words))
+    state.regs[1], state.regs[2] = sim.HALT_SENTINEL, sim.STACK_TOP
+    state.regs[10:10 + len(args)] = args
+    return state
+
+
+def _stepped(state, desc, ext, fuel=sim.DEFAULT_FUEL):
+    """A loop of sim.step from `state` until it halts or `fuel` steps ran:
+    their trace entries, and the text of the SimTrap that ended it, if
+    one did."""
+    trace = []
+    try:
+        while not state.halted and len(trace) < fuel:
+            trace.append(sim.step(state, desc, ext))
+    except sim.SimTrap as e:
+        return trace, str(e)
+    return trace, None
+
+
+def _no_stack(mem):
+    return {a: b for a, b in mem.items()
+            if not sim.STACK_TOP - 0x1000 <= a < sim.STACK_TOP}
+
+
+@pytest.mark.parametrize("name,mattr", PROGRAMS)
+def test_translated_runs_equal_stepped_runs(name, mattr, desc,
+                                            fresh_translations):
+    """The second run of a program goes through its translation, block by
+    block, and gives what a loop of sim.step gives: a0, memory and the
+    trace, every entry but a JALR's one of a block's prebuilt tuples."""
+    words, args, mem, ext = _program(name, mattr)
+    key = (tuple(words), ext)
+    first = sim.run_function(words, args, dict(mem), desc=desc, ext=ext)
+    assert key in sim._TRANSLATIONS and sim._TRANSLATIONS[key] is None
+    second = sim.run_function(words, args, dict(mem), desc=desc, ext=ext)
+    trans = sim._TRANSLATIONS[key]
+    assert isinstance(trans, sim._Translation)
+    state = _start(words, args, mem)
+    trace, trap = _stepped(state, desc, ext)
+    assert trap is None and state.halted
+    assert second == first == (state.regs[10], _no_stack(state.mem), trace)
+    prebuilt = {id(e) for b in trans.values() if b is not None for e in b[2]}
+    assert all(id(e) in prebuilt for e in second[2]
+               if e[2].mnemonic != "JALR"), name
+
+
+def test_every_fuel_cut_of_a_translated_run_steps_alike(desc,
+                                                        fresh_translations):
+    """Cut after k instructions, the translated run has run what k steps
+    run: the same trace prefix, registers and pc, and run_function's trap
+    reads `fuel exhausted after k steps` at the same pc."""
+    words, args, mem, ext = _program("synth-n100", None)
+    sim.run_function(words, args, dict(mem), desc=desc, ext=ext)
+    trans = sim._translation(words, desc, ext)
+    assert trans[0][1] == sim.BLOCK_WORDS < len(words)
+    state = _start(words, args, mem)
+    cuts, trace = [], []
+    while not state.halted:
+        cuts.append((list(state.regs), state.pc))
+        trace.append(sim.step(state, desc, ext))
+    for k, (regs, pc) in enumerate(cuts):
+        cut, got = _start(words, args, mem), []
+        sim._execute(cut, desc, ext, k, got, trans)
+        assert (got, cut.regs, cut.pc) == (trace[:k], regs, pc), k
+        with pytest.raises(sim.SimTrap, match=f"^pc=0x{pc:08x}: fuel "
+                           f"exhausted after {k} steps$"):
+            sim.run_function(words, args, dict(mem), fuel=k, desc=desc,
+                             ext=ext)
+
+
+@pytest.mark.parametrize("mnemonic", ["LW", "SW"])
+def test_a_trap_inside_a_block_leaves_what_stepping_leaves(
+        mnemonic, desc, fresh_translations):
+    """A misaligned access in the middle of a block traps with the text,
+    registers, pc and trace of stepping: the instructions before it ran,
+    it and those after it did not."""
+    word = functools.partial(_word, desc)
+    a0, a1, a2 = MOp.preg(10), MOp.preg(11), MOp.preg(12)
+    program = [word("ADDI", a0, a0, MOp.imm(1)),
+               word("ADDI", a2, a2, MOp.imm(5)),
+               word(mnemonic, a2, a1, MOp.imm(2)),
+               word("ADDI", a0, a0, MOp.imm(1)),
+               _ret(desc)]
+    args, ext = [0, 0x4000], frozenset(tgt.ALL_EXTENSIONS)
+    text = f"misaligned word {mnemonic == 'LW' and 'load' or 'store'} " \
+           f"at 0x00004002"
+    for _ in range(2):  # stepped, then translated
+        with pytest.raises(sim.SimTrap, match=f"^{text}$"):
+            sim.run_function(program, args, {}, desc=desc)
+    trans = sim._translation(program, desc, ext)
+    assert trans[0][1] == 4
+    state, trace = _start(program, args, {}), []
+    with pytest.raises(sim.SimTrap) as trap:
+        sim._execute(state, desc, ext, 100, trace, trans)
+    stepped = _start(program, args, {})
+    assert _stepped(stepped, desc, ext) == (trace, str(trap.value)) \
+        and str(trap.value) == text
+    assert state.regs == stepped.regs and state.regs[10] == 1
+    assert state.pc == stepped.pc == sim.PROGRAM_BASE + 8
+
+
+def test_a_store_into_its_own_block_runs_the_new_word(desc,
+                                                      fresh_translations):
+    """On the translated run, an SW overwrites the next word of its own
+    block: the new word runs, and the trace shows it."""
+    word = functools.partial(_word, desc)
+    a0, a1, a2 = MOp.preg(10), MOp.preg(11), MOp.preg(12)
+    addi_7 = word("ADDI", a0, a0, MOp.imm(7))
+    program = [word("SW", a1, a2, MOp.imm(4)),  # word 1 := a1
+               word("ADDI", a0, a0, MOp.imm(100)),
+               _ret(desc)]
+    args = [0, addi_7, sim.PROGRAM_BASE]
+    runs = [sim.run_function(program, args, {}, desc=desc) for _ in range(2)]
+    assert isinstance(sim._TRANSLATIONS[(tuple(program), frozenset(
+        tgt.ALL_EXTENSIONS))], sim._Translation)
+    assert runs[0] == runs[1]
+    got, mem, trace = runs[1]
+    assert got == 7 and mem == {} and trace[1][1] == addi_7
+
+
+def test_no_stale_translation_runs_after_a_store_into_the_program(
+        desc, fresh_translations):
+    """A program that changes a word of a block it has run, then runs the
+    block again, runs the new word: 1, then 10, is added to a0."""
+    word = functools.partial(_word, desc)
+    zero, a0, a1, a2, a4, t0 = (MOp.preg(r) for r in (0, 10, 11, 12, 14, 5))
+    program = [word("ADDI", a0, a0, MOp.imm(1)),
+               word("SW", a1, a2, MOp.imm(0)),  # word 0 := a1
+               word("ADD", t0, a4, zero),
+               word("ADD", a4, MOp.preg(1), zero),  # a4 := the halt address
+               word("JALR", zero, t0, MOp.imm(0))]  # to word 0, then halt
+    args = [0, word("ADDI", a0, a0, MOp.imm(10)), sim.PROGRAM_BASE, 0,
+            sim.PROGRAM_BASE]
+    runs = [sim.run_function(program, args, {}, desc=desc) for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[2][0] == 11 and len(runs[2][2]) == 10
+    state = _start(program, args, {})
+    assert _stepped(state, desc, frozenset(tgt.ALL_EXTENSIONS)) == (
+        runs[2][2], None)
+
+
+def test_a_translation_is_made_once_for_every_description(
+        monkeypatch, fresh_translations):
+    """A program run without a description, which loads one per run, is
+    translated on its second run and not again; the translation keeps no
+    description alive."""
+    made = []
+    block_source = tgt._block_source
+    monkeypatch.setattr(tgt, "_block_source",
+                        lambda block: made.append(block) or
+                        block_source(block))
+    desc = tgt.load_default_desc()
+    program = [_word(desc, "ADDI", MOp.preg(10), MOp.preg(10), MOp.imm(3)),
+               _ret(desc)]
+    del desc
+    for runs in range(1, 4):
+        assert sim.run_function(program, [5], {})[0] == 8
+        assert len(made) == min(runs - 1, 1)
+    desc = tgt.load_default_desc()
+    for _ in range(2):
+        sim.run_function(program, [5], {}, desc=desc)
+    assert len(made) == 1
+    ref = weakref.ref(desc)
+    del desc
+    assert ref() is None
+
+
+def test_the_translation_memo_is_bounded(desc, fresh_translations):
+    """Past MAX_TRANSLATIONS distinct programs, the oldest are dropped."""
+    ext = frozenset(tgt.ALL_EXTENSIONS)
+    programs = [[_word(desc, "ADDI", MOp.preg(10), MOp.preg(10),
+                       MOp.imm(i)), _ret(desc)]
+                for i in range(sim.MAX_TRANSLATIONS + 10)]
+    for i, program in enumerate(programs):
+        for _ in range(2):
+            assert sim.run_function(program, [5], {}, desc=desc)[0] == 5 + i
+        assert len(sim._TRANSLATIONS) == min(i + 1, sim.MAX_TRANSLATIONS)
+    assert list(sim._TRANSLATIONS) == [(tuple(p), ext)
+                                       for p in programs[10:]]
 
 
 def test_ir_interpret_identity():

@@ -413,13 +413,15 @@ def test_a_loaded_description_is_immutable():
 
 
 def test_generated_sem_source_holds_no_record_text(monkeypatch):
-    """The source each instruction's `run` is generated from holds only the
+    """The source each instruction's `run` is generated from, and the source
+    of each block the simulator runs as one function, hold only the
     templates' tokens, the parameter and local names and integer literals,
-    and is generated only for a sem that _check_sem has accepted, on first
+    and are generated only for sems that _check_sem has accepted, on first
     use rather than at load."""
     monkeypatch.setattr(tgt, "_INSTRS", {})  # parse every record afresh
-    accepted, sources = [], []
+    accepted, sources, blocks = [], [], []
     check_sem, run_source = tgt._check_sem, tgt._run_source
+    block_source = tgt._block_source
 
     def recording_check_sem(node, *args):
         check_sem(node, *args)
@@ -430,23 +432,42 @@ def test_generated_sem_source_holds_no_record_text(monkeypatch):
         sources.append(run_source(d))
         return sources[-1]
 
+    def recording_block_source(block):
+        for _, d in block:
+            assert any(node is d.sem for node in accepted), d.mnemonic
+        blocks.append(block_source(block))
+        return blocks[-1]
+
     monkeypatch.setattr(tgt, "_check_sem", recording_check_sem)
     monkeypatch.setattr(tgt, "_run_source", recording_run_source)
+    monkeypatch.setattr(tgt, "_block_source", recording_block_source)
     desc = tgt.load_default_desc()
     assert sources == []
     defs = [d for d in desc.instrs.values() if d.sem is not None]
     assert all(callable(d.run) for d in defs) and len(sources) == len(defs)
+    # every instruction with a sem, four times over with random operands,
+    # translated as blocks of the simulator
+    rng = random.Random(66)
+    block_defs = [d for d in defs for _ in range(4)]
+    words = tuple(tgt.encode(MachineInstr(d.mnemonic, _random_operands(
+        rng, d)), desc).word for d in block_defs)
+    translation = sim._Translation(words, block_defs, {})
+    starts = range(0, len(words), sim.BLOCK_WORDS)
+    assert all(translation[i] is not None for i in starts)
+    assert len(blocks) == len(starts)
     names = {"def", "run", "m", "r", "w", "v", "d", "if", "return", "load",
-             "store"}
+             "store", "written"}
     kinds = {tokenize.NAME, tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
-    for d, source in zip(defs, sources):
+    for what, source in ([(d.mnemonic, s) for d, s in zip(defs, sources)]
+                         + [(f"block {i}", s) for i, (s, _) in zip(starts,
+                                                                  blocks)]):
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            assert tok.type in kinds, (d.mnemonic, tok)
+            assert tok.type in kinds, (what, tok)
             if tok.type == tokenize.NAME:
-                assert tok.string in names, (d.mnemonic, tok)
+                assert tok.string in names, (what, tok)
             elif tok.type == tokenize.NUMBER:
-                assert type(ast.literal_eval(tok.string)) is int, d.mnemonic
+                assert type(ast.literal_eval(tok.string)) is int, what
     # a sem that _check_sem rejects never reaches the generator
     for sem in ("(__import__ $rs1 $rs2)", "(add $rs1 $rd)"):
         with pytest.raises(tgt.TargetError):
