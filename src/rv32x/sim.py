@@ -1,26 +1,33 @@
 """RV32 simulator and IR-level interpreter, the semantic oracles.
 
 The machine simulator executes encoded words against an architectural state
-(32 registers, pc, sparse little-endian byte memory, and the program's own
-words), each by calling the function the target description generates from
-its `sem=` on the word; JALR, the one jump, is implemented here. One loop,
+(32 registers, pc and memory), each by calling the function the target
+description generates from its `sem=` on the word; JALR, the one jump, is
+implemented here. Memory is the program's own words, the words stores wrote
+(by aligned address: a store always writes one aligned word), and the seeded
+little-endian bytes, which a run only reads; `byte_view` gives the bytes
+they make. A generated load reads a stored word itself, without a method
+call, and a block's store writes one itself when its address is aligned and
+outside the program; every other access (a misaligned one, a program word, a
+seeded word) goes through `SimState.load` and `store`, which trap. One loop,
 `_execute`, runs every instruction: `run_function` runs it to halt and
 `step` runs one iteration of it. A word is decoded once per description and
-extension set (`target.decoded`), and the trace is plain (pc, word, InstrDef)
-tuples.
+extension set (`target.decoded`), and the trace is plain (pc, word,
+InstrDef) tuples.
 A program's first run goes word by word, so a program run once never pays
 for translating it. From its second run under the same words and extension
-set on, the loop runs each block of it with one call: a block is the
-longest stretch of words with a sem, at most BLOCK_WORDS (64, because
-Python's compiler takes memory with the size of the function: run-synth's
-programs as whole functions raised its peak memory by a sixth), and ends
-before a JALR or a word that does not decode, which run on their own. Its
-function is the instructions' sems in order, generated with register
-numbers and immediates inlined, and the loop appends the block's prebuilt
-trace entries, immutable tuples shared by every run. A store that writes
-the program sets `SimState.written`; the block returns right after it, and
-the loop translates the new words. Translations are kept per (words,
-extension set), for every description that decodes the words alike.
+set on, the loop runs each block of it with one call: a block is the longest
+stretch of words with a sem, at most BLOCK_WORDS (64, because Python's
+compiler takes memory with the size of the function: run-synth's programs as
+whole functions raised its peak memory by a sixth), and ends before a JALR
+or a word that does not decode, which run on their own. Its function is the
+instructions' sems in order, generated with register numbers and immediates
+inlined, and the loop appends the block's prebuilt trace entries, immutable
+tuples shared by every run. A block returns before a store it cannot make
+itself, which then runs on its own; a store that writes the program sets
+`SimState.written`, and the loop translates the new words. Translations are
+kept per (words, extension set), for every description that decodes the
+words alike.
 Functions follow the halt protocol: x1 starts at a sentinel return address
 and a `jalr` to the sentinel stops execution. The IR interpreter is the
 midend's twin: it evaluates a verified function directly with two's-complement
@@ -36,6 +43,7 @@ definitions of each operation against each other.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from . import ir
@@ -104,9 +112,12 @@ def mem_write32(mem: dict[int, int], addr: int, value: int):
 
 @dataclass
 class SimState:
-    """Registers, pc and memory. The program's words sit in `program`, from
-    PROGRAM_BASE, and not in the byte memory: fetch reads them by index, and
-    load and store reach them as memory words, so a store into the program
+    """Registers, pc and memory. Memory is three layers, read in this
+    order: the program's words in `program`, from PROGRAM_BASE; the words
+    stores wrote outside it in `stored`, by aligned address; and the seeded
+    bytes in `mem`, which a run never writes (byte_view gives the bytes all
+    three make outside the program). Fetch reads the program by index, and
+    load and store reach it as memory words, so a store into the program
     changes what executes later. Such a store sets `written`, which tells
     the loop that the program's translation no longer holds."""
 
@@ -116,9 +127,11 @@ class SimState:
     halted: bool = False
     program: list[int] = field(default_factory=list)
     written: bool = False
+    stored: dict[int, int] = field(default_factory=dict)
 
-    # load and store are mem_read32 and mem_write32, inlined, in front of
-    # the program words: they run for every simulated LW and SW
+    # A generated sem reads a word in `stored` itself and calls load for the
+    # rest; a block writes `stored` itself and runs every other store word
+    # by word, through store.
     def load(self, addr: int) -> int:
         addr &= MASK32
         if addr & 3:
@@ -126,9 +139,8 @@ class SimState:
         i = addr - PROGRAM_BASE >> 2
         if 0 <= i < len(self.program):
             return self.program[i]
-        get = self.mem.get
-        return (get(addr, 0) | get(addr + 1, 0) << 8
-                | get(addr + 2, 0) << 16 | get(addr + 3, 0) << 24)
+        word = self.stored.get(addr)
+        return mem_read32(self.mem, addr) if word is None else word
 
     def store(self, addr: int, value: int):
         addr &= MASK32
@@ -138,12 +150,20 @@ class SimState:
         if 0 <= i < len(self.program):
             self.program[i] = value & MASK32
             self.written = True
-            return
-        mem = self.mem
-        mem[addr] = value & 0xFF
-        mem[addr + 1] = value >> 8 & 0xFF
-        mem[addr + 2] = value >> 16 & 0xFF
-        mem[addr + 3] = value >> 24 & 0xFF
+        else:
+            self.stored[addr] = value & MASK32
+
+
+def byte_view(mem: dict[int, int], stored: dict[int, int], lo: int = 0,
+              hi: int = 0) -> dict[int, int]:
+    """The byte memory of seeded bytes `mem` and stored words `stored`: the
+    four bytes of each stored word over the seeded ones, leaving out the
+    stored words from address lo to hi. A byte neither holds is absent."""
+    view = dict(mem)
+    for addr, word in stored.items():
+        if not lo <= addr < hi:
+            mem_write32(view, addr, word)
+    return view
 
 
 # one executed instruction: its pc, its word and the InstrDef it decoded to
@@ -197,12 +217,14 @@ class _Translation(dict):
 
 
 # (program words, extension set) -> None after the program's first run, its
-# _Translation from the second on; past MAX_TRANSLATIONS the oldest goes.
+# _Translation from the second on, in order of last use; past
+# MAX_TRANSLATIONS the least recently used goes.
 # A translation holds InstrDefs, generated functions and a decode memo,
 # never a description: every description that decodes its words alike
 # shares it.
 _TRANSLATIONS: dict[tuple[tuple[int, ...], frozenset[str]],
                     _Translation | None] = {}
+_UNSEEN = object()  # the entry of a program not run before
 
 
 def _decode_all(words: tuple[int, ...], desc: tgt.TargetDesc,
@@ -224,21 +246,24 @@ def _translation(program: list[int], desc: tgt.TargetDesc,
     word of it otherwise than the translation does: then it runs word by
     word."""
     key = (tuple(program), ext)
-    trans = _TRANSLATIONS.get(key)
-    if trans is not None:
-        memo = tgt.decoded(desc, ext)
-        if trans.memo is not memo:
-            if _decode_all(key[0], desc, ext, memo) != trans.defs:
-                return None
-            trans.memo = memo
-        return trans
-    if key in _TRANSLATIONS or again:
+    # taken out and put back last: the memo is in order of last use
+    trans = _TRANSLATIONS.pop(key, _UNSEEN)
+    if trans is _UNSEEN and len(_TRANSLATIONS) >= MAX_TRANSLATIONS:
+        del _TRANSLATIONS[next(iter(_TRANSLATIONS))]
+    if trans is None or (trans is _UNSEEN and again):
         memo = tgt.decoded(desc, ext)
         trans = _Translation(key[0], _decode_all(key[0], desc, ext, memo),
                              memo)
+    elif trans is _UNSEEN:
+        trans = None
     _TRANSLATIONS[key] = trans
-    if len(_TRANSLATIONS) > MAX_TRANSLATIONS:
-        del _TRANSLATIONS[next(iter(_TRANSLATIONS))]
+    if trans is None:
+        return None
+    memo = tgt.decoded(desc, ext)
+    if trans.memo is not memo:
+        if _decode_all(key[0], desc, ext, memo) != trans.defs:
+            return None
+        trans.memo = memo
     return trans
 
 
@@ -251,17 +276,22 @@ def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
     trapped. Given the program's translation, a pc in the program at which
     a block starts runs the block with one call, unless fewer than its
     length of instructions remain, and the block's prebuilt trace entries
-    are appended. When the block, or any store, wrote the program, the loop
-    re-translates from the new words. Any other instruction, and every one
-    without a translation, runs on its own: its word is fetched from the
-    program by index (from memory outside it), decoded through the memo of
-    `desc` under `ext`, looked up only when the memo lacks it, and executed
-    as JALR or by one call of its instruction's generated `run`, which
-    evaluates the sem and writes rd. Raises SimTrap on a misaligned pc, an
-    undecodable or disabled word, an instruction without a sem, or a
-    misaligned access. regs[0] stays zero."""
-    regs, mem, program = state.regs, state.mem, state.program
+    are appended. The block is handed the stored words and the program's
+    bounds: its loads read a stored word inline, and its stores write one
+    inline when the address is aligned and outside the program. It returns
+    before any other store, which then runs on its own, and when a store
+    wrote the program the loop re-translates from the new words. Any other
+    instruction, and every one without a translation, runs on its own: its
+    word is fetched from the program by index (through SimState.load
+    outside it), decoded through the memo of `desc` under `ext`, looked up
+    only when the memo lacks it, and executed as JALR or by one call of its
+    instruction's generated `run`, which evaluates the sem and writes rd.
+    Raises SimTrap on a misaligned pc, an undecodable or disabled word, an
+    instruction without a sem, or a misaligned access. regs[0] stays
+    zero."""
+    regs, stored, program = state.regs, state.stored, state.program
     size = len(program)
+    end = PROGRAM_BASE + 4 * size
     memo = tgt.decoded(desc, ext)
     known = memo.get
     append, extend = trace.append, trace.extend
@@ -282,7 +312,7 @@ def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
                     run, n, entries, ran = block
                     if n <= left:
                         try:
-                            k = run(state, regs)
+                            k = run(state, regs, stored, PROGRAM_BASE, end)
                         except SimTrap as e:
                             k = ran[e.__traceback__.tb_next.tb_lineno]
                             extend(entries[:k])
@@ -291,9 +321,12 @@ def _execute(state: SimState, desc: tgt.TargetDesc, ext: frozenset[str],
                         extend(entries if k == n else entries[:k])
                         pc += 4 * k
                         left -= k
-                        continue
-                    trans = None  # the fuel left runs out within the block
-            word = program[i] if 0 <= i < size else mem_read32(mem, pc)
+                        if k == n:
+                            continue
+                        i += k  # a store the block left to run on its own
+                    else:
+                        trans = None  # the fuel left runs out in the block
+            word = program[i] if 0 <= i < size else state.load(pc)
             d = known(word)
             if d is None:
                 d = tgt.lookup(word, desc, ext)
@@ -339,21 +372,29 @@ def run_function(program: list[int], args: list[int],
                  ) -> tuple[int, dict[int, int], list[TraceEntry]]:
     """Load encoded words at PROGRAM_BASE, seed a0.. with args and x1 with
     the halt sentinel, and run to halt, at most `fuel` instructions, with the
-    instructions of `ext`. Returns (a0, final memory, trace). The stack
-    region below sp is excluded from the returned memory, and the program
+    instructions of `ext`. Returns (a0, final memory, trace). The final
+    memory is byte_view's, without the stack region below sp; the program
     is never in it, so callers can compare against an IR-level
-    interpretation. Raises SimTrap when the program would cover seeded
-    memory."""
+    interpretation. `mem_init` is read, never written. Raises SimTrap when
+    the program would cover seeded memory."""
     if len(args) > 8:
         raise SimTrap("at most 8 register arguments supported")
     mem_init = mem_init or {}
     prog_end = PROGRAM_BASE + 4 * len(program)
-    covered = [a for a in mem_init if PROGRAM_BASE <= a < prog_end]
+    # the seeded bytes in the program, which it would cover, or in the stack
+    inside = [a for a in mem_init if PROGRAM_BASE <= a < prog_end
+              or STACK_TOP - 0x1000 <= a < STACK_TOP]
+    covered = [a for a in inside if PROGRAM_BASE <= a < prog_end]
     if covered:
         raise SimTrap(f"program at 0x{PROGRAM_BASE:08x}..0x{prog_end:08x} "
                       f"overlaps seeded memory at 0x{min(covered):08x}")
     desc = desc or tgt.load_default_desc()
-    state = SimState(mem=dict(mem_init), program=[w & MASK32 for w in program])
+    try:
+        array("I", program)  # 32-bit unsigned words only, checked in C
+        words = list(program)
+    except OverflowError:
+        words = [w & MASK32 for w in program]
+    state = SimState(mem=mem_init, program=words)
     state.regs[1] = HALT_SENTINEL
     state.regs[2] = STACK_TOP
     for i, a in enumerate(args):
@@ -363,8 +404,9 @@ def run_function(program: list[int], args: list[int],
              _translation(state.program, desc, ext))
     if not state.halted:
         raise SimTrap(f"fuel exhausted after {fuel} steps", state.pc)
-    mem = {a: b for a, b in state.mem.items()
-           if not STACK_TOP - 0x1000 <= a < STACK_TOP}
+    mem = byte_view(mem_init, state.stored, STACK_TOP - 0x1000, STACK_TOP)
+    for a in inside:  # the seeded bytes in the stack
+        del mem[a]
     return state.regs[10], mem, trace
 
 

@@ -347,7 +347,9 @@ _FIELDS = {"fmt", "ops", "asm", *_FIXED}
 # (unsigned 32-bit) and immediates (signed); only the low 32 bits of a result
 # are defined, so kinds that read the upper bits mask first. A rotate shifts
 # the low word written twice. `m` is the machine state: load(addr) reads and
-# store(addr, value) writes a memory word.
+# store(addr, value) writes a memory word. A load reads a word a store wrote,
+# held in the dict M by its aligned address, inline, and calls m.load for
+# anything else: a misaligned address, a program word, a seeded word.
 _SEM_EXPRS = {
     "add": "({0} + {1})",
     "sub": "({0} - {1})",
@@ -359,50 +361,61 @@ _SEM_EXPRS = {
     "srl": "(({0} & 0xFFFFFFFF) >> ({1} & 31))",
     "sra": "((({0} & 0xFFFFFFFF ^ 0x80000000) - 0x80000000) >> ({1} & 31))",
     "rotr": "(({0} & 0xFFFFFFFF) * 0x100000001 >> ({1} & 31) & 0xFFFFFFFF)",
-    "load": "m.load({0})",
+    "load": "(M[a] if (a := {0} & 0xFFFFFFFF) in M else m.load(a))",
     "store": "m.store({1}, {0})",
 }
 
 # The function InstrDef.run generates: `v` is the sem's value and `d` the
-# number of its rd, which is never written when it is x0.
-_RUN_DEFINES = ("def run(m, r, w):\n    v = {}\n    d = w >> {} & 31\n"
+# number of its rd, which is never written when it is x0. A sem that loads
+# first binds M, the machine's stored words.
+_RUN_DEFINES = ("def run(m, r, w):\n{}    v = {}\n    d = w >> {} & 31\n"
                 "    if d:\n        r[d] = v & 0xFFFFFFFF\n    return v\n")
-_RUN = "def run(m, r, w):\n    return {}\n"
+_RUN = "def run(m, r, w):\n{}    return {}\n"
+_RUN_STORED = "    M = m.stored\n"
 # The statements one instruction of a block (sim._execute) runs as, its rd
-# and operands inlined: the write of an rd other than x0, or the value alone;
-# after a store, the number of instructions run so far is returned when the
-# store wrote the program, whose words then no longer say what runs next.
+# and operands inlined: the write of an rd other than x0, or the value alone.
+# A store of {0} to address {1} writes M when the address is aligned and
+# outside the program, whose words lie from address b to e; before any other
+# the block returns the number of instructions it ran, {2}, and the loop runs
+# the store on its own.
 _BLOCK_DEFINES = "    r[{}] = {} & 0xFFFFFFFF\n"
 _BLOCK_VALUE = "    v = {}\n"
-_BLOCK_STORED = "    if m.written:\n        return {}\n"
+_BLOCK_STORE = ("    if (a := {1} & 0xFFFFFFFF) & 3 or b <= a < e:\n"
+                "        return {2}\n    M[a] = {0} & 0xFFFFFFFF\n")
 
 
 def _run_source(d: InstrDef) -> str:
-    """The source of `d.run`: the templates, the names m, r, w, v and d, and
-    integers (field shifts and masks, and `(const N)` values) alone."""
+    """The source of `d.run`: the templates, the names m, r, w, v, d, M, a
+    and stored, and integers (field shifts and masks, and `(const N)`
+    values) alone."""
     expr = _sem_expr(d.sem, dict(zip(d.ops, d.fields)))
-    return (_RUN_DEFINES.format(expr, d.fields[0].shift) if d.defines
-            else _RUN.format(expr))
+    bind = _RUN_STORED if d.may_load else ""
+    return (_RUN_DEFINES.format(bind, expr, d.fields[0].shift) if d.defines
+            else _RUN.format(bind, expr))
 
 
 def _block_source(block: list[tuple[int, InstrDef]]) -> tuple[str, list[int]]:
-    """The source of one function run(m, r) that runs the (word, InstrDef)
-    pairs of `block`, each with a sem, in order, and returns how many ran;
-    and, per source line, how many instructions ran before it. Like
-    `_run_source`, it holds only the templates, the names m, r, v and
-    written, and integers: here the words' register numbers and immediates
-    too."""
-    lines = ["def run(m, r):\n"]
+    """The source of one function run(m, r, M, b, e) that runs the (word,
+    InstrDef) pairs of `block`, each with a sem, in order, and returns how
+    many ran; and, per source line, how many instructions ran before it. M
+    is the machine's stored words, and the program's words lie from address
+    b to e. Like `_run_source`, it holds only the templates, their names
+    and integers: here the words' register numbers and immediates too."""
+    lines = ["def run(m, r, M, b, e):\n"]
     ran = [0, 0]  # by line number, which counts from 1
     for k, (word, d) in enumerate(block):
-        expr = _sem_expr(d.sem, dict(zip(d.ops, d.fields)), word)
-        rd = d.fields[0].value(word) if d.defines else 0
-        lines.append(_BLOCK_DEFINES.format(rd, expr) if rd
-                     else _BLOCK_VALUE.format(expr))
-        ran.append(k)
+        fields = dict(zip(d.ops, d.fields))
         if d.may_store:
-            lines.append(_BLOCK_STORED.format(k + 1))
-            ran += [k + 1, k + 1]
+            value, addr = [_sem_expr(c, fields, word)
+                           for c in d.sem.children]
+            stmt = _BLOCK_STORE.format(value, addr, k)
+        else:
+            expr = _sem_expr(d.sem, fields, word)
+            rd = d.fields[0].value(word) if d.defines else 0
+            stmt = (_BLOCK_DEFINES.format(rd, expr) if rd
+                    else _BLOCK_VALUE.format(expr))
+        lines.append(stmt)
+        ran += [k] * stmt.count("\n")
     lines.append(f"    return {len(block):d}\n")
     return "".join(lines), ran
 

@@ -615,7 +615,8 @@ def _run_target_tree(node: tgt.PatNode, env, mem, desc):
 
     kind, r = emit(node)
     assert kind == "reg"
-    return (None if r is None else state.regs[r]), state.mem
+    return (None if r is None else state.regs[r]), \
+        sim.byte_view(state.mem, state.stored)
 
 
 def test_every_pattern_agrees_with_simulator(desc):

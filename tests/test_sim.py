@@ -201,8 +201,8 @@ def test_step_agrees_with_sem_tree_for_every_instruction(desc):
         want = sim.SimState(list(state.regs), state.pc, dict(state.mem))
         sim.step(state, desc)
         _reference_step(want, desc)
-        assert (state.regs, state.mem, state.pc) == \
-            (want.regs, want.mem, want.pc), (d.mnemonic, ops)
+        assert (state.regs, sim.byte_view(state.mem, state.stored),
+                state.pc) == (want.regs, want.mem, want.pc), (d.mnemonic, ops)
 
     edge_trials = 0
     for d in defs:
@@ -248,7 +248,9 @@ def test_reloaded_description_runs_identically(desc):
                 d2.run(states[1], states[1].regs, word))]
             want = eval_pattern(d2.sem, env, states[2].mem)
             assert got == [want, want], name
-            assert states[0].mem == states[1].mem == states[2].mem, name
+            assert sim.byte_view(states[0].mem, states[0].stored) == \
+                sim.byte_view(states[1].mem, states[1].stored) == \
+                states[2].mem, name
 
 
 @pytest.mark.parametrize("mattr", ALL_MATTRS)
@@ -566,7 +568,8 @@ def test_translated_runs_equal_stepped_runs(name, mattr, desc,
     state = _start(words, args, mem)
     trace, trap = _stepped(state, desc, ext)
     assert trap is None and state.halted
-    assert second == first == (state.regs[10], _no_stack(state.mem), trace)
+    assert second == first == (state.regs[10], _no_stack(sim.byte_view(
+        state.mem, state.stored)), trace)
     prebuilt = {id(e) for b in trans.values() if b is not None for e in b[2]}
     assert all(id(e) in prebuilt for e in second[2]
                if e[2].mnemonic != "JALR"), name
@@ -600,11 +603,14 @@ def test_every_fuel_cut_of_a_translated_run_steps_alike(desc,
 def test_a_trap_inside_a_block_leaves_what_stepping_leaves(
         mnemonic, desc, fresh_translations):
     """A misaligned access in the middle of a block traps with the text,
-    registers, pc and trace of stepping: the instructions before it ran,
-    it and those after it did not."""
+    registers, pc, memory and trace of stepping: the instructions before
+    it ran, among them a store and a load of a stored word, both inline,
+    and it and those after it did not."""
     word = functools.partial(_word, desc)
-    a0, a1, a2 = MOp.preg(10), MOp.preg(11), MOp.preg(12)
+    a0, a1, a2, a3 = (MOp.preg(r) for r in (10, 11, 12, 13))
     program = [word("ADDI", a0, a0, MOp.imm(1)),
+               word("SW", a0, a1, MOp.imm(4)),
+               word("LW", a3, a1, MOp.imm(4)),
                word("ADDI", a2, a2, MOp.imm(5)),
                word(mnemonic, a2, a1, MOp.imm(2)),
                word("ADDI", a0, a0, MOp.imm(1)),
@@ -616,15 +622,17 @@ def test_a_trap_inside_a_block_leaves_what_stepping_leaves(
         with pytest.raises(sim.SimTrap, match=f"^{text}$"):
             sim.run_function(program, args, {}, desc=desc)
     trans = sim._translation(program, desc, ext)
-    assert trans[0][1] == 4
+    assert trans[0][1] == 6
     state, trace = _start(program, args, {}), []
     with pytest.raises(sim.SimTrap) as trap:
         sim._execute(state, desc, ext, 100, trace, trans)
     stepped = _start(program, args, {})
     assert _stepped(stepped, desc, ext) == (trace, str(trap.value)) \
         and str(trap.value) == text
-    assert state.regs == stepped.regs and state.regs[10] == 1
-    assert state.pc == stepped.pc == sim.PROGRAM_BASE + 8
+    assert state.regs == stepped.regs and state.regs[10:14] == [1, 0x4000,
+                                                                5, 1]
+    assert state.pc == stepped.pc == sim.PROGRAM_BASE + 16
+    assert state.stored == stepped.stored == {0x4004: 1}
 
 
 def test_a_store_into_its_own_block_runs_the_new_word(desc,
@@ -705,6 +713,168 @@ def test_the_translation_memo_is_bounded(desc, fresh_translations):
         assert len(sim._TRANSLATIONS) == min(i + 1, sim.MAX_TRANSLATIONS)
     assert list(sim._TRANSLATIONS) == [(tuple(p), ext)
                                        for p in programs[10:]]
+
+
+def test_a_hot_program_stays_translated_among_single_use_ones(
+        desc, fresh_translations, monkeypatch):
+    """The memo drops the least recently used program: run once between
+    each two of 1000 single-use programs, a hot program is translated once,
+    on its second run, and never dropped."""
+    made = []
+    block_source = tgt._block_source
+    monkeypatch.setattr(tgt, "_block_source",
+                        lambda block: made.append(block) or
+                        block_source(block))
+    a0 = MOp.preg(10)
+    hot = [_word(desc, "ADDI", a0, a0, MOp.imm(3)), _ret(desc)]
+    key = (tuple(hot), frozenset(tgt.ALL_EXTENSIONS))
+    for i in range(1000):
+        assert sim.run_function(hot, [5], {}, desc=desc)[0] == 8
+        once = [_word(desc, "ADDI", a0, a0, MOp.imm(-1 - i)), _ret(desc)]
+        assert sim.run_function(once, [5], {}, desc=desc)[0] == \
+            (4 - i) & sim.MASK32
+        assert len(sim._TRANSLATIONS) <= sim.MAX_TRANSLATIONS
+    assert len(made) == 1 and key in sim._TRANSLATIONS
+
+
+class _ByteState(sim.SimState):
+    """The byte memory model: a store outside the program writes four bytes
+    of `mem`, and a load outside it reads them; `stored` stays empty, so a
+    generated load never reads a word from it."""
+
+    def _word_index(self, addr):
+        i = addr - sim.PROGRAM_BASE >> 2
+        return i if not addr & 3 and 0 <= i < len(self.program) else None
+
+    def load(self, addr):
+        i = self._word_index(addr & sim.MASK32)
+        return (sim.mem_read32(self.mem, addr) if i is None
+                else self.program[i])
+
+    def store(self, addr, value):
+        i = self._word_index(addr & sim.MASK32)
+        if i is None:
+            sim.mem_write32(self.mem, addr, value)
+        else:
+            self.program[i] = value & sim.MASK32
+            self.written = True
+
+
+def _byte_model_run(words, args, mem, desc):
+    """What run_function returns, from a loop of sim.step over the byte
+    memory model."""
+    state = _ByteState(mem=dict(mem), program=list(words))
+    state.regs[1], state.regs[2] = sim.HALT_SENTINEL, sim.STACK_TOP
+    state.regs[10:10 + len(args)] = args
+    trace, trap = _stepped(state, desc, frozenset(tgt.ALL_EXTENSIONS))
+    assert trap is None and state.stored == {}
+    return state.regs[10], _no_stack(state.mem), trace
+
+
+def _memory_case(desc, name):
+    """A program, its arguments and seeded memory, and an IR function that
+    computes the same, for one way a store can meet memory; None for the
+    IR where it cannot (the IR interpreter has no stack region)."""
+    word = functools.partial(_word, desc)
+    zero, sp, a0, a1, a2 = (MOp.preg(r) for r in (0, 2, 10, 11, 12))
+    ret = _ret(desc)
+    if name == "partly-seeded-word":  # bytes 0x4001 and 0x4003 absent
+        return ([word("LW", a1, a0, MOp.imm(0)),
+                 word("SW", a1, a0, MOp.imm(0)),
+                 word("ADD", a0, a1, zero), ret],
+                [0x4000], {0x4000: 0x12, 0x4002: 0x34},
+                "define i32 @f(ptr %p) {\n  %v = load i32, ptr %p\n"
+                "  store i32 %v, ptr %p\n  ret i32 %v\n}\n")
+    stack = [word("SW", a0, sp, MOp.imm(-4)),
+             word("LW", a1, sp, MOp.imm(-4)),
+             word("ADDI", a0, a1, MOp.imm(1)), ret]
+    if name == "stack":
+        return (stack, [5], {0x4000: 9},
+                "define i32 @f(i32 %x) {\n  %s = alloca i32\n"
+                "  store i32 %x, ptr %s\n  %v = load i32, ptr %s\n"
+                "  %r = add i32 %v, 1\n  ret i32 %r\n}\n")
+    if name == "seeded-stack":
+        return stack, [5], {0x4000: 9, sim.STACK_TOP - 8: 1}, None
+    return ([word("SW", a1, a2, MOp.imm(4)),  # word 1 := ADDI a0, a0, 7
+             word("ADDI", a0, a0, MOp.imm(100)), ret],
+            [1, word("ADDI", a0, a0, MOp.imm(7)), sim.PROGRAM_BASE], {},
+            "define i32 @f(i32 %x, i32 %w, ptr %p) {\n"
+            "  %r = add i32 %x, 7\n  ret i32 %r\n}\n")
+
+
+@pytest.mark.parametrize("name", ["partly-seeded-word", "stack",
+                                  "seeded-stack", "program"])
+def test_returned_memory_equals_the_byte_models(name, desc,
+                                                fresh_translations):
+    """Stepped on its first run and translated on its second, a program
+    returns what the byte memory model and ir_interpret return: a store
+    that completes a partly seeded word writes all four bytes, a store into
+    the stack and a seeded stack byte are left out, and a store into the
+    program is fetched and not returned. The caller's memory is never
+    written."""
+    words, args, mem, text = _memory_case(desc, name)
+    seeded = dict(mem)
+    want = _byte_model_run(words, args, mem, desc)
+    runs = [sim.run_function(words, args, mem, desc=desc) for _ in range(2)]
+    assert isinstance(sim._TRANSLATIONS[(tuple(words), frozenset(
+        tgt.ALL_EXTENSIONS))], sim._Translation)
+    assert runs[0] == runs[1] == want and mem == seeded
+    if text is not None:
+        fn = ir.parse_ir(text).functions[0]
+        assert sim.ir_interpret(fn, args, dict(mem)) == runs[1][:2]
+    if name == "partly-seeded-word":
+        assert runs[1][:2] == (0x340012, {0x4000: 0x12, 0x4001: 0,
+                                          0x4002: 0x34, 0x4003: 0})
+    elif name == "program":
+        assert runs[1][0] == 8 and runs[1][2][1][1] == args[1]
+
+
+def test_an_lxr_reads_a_stored_word_inline_and_a_seeded_word_by_load(
+        desc, fresh_translations, monkeypatch):
+    """LXR's two loads inside a block: the one of a word the SW before it
+    stored is read inline, and only the one of a seeded word calls
+    SimState.load; stepped and translated, it gives the byte model's
+    result."""
+    word = functools.partial(_word, desc)
+    a0, a1, a2 = MOp.preg(10), MOp.preg(11), MOp.preg(12)
+    program = [word("SW", a2, a0, MOp.imm(0)),
+               word("LXR", a0, a0, a1), _ret(desc)]
+    args, mem = [0x4000, 0x4004, 0x0F0F0F0F], {}
+    sim.mem_write32(mem, 0x4004, 0x12345678)
+    want = _byte_model_run(program, args, mem, desc)
+    loads = []
+    load = sim.SimState.load
+    monkeypatch.setattr(sim.SimState, "load",
+                        lambda self, addr: loads.append(addr) or
+                        load(self, addr))
+    runs = [sim.run_function(program, args, mem, desc=desc)
+            for _ in range(2)]
+    trans = sim._translation(program, desc, frozenset(tgt.ALL_EXTENSIONS))
+    assert trans[0][1] == 2
+    assert runs[0] == runs[1] == want
+    assert runs[1][0] == 0x0F0F0F0F ^ 0x12345678
+    assert loads == [0x4004, 0x4004]  # one per run
+
+
+def test_a_word_stored_outside_the_program_runs_when_jumped_to(
+        desc, fresh_translations):
+    """A program stores two instruction words at 0x4000 and jumps there:
+    they are fetched from the stored words, run, and are in the returned
+    memory."""
+    word = functools.partial(_word, desc)
+    zero, a0, a1, a2, a3 = (MOp.preg(r) for r in (0, 10, 11, 12, 13))
+    addi_7, ret = word("ADDI", a0, a0, MOp.imm(7)), _ret(desc)
+    program = [word("SW", a1, a3, MOp.imm(0)),
+               word("SW", a2, a3, MOp.imm(4)),
+               word("JALR", zero, a3, MOp.imm(0))]
+    args = [1, addi_7, ret, 0x4000]
+    want = _byte_model_run(program, args, {}, desc)
+    runs = [sim.run_function(program, args, {}, desc=desc) for _ in range(2)]
+    assert runs[0] == runs[1] == want
+    got, mem, trace = runs[1]
+    assert got == 8 and [pc for pc, _, _ in trace] == [
+        0x1000, 0x1004, 0x1008, 0x4000, 0x4004]
+    assert mem == sim.byte_view({}, {0x4000: addi_7, 0x4004: ret})
 
 
 def test_ir_interpret_identity():
