@@ -390,7 +390,8 @@ def run_function(program: list[int], args: list[int],
                       f"overlaps seeded memory at 0x{min(covered):08x}")
     desc = desc or tgt.load_default_desc()
     try:
-        array("I", program)  # 32-bit unsigned words only, checked in C
+        # C unsigned ints, 32 bits wide: a word outside them raises
+        array("I", program)
         words = list(program)
     except OverflowError:
         words = [w & MASK32 for w in program]

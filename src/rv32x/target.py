@@ -377,11 +377,12 @@ _RUN_STORED = "    M = m.stored\n"
 # A store of {0} to address {1} writes M when the address is aligned and
 # outside the program, whose words lie from address b to e; before any other
 # the block returns the number of instructions it ran, {2}, and the loop runs
-# the store on its own.
+# the store on its own. The address is held in s, not a: a load in {0} binds
+# a after the address is checked and before M is written.
 _BLOCK_DEFINES = "    r[{}] = {} & 0xFFFFFFFF\n"
 _BLOCK_VALUE = "    v = {}\n"
-_BLOCK_STORE = ("    if (a := {1} & 0xFFFFFFFF) & 3 or b <= a < e:\n"
-                "        return {2}\n    M[a] = {0} & 0xFFFFFFFF\n")
+_BLOCK_STORE = ("    if (s := {1} & 0xFFFFFFFF) & 3 or b <= s < e:\n"
+                "        return {2}\n    M[s] = {0} & 0xFFFFFFFF\n")
 
 
 def _run_source(d: InstrDef) -> str:
@@ -400,7 +401,8 @@ def _block_source(block: list[tuple[int, InstrDef]]) -> tuple[str, list[int]]:
     many ran; and, per source line, how many instructions ran before it. M
     is the machine's stored words, and the program's words lie from address
     b to e. Like `_run_source`, it holds only the templates, their names
-    and integers: here the words' register numbers and immediates too."""
+    (s too) and integers: here the words' register numbers and immediates
+    too."""
     lines = ["def run(m, r, M, b, e):\n"]
     ran = [0, 0]  # by line number, which counts from 1
     for k, (word, d) in enumerate(block):

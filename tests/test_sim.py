@@ -1,3 +1,4 @@
+import array
 import functools
 import itertools
 import random
@@ -467,6 +468,24 @@ def test_run_function_identity(desc):
     assert len(trace) == 1 and trace[0][2].mnemonic == "JALR"
 
 
+def test_a_word_out_of_32_bits_runs_as_its_low_32_bits(desc,
+                                                     fresh_translations):
+    """run_function checks a program's words against an array of C unsigned
+    ints, 32 bits wide; a negative word and a word of 2**32 or more make
+    it mask them, and run, stepped and translated, like their low 32
+    bits."""
+    assert array.array("I").itemsize == 4
+    a0 = MOp.preg(10)
+    words = [_word(desc, "ADDI", a0, a0, MOp.imm(7)), _ret(desc)]
+    odd = [words[0] - (1 << 32), words[1] + (5 << 32)]
+    want = sim.run_function(words, [1], {}, desc=desc)
+    assert want[0] == 8
+    for _ in range(2):
+        assert sim.run_function(odd, [1], {}, desc=desc) == want
+    assert isinstance(sim._TRANSLATIONS[(tuple(words), frozenset(
+        tgt.ALL_EXTENSIONS))], sim._Translation)
+
+
 def test_run_function_too_many_args(desc):
     with pytest.raises(sim.SimTrap, match="8 register arguments"):
         sim.run_function([], list(range(9)), {})
@@ -875,6 +894,37 @@ def test_a_word_stored_outside_the_program_runs_when_jumped_to(
     assert got == 8 and [pc for pc, _, _ in trace] == [
         0x1000, 0x1004, 0x1008, 0x4000, 0x4004]
     assert mem == sim.byte_view({}, {0x4000: addi_7, 0x4004: ret})
+
+
+@pytest.mark.parametrize("source", [0x4008, sim.PROGRAM_BASE + 4])
+def test_a_store_of_a_load_writes_the_stores_address(source,
+                                                     fresh_translations):
+    """An instruction that stores the word a load reads, from a seeded word
+    or a program word, writes the store's address on its translated run as
+    stepping does, not the load's."""
+    text = (PKG_ROOT / "targets" / "rv32_xcrypt.desc").read_text()
+    desc = tgt.load_target_desc(
+        text + "instr STL fmt=S opcode=0b0001011 funct3=0b010 "
+        "ops=rs2,rs1,imm12 sem=(store (load $rs2) (add $rs1 $imm12))\n")
+    word = functools.partial(_word, desc)
+    a0, a1, a2 = MOp.preg(10), MOp.preg(11), MOp.preg(12)
+    program = [word("ADDI", a0, a0, MOp.imm(1)),
+               word("STL", a2, a1, MOp.imm(4)),  # [a1 + 4] := [a2]
+               word("LW", a0, a1, MOp.imm(4)), _ret(desc)]
+    args, mem, ext = [0, 0x4000, source], {}, frozenset(tgt.ALL_EXTENSIONS)
+    sim.mem_write32(mem, 0x4008, 0x11223344)
+    want = _byte_model_run(program, args, mem, desc)
+    runs = [sim.run_function(program, args, mem, desc=desc) for _ in range(2)]
+    trans = sim._TRANSLATIONS[(tuple(program), ext)]
+    assert isinstance(trans, sim._Translation) and trans[0][1] == 3
+    assert runs[0] == runs[1] == want
+    assert runs[1][0] == (0x11223344 if source == 0x4008 else program[1])
+    state, trace = _start(program, args, mem), []
+    sim._execute(state, desc, ext, 100, trace, trans)
+    stepped = _start(program, args, mem)
+    assert _stepped(stepped, desc, ext) == (trace, None)
+    assert state.regs == stepped.regs
+    assert state.stored == stepped.stored == {0x4004: runs[1][0]}
 
 
 def test_ir_interpret_identity():

@@ -456,8 +456,7 @@ def test_generated_sem_source_holds_no_record_text(monkeypatch):
     assert all(translation[i] is not None for i in starts)
     assert len(blocks) == len(starts)
     names = {"def", "run", "m", "r", "w", "v", "d", "if", "return", "load",
-             "store", "written", "M", "a", "b", "e", "stored", "in", "else",
-             "or"}
+             "store", "M", "a", "b", "e", "s", "stored", "in", "else", "or"}
     kinds = {tokenize.NAME, tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE,
              tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
     for what, source in ([(d.mnemonic, s) for d, s in zip(defs, sources)]
